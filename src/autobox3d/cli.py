@@ -49,26 +49,28 @@ def _cmd_fit_box(args: argparse.Namespace) -> int:
             f"proposal index {args.proposal} out of range; frame has {len(proposals)}"
         )
     clusters = load_clusters(scene, config)
+    # Associate the whole frame, as annotate does: a pair's seed derives
+    # from its position among all of the frame's pairs.
     pairs = associate(
         scene,
-        [proposals[args.proposal]],
+        proposals,
         clusters,
         tau_match=config.tau_match,
         d_min=config.d_min,
         d_max=config.d_max,
         criterion=config.match_criterion,
     )
-    if not pairs:
+    mine = [(k, pair) for k, pair in enumerate(pairs) if pair.proposal.index == args.proposal]
+    if not mine:
         print(
             f"no cluster matched proposal {args.proposal} of frame {args.scene}",
             file=sys.stderr,
         )
         return 1
-    fits = []
-    for k, pair in enumerate(pairs):
-        seed = derive_pair_seed(config.seed, scene.frame_id, k)
-        result = fit_pair(pair, config, seed)
-        fits.append((result, pair))
+    fits = [
+        (fit_pair(pair, config, derive_pair_seed(config.seed, scene.frame_id, k)), pair)
+        for k, pair in mine
+    ]
     best, best_pair = min(fits, key=lambda rp: rp[0].best_cost.total)
     out = {
         "frame": args.scene,

@@ -14,7 +14,18 @@ terms, all phrased so that lower is better:
 ``cost_total`` is the readable single-box reference. ``BoxCostBatch``
 evaluates many candidates at once with identical results; the swarm search
 calls it tens of thousands of times per proposal, so it avoids all
-per-candidate Python work.
+per-candidate Python work and keeps its full (candidates x points) array
+passes few.
+
+The batch path needs no segment clamping in the top-edge term. Only
+enclosed points count, and an enclosed point's coordinate along an edge
+already lies within that edge's face, so its distance to the edge at
+x = sx running along y is sqrt((lx - sx)^2 + dz^2), and likewise for the
+other edge. Because IEEE addition is commutative and sqrt is monotone, the
+nearer of the two is sqrt(min((lx - sx)^2, (ly - sy)^2) + dz^2), bit for bit
+what the clamped form gives. The one exception is a point in the
+``BOUNDARY_TOL`` band just outside a side face: it counts as enclosed, and
+the clamped form adds its squared overshoot, at most about 1e-18.
 """
 
 from __future__ import annotations
@@ -278,8 +289,12 @@ class BoxCostBatch:
     """Vectorized ``cost_total`` over many candidate boxes at once.
 
     Bound to one cluster / ego / 2D-proposal / camera at construction; each
-    ``evaluate`` call scores an (S, 7) array of candidates. Agreement with
-    the scalar reference path is asserted in the test suite.
+    ``evaluate`` call scores an (S, 7) array of candidates. A candidate's
+    result depends neither on the batch size nor on the other candidates.
+    The top-edge term uses the enclosed-point identity from the module
+    docstring instead of clamping, and the (S, N) buffers are reused in
+    place. Agreement with the scalar reference path is asserted in the test
+    suite.
     """
 
     def __init__(
@@ -323,38 +338,42 @@ class BoxCostBatch:
         bl, bw, bh = th[:, 3], th[:, 4], th[:, 5]
         cos = np.cos(th[:, 6])
         sin = np.sin(th[:, 6])
+        cos_c, sin_c = cos[:, None], sin[:, None]
 
-        # Cluster points in each candidate's box frame, (S, N).
+        # Cluster points in each candidate's box frame, (S, N). The (S, N)
+        # passes dominate the cost, so buffers are reused once a value is dead.
         dx = self._px - cx[:, None]
         dy = self._py - cy[:, None]
-        lx = cos[:, None] * dx + sin[:, None] * dy
-        ly = cos[:, None] * dy - sin[:, None] * dx
-        lz = self._pz - cz[:, None]
-        half_l = 0.5 * bl[:, None] + BOUNDARY_TOL
-        half_w = 0.5 * bw[:, None] + BOUNDARY_TOL
-        half_h = 0.5 * bh[:, None] + BOUNDARY_TOL
-        inside = (
-            (np.abs(lx) <= half_l) & (np.abs(ly) <= half_w) & (np.abs(lz) <= half_h)
-        )
+        lx = cos_c * dx
+        lz = sin_c * dy
+        lx += lz
+        ly = np.multiply(cos_c, dy, out=dy)
+        ly -= np.multiply(sin_c, dx, out=dx)
+        np.subtract(self._pz, cz[:, None], out=lz)
+        inside = np.abs(lx, out=dx) <= 0.5 * bl[:, None] + BOUNDARY_TOL
+        inside &= np.abs(ly, out=dx) <= 0.5 * bw[:, None] + BOUNDARY_TOL
+        inside &= np.abs(lz, out=dx) <= 0.5 * bh[:, None] + BOUNDARY_TOL
         counts = inside.sum(axis=1)
         density = -counts / self.n_points
 
-        # Ego position in each box frame picks the near top edges by sign.
+        # Ego position in each box frame picks the near top edges by sign:
+        # the edge at x = sx running along y, and the edge at y = sy running
+        # along x, both on the top face. Enclosed points need no clamping
+        # (see the module docstring).
         edx = self.ego.x - cx
         edy = self.ego.y - cy
         e_lx = cos * edx + sin * edy
         e_ly = cos * edy - sin * edx
         sx = np.where(e_lx > 0.0, 0.5, -0.5) * bl
         sy = np.where(e_ly > 0.0, 0.5, -0.5) * bw
-        # Edge at x = sx running along y, and edge at y = sy running along x,
-        # both at the top face z = h/2. Segment distance clamps the running
-        # coordinate to the face extent.
-        dz_top = lz - 0.5 * bh[:, None]
-        run_y = ly - np.clip(ly, -0.5 * bw[:, None], 0.5 * bw[:, None])
-        run_x = lx - np.clip(lx, -0.5 * bl[:, None], 0.5 * bl[:, None])
-        d_edge_x = np.sqrt((lx - sx[:, None]) ** 2 + run_y**2 + dz_top**2)
-        d_edge_y = np.sqrt(run_x**2 + (ly - sy[:, None]) ** 2 + dz_top**2)
-        d_near = np.minimum(d_edge_x, d_edge_y)
+        lx -= sx[:, None]
+        ly -= sy[:, None]
+        lz -= 0.5 * bh[:, None]
+        d_near = np.minimum(np.square(lx, out=lx), np.square(ly, out=ly), out=lx)
+        d_near += np.square(lz, out=lz)
+        np.sqrt(d_near, out=d_near)
+        # Masked, then summed over the full row, so numpy's pairwise
+        # summation groups the terms the same way whatever the mask.
         d_near_sum = np.where(inside, d_near, 0.0).sum(axis=1)
         lshape = np.where(counts > 0, d_near_sum / np.maximum(counts, 1), 0.0)
 
@@ -366,7 +385,12 @@ class BoxCostBatch:
         return BatchEval(totals, density, lshape, surface, iou_term)
 
     def _image_iou(self, cx, cy, cz, bl, bw, bh, cos, sin) -> np.ndarray:
-        """IoU of each candidate's projected hull with the proposal, (S,)."""
+        """IoU of each candidate's projected hull with the proposal, (S,).
+
+        The hull spans the corners in front of the camera. When every
+        corner of the batch is in front, the common case, the extremes are
+        taken directly; otherwise corners behind the camera are masked out.
+        """
         sg = self._signs
         klx = sg[None, :, 0] * bl[:, None]
         kly = sg[None, :, 1] * bw[:, None]
@@ -379,20 +403,27 @@ class BoxCostBatch:
         camy = r[1, 0] * wx + r[1, 1] * wy + r[1, 2] * wz + t[1]
         camz = r[2, 0] * wx + r[2, 1] * wy + r[2, 2] * wz + t[2]
         valid = camz > 0.0
+        p = self.proposal
         with np.errstate(divide="ignore", invalid="ignore"):
             hw = self._k22 * camz
             u = (self._fx * camx + self._skew * camy + self._cu * camz) / hw
             v = (self._fy * camy + self._cv * camz) / hw
-        u_min = np.maximum(np.where(valid, u, np.inf).min(axis=1), 0.0)
-        u_max = np.minimum(np.where(valid, u, -np.inf).max(axis=1), self._img_w)
-        v_min = np.maximum(np.where(valid, v, np.inf).min(axis=1), 0.0)
-        v_max = np.minimum(np.where(valid, v, -np.inf).max(axis=1), self._img_h)
-        ok = (valid.sum(axis=1) >= 2) & (u_min < u_max) & (v_min < v_max)
-        p = self.proposal
-        iw = np.minimum(u_max, p.u_max) - np.maximum(u_min, p.u_min)
-        ih = np.minimum(v_max, p.v_max) - np.maximum(v_min, p.v_min)
-        inter = np.where((iw > 0.0) & (ih > 0.0), iw * ih, 0.0)
-        union = (u_max - u_min) * (v_max - v_min) + p.area - inter
-        with np.errstate(divide="ignore", invalid="ignore"):
-            iou = np.where(ok & (inter > 0.0), inter / union, 0.0)
-        return iou
+            if valid.all():
+                u_lo, u_hi, v_lo, v_hi = u.min(axis=1), u.max(axis=1), v.min(axis=1), v.max(axis=1)
+                enough = True
+            else:
+                u_lo = np.where(valid, u, np.inf).min(axis=1)
+                u_hi = np.where(valid, u, -np.inf).max(axis=1)
+                v_lo = np.where(valid, v, np.inf).min(axis=1)
+                v_hi = np.where(valid, v, -np.inf).max(axis=1)
+                enough = valid.sum(axis=1) >= 2
+            u_min = np.maximum(u_lo, 0.0)
+            u_max = np.minimum(u_hi, self._img_w)
+            v_min = np.maximum(v_lo, 0.0)
+            v_max = np.minimum(v_hi, self._img_h)
+            ok = enough & (u_min < u_max) & (v_min < v_max)
+            iw = np.minimum(u_max, p.u_max) - np.maximum(u_min, p.u_min)
+            ih = np.minimum(v_max, p.v_max) - np.maximum(v_min, p.v_min)
+            inter = np.where((iw > 0.0) & (ih > 0.0), iw * ih, 0.0)
+            union = (u_max - u_min) * (v_max - v_min) + p.area - inter
+            return np.where(ok & (inter > 0.0), inter / union, 0.0)

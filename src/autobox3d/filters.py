@@ -28,6 +28,7 @@ DEFAULT_TAU_OCC: dict[str, float] = {
     "traffic_cone": 0.25,
     "barrier": 0.35,
     "construction_vehicle": 0.5,
+    "trailer": 0.5,
 }
 
 

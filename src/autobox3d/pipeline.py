@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .assoc import CrossModalProposal, associate, load_proposals
+from .assoc import CrossModalProposal, Proposal2D, associate, load_proposals
 from .bank import NovelObjectBank, NovelObjectTarget, Provenance, read_bank, write_bank
 from .config import PipelineConfig, config_fingerprint
 from .costfn import adaptive_surface_clip
@@ -158,11 +158,24 @@ def load_clusters(scene: Scene, config: PipelineConfig):
     return cluster_objects(scene.cloud, object_idx, config.cluster_eps, config.cluster_min_pts)
 
 
+def check_classes(proposals: list[Proposal2D], config: PipelineConfig) -> None:
+    """Fail before any fit when a proposal's class is missing from a class table."""
+    tables = (("anchor range", config.anchors), ("tau_occ threshold", config.thresholds.tau_occ))
+    for prop in proposals:
+        for what, table in tables:
+            if prop.class_id not in table:
+                raise UnknownClassError(
+                    f"proposal {prop.index}: no {what} for class {prop.class_id!r}; "
+                    f"have {sorted(table)}"
+                )
+
+
 def process_frame(config: PipelineConfig, frame_id: str) -> tuple[str, list[NovelObjectTarget], dict]:
     """Annotate one frame; returns (frame_id, targets, counters)."""
     scene = load_scene(config.scenes_dir, frame_id)
     proposals_path = config.scenes_dir / f"{frame_id}.proposals.json"
     proposals = load_proposals(proposals_path) if proposals_path.exists() else []
+    check_classes(proposals, config)
     clusters = load_clusters(scene, config)
     pairs = associate(
         scene,

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -147,9 +148,12 @@ def _load_cloud_csv(path: Path) -> np.ndarray:
             if not row:
                 continue
             try:
-                rows.append(tuple(float(row[c]) for c in cols))
+                xyz = tuple(float(row[c]) for c in cols)
             except (ValueError, IndexError) as exc:
                 raise CloudFormatError(f"{path}: line {lineno}: {exc}") from exc
+            if not all(math.isfinite(v) for v in xyz):
+                raise CloudFormatError(f"{path}: line {lineno}: non-finite coordinates {xyz}")
+            rows.append(xyz)
     if not rows:
         return np.empty((0, 3))
     return np.asarray(rows, dtype=np.float64)
@@ -276,7 +280,7 @@ def remove_ground(
     if pts.ndim != 2 or pts.shape[1] != 3:
         raise ValueError(f"cloud must be (N, 3), got {pts.shape}")
     if len(pts) == 0:
-        raise ValueError("cannot remove ground from an empty cloud")
+        raise ValidationError("cannot remove ground from an empty cloud")
     if cell_size <= 0 or height_threshold <= 0:
         raise ValueError("cell_size and height_threshold must be positive")
     if not (0.0 < seed_quantile <= 1.0):

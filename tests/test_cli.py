@@ -78,6 +78,17 @@ class TestAnnotate:
         assert main(["annotate", "--config", str(cfg)]) == 2
         assert "swam" in capsys.readouterr().err
 
+    def test_empty_cloud_exits_2(self, workdir, tmp_path, capsys):
+        scenes = tmp_path / "scenes"
+        scenes.mkdir()
+        (scenes / "0000.bin").write_bytes(b"")
+        calib = (workdir / "scenes" / "0000.calib.json").read_text()
+        (scenes / "0000.calib.json").write_text(calib)
+        cfg = tmp_path / "c.yaml"
+        cfg.write_text(f"paths:\n  scenes: {scenes}\n  output: {tmp_path / 'out'}\n")
+        assert main(["annotate", "--config", str(cfg)]) == 2
+        assert "empty cloud" in capsys.readouterr().err
+
 
 class TestFitBox:
     def test_prints_box_json(self, workdir, capsys):
@@ -94,6 +105,26 @@ class TestFitBox:
         assert set(out["cost"]) == {"density", "lshape", "surface", "iou2d", "total"}
         assert out["evaluations"] == 600
         assert len(out["candidates"]) >= 1
+
+    def test_reproduces_banked_target(self, workdir, capsys):
+        # Pair seeds count pairs across the whole frame, so a proposal
+        # other than the first is the one that shows a numbering mismatch.
+        config = str(workdir / "config.yaml")
+        assert main(["annotate", "--config", config]) == 0
+        capsys.readouterr()
+        lines = (workdir / "out" / "bank.jsonl").read_text().splitlines()
+        banked = [json.loads(line) for line in lines]
+        later = [t for t in banked if t["provenance"]["proposal"] > 0]
+        assert later, "fixture frame must bank a target for a later proposal"
+        target = later[0]
+        code = main([
+            "fit-box", "--config", config, "--scene", target["frame"],
+            "--proposal", str(target["provenance"]["proposal"]),
+        ])
+        assert code == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["box"] == target["box"]
+        assert out["cost"] == target["cost"]
 
     def test_out_of_range_proposal_exits_2(self, workdir, capsys):
         code = main([

@@ -18,7 +18,7 @@ from autobox3d.costfn import (
     cost_surface,
     cost_total,
 )
-from autobox3d.geom import Box2D, BoxParams, EgoPose, box_corners, project_box_to_2d
+from autobox3d.geom import BOUNDARY_TOL, Box2D, BoxParams, EgoPose, box_corners, project_box_to_2d
 
 from _util import CAR_ANCHOR, build_pair, car_box, random_box, simple_calib
 
@@ -317,6 +317,59 @@ class TestBatchAgainstScalar:
             assert res.breakdown_at(i).total == pytest.approx(bd.total, abs=1e-9)
         assert res.density[0] == 0.0
         assert res.lshape[0] == 0.0
+
+    def test_points_in_boundary_band(self):
+        # Points up to BOUNDARY_TOL outside a side face still count as
+        # enclosed. Only there does the scalar edge distance keep a clamped
+        # running term (about 1e-18), which the batch path leaves out.
+        box = car_box(dist=9.0, azimuth=0.1, ry=0.7)
+        pair = build_pair(box, seed=6)
+        rng = np.random.default_rng(8)
+        n = 40
+        local = np.column_stack([
+            rng.uniform(-0.5, 0.5, n) * box.l,
+            rng.uniform(-0.5, 0.5, n) * box.w,
+            rng.uniform(-0.5, 0.5, n) * box.h,
+        ])
+        band = 0.5 * BOUNDARY_TOL
+        local[: n // 2, 0] = np.where(local[: n // 2, 0] > 0, 1.0, -1.0) * (0.5 * box.l + band)
+        local[n // 2 :, 1] = np.where(local[n // 2 :, 1] > 0, 1.0, -1.0) * (0.5 * box.w + band)
+        c, s = math.cos(box.ry), math.sin(box.ry)
+        pts = np.column_stack([
+            box.x + c * local[:, 0] - s * local[:, 1],
+            box.y + s * local[:, 0] + c * local[:, 1],
+            box.z + local[:, 2],
+        ])
+        weights = CostWeights(c_surface=12.0)
+        batch = BoxCostBatch(pts, pair.scene.ego, pair.proposal.box, pair.calib, weights)
+        thetas = np.stack([box.as_array(), box.as_array() + [0.05, -0.03, 0.0, 0.0, 0.0, 0.0, 0.01]])
+        res = batch.evaluate(thetas)
+        assert res.density[0] == cost_density(box, pts) == -1.0
+        for i, theta in enumerate(thetas):
+            bd = cost_total(BoxParams.from_array(theta), pts, pair.scene.ego,
+                            pair.proposal.box, pair.calib, weights)
+            got = res.breakdown_at(i)
+            assert got.density == bd.density
+            assert got.lshape == pytest.approx(bd.lshape, abs=1e-9)
+            assert got.total == pytest.approx(bd.total, abs=1e-9)
+
+    def test_result_independent_of_batch(self):
+        # One candidate behind the camera sends the whole batch down the
+        # masked hull path; every candidate must still score as it does alone.
+        rng = np.random.default_rng(15)
+        box = car_box()
+        pair = build_pair(box, seed=7)
+        batch = BoxCostBatch(pair.points, pair.scene.ego, pair.proposal.box,
+                             pair.calib, CostWeights(c_surface=9.0))
+        thetas = box.as_array() + rng.normal(0.0, 0.4, size=(20, 7))
+        thetas[5] = [-15.0, 0.0, 0.0, 4.0, 2.0, 1.5, 0.0]
+        together = batch.evaluate(thetas)
+        for i in range(len(thetas)):
+            alone = batch.evaluate(thetas[i : i + 1])
+            for name in ("totals", "density", "lshape", "surface", "iou2d"):
+                assert getattr(alone, name)[0] == getattr(together, name)[i], name
+        front = batch.evaluate(np.delete(thetas, 5, axis=0))
+        assert np.array_equal(front.totals, np.delete(together.totals, 5))
 
     def test_rejects_bad_shapes(self):
         pair = build_pair(car_box(), seed=4)

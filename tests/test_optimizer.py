@@ -303,3 +303,40 @@ class TestGreedy:
         b = greedy_search(pair, CAR_ANCHOR, CostWeights(), budget=2000, chunk=111)
         assert np.array_equal(a.best_box.as_array(), b.best_box.as_array())
         assert a.best_cost.total == b.best_cost.total
+
+
+class TestPinnedResults:
+    """Exact results of short searches, as ``float.hex``.
+
+    The batched kernel is meant to change only in speed, never in a bit of
+    its output, so these values may move only with a deliberate change to
+    the cost arithmetic. They follow numpy's float64 sin, cos and sqrt, so
+    a numpy build with different libm rounding may need them re-recorded.
+    """
+
+    PAIR_BOX = dict(dist=14.0, azimuth=-0.3, ry=1.1)
+    WEIGHTS = CostWeights(c_surface=15.0)
+
+    def _pair(self):
+        return build_pair(car_box(**self.PAIR_BOX), seed=21)
+
+    def test_swarm(self):
+        cfg = SwarmConfig(n_swarm=50, n_iter=40, seed=9)
+        res = pso_search(self._pair(), CAR_ANCHOR, self.WEIGHTS, cfg, record_trace=False)
+        assert res.evaluations == 2000
+        assert res.best_cost.total.hex() == "-0x1.3bc525375cce1p+4"
+        assert [float(v).hex() for v in res.best_box.as_array()] == [
+            "0x1.a3abcce63a093p+3", "-0x1.24a1088c6b907p+2", "-0x1.a445294aa7138p-1",
+            "0x1.34dc6bb7a472bp+2", "0x1.eeaab0ac1a8e8p+0", "0x1.84b15b3f123aep+0",
+            "0x1.1766a28315057p+0",
+        ]
+
+    def test_grid(self):
+        res = greedy_search(self._pair(), CAR_ANCHOR, self.WEIGHTS, budget=5000)
+        assert res.evaluations == 4860
+        assert res.best_cost.total.hex() == "-0x1.1a49de296d650p+4"
+        assert [float(v).hex() for v in res.best_box.as_array()] == [
+            "0x1.a7a09e568b36ep+3", "-0x1.60ffedcedbadep+2", "-0x1.97b7079773bc8p-1",
+            "0x1.5333333333333p+2", "0x1.0cccccccccccdp+1", "0x1.6666666666666p+0",
+            "0x1.921fb54442d18p+0",
+        ]

@@ -271,6 +271,33 @@ class TestProcessFrame:
             assert np.isfinite(t.cost.total)
             assert t.verdict is not None
 
+    @pytest.mark.parametrize("table", ["anchors", "tau_occ"])
+    def test_unknown_class_fails_before_any_fit(self, corpus, tmp_path, monkeypatch, table):
+        scenes = tmp_path / "scenes"
+        scenes.mkdir()
+        for src in corpus.glob("0000.*"):
+            shutil.copy(src, scenes / src.name)
+        path = scenes / "0000.proposals.json"
+        proposals = json.loads(path.read_text())
+        proposals[-1]["class"] = "trailer"
+        path.write_text(json.dumps(proposals))
+        config = corpus_config(scenes, tmp_path / "out")
+        if table == "anchors":
+            del config.anchors["trailer"]
+        else:
+            del config.thresholds.tau_occ["trailer"]
+
+        def no_fit(*args, **kwargs):
+            raise AssertionError("fit_pair called before the class check")
+
+        monkeypatch.setattr("autobox3d.pipeline.fit_pair", no_fit)
+        with pytest.raises(UnknownClassError, match="trailer"):
+            process_frame(config, "0000")
+
+    def test_default_tables_cover_the_same_classes(self):
+        config = PipelineConfig()
+        assert set(config.anchors) == set(config.thresholds.tau_occ)
+
     def test_conflict_keeps_lowest_cost_fit(self, tmp_path):
         # Two clusters within reach of one proposal ray; the kept target must
         # be exactly the better of the two independent fits.

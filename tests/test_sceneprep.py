@@ -103,6 +103,13 @@ class TestCloudIO:
         with pytest.raises(CloudFormatError, match="line 3"):
             load_cloud(path)
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_csv_non_finite_reports_line(self, tmp_path, bad):
+        path = tmp_path / "a.csv"
+        path.write_text(f"x,y,z\n1.0,2.0,3.0\n1.0,2.0,3.0\n4.0,{bad},3.0\n")
+        with pytest.raises(CloudFormatError, match="line 4"):
+            load_cloud(path)
+
     def test_unknown_format_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             load_cloud(tmp_path / "a.bin", fmt="pcd")
@@ -185,7 +192,7 @@ class TestGroundRemoval:
         assert list(o_idx) == [1]
 
     def test_empty_cloud_raises(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError, match="empty cloud"):
             remove_ground(np.empty((0, 3)))
 
     def test_bad_params_raise(self):
