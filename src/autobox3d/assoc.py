@@ -159,10 +159,6 @@ def frustum_from_box(box: Box2D, calib: CameraCalib, d_min: float, d_max: float)
     return Frustum(rays, center, d_min, d_max)
 
 
-def center_ray(frustum: Frustum) -> Ray:
-    return frustum.center
-
-
 def points_to_ray_distances(points: np.ndarray, ray: Ray) -> np.ndarray:
     """Distance from each point (N, 3) to the half-line of ``ray``.
 

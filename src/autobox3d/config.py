@@ -126,7 +126,11 @@ def _floats3(value, path: str) -> list[float]:
 
 
 def load_config(path: str | Path) -> PipelineConfig:
-    """Read a YAML pipeline config, strictly validated, defaults filled in."""
+    """Read a YAML pipeline config, strictly validated, defaults filled in.
+
+    Every class the file names under ``anchors`` or ``thresholds.tau_occ``
+    must end up in both tables.
+    """
     path = Path(path)
     try:
         raw = yaml.safe_load(path.read_text())
@@ -248,11 +252,23 @@ def load_config(path: str | Path) -> PipelineConfig:
                 if not isinstance(budgets, list) or not budgets:
                     raise ValidationError("bench.budgets must be a non-empty list")
                 kwargs["bench_budgets"] = tuple(int(b) for b in budgets)
-        return PipelineConfig(**kwargs)
+        cfg = PipelineConfig(**kwargs)
     except (TypeError, ValueError) as exc:
         if isinstance(exc, ValidationError):
             raise
         raise ValidationError(f"{path}: {exc}") from exc
+    # A class named in only one table would stop the run at its first
+    # proposal, after every earlier frame has been fitted.
+    named = set(map(str, raw.get("anchors", {})))
+    named |= set(map(str, raw.get("thresholds", {}).get("tau_occ", {})))
+    holes = [
+        f"{table} lacks {sorted(named - set(entries))}"
+        for table, entries in (("anchors", cfg.anchors), ("thresholds.tau_occ", cfg.thresholds.tau_occ))
+        if named - set(entries)
+    ]
+    if holes:
+        raise ValidationError(f"{path}: class tables differ: {'; '.join(holes)}")
+    return cfg
 
 
 def config_to_dict(cfg: PipelineConfig) -> dict:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import time
+from collections.abc import Iterable
 from dataclasses import replace
 from functools import partial
 from pathlib import Path
@@ -239,14 +240,9 @@ def run_annotate(config: PipelineConfig) -> dict:
 
     n_targets = len(bank)
     reasons = {"fit": 0, **{r: 0 for r in REJECT_REASONS}}
-    per_class: dict[str, dict[str, int]] = {}
     for t in bank.all_targets():
         reason = reject_reason(t)
         reasons["fit" if reason is None else reason] += 1
-        cls = per_class.setdefault(t.class_id, {"targets": 0, "fit": 0})
-        cls["targets"] += 1
-        if t.fit_for_alignment:
-            cls["fit"] += 1
 
     report = {
         "fingerprint": config_fingerprint(config),
@@ -260,11 +256,22 @@ def run_annotate(config: PipelineConfig) -> dict:
         "fractions": {
             k: (round(v / n_targets, 4) if n_targets else 0.0) for k, v in reasons.items()
         },
-        "per_class": dict(sorted(per_class.items())),
+        "per_class": _tally_classes(bank.all_targets()),
         "elapsed_s": round(time.perf_counter() - t0, 3),
     }
     (config.output_dir / "report.json").write_text(json.dumps(report, indent=2) + "\n")
     return report
+
+
+def _tally_classes(targets: Iterable[NovelObjectTarget]) -> dict[str, dict[str, int]]:
+    """Banked and fit-for-alignment target counts per class, in class order."""
+    per_class: dict[str, dict[str, int]] = {}
+    for t in targets:
+        cls = per_class.setdefault(t.class_id, {"targets": 0, "fit": 0})
+        cls["targets"] += 1
+        if t.fit_for_alignment:
+            cls["fit"] += 1
+    return dict(sorted(per_class.items()))
 
 
 def format_report(report: dict) -> str:
@@ -298,20 +305,15 @@ def summarize_bank(path: str | Path) -> dict:
     """Counts from an existing bank file (for the report subcommand)."""
     bank = read_bank(path)
     n = len(bank)
-    fit = sum(1 for t in bank.all_targets() if t.fit_for_alignment)
-    per_class: dict[str, dict[str, int]] = {}
-    for t in bank.all_targets():
-        cls = per_class.setdefault(t.class_id, {"targets": 0, "fit": 0})
-        cls["targets"] += 1
-        if t.fit_for_alignment:
-            cls["fit"] += 1
+    per_class = _tally_classes(bank.all_targets())
+    fit = sum(d["fit"] for d in per_class.values())
     return {
         "path": str(path),
         "frames": len(bank.frames),
         "targets": n,
         "fit_for_alignment": fit,
         "fit_fraction": round(fit / n, 4) if n else 0.0,
-        "per_class": dict(sorted(per_class.items())),
+        "per_class": per_class,
     }
 
 

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+from scipy.sparse import csr_array
 from scipy.spatial import cKDTree
 
 from .errors import CloudFormatError, ValidationError
@@ -233,15 +234,33 @@ def _plane_residuals(points: np.ndarray, plane: np.ndarray) -> np.ndarray:
     return np.abs(points[:, 2] - (plane[0] * points[:, 0] + plane[1] * points[:, 1] + plane[2]))
 
 
+def _seed_thresholds(
+    z_sorted: np.ndarray, starts: np.ndarray, counts: np.ndarray, q: float
+) -> np.ndarray:
+    """``np.quantile(run, q)`` of each ascending run ``z_sorted[start:start + count]``.
+
+    Repeats numpy's ``linear`` method step for step, so each threshold is the
+    same float: virtual index ``(n - 1) * q``, the sorted values at its floor
+    and the next position (both the maximum when ``q`` is 1), and numpy's
+    two-sided lerp, which switches to ``b - (b - a) * (1 - t)`` from
+    ``t >= 0.5``.
+    """
+    virtual = (counts - 1) * q
+    below = np.floor(virtual)
+    t = virtual - below
+    lo = starts + below.astype(np.int64)
+    a = z_sorted[lo]
+    b = z_sorted[np.minimum(lo + 1, starts + counts - 1)]
+    diff = b - a
+    return np.where(t >= 0.5, b - diff * (1 - t), a + diff * t)
+
+
 def _fit_ground_plane(
-    points: np.ndarray,
+    cand: np.ndarray,
     height_threshold: float,
     refit_rounds: int,
-    seed_quantile: float,
 ) -> np.ndarray | None:
-    """Plane through the low points of one region, with outlier-rejecting refits."""
-    z = points[:, 2]
-    cand = points[z <= np.quantile(z, seed_quantile)]
+    """Plane through one region's seed points, with outlier-rejecting refits."""
     if len(cand) < 3:
         return None
     plane = _fit_plane(cand)
@@ -270,45 +289,74 @@ def remove_ground(
     """Split a cloud into (ground_indices, object_indices).
 
     The xy plane is tiled into ``cell_size`` squares; each cell fits a plane
-    to its lowest-z quantile with ``refit_rounds`` outlier-rejecting refits.
-    Cells with fewer than 3 seed points inherit the nearest fitted cell's
-    plane (or a single global fit when no cell succeeds). A point is ground
-    when it sits within ``height_threshold`` of its cell's plane. The two
-    index arrays are ascending and partition the cloud exactly.
+    to its points at or below its ``seed_quantile`` height, with
+    ``refit_rounds`` outlier-rejecting refits. Cells with fewer than 3 seed
+    points inherit the nearest fitted cell's plane (or a single global fit
+    when no cell succeeds). A point is ground when it sits within
+    ``height_threshold`` of its cell's plane. The two index arrays are
+    ascending and partition the cloud exactly.
+
+    Points are grouped by one scalar key per cell, the row-major index of
+    the cell in the occupied grid, which orders cells lexicographically by
+    (x, y); a grid too large for int64 keys raises ``ValidationError``. All
+    seed heights come from one sort of z within cells. Each cell's plane is
+    a least-squares fit to its seed points in cloud order.
     """
     pts = np.asarray(cloud, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 3:
         raise ValueError(f"cloud must be (N, 3), got {pts.shape}")
     if len(pts) == 0:
         raise ValidationError("cannot remove ground from an empty cloud")
+    if not np.all(np.isfinite(pts)):
+        raise ValidationError("cannot remove ground from a cloud with non-finite coordinates")
     if cell_size <= 0 or height_threshold <= 0:
         raise ValueError("cell_size and height_threshold must be positive")
     if not (0.0 < seed_quantile <= 1.0):
         raise ValueError(f"seed_quantile must be in (0, 1], got {seed_quantile}")
 
     cells = np.floor(pts[:, :2] / cell_size).astype(np.int64)
-    uniq, inverse = np.unique(cells, axis=0, return_inverse=True)
-    inverse = inverse.ravel()
-    order = np.argsort(inverse, kind="stable")
-    sorted_inv = inverse[order]
-    starts = np.searchsorted(sorted_inv, np.arange(len(uniq)), side="left")
-    ends = np.searchsorted(sorted_inv, np.arange(len(uniq)), side="right")
+    origin = cells.min(axis=0)
+    dims = cells.max(axis=0) - origin + 1
+    try:
+        keys = np.ravel_multi_index(tuple((cells - origin).T), dims)
+    except ValueError:
+        raise ValidationError(
+            f"ground grid of {dims[0]} x {dims[1]} cells of size {cell_size} "
+            "is too large to index"
+        ) from None
+    uniq_keys, inverse = np.unique(keys, return_inverse=True)
+    counts = np.bincount(inverse)
+    starts = np.cumsum(counts) - counts
+    # z order, then a stable sort by cell; cell ids cast to the smallest
+    # unsigned type, which lets numpy's stable argsort run as a radix sort.
+    by_z = np.argsort(pts[:, 2])
+    cell_ids = inverse[by_z].astype(np.min_scalar_type(len(counts) - 1))
+    by_cell_z = by_z[np.argsort(cell_ids, kind="stable")]
+    seed_z = _seed_thresholds(pts[by_cell_z, 2], starts, counts, seed_quantile)
 
-    planes = np.full((len(uniq), 3), np.nan)
-    for k in range(len(uniq)):
-        members = order[starts[k] : ends[k]]
-        plane = _fit_ground_plane(pts[members], height_threshold, refit_rounds, seed_quantile)
+    # Each cell's points stay in cloud order; the fits depend on row order.
+    by_cell = pts[np.argsort(inverse, kind="stable")]
+    is_seed = by_cell[:, 2] <= np.repeat(seed_z, counts)
+    planes = np.full((len(counts), 3), np.nan)
+    for k, (start, stop) in enumerate(zip(starts, starts + counts)):
+        plane = _fit_ground_plane(
+            by_cell[start:stop][is_seed[start:stop]], height_threshold, refit_rounds
+        )
         if plane is not None:
             planes[k] = plane
 
     fitted = np.all(np.isfinite(planes), axis=1)
     if not np.any(fitted):
-        plane = _fit_ground_plane(pts, height_threshold, refit_rounds, seed_quantile)
+        global_z = _seed_thresholds(
+            np.sort(pts[:, 2]), np.zeros(1, np.int64), np.array([len(pts)]), seed_quantile
+        )[0]
+        plane = _fit_ground_plane(pts[pts[:, 2] <= global_z], height_threshold, refit_rounds)
         if plane is None:
             # Tiny cloud: fall back to a horizontal plane through the lowest point.
             plane = np.array([0.0, 0.0, float(pts[:, 2].min())])
         planes[:] = plane
     elif not np.all(fitted):
+        uniq = np.column_stack(np.unravel_index(uniq_keys, dims)) + origin
         centers = (uniq.astype(float) + 0.5) * cell_size
         missing = np.where(~fitted)[0]
         have = np.where(fitted)[0]
@@ -335,10 +383,19 @@ def cluster_objects(
     A point with at least ``min_pts`` neighbors within ``eps`` (itself
     included) is a core point; clusters are the connected components of
     core points, and each non-core point joins the cluster of its nearest
-    core neighbor, which keeps membership stable under input reordering.
-    Points with no core neighbor are dropped as noise. Clusters come back
-    ordered by their smallest cloud index.
+    core neighbor (the lowest index on a tie), which keeps membership stable
+    under input reordering. Points with no core neighbor are dropped as
+    noise. Clusters come back ordered by their smallest cloud index.
+
+    The neighbor pairs come from one k-d tree pair query; the core graph's
+    components come from ``scipy.sparse.csgraph``, and one sort over
+    (point, squared distance, neighbor) picks every border point's nearest
+    core neighbor.
     """
+    # Imported here: csgraph pulls in scipy.sparse.linalg, about 25 ms of
+    # start-up that runs with sidecar labels never use.
+    from scipy.sparse.csgraph import connected_components
+
     if eps <= 0:
         raise ValueError(f"eps must be positive, got {eps}")
     if min_pts < 1:
@@ -348,38 +405,39 @@ def cluster_objects(
         return []
     pts = np.asarray(cloud, dtype=float)[idx]
 
-    tree = cKDTree(pts)
-    neighbors = tree.query_ball_point(pts, r=eps)
-    core = np.fromiter((len(nb) for nb in neighbors), dtype=np.int64, count=len(pts)) >= min_pts
-
+    pairs = cKDTree(pts).query_pairs(eps, output_type="ndarray")
+    core = np.bincount(pairs.ravel(), minlength=len(pts)) + 1 >= min_pts
+    n_core = int(core.sum())
+    if n_core == 0:
+        return []
+    first, second = pairs.T
+    rank = np.cumsum(core) - 1
+    linked = core[first] & core[second]
+    graph = csr_array(
+        (np.ones(int(linked.sum()), dtype=np.int8), (rank[first[linked]], rank[second[linked]])),
+        shape=(n_core, n_core),
+    )
     labels = np.full(len(pts), -1, dtype=np.int64)
-    n_clusters = 0
-    for seed in range(len(pts)):
-        if not core[seed] or labels[seed] != -1:
-            continue
-        labels[seed] = n_clusters
-        stack = [seed]
-        while stack:
-            cur = stack.pop()
-            for nb in neighbors[cur]:
-                if core[nb] and labels[nb] == -1:
-                    labels[nb] = n_clusters
-                    stack.append(nb)
-        n_clusters += 1
+    labels[core] = connected_components(graph, directed=False)[1]
 
-    for i in range(len(pts)):
-        if core[i]:
-            continue
-        core_nb = [nb for nb in neighbors[i] if core[nb]]
-        if not core_nb:
-            continue
-        d2 = np.sum((pts[core_nb] - pts[i]) ** 2, axis=1)
-        labels[i] = labels[core_nb[int(np.argmin(d2))]]
+    # Each (border point, core neighbor) pair, in both pair orientations.
+    to_second = core[second] & ~core[first]
+    to_first = core[first] & ~core[second]
+    border = np.concatenate([first[to_second], second[to_first]])
+    neighbor = np.concatenate([second[to_second], first[to_first]])
+    delta = pts[neighbor] - pts[border]
+    # Summed in the order np.sum(axis=1) adds three terms: near-ties between
+    # core neighbors resolve on the last bit.
+    d2 = (delta[:, 0] ** 2 + delta[:, 1] ** 2) + delta[:, 2] ** 2
+    pick = np.lexsort((neighbor, d2, border))
+    border, neighbor = border[pick], neighbor[pick]
+    nearest = np.diff(border, prepend=-1) != 0
+    labels[border[nearest]] = labels[neighbor[nearest]]
 
-    out = []
-    for cid in range(n_clusters):
-        members = idx[labels == cid]
-        out.append(Cluster.from_indices(cloud, members))
+    members = np.argsort(labels, kind="stable")
+    members = members[labels[members] >= 0]
+    groups = np.split(idx[members], np.cumsum(np.bincount(labels[members]))[:-1])
+    out = [Cluster.from_indices(cloud, g) for g in groups]
     out.sort(key=lambda c: int(c.point_indices[0]))
     return out
 

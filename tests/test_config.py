@@ -121,6 +121,38 @@ anchors:
         assert tuple(cfg.anchors["car"].dims_min) == (4.0, 1.7, 1.5)
         assert tuple(cfg.anchors["pedestrian"].dims_max) == (1.0, 0.9, 2.0)
 
+    def test_anchor_class_without_tau_occ_fails(self, tmp_path):
+        with pytest.raises(ValidationError, match=r"thresholds.tau_occ lacks \['tractor'\]"):
+            load_config(write_config(tmp_path, """
+anchors:
+  tractor:
+    min: [3, 2, 2]
+    max: [5, 3, 3]
+"""))
+
+    def test_tau_occ_class_without_anchor_fails(self, tmp_path):
+        with pytest.raises(ValidationError, match=r"anchors lacks \['tractor'\]"):
+            load_config(write_config(tmp_path, """
+thresholds:
+  tau_occ:
+    car: 0.5
+    tractor: 0.4
+"""))
+
+    def test_new_class_in_both_tables_loads(self, tmp_path):
+        cfg = load_config(write_config(tmp_path, """
+anchors:
+  tractor:
+    min: [3, 2, 2]
+    max: [5, 3, 3]
+thresholds:
+  tau_occ:
+    car: 0.5
+    tractor: 0.4
+"""))
+        assert cfg.thresholds.tau_occ["tractor"] == 0.4
+        assert tuple(cfg.anchors["tractor"].dims_max) == (5.0, 3.0, 3.0)
+
     def test_surface_clip_adaptive_spelling(self, tmp_path):
         assert load_config(write_config(tmp_path, "surface_clip: adaptive")).surface_clip is None
         assert load_config(write_config(tmp_path, "surface_clip: 12.5")).surface_clip == 12.5

@@ -420,6 +420,7 @@ class TestRunAnnotate:
         summary = summarize_bank(tmp_path / "out" / "bank.jsonl")
         assert summary["targets"] == report["targets"]
         assert summary["fit_for_alignment"] == report["reasons"]["fit"]
+        assert summary["per_class"] == report["per_class"]
         assert summary["frames"] == len(read_bank(tmp_path / "out" / "bank.jsonl").frames)
         text = format_bank_summary(summary)
         assert f"targets: {summary['targets']}" in text
