@@ -51,19 +51,14 @@ class Ray:
 class Frustum:
     """Back-projection of an image rectangle between two depths.
 
-    ``corner_rays`` follow the rectangle corners in the order (u_min, v_min),
-    (u_max, v_min), (u_max, v_max), (u_min, v_max); ``center`` passes through
-    the rectangle center.
+    ``center`` is the ray through the rectangle center.
     """
 
-    corner_rays: tuple[Ray, Ray, Ray, Ray]
     center: Ray
     d_min: float
     d_max: float
 
     def __post_init__(self) -> None:
-        if len(self.corner_rays) != 4:
-            raise ValueError("frustum needs exactly 4 corner rays")
         if not (0.0 < self.d_min < self.d_max):
             raise ValueError(
                 f"frustum depths must satisfy 0 < d_min < d_max, got {self.d_min}, {self.d_max}"
@@ -147,16 +142,8 @@ def unproject_pixel(u: float, v: float, calib: CameraCalib) -> Ray:
 
 def frustum_from_box(box: Box2D, calib: CameraCalib, d_min: float, d_max: float) -> Frustum:
     """Back-project a 2D rectangle into an ego-frame frustum."""
-    corners_uv = (
-        (box.u_min, box.v_min),
-        (box.u_max, box.v_min),
-        (box.u_max, box.v_max),
-        (box.u_min, box.v_max),
-    )
-    rays = tuple(unproject_pixel(u, v, calib) for u, v in corners_uv)
     cu, cv = box.center
-    center = unproject_pixel(cu, cv, calib)
-    return Frustum(rays, center, d_min, d_max)
+    return Frustum(unproject_pixel(cu, cv, calib), d_min, d_max)
 
 
 def points_to_ray_distances(points: np.ndarray, ray: Ray) -> np.ndarray:

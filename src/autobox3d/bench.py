@@ -15,11 +15,10 @@ from pathlib import Path
 
 from .assoc import CrossModalProposal, frustum_from_box, load_proposals, points_to_ray_distances
 from .config import PipelineConfig
-from .costfn import adaptive_surface_clip
 from .errors import ValidationError
 from .geom import BoxParams, iou_bev
 from .optimizer import greedy_search, pso_search
-from .pipeline import derive_pair_seed, discover_frames
+from .pipeline import derive_pair_seed, discover_frames, fit_setup
 from .sceneprep import clusters_from_labels, load_point_labels, load_scene
 
 
@@ -85,16 +84,6 @@ def load_bench_instances(config: PipelineConfig) -> list[BenchInstance]:
     return instances
 
 
-def bench_weights(inst: BenchInstance, config: PipelineConfig):
-    anchor = config.anchors[inst.class_id]
-    c_surface = config.surface_clip
-    if c_surface is None:
-        c_surface = adaptive_surface_clip(
-            inst.pair.scene.ego, inst.pair.cluster.centroid, anchor
-        )
-    return anchor, replace(config.weights, c_surface=c_surface)
-
-
 def run_bench(
     config: PipelineConfig,
     methods: tuple[str, ...] = ("greedy", "adaptive"),
@@ -118,7 +107,7 @@ def run_bench(
         instances = load_bench_instances(config)
     rows: list[dict] = []
     for inst in instances:
-        anchor, weights = bench_weights(inst, config)
+        anchor, weights = fit_setup(inst.pair, config)
         for budget in budgets:
             for method in methods:
                 t0 = time.perf_counter()

@@ -1,8 +1,9 @@
 """Pipeline configuration: defaults, YAML loading, and fingerprinting.
 
 Every constant the pipeline uses lives here or in the config file; nothing
-is buried in call sites. ``load_config`` is strict: unknown keys fail, so
-typos cannot silently fall back to defaults.
+is buried in call sites. ``SCHEMA`` is the one list of YAML keys, and
+loading, dumping and fingerprinting all read it. ``load_config`` is strict:
+unknown keys fail, so typos cannot silently fall back to defaults.
 """
 
 from __future__ import annotations
@@ -10,14 +11,16 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field, replace
+from functools import reduce
 from pathlib import Path
 
 import yaml
 
 from .costfn import AnchorRange, CostWeights
 from .errors import ValidationError
-from .filters import FilterThresholds
+from .filters import DEFAULT_TAU_OCC, FilterThresholds
 from .optimizer import SwarmConfig
 
 # Dimension ranges (l, w, h) per class. The car range reflects common sedan
@@ -105,32 +108,121 @@ class PipelineConfig:
         self.bench_budgets = tuple(int(b) for b in self.bench_budgets)
 
 
-def _require_mapping(value, path: str) -> dict:
+def _mapping(value, key: str, allowed: set[str] | None = None) -> dict:
     if not isinstance(value, dict):
-        raise ValidationError(f"config key {path!r} must be a mapping")
+        raise ValidationError(f"config key {key!r} must be a mapping")
+    if allowed is not None and set(value) - allowed:
+        raise ValidationError(
+            f"unknown config key(s) under {key!r}: {sorted(set(value) - allowed)}; "
+            f"allowed: {sorted(allowed)}"
+        )
     return value
 
 
-def _check_keys(d: dict, allowed: set[str], path: str) -> None:
-    unknown = set(d) - allowed
-    if unknown:
-        raise ValidationError(
-            f"unknown config key(s) under {path!r}: {sorted(unknown)}; allowed: {sorted(allowed)}"
-        )
+def _float(value, key: str) -> float:
+    if isinstance(value, bool):
+        raise ValidationError(f"config key {key!r} must be a number, got {value}")
+    return float(value)
 
 
-def _floats3(value, path: str) -> list[float]:
-    if not isinstance(value, (list, tuple)) or len(value) != 3:
-        raise ValidationError(f"config key {path!r} must be a list of 3 numbers")
-    return [float(v) for v in value]
+def _int(value, key: str) -> int:
+    """A whole number; booleans and fractions fail instead of truncating."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValidationError(f"config key {key!r} must be an integer, got {value}")
+    return int(value)
+
+
+def _anchor(cls: str, spec, key: str) -> AnchorRange:
+    spec = _mapping(spec, key, {"min", "max"})
+    if len(spec) != 2:
+        raise ValidationError(f"{key} needs both min and max")
+    for end, dims in spec.items():
+        if not isinstance(dims, (list, tuple)) or len(dims) != 3:
+            raise ValidationError(f"config key '{key}.{end}' must be a list of 3 numbers")
+    return AnchorRange(cls, *([_float(v, key) for v in spec[end]] for end in ("min", "max")))
+
+
+def _merged(table: dict, value, key: str, parse_entry) -> dict:
+    """A class table: the file's entries merge over the defaults in ``table``."""
+    for cls, spec in _mapping(value, key).items():
+        table[str(cls)] = parse_entry(str(cls), spec, f"{key}.{cls}")
+    return table
+
+
+def _budgets(value, key: str) -> tuple[int, ...]:
+    if not isinstance(value, list) or not value:
+        raise ValidationError(f"{key} must be a non-empty list")
+    return tuple(_int(b, key) for b in value)
+
+
+# The one list of config keys, read by load_config, its unknown-key checks and config_to_dict
+# (so config_fingerprint and save_config too). A row holds the dotted YAML key, the dotted
+# PipelineConfig attribute, a parser (YAML value, key) -> attribute and a dumper to plain data.
+ConfigKey = namedtuple("ConfigKey", "key attr parse dump", defaults=(_float, lambda v: v))
+SCHEMA: tuple[ConfigKey, ...] = (
+    ConfigKey("seed", "seed", _int),
+    ConfigKey("workers", "workers", _int),
+    ConfigKey("paths.scenes", "scenes_dir", lambda v, key: Path(str(v)), str),
+    ConfigKey("paths.output", "output_dir", lambda v, key: Path(str(v)), str),
+    ConfigKey("weights.lambda1", "weights.lambda1"),
+    ConfigKey("weights.lambda2", "weights.lambda2"),
+    ConfigKey("weights.lambda3", "weights.lambda3"),
+    ConfigKey("weights.gamma", "weights.gamma"),
+    ConfigKey(
+        "surface_clip", "surface_clip",
+        lambda v, key: None if v in ("adaptive", None) else _float(v, key),
+        lambda v: "adaptive" if v is None else v,
+    ),
+    ConfigKey("swarm.n_swarm", "swarm.n_swarm", _int),
+    ConfigKey("swarm.n_iter", "swarm.n_iter", _int),
+    ConfigKey("swarm.w_init", "swarm.w_init"),
+    ConfigKey("swarm.w_end", "swarm.w_end"),
+    ConfigKey("swarm.c1", "swarm.c1"),
+    ConfigKey("swarm.c2", "swarm.c2"),
+    ConfigKey("swarm.c_noise", "swarm.c_noise"),
+    ConfigKey("association.tau_match", "tau_match"),
+    ConfigKey("association.d_min", "d_min"),
+    ConfigKey("association.d_max", "d_max"),
+    ConfigKey("association.criterion", "match_criterion", lambda v, key: str(v)),
+    ConfigKey("ground.cell", "ground_cell"),
+    ConfigKey("ground.height_threshold", "ground_height"),
+    ConfigKey("ground.refit_rounds", "ground_refits", _int),
+    ConfigKey("ground.seed_quantile", "ground_quantile"),
+    ConfigKey("clustering.eps", "cluster_eps"),
+    ConfigKey("clustering.min_pts", "cluster_min_pts", _int),
+    ConfigKey("nms_iou", "nms_iou"),
+    ConfigKey("thresholds.tau_res", "thresholds.tau_res"),
+    ConfigKey("thresholds.tau_mv", "thresholds.tau_mv"),
+    ConfigKey(
+        "thresholds.tau_occ", "thresholds.tau_occ",
+        lambda v, key: _merged(dict(DEFAULT_TAU_OCC), v, key, lambda c, s, k: _float(s, k)),
+        lambda table: dict(sorted(table.items())),
+    ),
+    ConfigKey(
+        "anchors", "anchors",
+        lambda v, key: _merged(default_anchors(), v, key, _anchor),
+        lambda table: {
+            c: {"min": a.dims_min.tolist(), "max": a.dims_max.tolist()}
+            for c, a in sorted(table.items())
+        },
+    ),
+    ConfigKey("bench.budgets", "bench_budgets", _budgets, list),
+)
+_BY_KEY = {row.key: row for row in SCHEMA}
+
+
+def _flatten(raw, prefix: str = "") -> dict:
+    """Dotted schema key -> value; fails on any key the schema lacks."""
+    allowed = {k[len(prefix):].split(".")[0] for k in _BY_KEY if k.startswith(prefix)}
+    flat = {}
+    for name, value in _mapping(raw, prefix[:-1] or "<root>", allowed).items():
+        key = prefix + name
+        flat.update({key: value} if key in _BY_KEY else _flatten(value, key + "."))
+    return flat
 
 
 def load_config(path: str | Path) -> PipelineConfig:
-    """Read a YAML pipeline config, strictly validated, defaults filled in.
-
-    Every class the file names under ``anchors`` or ``thresholds.tau_occ``
-    must end up in both tables.
-    """
+    """Read a YAML pipeline config, strictly validated, defaults filled in."""
     path = Path(path)
     try:
         raw = yaml.safe_load(path.read_text())
@@ -138,189 +230,36 @@ def load_config(path: str | Path) -> PipelineConfig:
         raise ValidationError(f"config file not found: {path}") from None
     except yaml.YAMLError as exc:
         raise ValidationError(f"{path}: not valid YAML: {exc}") from exc
-    if raw is None:
-        raw = {}
-    raw = _require_mapping(raw, "<root>")
-    _check_keys(
-        raw,
-        {
-            "seed", "workers", "paths", "weights", "surface_clip", "swarm",
-            "association", "ground", "clustering", "nms_iou", "thresholds",
-            "anchors", "bench",
-        },
-        "<root>",
-    )
-    kwargs: dict = {}
+    fields: dict[str, dict] = {}  # sub-config ("" for the top level) -> field -> value
     try:
-        if "seed" in raw:
-            kwargs["seed"] = int(raw["seed"])
-        if "workers" in raw:
-            kwargs["workers"] = int(raw["workers"])
-        if "paths" in raw:
-            paths = _require_mapping(raw["paths"], "paths")
-            _check_keys(paths, {"scenes", "output"}, "paths")
-            if "scenes" in paths:
-                kwargs["scenes_dir"] = Path(str(paths["scenes"]))
-            if "output" in paths:
-                kwargs["output_dir"] = Path(str(paths["output"]))
-        if "weights" in raw:
-            wd = _require_mapping(raw["weights"], "weights")
-            _check_keys(wd, {"lambda1", "lambda2", "lambda3", "gamma"}, "weights")
-            base = CostWeights()
-            kwargs["weights"] = replace(
-                base, **{k: float(v) for k, v in wd.items()}
-            )
-        if "surface_clip" in raw:
-            sc = raw["surface_clip"]
-            if sc == "adaptive" or sc is None:
-                kwargs["surface_clip"] = None
-            else:
-                kwargs["surface_clip"] = float(sc)
-        if "swarm" in raw:
-            sd = _require_mapping(raw["swarm"], "swarm")
-            allowed = {"n_swarm", "n_iter", "w_init", "w_end", "c1", "c2", "c_noise"}
-            _check_keys(sd, allowed, "swarm")
-            ints = {"n_swarm", "n_iter"}
-            kwargs["swarm"] = replace(
-                SwarmConfig(),
-                **{k: int(v) if k in ints else float(v) for k, v in sd.items()},
-            )
-        if "association" in raw:
-            ad = _require_mapping(raw["association"], "association")
-            _check_keys(ad, {"tau_match", "d_min", "d_max", "criterion"}, "association")
-            if "tau_match" in ad:
-                kwargs["tau_match"] = float(ad["tau_match"])
-            if "d_min" in ad:
-                kwargs["d_min"] = float(ad["d_min"])
-            if "d_max" in ad:
-                kwargs["d_max"] = float(ad["d_max"])
-            if "criterion" in ad:
-                kwargs["match_criterion"] = str(ad["criterion"])
-        if "ground" in raw:
-            gd = _require_mapping(raw["ground"], "ground")
-            _check_keys(
-                gd, {"cell", "height_threshold", "refit_rounds", "seed_quantile"}, "ground"
-            )
-            if "cell" in gd:
-                kwargs["ground_cell"] = float(gd["cell"])
-            if "height_threshold" in gd:
-                kwargs["ground_height"] = float(gd["height_threshold"])
-            if "refit_rounds" in gd:
-                kwargs["ground_refits"] = int(gd["refit_rounds"])
-            if "seed_quantile" in gd:
-                kwargs["ground_quantile"] = float(gd["seed_quantile"])
-        if "clustering" in raw:
-            cd = _require_mapping(raw["clustering"], "clustering")
-            _check_keys(cd, {"eps", "min_pts"}, "clustering")
-            if "eps" in cd:
-                kwargs["cluster_eps"] = float(cd["eps"])
-            if "min_pts" in cd:
-                kwargs["cluster_min_pts"] = int(cd["min_pts"])
-        if "nms_iou" in raw:
-            kwargs["nms_iou"] = float(raw["nms_iou"])
-        if "thresholds" in raw:
-            td = _require_mapping(raw["thresholds"], "thresholds")
-            _check_keys(td, {"tau_occ", "tau_res", "tau_mv"}, "thresholds")
-            thr_kwargs: dict = {}
-            if "tau_res" in td:
-                thr_kwargs["tau_res"] = float(td["tau_res"])
-            if "tau_mv" in td:
-                thr_kwargs["tau_mv"] = float(td["tau_mv"])
-            if "tau_occ" in td:
-                occ = _require_mapping(td["tau_occ"], "thresholds.tau_occ")
-                thr_kwargs["tau_occ"] = {str(k): float(v) for k, v in occ.items()}
-            kwargs["thresholds"] = FilterThresholds(**thr_kwargs)
-        if "anchors" in raw:
-            anchors_raw = _require_mapping(raw["anchors"], "anchors")
-            anchors = default_anchors()
-            for cls, spec in anchors_raw.items():
-                sd = _require_mapping(spec, f"anchors.{cls}")
-                _check_keys(sd, {"min", "max"}, f"anchors.{cls}")
-                if "min" not in sd or "max" not in sd:
-                    raise ValidationError(f"anchors.{cls} needs both min and max")
-                anchors[str(cls)] = AnchorRange(
-                    str(cls),
-                    _floats3(sd["min"], f"anchors.{cls}.min"),
-                    _floats3(sd["max"], f"anchors.{cls}.max"),
-                )
-            kwargs["anchors"] = anchors
-        if "bench" in raw:
-            bd = _require_mapping(raw["bench"], "bench")
-            _check_keys(bd, {"budgets"}, "bench")
-            if "budgets" in bd:
-                budgets = bd["budgets"]
-                if not isinstance(budgets, list) or not budgets:
-                    raise ValidationError("bench.budgets must be a non-empty list")
-                kwargs["bench_budgets"] = tuple(int(b) for b in budgets)
-        cfg = PipelineConfig(**kwargs)
+        for key, value in _flatten({} if raw is None else raw).items():
+            head, _, name = _BY_KEY[key].attr.rpartition(".")
+            fields.setdefault(head, {})[name] = _BY_KEY[key].parse(value, key)
+        base = PipelineConfig()
+        subs = {head: replace(getattr(base, head), **f) for head, f in fields.items() if head}
+        cfg = replace(base, **fields.get("", {}), **subs)
     except (TypeError, ValueError) as exc:
         if isinstance(exc, ValidationError):
             raise
         raise ValidationError(f"{path}: {exc}") from exc
-    # A class named in only one table would stop the run at its first
-    # proposal, after every earlier frame has been fitted.
-    named = set(map(str, raw.get("anchors", {})))
-    named |= set(map(str, raw.get("thresholds", {}).get("tau_occ", {})))
-    holes = [
-        f"{table} lacks {sorted(named - set(entries))}"
-        for table, entries in (("anchors", cfg.anchors), ("thresholds.tau_occ", cfg.thresholds.tau_occ))
-        if named - set(entries)
-    ]
+    # A class in only one table would stop the run at its first proposal, after
+    # every earlier frame was fitted. Class tables are the only mapping values.
+    tables = {k: set(v) for k, v in _flatten(config_to_dict(cfg)).items() if isinstance(v, dict)}
+    named = set().union(*tables.values())
+    holes = [f"{key} lacks {sorted(named - have)}" for key, have in tables.items() if named - have]
     if holes:
         raise ValidationError(f"{path}: class tables differ: {'; '.join(holes)}")
     return cfg
 
 
 def config_to_dict(cfg: PipelineConfig) -> dict:
-    """Plain-data view of a config, stable key order, JSON-serializable."""
-    return {
-        "seed": cfg.seed,
-        "workers": cfg.workers,
-        "paths": {"scenes": str(cfg.scenes_dir), "output": str(cfg.output_dir)},
-        "weights": {
-            "lambda1": cfg.weights.lambda1,
-            "lambda2": cfg.weights.lambda2,
-            "lambda3": cfg.weights.lambda3,
-            "gamma": cfg.weights.gamma,
-        },
-        "surface_clip": "adaptive" if cfg.surface_clip is None else cfg.surface_clip,
-        "swarm": {
-            "n_swarm": cfg.swarm.n_swarm,
-            "n_iter": cfg.swarm.n_iter,
-            "w_init": cfg.swarm.w_init,
-            "w_end": cfg.swarm.w_end,
-            "c1": cfg.swarm.c1,
-            "c2": cfg.swarm.c2,
-            "c_noise": cfg.swarm.c_noise,
-        },
-        "association": {
-            "tau_match": cfg.tau_match,
-            "d_min": cfg.d_min,
-            "d_max": cfg.d_max,
-            "criterion": cfg.match_criterion,
-        },
-        "ground": {
-            "cell": cfg.ground_cell,
-            "height_threshold": cfg.ground_height,
-            "refit_rounds": cfg.ground_refits,
-            "seed_quantile": cfg.ground_quantile,
-        },
-        "clustering": {"eps": cfg.cluster_eps, "min_pts": cfg.cluster_min_pts},
-        "nms_iou": cfg.nms_iou,
-        "thresholds": {
-            "tau_res": cfg.thresholds.tau_res,
-            "tau_mv": cfg.thresholds.tau_mv,
-            "tau_occ": dict(sorted(cfg.thresholds.tau_occ.items())),
-        },
-        "anchors": {
-            cls: {
-                "min": [float(v) for v in a.dims_min],
-                "max": [float(v) for v in a.dims_max],
-            }
-            for cls, a in sorted(cfg.anchors.items())
-        },
-        "bench": {"budgets": list(cfg.bench_budgets)},
-    }
+    """Plain-data view of a config in schema order, JSON-serializable."""
+    out: dict = {}
+    for row in SCHEMA:
+        section, _, leaf = row.key.rpartition(".")
+        value = reduce(getattr, row.attr.split("."), cfg)
+        (out.setdefault(section, {}) if section else out)[leaf] = row.dump(value)
+    return out
 
 
 def config_fingerprint(cfg: PipelineConfig) -> str:

@@ -98,10 +98,6 @@ class AnchorRange:
                 f"anchor minimum must not exceed maximum, got {self.dims_min} > {self.dims_max}"
             )
 
-    def contains(self, dims: np.ndarray, tol: float = 0.0) -> bool:
-        d = np.asarray(dims, dtype=float)
-        return bool(np.all(d >= self.dims_min - tol) and np.all(d <= self.dims_max + tol))
-
 
 @dataclass(frozen=True)
 class CostBreakdown:
@@ -240,13 +236,6 @@ def cost_total(
         + iou_term
     )
     return CostBreakdown(density, lshape, surface, iou_term, total)
-
-
-def clamp_to_constraints(box: BoxParams, anchor: AnchorRange) -> BoxParams:
-    """Project a box onto the feasible set: anchor dims, yaw wrapped to [0, pi)."""
-    dims = np.clip(box.dims, anchor.dims_min, anchor.dims_max)
-    ry = float(np.mod(box.ry, np.pi))
-    return BoxParams(box.x, box.y, box.z, float(dims[0]), float(dims[1]), float(dims[2]), ry)
 
 
 def adaptive_surface_clip(ego: EgoPose, cluster_centroid: np.ndarray, anchor: AnchorRange) -> float:

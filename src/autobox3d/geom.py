@@ -226,11 +226,6 @@ def points_in_box(points: np.ndarray, box: BoxParams, tol: float = BOUNDARY_TOL)
     )
 
 
-def point_in_box(point: np.ndarray, box: BoxParams, tol: float = BOUNDARY_TOL) -> bool:
-    """Scalar convenience wrapper around :func:`points_in_box`."""
-    return bool(points_in_box(np.asarray(point, dtype=float).reshape(1, 3), box, tol)[0])
-
-
 def project_points(points: np.ndarray, calib: CameraCalib) -> tuple[np.ndarray, np.ndarray]:
     """Pinhole-project ego-frame points into one camera.
 

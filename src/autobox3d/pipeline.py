@@ -22,7 +22,7 @@ import numpy as np
 from .assoc import CrossModalProposal, Proposal2D, associate, load_proposals
 from .bank import NovelObjectBank, NovelObjectTarget, Provenance, read_bank, write_bank
 from .config import PipelineConfig, config_fingerprint
-from .costfn import adaptive_surface_clip
+from .costfn import AnchorRange, CostWeights, adaptive_surface_clip
 from .errors import UnknownClassError, ValidationError
 from .filters import verdict
 from .geom import iou_bev
@@ -48,8 +48,12 @@ def derive_pair_seed(seed: int, frame_id: str, pair_index: int) -> int:
     return int(ss.generate_state(1, np.uint32)[0])
 
 
-def fit_pair(pair: CrossModalProposal, config: PipelineConfig, seed: int) -> SearchResult:
-    """Run the swarm search for one matched pair under the run config."""
+def fit_setup(pair: CrossModalProposal, config: PipelineConfig) -> tuple[AnchorRange, CostWeights]:
+    """Anchor range and cost weights for fitting one pair under the run config.
+
+    With ``surface_clip`` unset, the surface term's clip adapts to the pair's
+    cluster range (see ``adaptive_surface_clip``).
+    """
     try:
         anchor = config.anchors[pair.proposal.class_id]
     except KeyError:
@@ -60,7 +64,12 @@ def fit_pair(pair: CrossModalProposal, config: PipelineConfig, seed: int) -> Sea
     c_surface = config.surface_clip
     if c_surface is None:
         c_surface = adaptive_surface_clip(pair.scene.ego, pair.cluster.centroid, anchor)
-    weights = replace(config.weights, c_surface=c_surface)
+    return anchor, replace(config.weights, c_surface=c_surface)
+
+
+def fit_pair(pair: CrossModalProposal, config: PipelineConfig, seed: int) -> SearchResult:
+    """Run the swarm search for one matched pair under the run config."""
+    anchor, weights = fit_setup(pair, config)
     cfg = replace(config.swarm, seed=seed)
     return pso_search(pair, anchor, weights, cfg, record_trace=False)
 

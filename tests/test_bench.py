@@ -8,7 +8,7 @@ import pytest
 
 from autobox3d.bench import load_bench_instances, run_bench, write_bench_csv
 from autobox3d.config import PipelineConfig
-from autobox3d.errors import ValidationError
+from autobox3d.errors import UnknownClassError, ValidationError
 from autobox3d.geom import iou_bev, points_in_box
 from autobox3d.optimizer import SwarmConfig
 from autobox3d.synth import SynthClassSpec, SynthSpec, generate
@@ -116,6 +116,12 @@ class TestRunBench:
         for row, orig in zip(back, rows):
             assert row["instance"] == orig["instance"]
             assert float(row["cost"]) == pytest.approx(orig["cost"])
+
+    def test_unknown_class_raises(self, bench_config):
+        inst = load_bench_instances(bench_config)[0]
+        inst.class_id = inst.pair.proposal.class_id = "yeti"
+        with pytest.raises(UnknownClassError, match="yeti"):
+            run_bench(bench_config, methods=("greedy",), budgets=(128,), instances=[inst])
 
     def test_precomputed_instances_reused(self, bench_config):
         instances = load_bench_instances(bench_config)

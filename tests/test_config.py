@@ -1,11 +1,15 @@
 """YAML config loading, validation, round trips, and fingerprints."""
 
+import re
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
+import yaml
 
 from autobox3d.config import (
     DEFAULT_ANCHOR_DIMS,
+    SCHEMA,
     PipelineConfig,
     config_fingerprint,
     config_to_dict,
@@ -19,6 +23,96 @@ def write_config(tmp_path, text):
     path = tmp_path / "cfg.yaml"
     path.write_text(text)
     return path
+
+
+def nested(key: str, value) -> dict:
+    """{"a": {"b": value}} for the dotted key "a.b"."""
+    for part in reversed(key.split(".")):
+        value = {part: value}
+    return value
+
+
+def lookup(d: dict, key: str):
+    for part in key.split("."):
+        d = d[part]
+    return d
+
+
+# A value other than the default for every schema key.
+NON_DEFAULT = {
+    "seed": 11,
+    "workers": 2,
+    "paths.scenes": "s/scenes",
+    "paths.output": "s/out",
+    "weights.lambda1": 4.5,
+    "weights.lambda2": 1.5,
+    "weights.lambda3": 0.5,
+    "weights.gamma": 2.5,
+    "surface_clip": 12.5,
+    "swarm.n_swarm": 20,
+    "swarm.n_iter": 40,
+    "swarm.w_init": 8.0,
+    "swarm.w_end": 0.2,
+    "swarm.c1": 1.2,
+    "swarm.c2": 0.8,
+    "swarm.c_noise": 0.2,
+    "association.tau_match": 1.5,
+    "association.d_min": 1.0,
+    "association.d_max": 50.0,
+    "association.criterion": "centroid",
+    "ground.cell": 3.0,
+    "ground.height_threshold": 0.3,
+    "ground.refit_rounds": 2,
+    "ground.seed_quantile": 0.4,
+    "clustering.eps": 0.6,
+    "clustering.min_pts": 4,
+    "nms_iou": 0.4,
+    "thresholds.tau_res": 3000.0,
+    "thresholds.tau_mv": 0.6,
+    "thresholds.tau_occ": {"car": 0.6},
+    "anchors": {"car": {"min": [4.0, 1.7, 1.5], "max": [5.0, 2.0, 1.8]}},
+    "bench.budgets": [100, 200],
+}
+
+# Sets every key, with a full tau_occ table.
+EVERY_KEY = """
+seed: 11
+workers: 2
+paths: {scenes: s/scenes, output: s/out}
+weights: {lambda1: 4.5, lambda2: 1.5, lambda3: 0.5, gamma: 2.5}
+surface_clip: 12.5
+swarm: {n_swarm: 20, n_iter: 40, w_init: 8.0, w_end: 0.2, c1: 1.2, c2: 0.8, c_noise: 0.2}
+association: {tau_match: 1.5, d_min: 1.0, d_max: 50.0, criterion: centroid}
+ground: {cell: 3.0, height_threshold: 0.3, refit_rounds: 2, seed_quantile: 0.4}
+clustering: {eps: 0.6, min_pts: 4}
+nms_iou: 0.4
+thresholds:
+  tau_occ:
+    car: 0.6
+    truck: 0.5
+    bus: 0.5
+    construction_vehicle: 0.5
+    trailer: 0.5
+    pedestrian: 0.3
+    bicycle: 0.35
+    motorcycle: 0.35
+    traffic_cone: 0.3
+    barrier: 0.4
+  tau_res: 3000
+  tau_mv: 0.6
+anchors:
+  car: {min: [4.0, 1.7, 1.5], max: [5.0, 2.0, 1.8]}
+  pedestrian: {min: [0.5, 0.5, 1.5], max: [1.1, 1.0, 2.1]}
+bench: {budgets: [100, 200]}
+"""
+
+INT_KEYS = (
+    "seed", "workers", "swarm.n_swarm", "swarm.n_iter", "ground.refit_rounds",
+    "clustering.min_pts", "bench.budgets",
+)
+DEFAULTS = config_to_dict(PipelineConfig())
+FLOAT_KEYS = tuple(row.key for row in SCHEMA if isinstance(lookup(DEFAULTS, row.key), float))
+FLOAT_KEYS += ("surface_clip", "thresholds.tau_occ.car")
 
 
 class TestDefaults:
@@ -109,7 +203,9 @@ thresholds:
         assert cfg.weights.lambda2 == 1.0
         assert cfg.weights.gamma == 2.0
         assert cfg.thresholds.tau_res == 1000.0
-        assert cfg.thresholds.tau_occ == {"car": 0.6}
+        # tau_occ merges over the defaults, as anchors do.
+        assert cfg.thresholds.tau_occ["car"] == 0.6
+        assert cfg.thresholds.tau_occ["pedestrian"] == 0.25
 
     def test_anchor_override_keeps_other_classes(self, tmp_path):
         cfg = load_config(write_config(tmp_path, """
@@ -204,6 +300,25 @@ bench:
         with pytest.raises(ValidationError, match="mapping"):
             load_config(write_config(tmp_path, "- 1\n- 2\n"))
 
+    @pytest.mark.parametrize("bad", [2.5, True], ids=["fraction", "bool"])
+    @pytest.mark.parametrize("key", INT_KEYS)
+    def test_integer_keys_are_strict(self, tmp_path, key, bad):
+        value = [bad] if key == "bench.budgets" else bad
+        path = write_config(tmp_path, yaml.safe_dump(nested(key, value)))
+        with pytest.raises(ValidationError, match=re.escape(repr(key)) + " must be an integer"):
+            load_config(path)
+
+    def test_integral_float_loads_as_int(self, tmp_path):
+        cfg = load_config(write_config(tmp_path, "seed: 3.0\nbench: {budgets: [100.0]}\n"))
+        assert cfg.seed == 3 and type(cfg.seed) is int
+        assert cfg.bench_budgets == (100,)
+
+    @pytest.mark.parametrize("key", FLOAT_KEYS)
+    def test_float_keys_reject_booleans(self, tmp_path, key):
+        path = write_config(tmp_path, yaml.safe_dump(nested(key, True)))
+        with pytest.raises(ValidationError, match=re.escape(repr(key)) + " must be a number"):
+            load_config(path)
+
     def test_bad_value_propagates_as_validation_error(self, tmp_path):
         with pytest.raises(ValidationError):
             load_config(write_config(tmp_path, "seed: banana"))
@@ -231,7 +346,68 @@ anchors:
         assert config_fingerprint(again) == config_fingerprint(cfg)
 
 
+class TestSchema:
+    def test_every_key_has_a_test_value(self):
+        assert list(NON_DEFAULT) == [row.key for row in SCHEMA]
+
+    def test_schema_reaches_every_config_field(self):
+        reached = {row.attr.split(".")[0] for row in SCHEMA}
+        assert reached == {f.name for f in fields(PipelineConfig)}
+
+    @pytest.mark.parametrize("key", [row.key for row in SCHEMA])
+    def test_key_round_trips_and_moves_fingerprint(self, tmp_path, key):
+        value = NON_DEFAULT[key]
+        cfg = load_config(write_config(tmp_path, yaml.safe_dump(nested(key, value))))
+        default = lookup(DEFAULTS, key)
+        # Class tables merge the file's entries over the defaults.
+        expect = {**default, **value} if isinstance(value, dict) else value
+        assert lookup(config_to_dict(cfg), key) == expect != default
+        assert config_fingerprint(cfg) != config_fingerprint(PipelineConfig())
+        out = tmp_path / "saved.yaml"
+        save_config(cfg, out)
+        again = load_config(out)
+        assert config_to_dict(again) == config_to_dict(cfg)
+        assert config_fingerprint(again) == config_fingerprint(cfg)
+
+
+class TestReadme:
+    @staticmethod
+    def config_block() -> str:
+        text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = text.split("\n## Configuration\n", 1)[1]
+        return section.split("```yaml\n", 1)[1].split("```", 1)[0]
+
+    def test_block_loads_as_the_defaults(self, tmp_path):
+        cfg = load_config(write_config(tmp_path, self.config_block()))
+        assert config_to_dict(cfg) == config_to_dict(PipelineConfig())
+
+    def test_block_names_every_key(self):
+        raw = yaml.safe_load(self.config_block())
+        missing = []
+        for row in SCHEMA:
+            try:
+                lookup(raw, row.key)
+            except (KeyError, TypeError):
+                missing.append(row.key)
+        assert missing == []
+
+
 class TestFingerprint:
+    # Digests recorded before the schema table replaced the hand-written
+    # loader and dumper; a change here changes every report.json.
+    def test_pinned_default_digest(self):
+        assert config_fingerprint(PipelineConfig()) == (
+            "dd6557b48b3e1f9c0a13e448d60a5ee1c58f1d4d297a67572eec9198e6d3999e"
+        )
+
+    def test_pinned_every_key_digest(self, tmp_path):
+        cfg = load_config(write_config(tmp_path, EVERY_KEY))
+        for row in SCHEMA:
+            lookup(yaml.safe_load(EVERY_KEY), row.key)  # KeyError if the config skips a key
+        assert config_fingerprint(cfg) == (
+            "b658aa390d27c49c08b8381eb8ff2d8c50480eda01dd57e03f24e39b4cc0ad2d"
+        )
+
     def test_stable_for_equal_configs(self):
         assert config_fingerprint(PipelineConfig()) == config_fingerprint(PipelineConfig())
 

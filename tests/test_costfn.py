@@ -11,7 +11,6 @@ from autobox3d.costfn import (
     CostWeights,
     adaptive_surface_clip,
     anchor_edges,
-    clamp_to_constraints,
     cost_density,
     cost_iou2d,
     cost_lshape,
@@ -51,11 +50,6 @@ class TestWeights:
 
 
 class TestAnchorRange:
-    def test_contains(self):
-        assert CAR_ANCHOR.contains(np.array([4.5, 1.8, 1.6]))
-        assert not CAR_ANCHOR.contains(np.array([6.0, 1.8, 1.6]))
-        assert CAR_ANCHOR.contains(np.array([3.9, 1.6, 1.4]))
-
     def test_rejects_inverted_range(self):
         with pytest.raises(ValueError):
             AnchorRange("bad", (2.0, 1.0, 1.0), (1.0, 2.0, 2.0))
@@ -238,24 +232,6 @@ class TestTotal:
             assert bd.lshape >= 0.0
             assert -w.c_surface <= bd.surface <= 0.0
             assert -w.gamma <= bd.iou2d <= 0.0
-
-
-class TestConstraints:
-    def test_dims_clip(self):
-        box = BoxParams(0.0, 0.0, 0.0, 10.0, 0.5, 1.6, 0.2)
-        out = clamp_to_constraints(box, CAR_ANCHOR)
-        assert (out.l, out.w, out.h) == (5.3, 1.6, 1.6)
-        assert (out.x, out.y, out.z, out.ry) == (0.0, 0.0, 0.0, 0.2)
-
-    def test_yaw_wraps_to_half_turn(self):
-        box = BoxParams(0.0, 0.0, 0.0, 4.0, 2.0, 1.5, 1.5 * math.pi)
-        assert clamp_to_constraints(box, CAR_ANCHOR).ry == pytest.approx(0.5 * math.pi)
-        box = BoxParams(0.0, 0.0, 0.0, 4.0, 2.0, 1.5, -0.25 * math.pi)
-        assert clamp_to_constraints(box, CAR_ANCHOR).ry == pytest.approx(0.75 * math.pi)
-
-    def test_feasible_box_unchanged(self):
-        box = BoxParams(1.0, 2.0, 3.0, 4.5, 1.8, 1.6, 1.0)
-        assert clamp_to_constraints(box, CAR_ANCHOR) == box
 
 
 class TestAdaptiveClip:

@@ -15,7 +15,6 @@ from autobox3d.geom import (
     convex_intersection_area,
     iou_2d,
     iou_bev,
-    point_in_box,
     points_in_box,
     project_box_to_2d,
     project_points,
@@ -97,17 +96,22 @@ class TestCorners:
 class TestContainment:
     BOX = BoxParams(0.0, 0.0, 0.0, 2.0, 2.0, 2.0, 0.0)
 
+    @staticmethod
+    def inside(point, box) -> bool:
+        """One-row ``points_in_box`` check."""
+        return bool(points_in_box(np.array([point], dtype=float), box)[0])
+
     def test_center_inside_far_outside(self):
-        assert point_in_box(np.zeros(3), self.BOX)
-        assert not point_in_box(np.array([5.0, 0.0, 0.0]), self.BOX)
+        assert self.inside([0.0, 0.0, 0.0], self.BOX)
+        assert not self.inside([5.0, 0.0, 0.0], self.BOX)
 
     def test_face_points_are_inside(self):
         for p in ([1.0, 0.0, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 1.0, 1.0]):
-            assert point_in_box(np.array(p), self.BOX)
+            assert self.inside(p, self.BOX)
 
     def test_boundary_tolerance_band(self):
-        assert point_in_box(np.array([1.0 + 1e-10, 0.0, 0.0]), self.BOX)
-        assert not point_in_box(np.array([1.0 + 1e-8, 0.0, 0.0]), self.BOX)
+        assert self.inside([1.0 + 1e-10, 0.0, 0.0], self.BOX)
+        assert not self.inside([1.0 + 1e-8, 0.0, 0.0], self.BOX)
 
     def test_mask_matches_scalar(self):
         rng = np.random.default_rng(5)
@@ -115,13 +119,13 @@ class TestContainment:
         mask = points_in_box(pts, self.BOX)
         assert mask.dtype == bool
         for p, m in zip(pts, mask):
-            assert point_in_box(p, self.BOX) == m
+            assert self.inside(p, self.BOX) == m
 
     def test_rotated_membership(self):
         box = BoxParams(0.0, 0.0, 0.0, 4.0, 1.0, 2.0, math.pi / 2.0)
         # The long axis now runs along y.
-        assert point_in_box(np.array([0.0, 1.9, 0.0]), box)
-        assert not point_in_box(np.array([1.9, 0.0, 0.0]), box)
+        assert self.inside([0.0, 1.9, 0.0], box)
+        assert not self.inside([1.9, 0.0, 0.0], box)
 
     def test_rigid_invariance(self):
         rng = np.random.default_rng(6)

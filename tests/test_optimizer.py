@@ -99,6 +99,28 @@ class TestBounds:
         assert np.allclose(out[0], [0.0, 0.5, 1.0, 1.0, 2.0, 1.5, 0.5 * math.pi])
         assert np.allclose(out[1], [0.2, 0.8, 0.1, 1.2, 1.8, 1.1, 0.75 * math.pi])
 
+    # Rows (x, y, z, l, w, h, ry) against the car anchor's dims and yaw
+    # bounds [0, pi]: dims clip to the anchor, yaw wraps onto [0, pi).
+    CAR_LB = np.array([-10.0, -10.0, -10.0, *CAR_ANCHOR.dims_min, 0.0])
+    CAR_UB = np.array([10.0, 10.0, 10.0, *CAR_ANCHOR.dims_max, math.pi])
+
+    @pytest.mark.parametrize("raw, expect", [
+        pytest.param([0, 0, 0, 10.0, 0.5, 1.6, 0.2], [0, 0, 0, 5.3, 1.6, 1.6, 0.2], id="dims-clip"),
+        pytest.param(
+            [0, 0, 0, 4.0, 2.0, 1.5, 1.5 * math.pi], [0, 0, 0, 4.0, 2.0, 1.5, 0.5 * math.pi],
+            id="yaw-wrap-above",
+        ),
+        pytest.param(
+            [0, 0, 0, 4.0, 2.0, 1.5, -0.25 * math.pi], [0, 0, 0, 4.0, 2.0, 1.5, 0.75 * math.pi],
+            id="yaw-wrap-below",
+        ),
+        pytest.param([1, 2, 3, 4.5, 1.8, 1.6, 1.0], [1, 2, 3, 4.5, 1.8, 1.6, 1.0], id="feasible"),
+    ])
+    def test_clamp_thetas_car_rows(self, raw, expect):
+        out = clamp_thetas(np.array([raw], dtype=float), self.CAR_LB, self.CAR_UB)[0]
+        assert out[:6].tolist() == expect[:6]
+        assert out[6] == pytest.approx(expect[6])
+
     def test_yaw_wrap_idempotent(self):
         rng = np.random.default_rng(21)
         lb = np.array([-5.0, -5.0, -5.0, 1.0, 1.0, 1.0, 0.0])
@@ -179,7 +201,8 @@ class TestSwarmSearch:
         lb, ub = search_bounds(pair.points, CAR_ANCHOR)
         res = pso_search(pair, CAR_ANCHOR, CostWeights(), TINY)
         box = res.best_box
-        assert CAR_ANCHOR.contains(box.dims, tol=1e-12)
+        assert (box.dims >= CAR_ANCHOR.dims_min - 1e-12).all()
+        assert (box.dims <= CAR_ANCHOR.dims_max + 1e-12).all()
         assert 0.0 <= box.ry <= math.pi
         assert (lb[:3] - 1e-12 <= box.center).all()
         assert (box.center <= ub[:3] + 1e-12).all()

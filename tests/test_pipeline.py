@@ -8,7 +8,7 @@ import pytest
 
 from autobox3d.bank import NovelObjectTarget, Provenance, read_bank
 from autobox3d.config import PipelineConfig
-from autobox3d.costfn import CostBreakdown
+from autobox3d.costfn import CostBreakdown, adaptive_surface_clip
 from autobox3d.errors import UnknownClassError, ValidationError
 from autobox3d.filters import AlignmentVerdict
 from autobox3d.geom import BoxParams, iou_bev
@@ -18,6 +18,7 @@ from autobox3d.pipeline import (
     derive_pair_seed,
     discover_frames,
     fit_pair,
+    fit_setup,
     format_bank_summary,
     format_report,
     load_clusters,
@@ -209,17 +210,31 @@ class TestLoadClusters:
 
 
 class TestFitPair:
-    def test_unknown_class_raises(self, corpus, tmp_path):
-        config = corpus_config(corpus, tmp_path)
+    @staticmethod
+    def first_pair(corpus, config):
         from autobox3d.assoc import associate, load_proposals
 
         scene = load_scene(corpus, "0000")
         proposals = load_proposals(corpus / "0000.proposals.json")
-        clusters = load_clusters(scene, config)
-        pairs = associate(scene, proposals, clusters)
-        pairs[0].proposal.class_id = "yeti"
+        return associate(scene, proposals, load_clusters(scene, config))[0]
+
+    def test_unknown_class_raises(self, corpus, tmp_path):
+        config = corpus_config(corpus, tmp_path)
+        pair = self.first_pair(corpus, config)
+        pair.proposal.class_id = "yeti"
         with pytest.raises(UnknownClassError, match="yeti"):
-            fit_pair(pairs[0], config, seed=1)
+            fit_pair(pair, config, seed=1)
+
+    def test_setup_surface_clip(self, corpus, tmp_path):
+        adaptive = corpus_config(corpus, tmp_path)
+        pair = self.first_pair(corpus, adaptive)
+        anchor, weights = fit_setup(pair, adaptive)
+        assert anchor is adaptive.anchors[pair.proposal.class_id]
+        clip = adaptive_surface_clip(pair.scene.ego, pair.cluster.centroid, anchor)
+        assert weights.c_surface == clip
+        assert weights.lambda1 == adaptive.weights.lambda1
+        _, fixed = fit_setup(pair, corpus_config(corpus, tmp_path, surface_clip=7.5))
+        assert fixed.c_surface == 7.5
 
 
 def _write_mini_frame(scenes, frame_id, embed_dim, n_points=8):
