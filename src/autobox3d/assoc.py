@@ -36,34 +36,6 @@ class Ray:
         if abs(norm - 1.0) > 1e-9:
             raise ValueError(f"ray direction must be unit length, got norm {norm}")
 
-    @classmethod
-    def through(cls, origin: np.ndarray, target: np.ndarray) -> "Ray":
-        """Ray from ``origin`` toward ``target``, normalizing the direction."""
-        origin = np.asarray(origin, dtype=float)
-        d = np.asarray(target, dtype=float) - origin
-        norm = float(np.linalg.norm(d))
-        if norm <= 0.0:
-            raise ValueError("ray target coincides with origin")
-        return cls(origin, d / norm)
-
-
-@dataclass(eq=False)
-class Frustum:
-    """Back-projection of an image rectangle between two depths.
-
-    ``center`` is the ray through the rectangle center.
-    """
-
-    center: Ray
-    d_min: float
-    d_max: float
-
-    def __post_init__(self) -> None:
-        if not (0.0 < self.d_min < self.d_max):
-            raise ValueError(
-                f"frustum depths must satisfy 0 < d_min < d_max, got {self.d_min}, {self.d_max}"
-            )
-
 
 @dataclass(eq=False)
 class Proposal2D:
@@ -140,10 +112,10 @@ def unproject_pixel(u: float, v: float, calib: CameraCalib) -> Ray:
     return Ray(camera_center(calib), dir_ego / norm)
 
 
-def frustum_from_box(box: Box2D, calib: CameraCalib, d_min: float, d_max: float) -> Frustum:
-    """Back-project a 2D rectangle into an ego-frame frustum."""
+def center_ray(box: Box2D, calib: CameraCalib) -> Ray:
+    """Ray in the ego frame through the center of an image rectangle."""
     cu, cv = box.center
-    return Frustum(unproject_pixel(cu, cv, calib), d_min, d_max)
+    return unproject_pixel(cu, cv, calib)
 
 
 def points_to_ray_distances(points: np.ndarray, ray: Ray) -> np.ndarray:
@@ -194,8 +166,7 @@ def associate(
     pairs: list[CrossModalProposal] = []
     for prop in proposals:
         calib = scene.camera(prop.camera_id)
-        frustum = frustum_from_box(prop.box, calib, d_min, d_max)
-        ray = frustum.center
+        ray = center_ray(prop.box, calib)
         for cluster in clusters:
             if criterion == "centroid":
                 ref = cluster.centroid

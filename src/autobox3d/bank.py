@@ -34,8 +34,7 @@ class NovelObjectTarget:
 
     ``fit_for_alignment`` says whether the crop passed the alignment
     filters and carries an embedding. ``verdict`` keeps the per-filter
-    outcome for reporting and never gets serialized. ``velocity`` is
-    reserved for downstream motion models and stays None here.
+    outcome for reporting and never gets serialized.
     """
 
     box: BoxParams
@@ -44,7 +43,6 @@ class NovelObjectTarget:
     fit_for_alignment: bool
     provenance: Provenance
     embedding: np.ndarray | None = None
-    velocity: tuple[float, float, float] | None = None
     verdict: AlignmentVerdict | None = None
 
     def __post_init__(self) -> None:
@@ -90,8 +88,6 @@ def _target_to_obj(frame_id: str, t: NovelObjectTarget) -> dict:
         "camera": t.provenance.camera,
         "proposal": t.provenance.proposal,
     }
-    if t.velocity is not None:
-        obj["velocity"] = [float(v) for v in t.velocity]
     return obj
 
 
@@ -122,11 +118,6 @@ def _parse_target(obj: dict) -> tuple[str, NovelObjectTarget]:
     embedding = obj.get("embedding")
     if embedding is not None:
         embedding = np.asarray(embedding, dtype=float)
-    velocity = obj.get("velocity")
-    if velocity is not None:
-        velocity = tuple(float(v) for v in velocity)
-        if len(velocity) != 3:
-            raise ValueError("velocity must have 3 components")
     return frame, NovelObjectTarget(
         box=box,
         class_id=str(obj["class"]),
@@ -134,7 +125,6 @@ def _parse_target(obj: dict) -> tuple[str, NovelObjectTarget]:
         fit_for_alignment=bool(obj["fit_for_alignment"]),
         provenance=provenance,
         embedding=embedding,
-        velocity=velocity,
     )
 
 

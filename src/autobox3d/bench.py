@@ -13,13 +13,16 @@ import time
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from .assoc import CrossModalProposal, frustum_from_box, load_proposals, points_to_ray_distances
+from .assoc import CrossModalProposal, center_ray, load_proposals, points_to_ray_distances
 from .config import PipelineConfig
 from .errors import ValidationError
 from .geom import BoxParams, iou_bev
 from .optimizer import greedy_search, pso_search
 from .pipeline import derive_pair_seed, discover_frames, fit_setup
 from .sceneprep import clusters_from_labels, load_point_labels, load_scene
+
+
+_BOX_KEYS = ("x", "y", "z", "l", "w", "h", "ry")
 
 
 @dataclass(eq=False)
@@ -61,27 +64,45 @@ def load_bench_instances(config: PipelineConfig) -> list[BenchInstance]:
                 f"{len(clusters)} labeled clusters"
             )
         for k, entry in enumerate(entries):
-            b = entry["box"]
-            gt_box = BoxParams(
-                float(b["x"]), float(b["y"]), float(b["z"]),
-                float(b["l"]), float(b["w"]), float(b["h"]), float(b["ry"]),
-            )
-            prop = proposals[int(entry["proposal_index"])]
-            calib = scene.camera(prop.camera_id)
-            frustum = frustum_from_box(prop.box, calib, config.d_min, config.d_max)
+            try:
+                gt_box, prop_index, class_id = _gt_instance(entry, len(proposals))
+            except (KeyError, TypeError, ValueError) as exc:
+                detail = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
+                raise ValidationError(
+                    f"frame {frame_id}: ground-truth instance {k}: {detail}"
+                ) from exc
+            prop = proposals[prop_index]
+            ray = center_ray(prop.box, scene.camera(prop.camera_id))
             cluster = clusters[k]
             pts = scene.cloud[cluster.point_indices]
-            dist = float(points_to_ray_distances(pts, frustum.center).min())
-            pair = CrossModalProposal(prop, cluster, scene, dist, frustum.center)
+            dist = float(points_to_ray_distances(pts, ray).min())
+            pair = CrossModalProposal(prop, cluster, scene, dist, ray)
             instances.append(
                 BenchInstance(
                     key=str(entry.get("id", f"{frame_id}:{k}")),
-                    class_id=str(entry["class"]),
+                    class_id=class_id,
                     pair=pair,
                     gt_box=gt_box,
                 )
             )
     return instances
+
+
+def _gt_instance(entry: dict, n_proposals: int) -> tuple[BoxParams, int, str]:
+    """True box, proposal index and class of one ``gt.json`` instance."""
+    if not isinstance(entry, dict):
+        raise ValueError("entry is not an object")
+    box = entry["box"]
+    vals = [box[key] for key in _BOX_KEYS]
+    for key, v in zip(_BOX_KEYS, vals):
+        if isinstance(v, bool) or not isinstance(v, (int, float)):
+            raise ValueError(f"box {key} must be a number, got {v!r}")
+    index = entry["proposal_index"]
+    if isinstance(index, bool) or not isinstance(index, int) or not 0 <= index < n_proposals:
+        raise ValueError(
+            f"proposal_index must be an integer in [0, {n_proposals}), got {index!r}"
+        )
+    return BoxParams(*(float(v) for v in vals)), index, str(entry["class"])
 
 
 def run_bench(

@@ -1,4 +1,4 @@
-"""Cost terms scored against a candidate box, and their weighted total.
+"""Cost terms scored against candidate boxes, and their weighted total.
 
 A candidate is scored against one cluster / 2D-proposal pairing with four
 terms, all phrased so that lower is better:
@@ -11,19 +11,18 @@ terms, all phrased so that lower is better:
 * iou2d: negated, weighted image IoU between the projected box hull and
   the 2D proposal rectangle.
 
-``cost_total`` is the readable single-box reference. ``BoxCostBatch``
-evaluates many candidates at once with identical results; the swarm search
-calls it tens of thousands of times per proposal, so it avoids all
-per-candidate Python work and keeps its full (candidates x points) array
-passes few.
+``BoxCostBatch`` is the one implementation. It scores many candidates at
+once; the swarm search calls it tens of thousands of times per proposal, so
+it avoids all per-candidate Python work and keeps its full (candidates x
+points) array passes few.
 
-The batch path needs no segment clamping in the top-edge term. Only
-enclosed points count, and an enclosed point's coordinate along an edge
-already lies within that edge's face, so its distance to the edge at
-x = sx running along y is sqrt((lx - sx)^2 + dz^2), and likewise for the
-other edge. Because IEEE addition is commutative and sqrt is monotone, the
-nearer of the two is sqrt(min((lx - sx)^2, (ly - sy)^2) + dz^2), bit for bit
-what the clamped form gives. The one exception is a point in the
+The top-edge term needs no segment clamping. Only enclosed points count,
+and an enclosed point's coordinate along an edge already lies within that
+edge's face, so its distance to the edge at x = sx running along y is
+sqrt((lx - sx)^2 + dz^2), and likewise for the other edge. Because IEEE
+addition is commutative and sqrt is monotone, the nearer of the two is
+sqrt(min((lx - sx)^2, (ly - sy)^2) + dz^2), bit for bit what a clamped
+point-to-segment distance gives. The one exception is a point in the
 ``BOUNDARY_TOL`` band just outside a side face: it counts as enclosed, and
 the clamped form adds its squared overshoot, at most about 1e-18.
 """
@@ -35,20 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geom import (
-    BOUNDARY_TOL,
-    Box2D,
-    BoxParams,
-    CameraCalib,
-    EgoPose,
-    TOP_EDGES_ALONG_LENGTH,
-    TOP_EDGES_ALONG_WIDTH,
-    _CORNER_SIGNS,
-    box_corners,
-    iou_2d,
-    points_in_box,
-    project_box_to_2d,
-)
+from .geom import BOUNDARY_TOL, Box2D, CameraCalib, EgoPose, _CORNER_SIGNS
 
 
 @dataclass(frozen=True)
@@ -115,129 +101,6 @@ class CostBreakdown:
     total: float
 
 
-def cost_density(box: BoxParams, obj_points: np.ndarray) -> float:
-    """Negated enclosed fraction of the cluster, in [-1, 0]."""
-    pts = np.asarray(obj_points, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != 3:
-        raise ValueError(f"obj_points must be (N, 3), got {pts.shape}")
-    if len(pts) == 0:
-        raise ValueError("obj_points is empty; cannot score an empty cluster")
-    inside = points_in_box(pts, box)
-    return -float(inside.sum()) / len(pts)
-
-
-def anchor_edges(
-    box: BoxParams, ego: EgoPose
-) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
-    """The two ego-nearest, non-parallel top edges of the box.
-
-    One edge runs along the box length, one along the width; within each
-    parallel pair the edge whose midpoint is closer to the ego wins. Each
-    edge is returned as a pair of corner points in the ego frame.
-    """
-    corners = box_corners(box)
-    ego_pt = ego.as_array()
-
-    def nearest(pairs: tuple[tuple[int, int], ...]) -> tuple[np.ndarray, np.ndarray]:
-        best = None
-        best_d = math.inf
-        for i, j in pairs:
-            mid = 0.5 * (corners[i] + corners[j])
-            d = float(np.linalg.norm(mid - ego_pt))
-            if d < best_d:
-                best_d = d
-                best = (corners[i], corners[j])
-        assert best is not None
-        return best
-
-    return nearest(TOP_EDGES_ALONG_LENGTH), nearest(TOP_EDGES_ALONG_WIDTH)
-
-
-def _point_segment_distances(points: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Distances from each point (N, 3) to the 3D segment from a to b."""
-    ab = b - a
-    denom = float(ab @ ab)
-    if denom == 0.0:
-        return np.linalg.norm(points - a, axis=1)
-    t = np.clip((points - a) @ ab / denom, 0.0, 1.0)
-    closest = a + t[:, None] * ab
-    return np.linalg.norm(points - closest, axis=1)
-
-
-def cost_lshape(box: BoxParams, obj_points: np.ndarray, ego: EgoPose) -> float:
-    """Mean distance from enclosed points to the two ego-facing top edges.
-
-    Points outside the box are ignored; with no enclosed points the term
-    is 0 so that an empty box is penalized only through the density term.
-    """
-    pts = np.asarray(obj_points, dtype=float)
-    if len(pts) == 0:
-        raise ValueError("obj_points is empty; cannot score an empty cluster")
-    inside = points_in_box(pts, box)
-    if not np.any(inside):
-        return 0.0
-    enclosed = pts[inside]
-    (e0a, e0b), (e1a, e1b) = anchor_edges(box, ego)
-    d0 = _point_segment_distances(enclosed, e0a, e0b)
-    d1 = _point_segment_distances(enclosed, e1a, e1b)
-    return float(np.mean(np.minimum(d0, d1)))
-
-
-def cost_surface(box: BoxParams, ego: EgoPose, weights: CostWeights) -> float:
-    """Negated clipped ground-plane distance from ego to the box center."""
-    d = math.hypot(box.x - ego.x, box.y - ego.y)
-    return -min(d, weights.c_surface)
-
-
-def cost_iou2d(
-    box: BoxParams, proposal: Box2D, calib: CameraCalib, weights: CostWeights
-) -> float:
-    """Weighted, negated image IoU of the projected box against the proposal.
-
-    A box that does not project to a usable hull scores 0: no reward, and no
-    penalty beyond losing the reward.
-    """
-    hull = project_box_to_2d(box, calib)
-    if hull is None:
-        return 0.0
-    return -weights.gamma * iou_2d(hull, proposal)
-
-
-def cost_total(
-    box: BoxParams,
-    obj_points: np.ndarray,
-    ego: EgoPose,
-    proposal: Box2D,
-    calib: CameraCalib,
-    weights: CostWeights,
-) -> CostBreakdown:
-    """Score one candidate box; the containment mask is computed once."""
-    pts = np.asarray(obj_points, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != 3:
-        raise ValueError(f"obj_points must be (N, 3), got {pts.shape}")
-    if len(pts) == 0:
-        raise ValueError("obj_points is empty; cannot score an empty cluster")
-    inside = points_in_box(pts, box)
-    density = -float(inside.sum()) / len(pts)
-    if np.any(inside):
-        enclosed = pts[inside]
-        (e0a, e0b), (e1a, e1b) = anchor_edges(box, ego)
-        d0 = _point_segment_distances(enclosed, e0a, e0b)
-        d1 = _point_segment_distances(enclosed, e1a, e1b)
-        lshape = float(np.mean(np.minimum(d0, d1)))
-    else:
-        lshape = 0.0
-    surface = cost_surface(box, ego, weights)
-    iou_term = cost_iou2d(box, proposal, calib, weights)
-    total = (
-        weights.lambda1 * density
-        + weights.lambda2 * lshape
-        + weights.lambda3 * surface
-        + iou_term
-    )
-    return CostBreakdown(density, lshape, surface, iou_term, total)
-
-
 def adaptive_surface_clip(ego: EgoPose, cluster_centroid: np.ndarray, anchor: AnchorRange) -> float:
     """Surface clip distance tuned to one cluster.
 
@@ -275,15 +138,14 @@ class BatchEval:
 
 
 class BoxCostBatch:
-    """Vectorized ``cost_total`` over many candidate boxes at once.
+    """The fitting cost of many candidate boxes at once.
 
     Bound to one cluster / ego / 2D-proposal / camera at construction; each
     ``evaluate`` call scores an (S, 7) array of candidates. A candidate's
     result depends neither on the batch size nor on the other candidates.
     The top-edge term uses the enclosed-point identity from the module
     docstring instead of clamping, and the (S, N) buffers are reused in
-    place. Agreement with the scalar reference path is asserted in the test
-    suite.
+    place. The test suite checks it against a clamped single-box reference.
     """
 
     def __init__(

@@ -7,9 +7,9 @@ Conventions, relied on by every module downstream:
   +y down. Points at non-positive camera depth do not project.
 * A 3D box is center (x, y, z), dimensions (l, w, h), and yaw ``ry`` about
   the up axis. At ``ry == 0`` the length axis runs along +x.
-* Corner order is fixed, because edge selection in the fitting cost depends
-  on it: bottom face 0-3 counter-clockwise seen from above, starting at
-  (+l/2, +w/2, -h/2); top face 4-7 vertically above 0-3.
+* Corner order is fixed, because ``bev_footprint`` takes corners 0-3 as a
+  counter-clockwise polygon: bottom face 0-3 counter-clockwise seen from
+  above, starting at (+l/2, +w/2, -h/2); top face 4-7 vertically above 0-3.
 
 Everything here is a pure function over plain arrays and is safe to call
 from worker processes.
@@ -39,14 +39,6 @@ _CORNER_SIGNS = np.array(
         [+0.5, -0.5, +0.5],
     ]
 )
-
-# Corner index pairs of the four top-face edges, grouped by direction: one
-# pair runs along the box length axis (constant y in the box frame), the
-# other along the width axis (constant x). Within each pair the edge on the
-# negative side is listed first so that distance ties resolve the same way
-# as a sign test on the query position.
-TOP_EDGES_ALONG_LENGTH = ((6, 7), (4, 5))
-TOP_EDGES_ALONG_WIDTH = ((5, 6), (7, 4))
 
 
 @dataclass(frozen=True)
@@ -182,9 +174,6 @@ class EgoPose:
         if not all(math.isfinite(v) for v in (self.x, self.y, self.z)):
             raise ValueError("ego pose must be finite")
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.z])
-
 
 def rotation_z(angle: float) -> np.ndarray:
     """3x3 rotation about the up axis, counter-clockwise seen from above."""
@@ -201,29 +190,6 @@ def box_corners(box: BoxParams) -> np.ndarray:
     out[:, 1] = s * local[:, 0] + c * local[:, 1] + box.y
     out[:, 2] = local[:, 2] + box.z
     return out
-
-
-def points_in_box(points: np.ndarray, box: BoxParams, tol: float = BOUNDARY_TOL) -> np.ndarray:
-    """Boolean mask of points inside the box, boundary inclusive.
-
-    ``points`` is (N, 3) in the ego frame. The test is done in the box frame
-    with an absolute tolerance of ``tol`` on each half-extent, so points
-    sitting exactly on a face count as inside.
-    """
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != 3:
-        raise ValueError(f"points must be (N, 3), got {pts.shape}")
-    dx = pts[:, 0] - box.x
-    dy = pts[:, 1] - box.y
-    c, s = math.cos(box.ry), math.sin(box.ry)
-    local_x = c * dx + s * dy
-    local_y = -s * dx + c * dy
-    local_z = pts[:, 2] - box.z
-    return (
-        (np.abs(local_x) <= 0.5 * box.l + tol)
-        & (np.abs(local_y) <= 0.5 * box.w + tol)
-        & (np.abs(local_z) <= 0.5 * box.h + tol)
-    )
 
 
 def project_points(points: np.ndarray, calib: CameraCalib) -> tuple[np.ndarray, np.ndarray]:

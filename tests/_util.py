@@ -8,14 +8,9 @@ import math
 
 import numpy as np
 
-from autobox3d.assoc import (
-    CrossModalProposal,
-    Proposal2D,
-    frustum_from_box,
-    points_to_ray_distances,
-)
-from autobox3d.costfn import AnchorRange
-from autobox3d.geom import BoxParams, CameraCalib, EgoPose, project_box_to_2d
+from autobox3d.assoc import CrossModalProposal, Proposal2D, center_ray, points_to_ray_distances
+from autobox3d.costfn import AnchorRange, BoxCostBatch, CostBreakdown, CostWeights
+from autobox3d.geom import Box2D, BoxParams, CameraCalib, EgoPose, project_box_to_2d
 from autobox3d.sceneprep import Cluster, Scene
 from autobox3d.synth import make_camera, sample_box_surface
 
@@ -72,9 +67,9 @@ def build_pair(box: BoxParams, class_id: str = "car", seed: int = 0,
     prop = Proposal2D(hull, camera.camera_id, class_id, score, mask,
                       crop_w, crop_h, embedding, index=0)
     cluster = Cluster.from_indices(pts, np.arange(len(pts)))
-    frustum = frustum_from_box(hull, camera, 0.5, 60.0)
-    dist = float(points_to_ray_distances(pts, frustum.center).min())
-    return CrossModalProposal(prop, cluster, scene, dist, frustum.center)
+    ray = center_ray(hull, camera)
+    dist = float(points_to_ray_distances(pts, ray).min())
+    return CrossModalProposal(prop, cluster, scene, dist, ray)
 
 
 def random_box(rng: np.random.Generator, span: float = 8.0) -> BoxParams:
@@ -84,3 +79,18 @@ def random_box(rng: np.random.Generator, span: float = 8.0) -> BoxParams:
     l, w, h = rng.uniform(0.8, 5.5, size=3)
     ry = rng.uniform(0.0, math.pi)
     return BoxParams(x, y, z, l, w, h, ry)
+
+
+def score_box(box: BoxParams, points=((0.0, 0.0, 0.0),), ego: EgoPose = EgoPose(),
+              proposal: Box2D = Box2D(0.0, 0.0, 100.0, 100.0),
+              calib: CameraCalib | None = None,
+              weights: CostWeights = CostWeights()) -> CostBreakdown:
+    """One box scored by the production kernel, ``BoxCostBatch``.
+
+    An oracle passes what its term reads. The rest default to one dummy
+    point at the origin, the ego at the origin, ``simple_calib()`` and a
+    proposal covering its whole image.
+    """
+    batch = BoxCostBatch(np.asarray(points, dtype=float), ego, proposal,
+                         simple_calib() if calib is None else calib, weights)
+    return batch.evaluate(box.as_array()[None]).breakdown_at(0)

@@ -16,16 +16,7 @@ import pytest
 from autobox3d.bank import NovelObjectTarget, Provenance
 from autobox3d.bench import load_bench_instances, run_bench
 from autobox3d.config import PipelineConfig
-from autobox3d.costfn import (
-    CostBreakdown,
-    CostWeights,
-    adaptive_surface_clip,
-    cost_density,
-    cost_iou2d,
-    cost_lshape,
-    cost_surface,
-    cost_total,
-)
+from autobox3d.costfn import CostBreakdown, CostWeights, adaptive_surface_clip
 from autobox3d.filters import FilterThresholds, verdict
 from autobox3d.geom import (
     Box2D,
@@ -33,7 +24,6 @@ from autobox3d.geom import (
     EgoPose,
     box_corners,
     iou_bev,
-    points_in_box,
     project_box_to_2d,
     project_points,
     rotation_z,
@@ -43,7 +33,8 @@ from autobox3d.optimizer import SwarmConfig, grid_axis_counts, inertia_at, pso_s
 from autobox3d.pipeline import nms, run_annotate
 from autobox3d.synth import SynthClassSpec, SynthSpec, generate
 
-from _util import CAR_ANCHOR, build_pair, car_box, simple_calib
+from _costfn_reference import points_in_box
+from _util import CAR_ANCHOR, build_pair, car_box, score_box, simple_calib
 
 BUDGET_FULL = 150000
 BUDGET_QUARTER = 37500
@@ -171,32 +162,35 @@ def test_criterion_4_cost_oracles(request):
     def geometric(label, got, want):
         checks.append((label, got, want, 1e-6))
 
-    arithmetic("density 7 of 10 enclosed", cost_density(cube, ten_points), -0.7)
+    far = BoxParams(100.0, 0.0, 0.0, 2.0, 2.0, 2.0, 0.0)
+    off_axis = BoxParams(3.0, 4.0, 0.0, 2.0, 2.0, 2.0, 0.0)
+
+    def iou_term(prop):
+        return score_box(visible, proposal=prop, calib=calib, weights=w).iou2d
+
+    arithmetic("density 7 of 10 enclosed", score_box(cube, ten_points).density, -0.7)
     arithmetic("edge distance single point",
-               cost_lshape(cube, np.array([[1.0, 0.5, 0.7]]), side_ego), 0.3)
+               score_box(cube, np.array([[1.0, 0.5, 0.7]]), side_ego).lshape, 0.3)
     arithmetic("edge distance mean of pair",
-               cost_lshape(cube, np.array([[1.0, 0.5, 0.7], [1.0, -0.5, 0.5]]), side_ego), 0.4)
-    arithmetic("edge distance empty box",
-               cost_lshape(BoxParams(100.0, 0.0, 0.0, 2.0, 2.0, 2.0, 0.0), ten_points, side_ego),
-               0.0)
-    arithmetic("surface 3-4-5",
-               cost_surface(BoxParams(3.0, 4.0, 0.0, 2.0, 2.0, 2.0, 0.0), EgoPose(), w), -5.0)
+               score_box(cube, np.array([[1.0, 0.5, 0.7], [1.0, -0.5, 0.5]]), side_ego).lshape,
+               0.4)
+    arithmetic("edge distance empty box", score_box(far, ten_points, side_ego).lshape, 0.0)
+    arithmetic("surface 3-4-5", score_box(off_axis, ego=EgoPose(), weights=w).surface, -5.0)
     arithmetic("surface clipped at 4",
-               cost_surface(BoxParams(3.0, 4.0, 0.0, 2.0, 2.0, 2.0, 0.0), EgoPose(),
-                            CostWeights(c_surface=4.0)), -4.0)
+               score_box(off_axis, ego=EgoPose(), weights=CostWeights(c_surface=4.0)).surface,
+               -4.0)
     arithmetic("surface relative to ego",
-               cost_surface(BoxParams(3.0, 4.0, 0.0, 2.0, 2.0, 2.0, 0.0),
-                            EgoPose(3.0, 0.0, 0.0), w), -4.0)
+               score_box(off_axis, ego=EgoPose(3.0, 0.0, 0.0), weights=w).surface, -4.0)
     arithmetic("adaptive surface clip",
                adaptive_surface_clip(EgoPose(), np.array([3.0, 4.0, -1.0]), CAR_ANCHOR),
                5.570087712549569)
-    arithmetic("image IoU perfect", cost_iou2d(visible, hull_rect, calib, w), -3.0)
-    arithmetic("image IoU half", cost_iou2d(visible, Box2D(25.0, 25.0, 75.0, 50.0), calib, w), -1.5)
-    arithmetic("image IoU third", cost_iou2d(visible, Box2D(50.0, 25.0, 100.0, 75.0), calib, w), -1.0)
-    arithmetic("image IoU disjoint", cost_iou2d(visible, Box2D(0.0, 0.0, 10.0, 10.0), calib, w), 0.0)
+    arithmetic("image IoU perfect", iou_term(hull_rect), -3.0)
+    arithmetic("image IoU half", iou_term(Box2D(25.0, 25.0, 75.0, 50.0)), -1.5)
+    arithmetic("image IoU third", iou_term(Box2D(50.0, 25.0, 100.0, 75.0)), -1.0)
+    arithmetic("image IoU disjoint", iou_term(Box2D(0.0, 0.0, 10.0, 10.0)), 0.0)
 
-    comp = cost_total(visible, np.array([[0.0, 0.0, 5.0], [1.0, 0.0, 5.0], [9.0, 9.0, 9.0]]),
-                      EgoPose(-4.0, 3.0, 0.0), hull_rect, calib, w)
+    comp = score_box(visible, np.array([[0.0, 0.0, 5.0], [1.0, 0.0, 5.0], [9.0, 9.0, 9.0]]),
+                     EgoPose(-4.0, 3.0, 0.0), hull_rect, calib, w)
     arithmetic("composition density", comp.density, -2.0 / 3.0)
     arithmetic("composition surface", comp.surface, -5.0)
     arithmetic("composition image IoU", comp.iou2d, -3.0)
@@ -346,6 +340,9 @@ def test_criterion_7_property_suites(request):
         after = points_in_box(pts @ rot.T + shift, moved)
         if not np.array_equal(before, after):
             failures.append("containment changed under a rigid motion")
+            break
+        if score_box(b, pts).density != -float(before.sum()) / len(pts):
+            failures.append("cost kernel encloses other points than the reference")
             break
 
     # Ground-plane IoU stays in [0, 1], is symmetric, and is 1 on itself.

@@ -1,19 +1,16 @@
-"""Frustum construction, ray geometry, and 2D-to-3D pairing."""
+"""Center rays, ray geometry, and 2D-to-3D pairing."""
 
 import json
-import math
 
 import numpy as np
 import pytest
 
 from autobox3d.assoc import (
-    CrossModalProposal,
-    Frustum,
     Proposal2D,
     Ray,
     associate,
     camera_center,
-    frustum_from_box,
+    center_ray,
     load_proposals,
     point_to_ray_distance,
     points_to_ray_distances,
@@ -49,15 +46,6 @@ class TestRay:
     def test_requires_unit_direction(self):
         with pytest.raises(ValueError):
             Ray(np.zeros(3), np.array([0.0, 0.0, 2.0]))
-
-    def test_through_normalizes(self):
-        ray = Ray.through([1.0, 0.0, 0.0], [1.0, 0.0, 9.0])
-        assert np.allclose(ray.origin, [1, 0, 0])
-        assert np.allclose(ray.direction, [0, 0, 1])
-
-    def test_through_rejects_degenerate(self):
-        with pytest.raises(ValueError):
-            Ray.through([1.0, 2.0, 3.0], [1.0, 2.0, 3.0])
 
 
 class TestUnproject:
@@ -100,17 +88,11 @@ class TestUnproject:
 
 class TestFrustum:
     def test_center_ray_through_box_center(self):
-        frustum = frustum_from_box(Box2D(40, 40, 60, 60), simple_calib(), 0.5, 60.0)
-        assert np.allclose(frustum.center.direction, [0, 0, 1])
-        frustum = frustum_from_box(Box2D(50, 50, 70, 70), simple_calib(), 0.5, 60.0)
+        ray = center_ray(Box2D(40, 40, 60, 60), simple_calib())
+        assert np.allclose(ray.direction, [0, 0, 1])
+        ray = center_ray(Box2D(50, 50, 70, 70), simple_calib())
         expect = np.array([0.1, 0.1, 1.0])
-        assert np.allclose(frustum.center.direction, expect / np.linalg.norm(expect))
-
-    def test_depth_band_validation(self):
-        with pytest.raises(ValueError):
-            Frustum(_ray_z(), 0.0, 60.0)
-        with pytest.raises(ValueError):
-            Frustum(_ray_z(), 5.0, 5.0)
+        assert np.allclose(ray.direction, expect / np.linalg.norm(expect))
 
 
 class TestRayDistances:

@@ -18,8 +18,7 @@ from autobox3d.filters import AlignmentVerdict
 from autobox3d.geom import BoxParams
 
 
-def make_target(frame="0000", proposal=0, embedding=None, velocity=None,
-                fit=True, class_id="car"):
+def make_target(frame="0000", proposal=0, embedding=None, fit=True, class_id="car"):
     return NovelObjectTarget(
         box=BoxParams(10.0, 2.0, -1.0, 4.5, 1.8, 1.6, 0.3),
         class_id=class_id,
@@ -27,7 +26,6 @@ def make_target(frame="0000", proposal=0, embedding=None, velocity=None,
         fit_for_alignment=fit,
         provenance=Provenance(frame, "cam0", proposal),
         embedding=embedding,
-        velocity=velocity,
         verdict=AlignmentVerdict(True, True, fit),
     )
 
@@ -53,16 +51,7 @@ class TestSerialization:
         write_bank(bank, path)
         obj = json.loads(path.read_text())
         assert "embedding" not in obj
-        assert "velocity" not in obj
         assert "verdict" not in obj
-
-    def test_velocity_written_when_present(self, tmp_path):
-        bank = NovelObjectBank({"0000": [make_target(velocity=(1.0, 0.0, -0.5))]})
-        path = tmp_path / "bank.jsonl"
-        write_bank(bank, path)
-        obj = json.loads(path.read_text())
-        assert obj["velocity"] == [1.0, 0.0, -0.5]
-        assert list(obj)[-1] == "velocity"
 
     def test_frames_written_sorted(self, tmp_path):
         bank = NovelObjectBank({
@@ -93,7 +82,7 @@ class TestRoundTrip:
         targets = [
             make_target(embedding=[0.25, -0.75, 1.5]),
             make_target(proposal=1, fit=False, class_id="pedestrian"),
-            make_target(velocity=(0.5, 0.25, 0.0)),
+            make_target(proposal=2),
         ]
         bank = NovelObjectBank({"0000": targets})
         path = tmp_path / "bank.jsonl"
@@ -107,7 +96,6 @@ class TestRoundTrip:
             assert rt.cost == orig.cost
             assert rt.fit_for_alignment == orig.fit_for_alignment
             assert rt.provenance == orig.provenance
-            assert rt.velocity == orig.velocity
             if orig.embedding is None:
                 assert rt.embedding is None
             else:
@@ -161,14 +149,6 @@ class TestReadErrors:
         path = tmp_path / "bank.jsonl"
         path.write_text("[1,2,3]\n")
         with pytest.raises(ValidationError, match="not a JSON object"):
-            read_bank(path)
-
-    def test_bad_velocity_arity(self, tmp_path):
-        obj = json.loads(self.GOOD)
-        obj["velocity"] = [1.0, 2.0]
-        path = tmp_path / "bank.jsonl"
-        path.write_text(json.dumps(obj) + "\n")
-        with pytest.raises(ValidationError, match="3 components"):
             read_bank(path)
 
     def test_blank_lines_skipped(self, tmp_path):

@@ -2,16 +2,19 @@
 
 import csv
 import json
+import shutil
 
 import numpy as np
 import pytest
 
 from autobox3d.bench import load_bench_instances, run_bench, write_bench_csv
-from autobox3d.config import PipelineConfig
+from autobox3d.cli import main
+from autobox3d.config import PipelineConfig, save_config
 from autobox3d.errors import UnknownClassError, ValidationError
-from autobox3d.geom import iou_bev, points_in_box
 from autobox3d.optimizer import SwarmConfig
 from autobox3d.synth import SynthClassSpec, SynthSpec, generate
+
+from _costfn_reference import points_in_box
 
 
 BENCH_SPEC = SynthSpec(
@@ -34,6 +37,18 @@ def bench_config(tmp_path_factory):
     )
 
 
+def _edited_gt_config(bench_config, tmp_path, edit) -> PipelineConfig:
+    """Frame 0000 alone in a new scenes dir, its ``gt.json`` changed by ``edit``."""
+    scenes = tmp_path / "scenes"
+    scenes.mkdir()
+    for src in bench_config.scenes_dir.glob("0000.*"):
+        shutil.copy(src, scenes / src.name)
+    gt = json.loads((scenes / "0000.gt.json").read_text())
+    edit(gt)
+    (scenes / "0000.gt.json").write_text(json.dumps(gt))
+    return PipelineConfig(scenes_dir=scenes, output_dir=tmp_path / "out")
+
+
 class TestLoadInstances:
     def test_instances_wired_to_ground_truth(self, bench_config):
         instances = load_bench_instances(bench_config)
@@ -46,8 +61,6 @@ class TestLoadInstances:
             assert inst.pair.proposal.index == 0
 
     def test_missing_gt_sidecar(self, bench_config, tmp_path):
-        import shutil
-
         scenes = tmp_path / "scenes"
         scenes.mkdir()
         for src in bench_config.scenes_dir.glob("0000.*"):
@@ -58,18 +71,35 @@ class TestLoadInstances:
             load_bench_instances(config)
 
     def test_cluster_count_mismatch(self, bench_config, tmp_path):
-        import shutil
-
-        scenes = tmp_path / "scenes"
-        scenes.mkdir()
-        for src in bench_config.scenes_dir.glob("0000.*"):
-            shutil.copy(src, scenes / src.name)
-        gt = json.loads((scenes / "0000.gt.json").read_text())
-        gt["instances"] = []
-        (scenes / "0000.gt.json").write_text(json.dumps(gt))
-        config = PipelineConfig(scenes_dir=scenes, output_dir=tmp_path / "out")
+        config = _edited_gt_config(bench_config, tmp_path,
+                                   lambda gt: gt.update(instances=[]))
         with pytest.raises(ValidationError, match="0 ground-truth instances"):
             load_bench_instances(config)
+
+    @pytest.mark.parametrize("index", [-1, 1, 0.0, True, "0"])
+    def test_bad_proposal_index(self, bench_config, tmp_path, index):
+        # -1 used to pair the instance with the last proposal.
+        config = _edited_gt_config(bench_config, tmp_path,
+                                   lambda gt: gt["instances"][0].update(proposal_index=index))
+        with pytest.raises(ValidationError, match="frame 0000: ground-truth instance 0: "
+                                                  "proposal_index must be an integer"):
+            load_bench_instances(config)
+
+    def test_bad_box_value(self, bench_config, tmp_path):
+        config = _edited_gt_config(bench_config, tmp_path,
+                                   lambda gt: gt["instances"][0]["box"].update(l="4.5"))
+        with pytest.raises(ValidationError, match="instance 0: box l must be a number"):
+            load_bench_instances(config)
+
+    def test_missing_box_key_exits_2(self, bench_config, tmp_path, capsys):
+        config = _edited_gt_config(bench_config, tmp_path,
+                                   lambda gt: gt["instances"][0]["box"].pop("ry"))
+        with pytest.raises(ValidationError, match="frame 0000: ground-truth instance 0: "
+                                                  "missing key 'ry'"):
+            load_bench_instances(config)
+        save_config(config, tmp_path / "config.yaml")
+        assert main(["bench", "--config", str(tmp_path / "config.yaml")]) == 2
+        assert "missing key 'ry'" in capsys.readouterr().err
 
 
 class TestRunBench:

@@ -1,25 +1,20 @@
-"""Cost terms: density, edge distance, surface prior, image IoU, batching."""
+"""Cost terms: density, edge distance, surface prior, image IoU, batching.
+
+The oracle values read each term through ``BoxCostBatch``, the one
+implementation in the package; the agreement tests compare it with the
+clamped single-box reference in ``_costfn_reference``.
+"""
 
 import math
 
 import numpy as np
 import pytest
 
-from autobox3d.costfn import (
-    AnchorRange,
-    BoxCostBatch,
-    CostWeights,
-    adaptive_surface_clip,
-    anchor_edges,
-    cost_density,
-    cost_iou2d,
-    cost_lshape,
-    cost_surface,
-    cost_total,
-)
+from autobox3d.costfn import AnchorRange, BoxCostBatch, CostWeights, adaptive_surface_clip
 from autobox3d.geom import BOUNDARY_TOL, Box2D, BoxParams, EgoPose, box_corners, project_box_to_2d
 
-from _util import CAR_ANCHOR, build_pair, car_box, random_box, simple_calib
+from _costfn_reference import _point_segment_distances, anchor_edges, points_in_box, reference_cost
+from _util import CAR_ANCHOR, build_pair, car_box, random_box, score_box, simple_calib
 
 CUBE = BoxParams(0.0, 0.0, 0.0, 2.0, 2.0, 2.0, 0.0)
 
@@ -57,24 +52,24 @@ class TestAnchorRange:
 
 class TestDensity:
     def test_seven_of_ten(self):
-        assert cost_density(CUBE, TEN_POINTS) == -0.7
+        assert score_box(CUBE, TEN_POINTS).density == -0.7
 
     def test_all_inside(self):
-        assert cost_density(CUBE, TEN_POINTS[:3]) == -1.0
+        assert score_box(CUBE, TEN_POINTS[:3]).density == -1.0
 
     def test_none_inside(self):
-        assert cost_density(CUBE, TEN_POINTS[7:]) == 0.0
+        assert score_box(CUBE, TEN_POINTS[7:]).density == 0.0
 
     def test_empty_cluster_raises(self):
         with pytest.raises(ValueError):
-            cost_density(CUBE, np.empty((0, 3)))
+            score_box(CUBE, np.empty((0, 3)))
 
     def test_bounded(self):
         rng = np.random.default_rng(11)
         for _ in range(100):
             box = random_box(rng)
             pts = rng.uniform(-6, 6, size=(30, 3))
-            assert -1.0 <= cost_density(box, pts) <= 0.0
+            assert -1.0 <= score_box(box, pts).density <= 0.0
 
 
 class TestAnchorEdges:
@@ -103,7 +98,7 @@ class TestAnchorEdges:
             ego = EgoPose(*rng.uniform(-15, 15, size=2), 0.0)
             (la, lb), (wa, wb) = anchor_edges(box, ego)
             c = box_corners(box)
-            e = ego.as_array()
+            e = np.array([ego.x, ego.y, ego.z])
 
             def pick(pairs):
                 mids = [0.5 * (c[i] + c[j]) for i, j in pairs]
@@ -116,58 +111,86 @@ class TestAnchorEdges:
             ea, eb = pick(((5, 6), (7, 4)))
             assert np.allclose(sorted(map(tuple, (wa, wb))), sorted(map(tuple, (ea, eb))))
 
+    def test_kernel_picks_the_same_edges(self):
+        # One enclosed point per box: the kernel's edge term must be the
+        # distance to the nearer of the two reference edges.
+        rng = np.random.default_rng(16)
+        for _ in range(200):
+            box = random_box(rng)
+            ego = EgoPose(*rng.uniform(-15, 15, size=2), 0.0)
+            lx, ly, lz = rng.uniform(-0.49, 0.49, size=3) * box.dims
+            c, s = math.cos(box.ry), math.sin(box.ry)
+            pt = np.array([[box.x + c * lx - s * ly, box.y + s * lx + c * ly, box.z + lz]])
+            (la, lb), (wa, wb) = anchor_edges(box, ego)
+            want = min(_point_segment_distances(pt, la, lb)[0],
+                       _point_segment_distances(pt, wa, wb)[0])
+            got = score_box(box, pt, ego)
+            assert got.density == -1.0
+            assert got.lshape == pytest.approx(want, abs=1e-9)
+
+
+class TestReferenceSegments:
+    def test_clamps_to_segment_ends(self):
+        a, b = np.array([0.0, 0.0, 0.0]), np.array([2.0, 0.0, 0.0])
+        pts = np.array([[1.0, 3.0, 4.0], [-3.0, 4.0, 0.0], [5.0, 0.0, 4.0], [2.0, 0.0, 0.0]])
+        assert np.allclose(_point_segment_distances(pts, a, b), [5.0, 5.0, 5.0, 0.0],
+                           atol=1e-12)
+
+    def test_degenerate_segment(self):
+        a = np.array([1.0, 1.0, 1.0])
+        d = _point_segment_distances(np.array([[4.0, 5.0, 1.0]]), a, a)
+        assert d[0] == pytest.approx(5.0, abs=1e-12)
+
 
 class TestLShape:
     def test_single_point_oracle(self):
         # Enclosed point (1, 0.5, 0.7) touches the x=+1 edge run, 0.3 below it.
         ego = EgoPose(10.0, 3.0, 0.0)
         pts = np.array([[1.0, 0.5, 0.7]])
-        assert cost_lshape(CUBE, pts, ego) == pytest.approx(0.3, abs=1e-9)
+        assert score_box(CUBE, pts, ego).lshape == pytest.approx(0.3, abs=1e-9)
 
     def test_outside_points_ignored(self):
         ego = EgoPose(10.0, 3.0, 0.0)
         pts = np.array([[1.0, 0.5, 0.7], [5.0, 5.0, 5.0], [-9.0, 0.0, 0.0]])
-        assert cost_lshape(CUBE, pts, ego) == pytest.approx(0.3, abs=1e-9)
+        assert score_box(CUBE, pts, ego).lshape == pytest.approx(0.3, abs=1e-9)
 
     def test_empty_box_scores_zero(self):
         ego = EgoPose(10.0, 3.0, 0.0)
         far = BoxParams(100.0, 0.0, 0.0, 2.0, 2.0, 2.0, 0.0)
-        assert cost_lshape(far, TEN_POINTS, ego) == 0.0
+        assert score_box(far, TEN_POINTS, ego).lshape == 0.0
 
     def test_point_on_edge_scores_zero(self):
         ego = EgoPose(10.0, 3.0, 0.0)
         pts = np.array([[1.0, 0.0, 1.0]])
-        assert cost_lshape(CUBE, pts, ego) == pytest.approx(0.0, abs=1e-12)
+        assert score_box(CUBE, pts, ego).lshape == pytest.approx(0.0, abs=1e-12)
 
     def test_mean_over_enclosed(self):
         ego = EgoPose(10.0, 3.0, 0.0)
         pts = np.array([[1.0, 0.5, 0.7], [1.0, -0.5, 0.5]])
         # Distances to the x=+1 top edge: 0.3 and 0.5.
-        assert cost_lshape(CUBE, pts, ego) == pytest.approx(0.4, abs=1e-9)
+        assert score_box(CUBE, pts, ego).lshape == pytest.approx(0.4, abs=1e-9)
 
     def test_empty_cluster_raises(self):
         with pytest.raises(ValueError):
-            cost_lshape(CUBE, np.empty((0, 3)), EgoPose())
+            score_box(CUBE, np.empty((0, 3)), EgoPose())
 
 
 class TestSurface:
+    BOX = BoxParams(3.0, 4.0, 0.0, 2.0, 2.0, 2.0, 0.0)
+
     def test_three_four_five(self):
-        box = BoxParams(3.0, 4.0, 0.0, 2.0, 2.0, 2.0, 0.0)
-        assert cost_surface(box, EgoPose(), CostWeights()) == -5.0
+        assert score_box(self.BOX, ego=EgoPose()).surface == -5.0
 
     def test_clipped(self):
-        box = BoxParams(3.0, 4.0, 0.0, 2.0, 2.0, 2.0, 0.0)
-        assert cost_surface(box, EgoPose(), CostWeights(c_surface=4.0)) == -4.0
+        assert score_box(self.BOX, weights=CostWeights(c_surface=4.0)).surface == -4.0
 
     def test_relative_to_ego(self):
-        box = BoxParams(3.0, 4.0, 0.0, 2.0, 2.0, 2.0, 0.0)
-        assert cost_surface(box, EgoPose(3.0, 0.0, 0.0), CostWeights()) == -4.0
+        assert score_box(self.BOX, ego=EgoPose(3.0, 0.0, 0.0)).surface == -4.0
 
     def test_ignores_height(self):
         lo = BoxParams(3.0, 4.0, -5.0, 2.0, 2.0, 2.0, 0.0)
         hi = BoxParams(3.0, 4.0, 9.0, 2.0, 2.0, 2.0, 0.0)
-        w = CostWeights()
-        assert cost_surface(lo, EgoPose(), w) == cost_surface(hi, EgoPose(), w)
+        assert score_box(lo).surface == score_box(hi).surface
 
 
 class TestImageIou:
@@ -175,32 +198,31 @@ class TestImageIou:
     VISIBLE = BoxParams(0.0, 0.0, 5.0, 2.0, 2.0, 2.0, 0.0)
     HULL = Box2D(25.0, 25.0, 75.0, 75.0)
 
+    def iou_term(self, box, prop, weights=CostWeights()):
+        return score_box(box, proposal=prop, calib=self.CALIB, weights=weights).iou2d
+
     def test_perfect_overlap(self):
-        assert cost_iou2d(self.VISIBLE, self.HULL, self.CALIB, CostWeights()) == \
-            pytest.approx(-3.0, abs=1e-9)
+        assert self.iou_term(self.VISIBLE, self.HULL) == pytest.approx(-3.0, abs=1e-9)
 
     def test_disjoint_proposal(self):
         prop = Box2D(0.0, 0.0, 10.0, 10.0)
-        assert cost_iou2d(self.VISIBLE, prop, self.CALIB, CostWeights()) == 0.0
+        assert self.iou_term(self.VISIBLE, prop) == 0.0
 
     def test_half_area_proposal(self):
         prop = Box2D(25.0, 25.0, 75.0, 50.0)
-        assert cost_iou2d(self.VISIBLE, prop, self.CALIB, CostWeights()) == \
-            pytest.approx(-1.5, abs=1e-9)
+        assert self.iou_term(self.VISIBLE, prop) == pytest.approx(-1.5, abs=1e-9)
 
     def test_third_overlap(self):
         prop = Box2D(50.0, 25.0, 100.0, 75.0)
-        assert cost_iou2d(self.VISIBLE, prop, self.CALIB, CostWeights()) == \
-            pytest.approx(-1.0, abs=1e-9)
+        assert self.iou_term(self.VISIBLE, prop) == pytest.approx(-1.0, abs=1e-9)
 
     def test_behind_camera_scores_zero(self):
         behind = BoxParams(0.0, 0.0, -5.0, 2.0, 2.0, 2.0, 0.0)
-        assert cost_iou2d(behind, self.HULL, self.CALIB, CostWeights()) == 0.0
+        assert self.iou_term(behind, self.HULL) == 0.0
 
     def test_gamma_scales(self):
         w = CostWeights(gamma=7.0)
-        assert cost_iou2d(self.VISIBLE, self.HULL, self.CALIB, w) == \
-            pytest.approx(-7.0, abs=1e-9)
+        assert self.iou_term(self.VISIBLE, self.HULL, w) == pytest.approx(-7.0, abs=1e-9)
 
 
 class TestTotal:
@@ -211,7 +233,7 @@ class TestTotal:
         box = BoxParams(0.0, 0.0, 5.0, 2.0, 2.0, 2.0, 0.0)
         pts = np.array([[0.0, 0.0, 5.0], [1.0, 0.0, 5.0], [9.0, 9.0, 9.0]])
         prop = Box2D(25.0, 25.0, 75.0, 75.0)
-        bd = cost_total(box, pts, ego, prop, calib, weights)
+        bd = score_box(box, pts, ego, prop, calib, weights)
         assert bd.density == pytest.approx(-2.0 / 3.0, abs=1e-12)
         assert bd.surface == -5.0
         assert bd.iou2d == pytest.approx(-3.0, abs=1e-9)
@@ -227,7 +249,7 @@ class TestTotal:
             box = random_box(rng, span=3.0)
             pts = rng.uniform(-5, 5, size=(25, 3))
             prop = Box2D(10.0, 10.0, 90.0, 90.0)
-            bd = cost_total(box, pts, EgoPose(), prop, calib, w)
+            bd = score_box(box, pts, EgoPose(), prop, calib, w)
             assert -1.0 <= bd.density <= 0.0
             assert bd.lshape >= 0.0
             assert -w.c_surface <= bd.surface <= 0.0
@@ -269,8 +291,8 @@ class TestBatchAgainstScalar:
         ])
         res = batch.evaluate(thetas)
         for i in range(0, 300, 7):
-            bd = cost_total(BoxParams.from_array(thetas[i]), pair.points,
-                            pair.scene.ego, pair.proposal.box, pair.calib, weights)
+            bd = reference_cost(BoxParams.from_array(thetas[i]), pair.points,
+                                pair.scene.ego, pair.proposal.box, pair.calib, weights)
             got = res.breakdown_at(i)
             assert got.density == pytest.approx(bd.density, abs=1e-9)
             assert got.lshape == pytest.approx(bd.lshape, abs=1e-9)
@@ -288,8 +310,8 @@ class TestBatchAgainstScalar:
         behind = np.array([-15.0, 0.0, 0.0, 4.0, 2.0, 1.5, 0.0])
         res = batch.evaluate(np.stack([empty, behind]))
         for i, theta in enumerate((empty, behind)):
-            bd = cost_total(BoxParams.from_array(theta), pair.points,
-                            pair.scene.ego, pair.proposal.box, pair.calib, weights)
+            bd = reference_cost(BoxParams.from_array(theta), pair.points,
+                                pair.scene.ego, pair.proposal.box, pair.calib, weights)
             assert res.breakdown_at(i).total == pytest.approx(bd.total, abs=1e-9)
         assert res.density[0] == 0.0
         assert res.lshape[0] == 0.0
@@ -320,10 +342,10 @@ class TestBatchAgainstScalar:
         batch = BoxCostBatch(pts, pair.scene.ego, pair.proposal.box, pair.calib, weights)
         thetas = np.stack([box.as_array(), box.as_array() + [0.05, -0.03, 0.0, 0.0, 0.0, 0.0, 0.01]])
         res = batch.evaluate(thetas)
-        assert res.density[0] == cost_density(box, pts) == -1.0
+        assert points_in_box(pts, box).all() and res.density[0] == -1.0
         for i, theta in enumerate(thetas):
-            bd = cost_total(BoxParams.from_array(theta), pts, pair.scene.ego,
-                            pair.proposal.box, pair.calib, weights)
+            bd = reference_cost(BoxParams.from_array(theta), pts, pair.scene.ego,
+                                pair.proposal.box, pair.calib, weights)
             got = res.breakdown_at(i)
             assert got.density == bd.density
             assert got.lshape == pytest.approx(bd.lshape, abs=1e-9)
@@ -362,8 +384,8 @@ def test_full_surface_box_scores_near_perfect():
     pair = build_pair(box, seed=5)
     clip = adaptive_surface_clip(pair.scene.ego, pair.cluster.centroid, CAR_ANCHOR)
     weights = CostWeights(c_surface=clip)
-    bd = cost_total(box, pair.points, pair.scene.ego, pair.proposal.box,
-                    pair.calib, weights)
+    bd = score_box(box, pair.points, pair.scene.ego, pair.proposal.box,
+                   pair.calib, weights)
     assert bd.density == -1.0
     assert bd.lshape < 0.9
     assert bd.iou2d == pytest.approx(-3.0, abs=1e-6)

@@ -15,13 +15,13 @@ from autobox3d.geom import (
     convex_intersection_area,
     iou_2d,
     iou_bev,
-    points_in_box,
     project_box_to_2d,
     project_points,
     rotation_z,
 )
 
-from _util import random_box, simple_calib
+from _costfn_reference import points_in_box
+from _util import random_box, score_box, simple_calib
 
 SQ2 = math.sqrt(2.0)
 
@@ -98,8 +98,8 @@ class TestContainment:
 
     @staticmethod
     def inside(point, box) -> bool:
-        """One-row ``points_in_box`` check."""
-        return bool(points_in_box(np.array([point], dtype=float), box)[0])
+        """Whether the cost kernel counts a one-point cluster as enclosed."""
+        return score_box(box, [point]).density == -1.0
 
     def test_center_inside_far_outside(self):
         assert self.inside([0.0, 0.0, 0.0], self.BOX)

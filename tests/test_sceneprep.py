@@ -357,7 +357,7 @@ class TestSceneLoading:
         scene = load_scene(tmp_path, "f0")
         assert scene.frame_id == "f0"
         assert np.array_equal(scene.cloud, cloud)
-        assert scene.ego.as_array().tolist() == [0.0, 0.0, 0.0]
+        assert (scene.ego.x, scene.ego.y, scene.ego.z) == (0.0, 0.0, 0.0)
         assert scene.camera("cam0").image_width == 100
 
     def test_csv_cloud_also_accepted(self, tmp_path):

@@ -10,7 +10,6 @@ from autobox3d.errors import ValidationError
 from autobox3d.geom import (
     BoxParams,
     EgoPose,
-    points_in_box,
     project_box_to_2d,
     project_points,
 )
@@ -25,6 +24,8 @@ from autobox3d.synth import (
     poisson_disk,
     sample_box_surface,
 )
+
+from _costfn_reference import points_in_box
 
 
 SMALL_SPEC = SynthSpec(
