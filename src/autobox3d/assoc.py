@@ -131,10 +131,6 @@ def points_to_ray_distances(points: np.ndarray, ray: Ray) -> np.ndarray:
     return np.linalg.norm(pts - closest, axis=1)
 
 
-def point_to_ray_distance(point: np.ndarray, ray: Ray) -> float:
-    return float(points_to_ray_distances(np.asarray(point, dtype=float).reshape(1, 3), ray)[0])
-
-
 def ray_depth(point: np.ndarray, ray: Ray) -> float:
     """Signed distance of a point along the ray direction from its origin."""
     return float((np.asarray(point, dtype=float) - ray.origin) @ ray.direction)
@@ -170,7 +166,7 @@ def associate(
         for cluster in clusters:
             if criterion == "centroid":
                 ref = cluster.centroid
-                dist = point_to_ray_distance(ref, ray)
+                dist = float(points_to_ray_distances(ref[None], ray)[0])
             else:
                 pts = scene.cloud[cluster.point_indices]
                 dists = points_to_ray_distances(pts, ray)

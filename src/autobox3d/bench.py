@@ -109,7 +109,6 @@ def run_bench(
     config: PipelineConfig,
     methods: tuple[str, ...] = ("greedy", "adaptive"),
     budgets: tuple[int, ...] | None = None,
-    out_csv: str | Path | None = None,
     instances: list[BenchInstance] | None = None,
 ) -> list[dict]:
     """Fit every instance with every method at every budget.
@@ -128,17 +127,19 @@ def run_bench(
         instances = load_bench_instances(config)
     rows: list[dict] = []
     for inst in instances:
-        anchor, weights = fit_setup(inst.pair, config)
+        anchor, batch = fit_setup(inst.pair, config)
         for budget in budgets:
             for method in methods:
                 t0 = time.perf_counter()
                 if method == "greedy":
-                    result = greedy_search(inst.pair, anchor, weights, budget)
+                    result = greedy_search(batch.evaluate, inst.pair.points, anchor, budget)
                 else:
                     n_iter = max(1, budget // config.swarm.n_swarm)
                     seed = derive_pair_seed(config.seed, f"bench:{inst.key}", budget)
                     cfg = replace(config.swarm, n_iter=n_iter, seed=seed)
-                    result = pso_search(inst.pair, anchor, weights, cfg, record_trace=False)
+                    result = pso_search(
+                        batch.evaluate, inst.pair.points, inst.pair.ray, anchor, cfg
+                    )
                 rows.append(
                     {
                         "instance": inst.key,
@@ -149,8 +150,6 @@ def run_bench(
                         "wall_time": time.perf_counter() - t0,
                     }
                 )
-    if out_csv is not None:
-        write_bench_csv(rows, out_csv)
     return rows
 
 

@@ -14,20 +14,18 @@ import json
 import sys
 import traceback
 
-from .assoc import associate, load_proposals
 from .bench import run_bench, write_bench_csv
 from .config import load_config
 from .errors import CloudFormatError, ValidationError
 from .pipeline import (
-    derive_pair_seed,
-    fit_pair,
+    associate_frame,
+    best_fit,
+    fit_proposal,
     format_bank_summary,
     format_report,
-    load_clusters,
     run_annotate,
     summarize_bank,
 )
-from .sceneprep import load_scene
 from .synth import generate, load_synth_spec
 
 
@@ -41,37 +39,19 @@ def _cmd_annotate(args: argparse.Namespace) -> int:
 
 def _cmd_fit_box(args: argparse.Namespace) -> int:
     config = load_config(args.config)
-    scene = load_scene(config.scenes_dir, args.scene)
-    proposals_path = config.scenes_dir / f"{args.scene}.proposals.json"
-    proposals = load_proposals(proposals_path)
-    if not 0 <= args.proposal < len(proposals):
+    scene, pairs, stats = associate_frame(config, args.scene)
+    if not 0 <= args.proposal < stats["proposals"]:
         raise ValidationError(
-            f"proposal index {args.proposal} out of range; frame has {len(proposals)}"
+            f"proposal index {args.proposal} out of range; frame has {stats['proposals']}"
         )
-    clusters = load_clusters(scene, config)
-    # Associate the whole frame, as annotate does: a pair's seed derives
-    # from its position among all of the frame's pairs.
-    pairs = associate(
-        scene,
-        proposals,
-        clusters,
-        tau_match=config.tau_match,
-        d_min=config.d_min,
-        d_max=config.d_max,
-        criterion=config.match_criterion,
-    )
-    mine = [(k, pair) for k, pair in enumerate(pairs) if pair.proposal.index == args.proposal]
-    if not mine:
+    fits = fit_proposal(scene, pairs, config, args.proposal)
+    if not fits:
         print(
             f"no cluster matched proposal {args.proposal} of frame {args.scene}",
             file=sys.stderr,
         )
         return 1
-    fits = [
-        (fit_pair(pair, config, derive_pair_seed(config.seed, scene.frame_id, k)), pair)
-        for k, pair in mine
-    ]
-    best, best_pair = min(fits, key=lambda rp: rp[0].best_cost.total)
+    best, best_pair = best_fit(fits)
     out = {
         "frame": args.scene,
         "proposal": args.proposal,

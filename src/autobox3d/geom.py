@@ -119,9 +119,6 @@ class Box2D:
     def center(self) -> tuple[float, float]:
         return (0.5 * (self.u_min + self.u_max), 0.5 * (self.v_min + self.v_max))
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.u_min, self.v_min, self.u_max, self.v_max])
-
 
 @dataclass(eq=False)
 class CameraCalib:

@@ -1,6 +1,7 @@
 """Box-parameter search: particle swarm, and a budgeted grid baseline.
 
-Both searches minimize the same fit cost over the seven box parameters
+Both searches minimize the totals of a candidate evaluator (in production,
+``BoxCostBatch.evaluate``) over the seven box parameters
 (x, y, z, l, w, h, ry) under hard constraints: dimensions inside the class
 anchor range, yaw in [0, pi) thanks to the half-turn symmetry of a box,
 and centers inside the cluster's dilated bounding region. Cost is charged
@@ -15,8 +16,8 @@ from typing import Callable
 
 import numpy as np
 
-from .assoc import CrossModalProposal, Ray, points_to_ray_distances
-from .costfn import AnchorRange, BatchEval, BoxCostBatch, CostBreakdown, CostWeights
+from .assoc import Ray, points_to_ray_distances
+from .costfn import AnchorRange, BatchEval, CostBreakdown
 from .geom import BoxParams
 
 # Candidate evaluator used by the search loops: (S, 7) thetas -> BatchEval.
@@ -63,8 +64,8 @@ class SwarmConfig:
 class SearchResult:
     """Outcome of one search: best box, its cost breakdown, and bookkeeping.
 
-    ``trace`` holds the best total after each iteration (None when not
-    recorded); ``evaluations`` counts every scored candidate.
+    ``trace`` holds the swarm's best total after each iteration (None for
+    the grid); ``evaluations`` counts every scored candidate.
     """
 
     best_box: BoxParams
@@ -146,55 +147,35 @@ def init_particles(
     return np.hstack([positions, dims, ry])
 
 
-def _make_eval(
-    pair: CrossModalProposal,
-    weights: CostWeights,
-    cost: Callable[[np.ndarray], np.ndarray] | None,
-) -> EvalFn:
-    if cost is None:
-        batch = BoxCostBatch(
-            pair.points, pair.scene.ego, pair.proposal.box, pair.calib, weights
-        )
-        return batch.evaluate
-
-    def ev(thetas: np.ndarray) -> BatchEval:
-        totals = np.asarray(cost(thetas), dtype=float)
-        nan = np.full_like(totals, np.nan)
-        return BatchEval(totals, nan, nan, nan, nan)
-
-    return ev
-
-
 def pso_search(
-    pair: CrossModalProposal,
+    evaluate: EvalFn,
+    points: np.ndarray,
+    ray: Ray,
     anchor: AnchorRange,
-    weights: CostWeights,
     cfg: SwarmConfig,
-    cost: Callable[[np.ndarray], np.ndarray] | None = None,
-    record_trace: bool = True,
 ) -> SearchResult:
-    """Fit a box to one matched pair with a constrained particle swarm.
+    """Fit a box to one cluster with a constrained particle swarm.
 
-    Every iteration scores the whole swarm once, so the total budget is
-    ``n_swarm * n_iter`` evaluations, the first iteration being the scored
-    initial population. Runs with the same config are bit-reproducible.
-    ``cost`` swaps in an alternative candidate scorer (used by tests).
+    ``evaluate`` scores candidates; ``points`` and ``ray`` place the initial
+    swarm and bound the search. Every iteration scores the whole swarm once,
+    so the total budget is ``n_swarm * n_iter`` evaluations, the first
+    iteration being the scored initial population. Runs with the same
+    config are bit-reproducible.
     """
-    ev = _make_eval(pair, weights, cost)
     rng = np.random.default_rng(cfg.seed)
-    lb, ub = search_bounds(pair.points, anchor)
+    lb, ub = search_bounds(points, anchor)
     vmax = 0.5 * (ub - lb)
 
-    x = clamp_thetas(init_particles(pair.points, pair.ray, anchor, cfg, rng), lb, ub)
+    x = clamp_thetas(init_particles(points, ray, anchor, cfg, rng), lb, ub)
     v = np.zeros_like(x)
-    res = ev(x)
+    res = evaluate(x)
     pbest_x = x.copy()
     pbest_f = res.totals.copy()
     g = int(np.argmin(res.totals))
     gbest_x = x[g].copy()
     gbest_f = float(res.totals[g])
     gbest_parts = res.breakdown_at(g)
-    trace = [gbest_f] if record_trace else None
+    trace = [gbest_f]
 
     for it in range(1, cfg.n_iter):
         w = inertia_at(it, cfg)
@@ -203,7 +184,7 @@ def pso_search(
         v = w * v + cfg.c1 * r1 * (pbest_x - x) + cfg.c2 * r2 * (gbest_x[None, :] - x)
         np.clip(v, -vmax, vmax, out=v)
         x = clamp_thetas(x + v, lb, ub)
-        res = ev(x)
+        res = evaluate(x)
         improved = res.totals < pbest_f
         pbest_f = np.where(improved, res.totals, pbest_f)
         pbest_x[improved] = x[improved]
@@ -212,14 +193,13 @@ def pso_search(
             gbest_f = float(res.totals[g])
             gbest_x = x[g].copy()
             gbest_parts = res.breakdown_at(g)
-        if trace is not None:
-            trace.append(gbest_f)
+        trace.append(gbest_f)
 
     return SearchResult(
         best_box=BoxParams.from_array(gbest_x),
         best_cost=gbest_parts,
         evaluations=cfg.n_swarm * cfg.n_iter,
-        trace=None if trace is None else np.asarray(trace),
+        trace=np.asarray(trace),
     )
 
 
@@ -270,11 +250,10 @@ def _grid_axes(
 
 
 def greedy_search(
-    pair: CrossModalProposal,
+    evaluate: EvalFn,
+    points: np.ndarray,
     anchor: AnchorRange,
-    weights: CostWeights,
     budget: int,
-    cost: Callable[[np.ndarray], np.ndarray] | None = None,
     chunk: int = 2048,
 ) -> SearchResult:
     """Exhaustive scan of an even grid over the same feasible region.
@@ -283,8 +262,7 @@ def greedy_search(
     scored candidates is the largest even grid not exceeding ``budget``.
     Ties on cost keep the earliest candidate in grid enumeration order.
     """
-    ev = _make_eval(pair, weights, cost)
-    lb, ub = search_bounds(pair.points, anchor)
+    lb, ub = search_bounds(points, anchor)
     counts = grid_axis_counts(budget)
     axes = _grid_axes(counts, lb, ub)
     mesh = np.meshgrid(*axes, indexing="ij")
@@ -296,7 +274,7 @@ def greedy_search(
     best_parts: CostBreakdown | None = None
     for start in range(0, total, chunk):
         batch = thetas[start : start + chunk]
-        res = ev(batch)
+        res = evaluate(batch)
         g = int(np.argmin(res.totals))
         if float(res.totals[g]) < best_f:
             best_f = float(res.totals[g])
@@ -307,5 +285,4 @@ def greedy_search(
         best_box=BoxParams.from_array(best_theta),
         best_cost=best_parts,
         evaluations=total,
-        trace=None,
     )

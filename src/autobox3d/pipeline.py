@@ -22,7 +22,7 @@ import numpy as np
 from .assoc import CrossModalProposal, Proposal2D, associate, load_proposals
 from .bank import NovelObjectBank, NovelObjectTarget, Provenance, read_bank, write_bank
 from .config import PipelineConfig, config_fingerprint
-from .costfn import AnchorRange, CostWeights, adaptive_surface_clip
+from .costfn import AnchorRange, BoxCostBatch, adaptive_surface_clip
 from .errors import UnknownClassError, ValidationError
 from .filters import verdict
 from .geom import iou_bev
@@ -48,8 +48,8 @@ def derive_pair_seed(seed: int, frame_id: str, pair_index: int) -> int:
     return int(ss.generate_state(1, np.uint32)[0])
 
 
-def fit_setup(pair: CrossModalProposal, config: PipelineConfig) -> tuple[AnchorRange, CostWeights]:
-    """Anchor range and cost weights for fitting one pair under the run config.
+def fit_setup(pair: CrossModalProposal, config: PipelineConfig) -> tuple[AnchorRange, BoxCostBatch]:
+    """Anchor range and cost kernel for fitting one pair under the run config.
 
     With ``surface_clip`` unset, the surface term's clip adapts to the pair's
     cluster range (see ``adaptive_surface_clip``).
@@ -64,14 +64,39 @@ def fit_setup(pair: CrossModalProposal, config: PipelineConfig) -> tuple[AnchorR
     c_surface = config.surface_clip
     if c_surface is None:
         c_surface = adaptive_surface_clip(pair.scene.ego, pair.cluster.centroid, anchor)
-    return anchor, replace(config.weights, c_surface=c_surface)
+    weights = replace(config.weights, c_surface=c_surface)
+    batch = BoxCostBatch(pair.points, pair.scene.ego, pair.proposal.box, pair.calib, weights)
+    return anchor, batch
 
 
 def fit_pair(pair: CrossModalProposal, config: PipelineConfig, seed: int) -> SearchResult:
     """Run the swarm search for one matched pair under the run config."""
-    anchor, weights = fit_setup(pair, config)
+    anchor, batch = fit_setup(pair, config)
     cfg = replace(config.swarm, seed=seed)
-    return pso_search(pair, anchor, weights, cfg, record_trace=False)
+    return pso_search(batch.evaluate, pair.points, pair.ray, anchor, cfg)
+
+
+Fit = tuple[SearchResult, CrossModalProposal]
+
+
+def fit_proposal(
+    scene: Scene, pairs: list[CrossModalProposal], config: PipelineConfig, index: int
+) -> list[Fit]:
+    """Swarm fits of every pair matched to proposal ``index``, in pair order.
+
+    A pair's seed derives from its position among all of the frame's pairs,
+    so fitting one proposal gives what annotating the whole frame gives it.
+    """
+    return [
+        (fit_pair(pair, config, derive_pair_seed(config.seed, scene.frame_id, k)), pair)
+        for k, pair in enumerate(pairs)
+        if pair.proposal.index == index
+    ]
+
+
+def best_fit(fits: list[Fit]) -> Fit:
+    """The fit with the lowest total cost; the earliest wins a tie."""
+    return min(fits, key=lambda fit: fit[0].best_cost.total)
 
 
 def nms(targets: list[NovelObjectTarget], iou_threshold: float) -> list[NovelObjectTarget]:
@@ -98,16 +123,9 @@ def prepare_targets(
     lowest total cost survives. Filters never drop a target, they only
     withhold the alignment flag; NMS is what removes duplicates.
     """
-    best: dict[int, tuple[SearchResult, CrossModalProposal]] = {}
-    for k, pair in enumerate(pairs):
-        result = fit_pair(pair, config, derive_pair_seed(config.seed, scene.frame_id, k))
-        prev = best.get(pair.proposal.index)
-        if prev is None or result.best_cost.total < prev[0].best_cost.total:
-            best[pair.proposal.index] = (result, pair)
-
     targets: list[NovelObjectTarget] = []
-    for idx in sorted(best):
-        result, pair = best[idx]
+    for idx in sorted({pair.proposal.index for pair in pairs}):
+        result, pair = best_fit(fit_proposal(scene, pairs, config, idx))
         vd = verdict(pair.proposal, result.best_box, pair.calib, config.thresholds)
         has_embedding = pair.proposal.embedding is not None
         targets.append(
@@ -180,8 +198,11 @@ def check_classes(proposals: list[Proposal2D], config: PipelineConfig) -> None:
                 )
 
 
-def process_frame(config: PipelineConfig, frame_id: str) -> tuple[str, list[NovelObjectTarget], dict]:
-    """Annotate one frame; returns (frame_id, targets, counters)."""
+def associate_frame(
+    config: PipelineConfig, frame_id: str
+) -> tuple[Scene, list[CrossModalProposal], dict]:
+    """Load one frame, check its proposal classes, cluster it, and pair
+    proposals with clusters; returns (scene, pairs, counters)."""
     scene = load_scene(config.scenes_dir, frame_id)
     proposals_path = config.scenes_dir / f"{frame_id}.proposals.json"
     proposals = load_proposals(proposals_path) if proposals_path.exists() else []
@@ -196,14 +217,19 @@ def process_frame(config: PipelineConfig, frame_id: str) -> tuple[str, list[Nove
         d_max=config.d_max,
         criterion=config.match_criterion,
     )
-    targets = prepare_targets(scene, pairs, config)
     stats = {
         "proposals": len(proposals),
         "clusters": len(clusters),
         "pairs": len(pairs),
         "had_proposal_file": proposals_path.exists(),
     }
-    return frame_id, targets, stats
+    return scene, pairs, stats
+
+
+def process_frame(config: PipelineConfig, frame_id: str) -> tuple[str, list[NovelObjectTarget], dict]:
+    """Annotate one frame; returns (frame_id, targets, counters)."""
+    scene, pairs, stats = associate_frame(config, frame_id)
+    return frame_id, prepare_targets(scene, pairs, config), stats
 
 
 def run_annotate(config: PipelineConfig) -> dict:

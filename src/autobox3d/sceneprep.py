@@ -83,30 +83,22 @@ class Scene:
             ) from None
 
 
-def load_cloud(path: str | Path, fmt: str = "auto") -> np.ndarray:
+def load_cloud(path: str | Path) -> np.ndarray:
     """Read a point cloud as an (N, 3) float64 array.
 
-    ``fmt`` is one of ``auto``, ``bin4`` (packed float32 x, y, z, intensity),
-    ``bin3`` (packed float32 x, y, z), or ``csv`` (header row with x, y, z
-    columns; extra columns ignored). ``auto`` picks by suffix and, for .bin,
-    prefers the 16-byte record layout when the file size allows both.
+    A ``.csv`` or ``.txt`` file needs a header row naming x, y and z columns
+    (extra columns are ignored). Anything else is packed little-endian
+    float32: 16-byte records (x, y, z, intensity) when the file size allows,
+    else 12-byte records (x, y, z).
     """
     path = Path(path)
-    if fmt not in ("auto", "bin4", "bin3", "csv"):
-        raise ValueError(f"unknown cloud format {fmt!r}")
-    if fmt == "auto":
-        fmt = "csv" if path.suffix.lower() in (".csv", ".txt") else "bin"
-    if fmt == "csv":
+    if path.suffix.lower() in (".csv", ".txt"):
         return _load_cloud_csv(path)
     raw = path.read_bytes()
     n = len(raw)
     if n == 0:
         return np.empty((0, 3))
-    if fmt == "bin4":
-        stride = 16
-    elif fmt == "bin3":
-        stride = 12
-    elif n % 16 == 0:
+    if n % 16 == 0:
         stride = 16
     elif n % 12 == 0:
         stride = 12
@@ -114,11 +106,6 @@ def load_cloud(path: str | Path, fmt: str = "auto") -> np.ndarray:
         raise CloudFormatError(
             f"{path}: {n} bytes is not a whole number of 16- or 12-byte records; "
             f"trailing fragment starts at byte offset {n - n % 16}"
-        )
-    if n % stride != 0:
-        raise CloudFormatError(
-            f"{path}: {n} bytes is not a whole number of {stride}-byte records; "
-            f"trailing fragment starts at byte offset {n - n % stride}"
         )
     arr = np.frombuffer(raw, dtype="<f4").reshape(-1, stride // 4)[:, :3]
     bad = ~np.all(np.isfinite(arr), axis=1)
@@ -160,29 +147,14 @@ def _load_cloud_csv(path: Path) -> np.ndarray:
     return np.asarray(rows, dtype=np.float64)
 
 
-def save_cloud(path: str | Path, points: np.ndarray, fmt: str = "bin4") -> None:
-    """Write a cloud in one of the formats :func:`load_cloud` reads.
-
-    ``bin4`` pads a zero intensity column; binary formats store float32.
-    """
-    path = Path(path)
+def save_cloud(path: str | Path, points: np.ndarray) -> None:
+    """Write a cloud as 16-byte float32 records with a zero intensity column."""
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != 3:
         raise ValueError(f"points must be (N, 3), got {pts.shape}")
-    if fmt == "bin4":
-        out = np.zeros((len(pts), 4), dtype="<f4")
-        out[:, :3] = pts.astype("<f4")
-        path.write_bytes(out.tobytes())
-    elif fmt == "bin3":
-        path.write_bytes(pts.astype("<f4").tobytes())
-    elif fmt == "csv":
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["x", "y", "z"])
-            for x, y, z in pts:
-                writer.writerow([repr(float(x)), repr(float(y)), repr(float(z))])
-    else:
-        raise ValueError(f"unknown cloud format {fmt!r}")
+    out = np.zeros((len(pts), 4), dtype="<f4")
+    out[:, :3] = pts.astype("<f4")
+    Path(path).write_bytes(out.tobytes())
 
 
 def load_scene(scenes_dir: str | Path, frame_id: str) -> Scene:

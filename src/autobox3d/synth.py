@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -105,23 +105,15 @@ def load_synth_spec(path: str | Path) -> SynthSpec:
         raw = {}
     if not isinstance(raw, dict):
         raise ValidationError(f"{path}: spec must be a mapping")
-    scalar_keys = {
-        "seed", "n_frames", "ground_extent", "ground_spacing", "ground_z",
-        "ground_jitter", "n_cameras", "image_width", "image_height", "focal",
-        "point_spacing", "ground_clearance", "embedding_dim", "score_min",
-        "score_max",
-    }
-    unknown = set(raw) - scalar_keys - {"classes"}
+    spec_keys = {f.name for f in fields(SynthSpec)}
+    unknown = set(raw) - spec_keys
     if unknown:
         raise ValidationError(f"{path}: unknown spec key(s): {sorted(unknown)}")
-    kwargs: dict = {k: raw[k] for k in scalar_keys if k in raw}
+    kwargs = dict(raw)
     if "classes" in raw:
         if not isinstance(raw["classes"], list):
             raise ValidationError(f"{path}: classes must be a list")
-        class_keys = {
-            "name", "count", "distance_min", "distance_max",
-            "mask_ratio_min", "mask_ratio_max",
-        }
+        class_keys = {f.name for f in fields(SynthClassSpec)}
         specs = []
         for i, entry in enumerate(raw["classes"]):
             if not isinstance(entry, dict):
@@ -129,7 +121,10 @@ def load_synth_spec(path: str | Path) -> SynthSpec:
             bad = set(entry) - class_keys
             if bad:
                 raise ValidationError(f"{path}: classes[{i}]: unknown key(s) {sorted(bad)}")
-            specs.append(SynthClassSpec(**entry))
+            try:
+                specs.append(SynthClassSpec(**entry))
+            except TypeError as exc:
+                raise ValidationError(f"{path}: classes[{i}]: {exc}") from exc
         kwargs["classes"] = specs
     try:
         return SynthSpec(**kwargs)
@@ -404,7 +399,7 @@ def generate(
 
         cloud = np.vstack(chunks)
         point_labels = np.concatenate(labels)
-        save_cloud(out / f"{frame_id}.bin", cloud, fmt="bin4")
+        save_cloud(out / f"{frame_id}.bin", cloud)
         (out / f"{frame_id}.ptlabels.txt").write_text(
             "\n".join(str(int(v)) for v in point_labels) + "\n"
         )

@@ -9,8 +9,9 @@ import math
 import numpy as np
 
 from autobox3d.assoc import CrossModalProposal, Proposal2D, center_ray, points_to_ray_distances
-from autobox3d.costfn import AnchorRange, BoxCostBatch, CostBreakdown, CostWeights
+from autobox3d.costfn import AnchorRange, BatchEval, BoxCostBatch, CostBreakdown, CostWeights
 from autobox3d.geom import Box2D, BoxParams, CameraCalib, EgoPose, project_box_to_2d
+from autobox3d.optimizer import EvalFn
 from autobox3d.sceneprep import Cluster, Scene
 from autobox3d.synth import make_camera, sample_box_surface
 
@@ -94,3 +95,22 @@ def score_box(box: BoxParams, points=((0.0, 0.0, 0.0),), ego: EgoPose = EgoPose(
     batch = BoxCostBatch(np.asarray(points, dtype=float), ego, proposal,
                          simple_calib() if calib is None else calib, weights)
     return batch.evaluate(box.as_array()[None]).breakdown_at(0)
+
+
+def kernel_eval(pair: CrossModalProposal, weights: CostWeights = CostWeights()) -> EvalFn:
+    """The production evaluator for one pair, ``BoxCostBatch(...).evaluate``."""
+    return BoxCostBatch(pair.points, pair.scene.ego, pair.proposal.box,
+                        pair.calib, weights).evaluate
+
+
+def totals_eval(fn) -> EvalFn:
+    """An evaluator from a totals-only scorer, (S, 7) thetas -> (S,) totals.
+
+    Its breakdown terms are NaN; only ``total`` carries the score.
+    """
+    def evaluate(thetas: np.ndarray) -> BatchEval:
+        totals = np.asarray(fn(thetas), dtype=float)
+        nan = np.full_like(totals, np.nan)
+        return BatchEval(totals, nan, nan, nan, nan)
+
+    return evaluate

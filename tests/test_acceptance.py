@@ -34,7 +34,7 @@ from autobox3d.pipeline import nms, run_annotate
 from autobox3d.synth import SynthClassSpec, SynthSpec, generate
 
 from _costfn_reference import points_in_box
-from _util import CAR_ANCHOR, build_pair, car_box, score_box, simple_calib
+from _util import CAR_ANCHOR, build_pair, car_box, score_box, simple_calib, totals_eval
 
 BUDGET_FULL = 150000
 BUDGET_QUARTER = 37500
@@ -217,7 +217,8 @@ def test_criterion_4_cost_oracles(request):
     hull = project_box_to_2d(visible, calib)
     assert hull is not None
     geometric("projected hull",
-              float(np.abs(hull.as_array() - [25.0, 25.0, 75.0, 75.0]).max()), 0.0)
+              float(np.abs(np.array([hull.u_min, hull.v_min, hull.u_max, hull.v_max])
+                           - [25.0, 25.0, 75.0, 75.0]).max()), 0.0)
 
     sq = BoxParams(0.0, 0.0, 0.0, 2.0, 2.0, 1.0, 0.0)
     geometric("bev IoU shifted third",
@@ -398,7 +399,6 @@ def test_criterion_7_property_suites(request):
     # Best-so-far traces never increase and end at the reported best.
     rng = np.random.default_rng(70711)
     pair = build_pair(car_box(), seed=3)
-    weights = CostWeights()
     for _ in range(cases):
         target = rng.uniform(-3.0, 3.0, size=7)
 
@@ -407,7 +407,7 @@ def test_criterion_7_property_suites(request):
 
         cfg = SwarmConfig(n_swarm=int(rng.integers(3, 9)), n_iter=int(rng.integers(5, 21)),
                           seed=int(rng.integers(0, 2**31)))
-        res = pso_search(pair, CAR_ANCHOR, weights, cfg, cost=sphere)
+        res = pso_search(totals_eval(sphere), pair.points, pair.ray, CAR_ANCHOR, cfg)
         trace = res.trace
         if trace is None or len(trace) != cfg.n_iter:
             failures.append("trace missing or wrong length")

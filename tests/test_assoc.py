@@ -12,7 +12,6 @@ from autobox3d.assoc import (
     camera_center,
     center_ray,
     load_proposals,
-    point_to_ray_distance,
     points_to_ray_distances,
     ray_depth,
     unproject_pixel,
@@ -101,13 +100,11 @@ class TestRayDistances:
         assert d[0] == pytest.approx(5.0)
 
     def test_point_behind_measures_to_origin(self):
-        d = point_to_ray_distance([0.0, 0.0, -5.0], _ray_z())
-        assert d == pytest.approx(5.0)
-        d = point_to_ray_distance([3.0, 0.0, -4.0], _ray_z())
-        assert d == pytest.approx(5.0)
+        d = points_to_ray_distances(np.array([[0.0, 0.0, -5.0], [3.0, 0.0, -4.0]]), _ray_z())
+        assert d == pytest.approx([5.0, 5.0])
 
     def test_point_on_ray(self):
-        assert point_to_ray_distance([0.0, 0.0, 42.0], _ray_z()) == 0.0
+        assert points_to_ray_distances(np.array([[0.0, 0.0, 42.0]]), _ray_z())[0] == 0.0
 
     def test_depth_is_signed_projection(self):
         assert ray_depth([3.0, 4.0, 7.0], _ray_z()) == pytest.approx(7.0)

@@ -138,7 +138,8 @@ class TestRunBench:
 
     def test_csv_output(self, bench_config, tmp_path):
         out = tmp_path / "bench.csv"
-        rows = run_bench(bench_config, budgets=(200,), out_csv=out)
+        rows = run_bench(bench_config, budgets=(200,))
+        write_bench_csv(rows, out)
         with open(out, newline="") as fh:
             back = list(csv.DictReader(fh))
         assert len(back) == len(rows)

@@ -2,9 +2,11 @@
 
 import csv
 import json
+import shutil
 
 import pytest
 
+from autobox3d import pipeline
 from autobox3d.cli import main
 
 
@@ -55,6 +57,13 @@ class TestSynth:
         code = main(["synth", "--spec", str(spec), "--out", str(tmp_path / "o")])
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_bad_class_value_type_exits_2(self, tmp_path, capsys):
+        spec = tmp_path / "spec.yaml"
+        spec.write_text('classes:\n  - name: car\n    count: "2"\n')
+        code = main(["synth", "--spec", str(spec), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "classes[0]" in capsys.readouterr().err
 
 
 class TestAnnotate:
@@ -141,6 +150,41 @@ class TestFitBox:
         ])
         assert code == 2
         capsys.readouterr()
+
+    @staticmethod
+    def _copied_frame(workdir, tmp_path):
+        """Config over a copy of the fixture frame, and the copy's proposals path."""
+        scenes = tmp_path / "scenes"
+        shutil.copytree(workdir / "scenes", scenes)
+        config = tmp_path / "config.yaml"
+        config.write_text(
+            f"paths:\n  scenes: {scenes}\n  output: {tmp_path / 'out'}\n"
+            "swarm:\n  n_swarm: 10\n  n_iter: 60\n"
+        )
+        return str(config), scenes / "0000.proposals.json"
+
+    def test_unknown_class_in_frame_exits_2_before_fitting(
+        self, workdir, tmp_path, capsys, monkeypatch
+    ):
+        config, proposals_path = self._copied_frame(workdir, tmp_path)
+        proposals = json.loads(proposals_path.read_text())
+        proposals[1]["class"] = "yeti"
+        proposals_path.write_text(json.dumps(proposals))
+
+        def no_fit(*args, **kwargs):
+            raise AssertionError("fit-box fitted a pair before checking classes")
+
+        monkeypatch.setattr(pipeline, "fit_pair", no_fit)
+        code = main(["fit-box", "--config", config, "--scene", "0000", "--proposal", "0"])
+        assert code == 2
+        assert "yeti" in capsys.readouterr().err
+
+    def test_frame_without_proposals_exits_2(self, workdir, tmp_path, capsys):
+        config, proposals_path = self._copied_frame(workdir, tmp_path)
+        proposals_path.unlink()
+        code = main(["fit-box", "--config", config, "--scene", "0000", "--proposal", "0"])
+        assert code == 2
+        assert "out of range; frame has 0" in capsys.readouterr().err
 
 
 class TestBench:

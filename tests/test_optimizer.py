@@ -19,7 +19,7 @@ from autobox3d.optimizer import (
     search_bounds,
 )
 
-from _util import CAR_ANCHOR, build_pair, car_box
+from _util import CAR_ANCHOR, build_pair, car_box, kernel_eval, totals_eval
 
 TINY = SwarmConfig(n_swarm=16, n_iter=60, seed=7)
 
@@ -180,7 +180,7 @@ class TestSwarmSearch:
     def test_budget_and_trace_shape(self):
         pair = build_pair(car_box(), seed=13)
         cfg = SwarmConfig(n_swarm=12, n_iter=40, seed=1)
-        res = pso_search(pair, CAR_ANCHOR, CostWeights(), cfg)
+        res = pso_search(kernel_eval(pair), pair.points, pair.ray, CAR_ANCHOR, cfg)
         assert res.evaluations == 12 * 40
         assert res.trace is not None and len(res.trace) == 40
         assert res.trace[-1] == res.best_cost.total
@@ -188,18 +188,13 @@ class TestSwarmSearch:
     def test_trace_non_increasing(self):
         pair = build_pair(car_box(), seed=14)
         cfg = SwarmConfig(n_swarm=10, n_iter=80, seed=2)
-        res = pso_search(pair, CAR_ANCHOR, CostWeights(), cfg)
+        res = pso_search(kernel_eval(pair), pair.points, pair.ray, CAR_ANCHOR, cfg)
         assert (np.diff(res.trace) <= 0.0).all()
-
-    def test_no_trace_when_disabled(self):
-        pair = build_pair(car_box(), seed=15)
-        res = pso_search(pair, CAR_ANCHOR, CostWeights(), TINY, record_trace=False)
-        assert res.trace is None
 
     def test_result_respects_constraints(self):
         pair = build_pair(car_box(), seed=16)
         lb, ub = search_bounds(pair.points, CAR_ANCHOR)
-        res = pso_search(pair, CAR_ANCHOR, CostWeights(), TINY)
+        res = pso_search(kernel_eval(pair), pair.points, pair.ray, CAR_ANCHOR, TINY)
         box = res.best_box
         assert (box.dims >= CAR_ANCHOR.dims_min - 1e-12).all()
         assert (box.dims <= CAR_ANCHOR.dims_max + 1e-12).all()
@@ -209,16 +204,17 @@ class TestSwarmSearch:
 
     def test_bit_reproducible(self):
         pair = build_pair(car_box(), seed=17)
-        a = pso_search(pair, CAR_ANCHOR, CostWeights(), TINY)
-        b = pso_search(pair, CAR_ANCHOR, CostWeights(), TINY)
+        a = pso_search(kernel_eval(pair), pair.points, pair.ray, CAR_ANCHOR, TINY)
+        b = pso_search(kernel_eval(pair), pair.points, pair.ray, CAR_ANCHOR, TINY)
         assert np.array_equal(a.best_box.as_array(), b.best_box.as_array())
         assert a.best_cost == b.best_cost
         assert np.array_equal(a.trace, b.trace)
 
     def test_seed_changes_search(self):
         pair = build_pair(car_box(), seed=18)
-        a = pso_search(pair, CAR_ANCHOR, CostWeights(), replace(TINY, seed=1))
-        b = pso_search(pair, CAR_ANCHOR, CostWeights(), replace(TINY, seed=2))
+        ev = kernel_eval(pair)
+        a = pso_search(ev, pair.points, pair.ray, CAR_ANCHOR, replace(TINY, seed=1))
+        b = pso_search(ev, pair.points, pair.ray, CAR_ANCHOR, replace(TINY, seed=2))
         assert not np.array_equal(a.best_box.as_array(), b.best_box.as_array())
 
     def test_converges_on_convex_surrogate(self):
@@ -227,8 +223,8 @@ class TestSwarmSearch:
         target = 0.5 * (lb + ub)
         target[6] = 1.0
         cfg = SwarmConfig(n_swarm=40, n_iter=2000, seed=5)
-        res = pso_search(pair, CAR_ANCHOR, CostWeights(), cfg,
-                         cost=sphere_cost(target))
+        res = pso_search(totals_eval(sphere_cost(target)), pair.points, pair.ray,
+                         CAR_ANCHOR, cfg)
         assert res.best_cost.total <= 1e-6
         assert np.allclose(res.best_box.as_array(), target, atol=1e-3)
 
@@ -239,8 +235,8 @@ class TestSwarmSearch:
         from autobox3d.geom import iou_bev
 
         clip = adaptive_surface_clip(pair.scene.ego, pair.cluster.centroid, CAR_ANCHOR)
-        res = pso_search(pair, CAR_ANCHOR, CostWeights(c_surface=clip),
-                         SwarmConfig(seed=6), record_trace=False)
+        res = pso_search(kernel_eval(pair, CostWeights(c_surface=clip)), pair.points,
+                         pair.ray, CAR_ANCHOR, SwarmConfig(seed=6))
         assert iou_bev(res.best_box, box) >= 0.7
 
 
@@ -280,7 +276,7 @@ class TestGreedy:
     def test_single_candidate_is_midpoint(self):
         pair = build_pair(car_box(), seed=23)
         lb, ub = search_bounds(pair.points, CAR_ANCHOR)
-        res = greedy_search(pair, CAR_ANCHOR, CostWeights(), budget=1)
+        res = greedy_search(kernel_eval(pair), pair.points, CAR_ANCHOR, budget=1)
         assert res.evaluations == 1
         expect = np.concatenate([
             0.5 * (lb[:3] + ub[:3]),
@@ -294,8 +290,8 @@ class TestGreedy:
         lb, ub = search_bounds(pair.points, CAR_ANCHOR)
         target = 0.5 * (lb + ub) + 0.1
         cost = sphere_cost(target)
-        res = greedy_search(pair, CAR_ANCHOR, CostWeights(), budget=400,
-                            cost=cost, chunk=37)
+        res = greedy_search(totals_eval(cost), pair.points, CAR_ANCHOR, budget=400,
+                            chunk=37)
         counts = grid_axis_counts(400)
         axes = _grid_axes(counts, lb, ub)
         mesh = np.meshgrid(*axes, indexing="ij")
@@ -313,8 +309,8 @@ class TestGreedy:
             return np.zeros(len(thetas))
 
         lb, ub = search_bounds(pair.points, CAR_ANCHOR)
-        res = greedy_search(pair, CAR_ANCHOR, CostWeights(), budget=128,
-                            cost=flat, chunk=10)
+        res = greedy_search(totals_eval(flat), pair.points, CAR_ANCHOR, budget=128,
+                            chunk=10)
         axes = _grid_axes(grid_axis_counts(128), lb, ub)
         mesh = np.meshgrid(*axes, indexing="ij")
         first = np.stack([m.ravel() for m in mesh], axis=1)[0]
@@ -322,8 +318,9 @@ class TestGreedy:
 
     def test_real_cost_deterministic(self):
         pair = build_pair(car_box(), seed=26)
-        a = greedy_search(pair, CAR_ANCHOR, CostWeights(), budget=2000)
-        b = greedy_search(pair, CAR_ANCHOR, CostWeights(), budget=2000, chunk=111)
+        ev = kernel_eval(pair)
+        a = greedy_search(ev, pair.points, CAR_ANCHOR, budget=2000)
+        b = greedy_search(ev, pair.points, CAR_ANCHOR, budget=2000, chunk=111)
         assert np.array_equal(a.best_box.as_array(), b.best_box.as_array())
         assert a.best_cost.total == b.best_cost.total
 
@@ -345,7 +342,9 @@ class TestPinnedResults:
 
     def test_swarm(self):
         cfg = SwarmConfig(n_swarm=50, n_iter=40, seed=9)
-        res = pso_search(self._pair(), CAR_ANCHOR, self.WEIGHTS, cfg, record_trace=False)
+        pair = self._pair()
+        ev = kernel_eval(pair, self.WEIGHTS)
+        res = pso_search(ev, pair.points, pair.ray, CAR_ANCHOR, cfg)
         assert res.evaluations == 2000
         assert res.best_cost.total.hex() == "-0x1.3bc525375cce1p+4"
         assert [float(v).hex() for v in res.best_box.as_array()] == [
@@ -355,7 +354,9 @@ class TestPinnedResults:
         ]
 
     def test_grid(self):
-        res = greedy_search(self._pair(), CAR_ANCHOR, self.WEIGHTS, budget=5000)
+        pair = self._pair()
+        ev = kernel_eval(pair, self.WEIGHTS)
+        res = greedy_search(ev, pair.points, CAR_ANCHOR, budget=5000)
         assert res.evaluations == 4860
         assert res.best_cost.total.hex() == "-0x1.1a49de296d650p+4"
         assert [float(v).hex() for v in res.best_box.as_array()] == [

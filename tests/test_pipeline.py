@@ -12,12 +12,15 @@ from autobox3d.costfn import CostBreakdown, adaptive_surface_clip
 from autobox3d.errors import UnknownClassError, ValidationError
 from autobox3d.filters import AlignmentVerdict
 from autobox3d.geom import BoxParams, iou_bev
-from autobox3d.optimizer import SwarmConfig
+from autobox3d.optimizer import SearchResult, SwarmConfig
 from autobox3d.pipeline import (
     REJECT_REASONS,
+    associate_frame,
+    best_fit,
     derive_pair_seed,
     discover_frames,
     fit_pair,
+    fit_proposal,
     fit_setup,
     format_bank_summary,
     format_report,
@@ -228,13 +231,15 @@ class TestFitPair:
     def test_setup_surface_clip(self, corpus, tmp_path):
         adaptive = corpus_config(corpus, tmp_path)
         pair = self.first_pair(corpus, adaptive)
-        anchor, weights = fit_setup(pair, adaptive)
+        anchor, batch = fit_setup(pair, adaptive)
         assert anchor is adaptive.anchors[pair.proposal.class_id]
+        assert np.array_equal(batch.points, pair.points)
+        assert batch.proposal == pair.proposal.box
         clip = adaptive_surface_clip(pair.scene.ego, pair.cluster.centroid, anchor)
-        assert weights.c_surface == clip
-        assert weights.lambda1 == adaptive.weights.lambda1
+        assert batch.weights.c_surface == clip
+        assert batch.weights.lambda1 == adaptive.weights.lambda1
         _, fixed = fit_setup(pair, corpus_config(corpus, tmp_path, surface_clip=7.5))
-        assert fixed.c_surface == 7.5
+        assert fixed.weights.c_surface == 7.5
 
 
 def _write_mini_frame(scenes, frame_id, embed_dim, n_points=8):
@@ -362,6 +367,30 @@ class TestProcessFrame:
         assert len(targets) == 1
         assert np.array_equal(targets[0].box.as_array(), expected.best_box.as_array())
         assert targets[0].cost == expected.best_cost
+
+
+class TestFitProposal:
+    def test_seeds_follow_position_among_frame_pairs(self, corpus, tmp_path):
+        config = corpus_config(corpus, tmp_path)
+        scene, pairs, stats = associate_frame(config, "0000")
+        assert stats["pairs"] == len(pairs)
+        index = pairs[-1].proposal.index
+        mine = [(k, p) for k, p in enumerate(pairs) if p.proposal.index == index]
+        assert mine[0][0] > 0, "the later proposal's pairs must not start the frame"
+        fits = fit_proposal(scene, pairs, config, index)
+        assert [pair for _, pair in fits] == [pair for _, pair in mine]
+        for (result, _), (k, pair) in zip(fits, mine):
+            expected = fit_pair(pair, config, derive_pair_seed(config.seed, "0000", k))
+            assert result.best_cost == expected.best_cost
+        assert fit_proposal(scene, pairs, config, stats["proposals"]) == []
+
+    def test_best_fit_lowest_total_earliest_on_tie(self):
+        def fit(total, tag):
+            cost = CostBreakdown(0.0, 0.0, 0.0, 0.0, total)
+            return SearchResult(BoxParams(0.0, 0.0, 0.0, 1.0, 1.0, 1.0, 0.0), cost, 1), tag
+
+        assert best_fit([fit(-1.0, "a"), fit(-2.0, "b"), fit(-2.0, "c")])[1] == "b"
+        assert best_fit([fit(-3.0, "a"), fit(-3.0, "b")])[1] == "a"
 
 
 class TestRunAnnotate:

@@ -27,21 +27,21 @@ class TestCloudIO:
     def test_bin4_roundtrip(self, tmp_path):
         pts = np.array([[1.5, -2.25, 0.125], [100.0, 0.5, -3.75]])
         path = tmp_path / "a.bin"
-        save_cloud(path, pts, fmt="bin4")
+        save_cloud(path, pts)
         assert path.stat().st_size == 2 * 16
         assert np.array_equal(load_cloud(path), pts)
 
     def test_bin3_roundtrip(self, tmp_path):
         pts = np.array([[1.5, -2.25, 0.125], [100.0, 0.5, -3.75], [0.0, 7.5, 2.0]])
         path = tmp_path / "a.bin"
-        save_cloud(path, pts, fmt="bin3")
+        path.write_bytes(pts.astype("<f4").tobytes())
         assert path.stat().st_size == 3 * 12
         assert np.array_equal(load_cloud(path), pts)
 
     def test_csv_roundtrip(self, tmp_path):
         pts = np.array([[1.23456789, -2.0, 0.1], [4.0, 5.0, 6.0]])
         path = tmp_path / "a.csv"
-        save_cloud(path, pts, fmt="csv")
+        path.write_text("x,y,z\n" + "".join(f"{x!r},{y!r},{z!r}\n" for x, y, z in pts.tolist()))
         assert np.array_equal(load_cloud(path), pts)
 
     def test_csv_extra_columns_ignored(self, tmp_path):
@@ -56,9 +56,6 @@ class TestCloudIO:
         auto = load_cloud(path)
         assert auto.shape == (3, 3)
         assert np.array_equal(auto, [[1, 2, 3], [5, 6, 7], [9, 10, 11]])
-        three = load_cloud(path, fmt="bin3")
-        assert three.shape == (4, 3)
-        assert np.array_equal(three[3], [10, 11, 12])
 
     def test_12_byte_fallback(self, tmp_path):
         floats = np.arange(1.0, 7.0, dtype="<f4")  # 24 bytes: only 12 divides
@@ -73,18 +70,20 @@ class TestCloudIO:
             load_cloud(path)
 
     def test_truncated_fixed_format_reports_offset(self, tmp_path):
+        # One whole 16-byte record and a 4-byte fragment: the offset names
+        # where the fragment starts, not where a 12-byte reading would stop.
         path = tmp_path / "a.bin"
         path.write_bytes(b"\x00" * 20)
         with pytest.raises(CloudFormatError, match="byte offset 16"):
-            load_cloud(path, fmt="bin4")
+            load_cloud(path)
 
     def test_non_finite_record_reports_position(self, tmp_path):
-        rows = np.zeros((4, 3), dtype="<f4")
+        rows = np.zeros((5, 3), dtype="<f4")  # 60 bytes: only 12-byte records fit
         rows[2, 0] = np.inf
         path = tmp_path / "a.bin"
         path.write_bytes(rows.tobytes())
         with pytest.raises(CloudFormatError, match=r"record 2 at byte offset 24"):
-            load_cloud(path, fmt="bin3")
+            load_cloud(path)
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "a.bin"
@@ -109,12 +108,6 @@ class TestCloudIO:
         path.write_text(f"x,y,z\n1.0,2.0,3.0\n1.0,2.0,3.0\n4.0,{bad},3.0\n")
         with pytest.raises(CloudFormatError, match="line 4"):
             load_cloud(path)
-
-    def test_unknown_format_rejected(self, tmp_path):
-        with pytest.raises(ValueError):
-            load_cloud(tmp_path / "a.bin", fmt="pcd")
-        with pytest.raises(ValueError):
-            save_cloud(tmp_path / "a.bin", np.zeros((1, 3)), fmt="pcd")
 
 
 class TestCluster:
@@ -362,7 +355,7 @@ class TestSceneLoading:
 
     def test_csv_cloud_also_accepted(self, tmp_path):
         cloud = np.array([[1.0, 2.0, 3.0]])
-        save_cloud(tmp_path / "f1.csv", cloud, fmt="csv")
+        (tmp_path / "f1.csv").write_text("x,y,z\n1.0,2.0,3.0\n")
         (tmp_path / "f1.calib.json").write_text(json.dumps(_calib_doc()))
         scene = load_scene(tmp_path, "f1")
         assert np.array_equal(scene.cloud, cloud)

@@ -99,6 +99,19 @@ classes:
         with pytest.raises(ValidationError, match="ccount"):
             load_synth_spec(path)
 
+    def test_every_dataclass_field_is_a_key(self, tmp_path):
+        path = tmp_path / "spec.yaml"
+        path.write_text("surface_inset: 0.01\nclasses:\n  - name: car\n    mask_ratio_min: 0.6\n")
+        spec = load_synth_spec(path)
+        assert spec.surface_inset == 0.01
+        assert spec.classes[0].mask_ratio_min == 0.6
+
+    def test_bad_class_value_type_names_entry(self, tmp_path):
+        path = tmp_path / "spec.yaml"
+        path.write_text('classes:\n  - name: car\n    count: "2"\n')
+        with pytest.raises(ValidationError, match=r"classes\[0\]"):
+            load_synth_spec(path)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ValidationError, match="not found"):
             load_synth_spec(tmp_path / "nope.yaml")
