@@ -136,6 +136,20 @@ def ray_depth(point: np.ndarray, ray: Ray) -> float:
     return float((np.asarray(point, dtype=float) - ray.origin) @ ray.direction)
 
 
+def ray_pair(prop: Proposal2D, cluster: Cluster, scene: Scene, ray: Ray | None = None,
+             criterion: str = "closest_point") -> tuple[CrossModalProposal, float]:
+    """``prop`` paired with ``cluster`` through ``ray``, the proposal's center ray
+    by default, and the depth along it of the cluster's reference point: the
+    point nearest the ray (``closest_point``) or the centroid. The pair's
+    ``distance_to_ray`` is the reference's distance to the ray."""
+    if ray is None:
+        ray = center_ray(prop.box, scene.camera(prop.camera_id))
+    pts = cluster.centroid[None] if criterion == "centroid" else scene.cloud[cluster.point_indices]
+    dists = points_to_ray_distances(pts, ray)
+    k = int(np.argmin(dists))
+    return CrossModalProposal(prop, cluster, scene, float(dists[k]), ray), ray_depth(pts[k], ray)
+
+
 def associate(
     scene: Scene,
     proposals: list[Proposal2D],
@@ -161,24 +175,11 @@ def associate(
         raise ValidationError(f"tau_match must be positive, got {tau_match}")
     pairs: list[CrossModalProposal] = []
     for prop in proposals:
-        calib = scene.camera(prop.camera_id)
-        ray = center_ray(prop.box, calib)
+        ray = center_ray(prop.box, scene.camera(prop.camera_id))
         for cluster in clusters:
-            if criterion == "centroid":
-                ref = cluster.centroid
-                dist = float(points_to_ray_distances(ref[None], ray)[0])
-            else:
-                pts = scene.cloud[cluster.point_indices]
-                dists = points_to_ray_distances(pts, ray)
-                k = int(np.argmin(dists))
-                ref = pts[k]
-                dist = float(dists[k])
-            if dist > tau_match:
-                continue
-            depth = ray_depth(ref, ray)
-            if not (d_min <= depth <= d_max):
-                continue
-            pairs.append(CrossModalProposal(prop, cluster, scene, dist, ray))
+            pair, depth = ray_pair(prop, cluster, scene, ray, criterion)
+            if pair.distance_to_ray <= tau_match and d_min <= depth <= d_max:
+                pairs.append(pair)
     return pairs
 
 

@@ -13,7 +13,7 @@ import time
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from .assoc import CrossModalProposal, center_ray, load_proposals, points_to_ray_distances
+from .assoc import CrossModalProposal, load_proposals, ray_pair
 from .config import PipelineConfig
 from .errors import ValidationError
 from .geom import BoxParams, iou_bev
@@ -71,12 +71,7 @@ def load_bench_instances(config: PipelineConfig) -> list[BenchInstance]:
                 raise ValidationError(
                     f"frame {frame_id}: ground-truth instance {k}: {detail}"
                 ) from exc
-            prop = proposals[prop_index]
-            ray = center_ray(prop.box, scene.camera(prop.camera_id))
-            cluster = clusters[k]
-            pts = scene.cloud[cluster.point_indices]
-            dist = float(points_to_ray_distances(pts, ray).min())
-            pair = CrossModalProposal(prop, cluster, scene, dist, ray)
+            pair, _ = ray_pair(proposals[prop_index], clusters[k], scene)
             instances.append(
                 BenchInstance(
                     key=str(entry.get("id", f"{frame_id}:{k}")),

@@ -13,6 +13,7 @@ import argparse
 import json
 import sys
 import traceback
+from dataclasses import asdict
 
 from .bench import run_bench, write_bench_csv
 from .config import load_config
@@ -64,18 +65,8 @@ def _cmd_fit_box(args: argparse.Namespace) -> int:
             }
             for result, pair in fits
         ],
-        "box": {
-            "x": best.best_box.x, "y": best.best_box.y, "z": best.best_box.z,
-            "l": best.best_box.l, "w": best.best_box.w, "h": best.best_box.h,
-            "ry": best.best_box.ry,
-        },
-        "cost": {
-            "density": best.best_cost.density,
-            "lshape": best.best_cost.lshape,
-            "surface": best.best_cost.surface,
-            "iou2d": best.best_cost.iou2d,
-            "total": best.best_cost.total,
-        },
+        "box": asdict(best.best_box),
+        "cost": asdict(best.best_cost),
         "evaluations": best.evaluations,
     }
     print(json.dumps(out, indent=2))

@@ -36,6 +36,11 @@ import numpy as np
 
 from .geom import BOUNDARY_TOL, Box2D, CameraCalib, EgoPose, _CORNER_SIGNS
 
+# Candidate x point elements per row tile of ``BoxCostBatch.evaluate``: 256 KB
+# per (S, N) float buffer, which stays in L2 cache. A tile costs about 0.2 ms
+# of fixed overhead, so a batch under two tiles takes one pass.
+_TILE_ELEMS = 32768
+
 
 @dataclass(frozen=True)
 class CostWeights:
@@ -141,11 +146,12 @@ class BoxCostBatch:
     """The fitting cost of many candidate boxes at once.
 
     Bound to one cluster / ego / 2D-proposal / camera at construction; each
-    ``evaluate`` call scores an (S, 7) array of candidates. A candidate's
-    result depends neither on the batch size nor on the other candidates.
-    The top-edge term uses the enclosed-point identity from the module
-    docstring instead of clamping, and the (S, N) buffers are reused in
-    place. The test suite checks it against a clamped single-box reference.
+    ``evaluate`` call scores an (S, 7) array of candidates in row tiles of
+    about ``_TILE_ELEMS`` (candidate, point) elements, so the (S, N) buffers
+    stay in cache and are reused in place. A candidate's result depends on
+    neither the batch nor its tiling. The top-edge term uses the
+    enclosed-point identity from the module docstring instead of clamping.
+    The test suite checks it against a clamped single-box reference.
     """
 
     def __init__(
@@ -178,12 +184,27 @@ class BoxCostBatch:
         self._img_w = float(calib.image_width)
         self._img_h = float(calib.image_height)
         self._signs = _CORNER_SIGNS
+        self._tile = max(1, _TILE_ELEMS // self.n_points)
 
     def evaluate(self, thetas: np.ndarray) -> BatchEval:
         """Score candidates of shape (S, 7) laid out as (x, y, z, l, w, h, ry)."""
         th = np.asarray(thetas, dtype=float)
         if th.ndim != 2 or th.shape[1] != 7:
             raise ValueError(f"thetas must be (S, 7), got {th.shape}")
+        # Tiling changes no bit: each row's arithmetic and row sums are its own,
+        # and the two hull paths of _image_iou agree on rows wholly in front.
+        # Rows spread evenly, so a tile holds one to two tiles' worth.
+        n_tiles = len(th) // self._tile
+        if n_tiles <= 1:
+            return BatchEval(*self._score(th))
+        rows = -(-len(th) // n_tiles)
+        out = np.empty((5, len(th)))
+        for start in range(0, len(th), rows):
+            out[:, start : start + rows] = self._score(th[start : start + rows])
+        return BatchEval(*out)
+
+    def _score(self, th: np.ndarray) -> tuple[np.ndarray, ...]:
+        """(totals, density, lshape, surface, iou2d) of one row tile."""
         w = self.weights
         cx, cy, cz = th[:, 0], th[:, 1], th[:, 2]
         bl, bw, bh = th[:, 3], th[:, 4], th[:, 5]
@@ -233,7 +254,7 @@ class BoxCostBatch:
         iou_term = -w.gamma * self._image_iou(cx, cy, cz, bl, bw, bh, cos, sin)
 
         totals = w.lambda1 * density + w.lambda2 * lshape + w.lambda3 * surface + iou_term
-        return BatchEval(totals, density, lshape, surface, iou_term)
+        return totals, density, lshape, surface, iou_term
 
     def _image_iou(self, cx, cy, cz, bl, bw, bh, cos, sin) -> np.ndarray:
         """IoU of each candidate's projected hull with the proposal, (S,).

@@ -254,35 +254,23 @@ def greedy_search(
     points: np.ndarray,
     anchor: AnchorRange,
     budget: int,
-    chunk: int = 2048,
 ) -> SearchResult:
     """Exhaustive scan of an even grid over the same feasible region.
 
     The grid shape comes from :func:`grid_axis_counts`, so the number of
     scored candidates is the largest even grid not exceeding ``budget``.
-    Ties on cost keep the earliest candidate in grid enumeration order.
+    The whole grid goes to ``evaluate`` in one call; ``BoxCostBatch`` tiles
+    it internally. Ties on cost keep the earliest candidate in grid
+    enumeration order, as ``np.argmin`` does.
     """
     lb, ub = search_bounds(points, anchor)
-    counts = grid_axis_counts(budget)
-    axes = _grid_axes(counts, lb, ub)
+    axes = _grid_axes(grid_axis_counts(budget), lb, ub)
     mesh = np.meshgrid(*axes, indexing="ij")
     thetas = np.stack([m.ravel() for m in mesh], axis=1)
-    total = len(thetas)
-
-    best_f = math.inf
-    best_theta: np.ndarray | None = None
-    best_parts: CostBreakdown | None = None
-    for start in range(0, total, chunk):
-        batch = thetas[start : start + chunk]
-        res = evaluate(batch)
-        g = int(np.argmin(res.totals))
-        if float(res.totals[g]) < best_f:
-            best_f = float(res.totals[g])
-            best_theta = batch[g]
-            best_parts = res.breakdown_at(g)
-    assert best_theta is not None and best_parts is not None
+    res = evaluate(thetas)
+    g = int(np.argmin(res.totals))
     return SearchResult(
-        best_box=BoxParams.from_array(best_theta),
-        best_cost=best_parts,
-        evaluations=total,
+        best_box=BoxParams.from_array(thetas[g]),
+        best_cost=res.breakdown_at(g),
+        evaluations=len(thetas),
     )

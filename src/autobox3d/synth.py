@@ -93,7 +93,7 @@ class SynthSpec:
 
 
 def load_synth_spec(path: str | Path) -> SynthSpec:
-    """Read a YAML scene recipe; unknown keys fail."""
+    """Read a YAML scene recipe; unknown keys and non-integral int keys fail."""
     path = Path(path)
     try:
         raw = yaml.safe_load(path.read_text())
@@ -101,35 +101,37 @@ def load_synth_spec(path: str | Path) -> SynthSpec:
         raise ValidationError(f"spec file not found: {path}") from None
     except yaml.YAMLError as exc:
         raise ValidationError(f"{path}: not valid YAML: {exc}") from exc
-    if raw is None:
-        raw = {}
-    if not isinstance(raw, dict):
-        raise ValidationError(f"{path}: spec must be a mapping")
-    spec_keys = {f.name for f in fields(SynthSpec)}
-    unknown = set(raw) - spec_keys
-    if unknown:
-        raise ValidationError(f"{path}: unknown spec key(s): {sorted(unknown)}")
-    kwargs = dict(raw)
-    if "classes" in raw:
-        if not isinstance(raw["classes"], list):
+    kwargs = {} if raw is None else raw
+    if isinstance(kwargs, dict) and "classes" in kwargs:
+        if not isinstance(kwargs["classes"], list):
             raise ValidationError(f"{path}: classes must be a list")
-        class_keys = {f.name for f in fields(SynthClassSpec)}
-        specs = []
-        for i, entry in enumerate(raw["classes"]):
-            if not isinstance(entry, dict):
-                raise ValidationError(f"{path}: classes[{i}] must be a mapping")
-            bad = set(entry) - class_keys
-            if bad:
-                raise ValidationError(f"{path}: classes[{i}]: unknown key(s) {sorted(bad)}")
-            try:
-                specs.append(SynthClassSpec(**entry))
-            except TypeError as exc:
-                raise ValidationError(f"{path}: classes[{i}]: {exc}") from exc
-        kwargs["classes"] = specs
+        kwargs = {**kwargs, "classes": [
+            _from_mapping(SynthClassSpec, entry, f"{path}: classes[{i}]")
+            for i, entry in enumerate(kwargs["classes"])
+        ]}
+    return _from_mapping(SynthSpec, kwargs, f"{path}: spec")
+
+
+def _from_mapping(cls, entry, where: str):
+    """``cls`` built from one YAML mapping, failing with ``where`` on unknown
+    keys and on booleans or fractions for int fields; integral floats become
+    ints."""
+    if not isinstance(entry, dict):
+        raise ValidationError(f"{where} must be a mapping")
+    types = {f.name: f.type for f in fields(cls)}
+    unknown = set(entry) - set(types)
+    if unknown:
+        raise ValidationError(f"{where}: unknown key(s) {sorted(unknown)}")
+    kwargs = dict(entry)
+    for key, v in entry.items():
+        if types[key] == "int" and isinstance(v, (bool, float)):
+            if isinstance(v, bool) or not v.is_integer():
+                raise ValidationError(f"{where}: {key} must be an integer, got {v!r}")
+            kwargs[key] = int(v)
     try:
-        return SynthSpec(**kwargs)
+        return cls(**kwargs)
     except TypeError as exc:
-        raise ValidationError(f"{path}: {exc}") from exc
+        raise ValidationError(f"{where}: {exc}") from exc
 
 
 def make_camera(

@@ -8,7 +8,7 @@ import math
 
 import numpy as np
 
-from autobox3d.assoc import CrossModalProposal, Proposal2D, center_ray, points_to_ray_distances
+from autobox3d.assoc import CrossModalProposal, Proposal2D, ray_pair
 from autobox3d.costfn import AnchorRange, BatchEval, BoxCostBatch, CostBreakdown, CostWeights
 from autobox3d.geom import Box2D, BoxParams, CameraCalib, EgoPose, project_box_to_2d
 from autobox3d.optimizer import EvalFn
@@ -68,9 +68,7 @@ def build_pair(box: BoxParams, class_id: str = "car", seed: int = 0,
     prop = Proposal2D(hull, camera.camera_id, class_id, score, mask,
                       crop_w, crop_h, embedding, index=0)
     cluster = Cluster.from_indices(pts, np.arange(len(pts)))
-    ray = center_ray(hull, camera)
-    dist = float(points_to_ray_distances(pts, ray).min())
-    return CrossModalProposal(prop, cluster, scene, dist, ray)
+    return ray_pair(prop, cluster, scene)[0]
 
 
 def random_box(rng: np.random.Generator, span: float = 8.0) -> BoxParams:

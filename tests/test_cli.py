@@ -65,6 +65,17 @@ class TestSynth:
         assert code == 2
         assert "classes[0]" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text, where", [
+        ("n_frames: 1.5\n", "n_frames"),
+        ("classes:\n  - name: car\n    count: 1.5\n", "classes[0]: count"),
+    ], ids=["n_frames", "count"])
+    def test_fractional_integer_exits_2(self, tmp_path, capsys, text, where):
+        spec = tmp_path / "spec.yaml"
+        spec.write_text(text)
+        code = main(["synth", "--spec", str(spec), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert where in capsys.readouterr().err
+
 
 class TestAnnotate:
     def test_full_run(self, workdir, capsys):

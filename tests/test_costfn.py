@@ -10,6 +10,7 @@ import math
 import numpy as np
 import pytest
 
+from autobox3d import costfn
 from autobox3d.costfn import AnchorRange, BoxCostBatch, CostWeights, adaptive_surface_clip
 from autobox3d.geom import BOUNDARY_TOL, Box2D, BoxParams, EgoPose, box_corners, project_box_to_2d
 
@@ -351,23 +352,50 @@ class TestBatchAgainstScalar:
             assert got.lshape == pytest.approx(bd.lshape, abs=1e-9)
             assert got.total == pytest.approx(bd.total, abs=1e-9)
 
+    @staticmethod
+    def _assert_rows_score_alone(batch, thetas):
+        together = batch.evaluate(thetas)
+        for i in range(len(thetas)):
+            alone = batch.evaluate(thetas[i : i + 1])
+            for name in ("totals", "density", "lshape", "surface", "iou2d"):
+                assert getattr(alone, name)[0] == getattr(together, name)[i], (name, i)
+        return together
+
     def test_result_independent_of_batch(self):
-        # One candidate behind the camera sends the whole batch down the
-        # masked hull path; every candidate must still score as it does alone.
+        # The batch spans three row tiles. One candidate behind the camera
+        # sends the middle tile down the masked hull path while the other
+        # tiles take the direct one; every candidate must still score, bit
+        # for bit, as it does alone.
         rng = np.random.default_rng(15)
         box = car_box()
         pair = build_pair(box, seed=7)
         batch = BoxCostBatch(pair.points, pair.scene.ego, pair.proposal.box,
                              pair.calib, CostWeights(c_surface=9.0))
-        thetas = box.as_array() + rng.normal(0.0, 0.4, size=(20, 7))
-        thetas[5] = [-15.0, 0.0, 0.0, 4.0, 2.0, 1.5, 0.0]
-        together = batch.evaluate(thetas)
-        for i in range(len(thetas)):
-            alone = batch.evaluate(thetas[i : i + 1])
-            for name in ("totals", "density", "lshape", "surface", "iou2d"):
-                assert getattr(alone, name)[0] == getattr(together, name)[i], name
-        front = batch.evaluate(np.delete(thetas, 5, axis=0))
-        assert np.array_equal(front.totals, np.delete(together.totals, 5))
+        tile = max(1, costfn._TILE_ELEMS // batch.n_points)
+        assert tile > 10
+        n = 3 * tile + tile // 2
+        thetas = box.as_array() + rng.normal(0.0, 0.4, size=(n, 7))
+        behind = n // 2
+        thetas[behind] = [-15.0, 0.0, 0.0, 4.0, 2.0, 1.5, 0.0]
+        together = self._assert_rows_score_alone(batch, thetas)
+        assert together.iou2d[behind] == 0.0
+        front = batch.evaluate(np.delete(thetas, behind, axis=0))
+        assert np.array_equal(front.totals, np.delete(together.totals, behind))
+
+    def test_one_row_tiles(self):
+        # More points than a tile holds elements: every tile is one row.
+        box = car_box()
+        pair = build_pair(box, seed=8)
+        rng = np.random.default_rng(17)
+        extra = pair.points[rng.integers(0, len(pair.points), costfn._TILE_ELEMS)]
+        pts = np.vstack([pair.points, extra + rng.normal(0.0, 0.05, extra.shape)])
+        batch = BoxCostBatch(pts, pair.scene.ego, pair.proposal.box,
+                             pair.calib, CostWeights(c_surface=9.0))
+        assert batch.n_points > costfn._TILE_ELEMS
+        thetas = box.as_array() + rng.normal(0.0, 0.3, size=(4, 7))
+        thetas[2] = [-15.0, 0.0, 0.0, 4.0, 2.0, 1.5, 0.0]
+        together = self._assert_rows_score_alone(batch, thetas)
+        assert together.density[0] < 0.0
 
     def test_rejects_bad_shapes(self):
         pair = build_pair(car_box(), seed=4)

@@ -290,8 +290,7 @@ class TestGreedy:
         lb, ub = search_bounds(pair.points, CAR_ANCHOR)
         target = 0.5 * (lb + ub) + 0.1
         cost = sphere_cost(target)
-        res = greedy_search(totals_eval(cost), pair.points, CAR_ANCHOR, budget=400,
-                            chunk=37)
+        res = greedy_search(totals_eval(cost), pair.points, CAR_ANCHOR, budget=400)
         counts = grid_axis_counts(400)
         axes = _grid_axes(counts, lb, ub)
         mesh = np.meshgrid(*axes, indexing="ij")
@@ -309,18 +308,19 @@ class TestGreedy:
             return np.zeros(len(thetas))
 
         lb, ub = search_bounds(pair.points, CAR_ANCHOR)
-        res = greedy_search(totals_eval(flat), pair.points, CAR_ANCHOR, budget=128,
-                            chunk=10)
+        res = greedy_search(totals_eval(flat), pair.points, CAR_ANCHOR, budget=128)
         axes = _grid_axes(grid_axis_counts(128), lb, ub)
         mesh = np.meshgrid(*axes, indexing="ij")
         first = np.stack([m.ravel() for m in mesh], axis=1)[0]
         assert np.allclose(res.best_box.as_array(), first, atol=1e-12)
 
     def test_real_cost_deterministic(self):
+        # Independence of the tiling is checked on the kernel itself, in
+        # test_costfn.TestBatchAgainstScalar.test_result_independent_of_batch.
         pair = build_pair(car_box(), seed=26)
         ev = kernel_eval(pair)
         a = greedy_search(ev, pair.points, CAR_ANCHOR, budget=2000)
-        b = greedy_search(ev, pair.points, CAR_ANCHOR, budget=2000, chunk=111)
+        b = greedy_search(ev, pair.points, CAR_ANCHOR, budget=2000)
         assert np.array_equal(a.best_box.as_array(), b.best_box.as_array())
         assert a.best_cost.total == b.best_cost.total
 

@@ -112,6 +112,25 @@ classes:
         with pytest.raises(ValidationError, match=r"classes\[0\]"):
             load_synth_spec(path)
 
+    @pytest.mark.parametrize("text, where", [
+        ("n_frames: 1.5\n", "n_frames"),
+        ("n_cameras: true\n", "n_cameras"),
+        ("classes:\n  - name: car\n    count: 1.5\n", r"classes\[0\]: count"),
+        ("classes:\n  - name: car\n    count: false\n", r"classes\[0\]: count"),
+    ], ids=["n_frames-fraction", "n_cameras-bool", "count-fraction", "count-bool"])
+    def test_fractional_or_boolean_integer_rejected(self, tmp_path, text, where):
+        path = tmp_path / "spec.yaml"
+        path.write_text(text)
+        with pytest.raises(ValidationError, match=where):
+            load_synth_spec(path)
+
+    def test_integral_float_loads_as_int(self, tmp_path):
+        path = tmp_path / "spec.yaml"
+        path.write_text("n_frames: 2.0\nclasses:\n  - name: car\n    count: 3.0\n")
+        spec = load_synth_spec(path)
+        assert spec.n_frames == 2 and type(spec.n_frames) is int
+        assert spec.classes[0].count == 3 and type(spec.classes[0].count) is int
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ValidationError, match="not found"):
             load_synth_spec(tmp_path / "nope.yaml")
