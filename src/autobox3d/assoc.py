@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, as_float, as_int
 from .geom import Box2D, CameraCalib
 from .sceneprep import Cluster, Scene
 
@@ -189,7 +189,8 @@ def load_proposals(path: str | Path) -> list[Proposal2D]:
     Each entry carries ``camera_id``, ``box`` as [u_min, v_min, u_max, v_max],
     ``class``, ``score``, ``mask_pixel_count``, ``crop_w``, ``crop_h``, and an
     optional ``embedding`` list. Malformed entries fail loudly with their
-    array index; embeddings must share one dimension across the file.
+    array index and key: booleans and fractional counts or crop sizes do not
+    load as numbers. Embeddings must share one dimension across the file.
     """
     path = Path(path)
     try:
@@ -207,7 +208,7 @@ def load_proposals(path: str | Path) -> list[Proposal2D]:
             box_vals = entry["box"]
             if not isinstance(box_vals, list) or len(box_vals) != 4:
                 raise ValueError("box must be a list of 4 numbers")
-            box = Box2D(*(float(v) for v in box_vals))
+            box = Box2D(*(as_float(v, "box") for v in box_vals))
             embedding = entry.get("embedding")
             if embedding is not None:
                 embedding = np.asarray(embedding, dtype=float)
@@ -215,10 +216,10 @@ def load_proposals(path: str | Path) -> list[Proposal2D]:
                 box=box,
                 camera_id=str(entry["camera_id"]),
                 class_id=str(entry["class"]),
-                score=float(entry["score"]),
-                mask_pixel_count=int(entry["mask_pixel_count"]),
-                crop_w=int(entry["crop_w"]),
-                crop_h=int(entry["crop_h"]),
+                score=as_float(entry["score"], "score"),
+                mask_pixel_count=as_int(entry["mask_pixel_count"], "mask_pixel_count"),
+                crop_w=as_int(entry["crop_w"], "crop_w"),
+                crop_h=as_int(entry["crop_h"], "crop_h"),
                 embedding=embedding,
                 index=i,
             )

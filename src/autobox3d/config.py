@@ -19,7 +19,7 @@ from pathlib import Path
 import yaml
 
 from .costfn import AnchorRange, CostWeights
-from .errors import ValidationError
+from .errors import ValidationError, as_float, as_int
 from .filters import DEFAULT_TAU_OCC, FilterThresholds
 from .optimizer import SwarmConfig
 
@@ -120,16 +120,11 @@ def _mapping(value, key: str, allowed: set[str] | None = None) -> dict:
 
 
 def _float(value, key: str) -> float:
-    if isinstance(value, bool):
-        raise ValidationError(f"config key {key!r} must be a number, got {value}")
-    return float(value)
+    return as_float(value, f"config key {key!r}")
 
 
 def _int(value, key: str) -> int:
-    """A whole number; booleans and fractions fail instead of truncating."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-        raise ValidationError(f"config key {key!r} must be an integer, got {value}")
-    return int(value)
+    return as_int(value, f"config key {key!r}")
 
 
 def _anchor(cls: str, spec, key: str) -> AnchorRange:

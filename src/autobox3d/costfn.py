@@ -8,8 +8,8 @@ terms, all phrased so that lower is better:
   non-parallel top edges of the box, the visible "L" of the roofline.
 * surface: negated distance from the ego to the box center in the ground
   plane, clipped, which pushes the box toward the visible near surface.
-* iou2d: negated, weighted image IoU between the projected box hull and
-  the 2D proposal rectangle.
+* iou2d: negated, weighted image IoU between the box's near-plane-clipped
+  image hull (``geom.image_hulls``) and the 2D proposal rectangle.
 
 ``BoxCostBatch`` is the one implementation. It scores many candidates at
 once; the swarm search calls it tens of thousands of times per proposal, so
@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geom import BOUNDARY_TOL, Box2D, CameraCalib, EgoPose, _CORNER_SIGNS
+from .geom import BOUNDARY_TOL, Box2D, CameraCalib, EgoPose, image_hulls, rect_ious
 
 # Candidate x point elements per row tile of ``BoxCostBatch.evaluate``: 256 KB
 # per (S, N) float buffer, which stays in L2 cache. A tile costs about 0.2 ms
@@ -171,19 +171,11 @@ class BoxCostBatch:
         self.n_points = len(pts)
         self.ego = ego
         self.proposal = proposal
+        self.calib = calib
         self.weights = weights
         self._px = pts[:, 0][None, :]
         self._py = pts[:, 1][None, :]
         self._pz = pts[:, 2][None, :]
-        self._rot = calib.extrinsic[:3, :3]
-        self._t = calib.extrinsic[:3, 3]
-        k = calib.intrinsic
-        self._fx, self._skew, self._cu = k[0, 0], k[0, 1], k[0, 2]
-        self._fy, self._cv = k[1, 1], k[1, 2]
-        self._k22 = k[2, 2]
-        self._img_w = float(calib.image_width)
-        self._img_h = float(calib.image_height)
-        self._signs = _CORNER_SIGNS
         self._tile = max(1, _TILE_ELEMS // self.n_points)
 
     def evaluate(self, thetas: np.ndarray) -> BatchEval:
@@ -192,7 +184,7 @@ class BoxCostBatch:
         if th.ndim != 2 or th.shape[1] != 7:
             raise ValueError(f"thetas must be (S, 7), got {th.shape}")
         # Tiling changes no bit: each row's arithmetic and row sums are its own,
-        # and the two hull paths of _image_iou agree on rows wholly in front.
+        # and so is its image hull (see ``geom.image_hulls``).
         # Rows spread evenly, so a tile holds one to two tiles' worth.
         n_tiles = len(th) // self._tile
         if n_tiles <= 1:
@@ -251,51 +243,7 @@ class BoxCostBatch:
 
         surface = -np.minimum(np.hypot(cx - self.ego.x, cy - self.ego.y), w.c_surface)
 
-        iou_term = -w.gamma * self._image_iou(cx, cy, cz, bl, bw, bh, cos, sin)
+        iou_term = -w.gamma * rect_ious(image_hulls(th, self.calib)[0], self.proposal)
 
         totals = w.lambda1 * density + w.lambda2 * lshape + w.lambda3 * surface + iou_term
         return totals, density, lshape, surface, iou_term
-
-    def _image_iou(self, cx, cy, cz, bl, bw, bh, cos, sin) -> np.ndarray:
-        """IoU of each candidate's projected hull with the proposal, (S,).
-
-        The hull spans the corners in front of the camera. When every
-        corner of the batch is in front, the common case, the extremes are
-        taken directly; otherwise corners behind the camera are masked out.
-        """
-        sg = self._signs
-        klx = sg[None, :, 0] * bl[:, None]
-        kly = sg[None, :, 1] * bw[:, None]
-        klz = sg[None, :, 2] * bh[:, None]
-        wx = cos[:, None] * klx - sin[:, None] * kly + cx[:, None]
-        wy = sin[:, None] * klx + cos[:, None] * kly + cy[:, None]
-        wz = klz + cz[:, None]
-        r, t = self._rot, self._t
-        camx = r[0, 0] * wx + r[0, 1] * wy + r[0, 2] * wz + t[0]
-        camy = r[1, 0] * wx + r[1, 1] * wy + r[1, 2] * wz + t[1]
-        camz = r[2, 0] * wx + r[2, 1] * wy + r[2, 2] * wz + t[2]
-        valid = camz > 0.0
-        p = self.proposal
-        with np.errstate(divide="ignore", invalid="ignore"):
-            hw = self._k22 * camz
-            u = (self._fx * camx + self._skew * camy + self._cu * camz) / hw
-            v = (self._fy * camy + self._cv * camz) / hw
-            if valid.all():
-                u_lo, u_hi, v_lo, v_hi = u.min(axis=1), u.max(axis=1), v.min(axis=1), v.max(axis=1)
-                enough = True
-            else:
-                u_lo = np.where(valid, u, np.inf).min(axis=1)
-                u_hi = np.where(valid, u, -np.inf).max(axis=1)
-                v_lo = np.where(valid, v, np.inf).min(axis=1)
-                v_hi = np.where(valid, v, -np.inf).max(axis=1)
-                enough = valid.sum(axis=1) >= 2
-            u_min = np.maximum(u_lo, 0.0)
-            u_max = np.minimum(u_hi, self._img_w)
-            v_min = np.maximum(v_lo, 0.0)
-            v_max = np.minimum(v_hi, self._img_h)
-            ok = enough & (u_min < u_max) & (v_min < v_max)
-            iw = np.minimum(u_max, p.u_max) - np.maximum(u_min, p.u_min)
-            ih = np.minimum(v_max, p.v_max) - np.maximum(v_min, p.v_min)
-            inter = np.where((iw > 0.0) & (ih > 0.0), iw * ih, 0.0)
-            union = (u_max - u_min) * (v_max - v_min) + p.area - inter
-            return np.where(ok & (inter > 0.0), inter / union, 0.0)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 from .assoc import Proposal2D
 from .errors import UnknownClassError
-from .geom import Box2D, BoxParams, CameraCalib, iou_2d, project_box_to_2d
+from .geom import Box2D, BoxParams, CameraCalib, image_hulls, rect_ious
 
 # Per-class occlusion thresholds: minimum mask-to-crop area ratio that still
 # counts as unoccluded. Small or thin classes tolerate sparser masks.
@@ -109,12 +109,12 @@ def multiview_filter(
 ) -> bool:
     """True when the fitted box re-projects onto the proposal with enough IoU.
 
-    A box that does not project to a usable hull cannot be checked and fails.
+    The hull and the IoU are the cost kernel's: the near-plane-clipped
+    ``image_hulls`` and ``rect_ious``. A box without a usable hull scores
+    IoU 0 and fails.
     """
-    hull = project_box_to_2d(box, calib)
-    if hull is None:
-        return False
-    return iou_2d(hull, proposal_box) >= thresholds.tau_mv
+    rects, _ = image_hulls(box.as_array()[None], calib)
+    return bool(rect_ious(rects, proposal_box)[0] >= thresholds.tau_mv)
 
 
 def verdict(

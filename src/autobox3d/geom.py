@@ -4,7 +4,8 @@ Conventions, relied on by every module downstream:
 
 * Ego/LiDAR frame: right handed, z up, meters.
 * Camera frame: right handed, +z forward along the optical axis, +x right,
-  +y down. Points at non-positive camera depth do not project.
+  +y down. A box's image hull spans its part at camera depth ``NEAR_DEPTH``
+  or more (``image_hulls``).
 * A 3D box is center (x, y, z), dimensions (l, w, h), and yaw ``ry`` about
   the up axis. At ``ry == 0`` the length axis runs along +x.
 * Corner order is fixed, because ``bev_footprint`` takes corners 0-3 as a
@@ -39,6 +40,21 @@ _CORNER_SIGNS = np.array(
         [+0.5, -0.5, +0.5],
     ]
 )
+
+# Corner index pairs of the 12 box edges, as (2, 12): the bottom ring, the
+# top ring, then the four vertical edges.
+_BOX_EDGES = np.array(
+    [(i, (i + 1) % 4) for i in range(4)]
+    + [(4 + i, 4 + (i + 1) % 4) for i in range(4)]
+    + [(i, i + 4) for i in range(4)]
+).T
+
+# Camera depth, in meters, of the near plane at which image hulls clip the
+# box edges; projections blow up as depth goes to 0. A point nearer than
+# this lands inside the image only within NEAR_DEPTH times the half-width
+# to focal ratio of the optical axis, so the clip loses no visible part of
+# a box in practice.
+NEAR_DEPTH = 1e-2
 
 
 @dataclass(frozen=True)
@@ -189,62 +205,80 @@ def box_corners(box: BoxParams) -> np.ndarray:
     return out
 
 
-def project_points(points: np.ndarray, calib: CameraCalib) -> tuple[np.ndarray, np.ndarray]:
-    """Pinhole-project ego-frame points into one camera.
+def image_hulls(thetas: np.ndarray, calib: CameraCalib) -> tuple[np.ndarray, np.ndarray]:
+    """Image hulls of many boxes at once, (S, 7) thetas -> ((S, 4) rects, (S,) ok).
 
-    Returns ``(uvd, valid)`` where ``uvd`` has shape (N, 3) holding
-    (u, v, depth) and ``valid`` flags points with positive camera depth.
-    Invalid points keep their depth but carry NaN pixel coordinates, so the
-    rows stay aligned with the input.
+    A hull is the bounding rectangle (u_min, v_min, u_max, v_max) of the
+    part of the box at camera depth ``NEAR_DEPTH`` or more, clipped to the
+    image. That part's vertices are the corners in front of the near plane
+    and the points where the box edges cross it, so a box cut by the image
+    plane reaches the image border on its cut side. ``ok`` is False where
+    no part is in front or the clipped hull has no area; those rows hold the
+    empty rectangle (0, 0, 0, 0). Detectors emit axis-aligned rectangles, so
+    the hull is axis-aligned too.
+
+    Each row's arithmetic is elementwise and its own, so a row's hull does
+    not depend on the batch around it.
     """
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != 3:
-        raise ValueError(f"points must be (N, 3), got {pts.shape}")
-    rot = calib.extrinsic[:3, :3]
-    t = calib.extrinsic[:3, 3]
-    cam = pts @ rot.T + t
-    depth = cam[:, 2]
-    valid = depth > 0.0
-    uvd = np.full((pts.shape[0], 3), np.nan)
-    uvd[:, 2] = depth
-    if np.any(valid):
-        proj = cam[valid] @ calib.intrinsic.T
-        uvd[valid, 0] = proj[:, 0] / proj[:, 2]
-        uvd[valid, 1] = proj[:, 1] / proj[:, 2]
-    return uvd, valid
+    th = np.asarray(thetas, dtype=float)
+    # Homogeneous pixel rows (U, V, W) of K [R | t], each (3, 1); W = k22 * depth.
+    a0, a1, a2, a3 = (calib.intrinsic @ calib.extrinsic[:3]).T[:, :, None]
+    cos, sin = np.cos(th[:, 6]), np.sin(th[:, 6])
+    center = a0 * th[:, 0] + a1 * th[:, 1] + a2 * th[:, 2] + a3
+    axis_l = (a0 * cos + a1 * sin) * th[:, 3]
+    axis_w = (a1 * cos - a0 * sin) * th[:, 4]
+    axis_h = a2 * th[:, 5]
+    # Corners as (8, 3, S): center plus three signed axis vectors. Corners
+    # lead, so the extremes below reduce over whole (3, S) blocks.
+    sign_l, sign_w, sign_h = _CORNER_SIGNS.T[:, :, None, None]
+    corners = sign_l * axis_l
+    corners += sign_w * axis_w
+    corners += sign_h * axis_h
+    corners += center
+    w_near = NEAR_DEPTH * calib.intrinsic[2, 2]
+    w = corners[:, 2]
+    front = w >= w_near
+    if front.all():
+        uv = corners[:, :2] / w[:, None]
+        lo, hi = uv.min(axis=0), uv.max(axis=0)
+    else:
+        # Masked extremes over the corners and the near-plane crossings of the
+        # edges; on rows wholly in front they equal the unmasked ones.
+        a, b = corners[_BOX_EDGES[0]], corners[_BOX_EDGES[1]]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = (a[:, 2:] - w_near) / (a[:, 2:] - b[:, 2:])
+            cuts = (a[:, :2] + t * (b[:, :2] - a[:, :2])) / w_near
+            uv = np.concatenate([corners[:, :2] / w[:, None], cuts])
+        keep = np.concatenate([front, front[_BOX_EDGES[0]] != front[_BOX_EDGES[1]]])[:, None]
+        lo = np.where(keep, uv, np.inf).min(axis=0)
+        hi = np.where(keep, uv, -np.inf).max(axis=0)
+    lo = np.maximum(lo, 0.0)
+    hi = np.minimum(hi, [[float(calib.image_width)], [float(calib.image_height)]])
+    ok = (lo < hi).all(axis=0)
+    return np.where(ok, np.concatenate([lo, hi]), 0.0).T, ok
 
 
 def project_box_to_2d(box: BoxParams, calib: CameraCalib) -> Box2D | None:
-    """Axis-aligned image hull of a 3D box, or None when not usefully visible.
+    """Image hull of one box, ``image_hulls`` at S = 1.
 
-    The hull is the bounding rectangle of the corners that project at
-    positive depth, clipped to the image. Returns None when fewer than two
-    corners sit in front of the camera or when the clipped hull has no area.
-    Detectors emit axis-aligned rectangles, so the hull is axis-aligned too.
+    None when no part of the box is in front of the near plane or its hull
+    misses the image. A box cut by the image plane reaches the border.
     """
-    uvd, valid = project_points(box_corners(box), calib)
-    if int(valid.sum()) < 2:
-        return None
-    u = uvd[valid, 0]
-    v = uvd[valid, 1]
-    u_min = max(float(u.min()), 0.0)
-    v_min = max(float(v.min()), 0.0)
-    u_max = min(float(u.max()), float(calib.image_width))
-    v_max = min(float(v.max()), float(calib.image_height))
-    if u_min >= u_max or v_min >= v_max:
-        return None
-    return Box2D(u_min, v_min, u_max, v_max)
+    rects, ok = image_hulls(box.as_array()[None], calib)
+    return Box2D(*rects[0].tolist()) if ok[0] else None
 
 
-def iou_2d(a: Box2D, b: Box2D) -> float:
-    """Intersection-over-union of two axis-aligned rectangles, in [0, 1]."""
-    iw = min(a.u_max, b.u_max) - max(a.u_min, b.u_min)
-    ih = min(a.v_max, b.v_max) - max(a.v_min, b.v_min)
-    if iw <= 0.0 or ih <= 0.0:
-        return 0.0
-    inter = iw * ih
-    union = a.area + b.area - inter
-    return inter / union
+def rect_ious(rects: np.ndarray, box: Box2D) -> np.ndarray:
+    """IoU of each (u_min, v_min, u_max, v_max) row of ``rects`` with ``box``.
+
+    An empty rectangle, as ``image_hulls`` returns for a row that is not ok,
+    scores 0.
+    """
+    iw = np.minimum(rects[:, 2], box.u_max) - np.maximum(rects[:, 0], box.u_min)
+    ih = np.minimum(rects[:, 3], box.v_max) - np.maximum(rects[:, 1], box.v_min)
+    inter = np.where((iw > 0.0) & (ih > 0.0), iw * ih, 0.0)
+    union = (rects[:, 2] - rects[:, 0]) * (rects[:, 3] - rects[:, 1]) + box.area - inter
+    return np.where(inter > 0.0, inter / union, 0.0)
 
 
 def bev_footprint(box: BoxParams) -> np.ndarray:

@@ -20,7 +20,7 @@ import yaml
 
 from .config import default_anchors
 from .costfn import AnchorRange
-from .errors import ValidationError
+from .errors import ValidationError, as_int
 from .geom import BoxParams, CameraCalib, EgoPose, project_box_to_2d, rotation_z
 from .sceneprep import save_cloud
 
@@ -125,9 +125,7 @@ def _from_mapping(cls, entry, where: str):
     kwargs = dict(entry)
     for key, v in entry.items():
         if types[key] == "int" and isinstance(v, (bool, float)):
-            if isinstance(v, bool) or not v.is_integer():
-                raise ValidationError(f"{where}: {key} must be an integer, got {v!r}")
-            kwargs[key] = int(v)
+            kwargs[key] = as_int(v, f"{where}: {key}")
     try:
         return cls(**kwargs)
     except TypeError as exc:

@@ -2,9 +2,11 @@
 
 This is the scalar scorer that ``costfn.BoxCostBatch`` replaced: a
 containment mask per box, the ego-nearest top edges chosen by midpoint
-distance, and point-to-segment distances clamped to the segment ends. It
-shares no edge-selection or distance code with the kernel, so agreement
-between the two is an independent check.
+distance, and point-to-segment distances clamped to the segment ends. Its
+image hull, ``reference_hull``, projects the front corners one point at a
+time and finds the near-plane crossings of the box edges in a Python loop.
+It shares no edge-selection, distance or projection code with the kernel,
+so agreement between the two is an independent check.
 """
 
 import math
@@ -18,9 +20,8 @@ from autobox3d.geom import (
     BoxParams,
     CameraCalib,
     EgoPose,
+    NEAR_DEPTH,
     box_corners,
-    iou_2d,
-    project_box_to_2d,
 )
 
 # Corner index pairs of the four top-face edges, grouped by direction: one
@@ -30,6 +31,76 @@ from autobox3d.geom import (
 # as a sign test on the query position.
 TOP_EDGES_ALONG_LENGTH = ((6, 7), (4, 5))
 TOP_EDGES_ALONG_WIDTH = ((5, 6), (7, 4))
+
+# Corner index pairs of all 12 box edges: bottom ring, top ring, verticals.
+BOX_EDGES = (
+    (0, 1), (1, 2), (2, 3), (3, 0),
+    (4, 5), (5, 6), (6, 7), (7, 4),
+    (0, 4), (1, 5), (2, 6), (3, 7),
+)
+
+
+def project_points(points: np.ndarray, calib: CameraCalib) -> tuple[np.ndarray, np.ndarray]:
+    """Pinhole-project ego-frame points into one camera.
+
+    Returns ``(uvd, valid)`` where ``uvd`` has shape (N, 3) holding
+    (u, v, depth) and ``valid`` flags points with positive camera depth.
+    Invalid points keep their depth but carry NaN pixel coordinates, so the
+    rows stay aligned with the input.
+    """
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim != 2 or pts.shape[1] != 3:
+        raise ValueError(f"points must be (N, 3), got {pts.shape}")
+    rot = calib.extrinsic[:3, :3]
+    t = calib.extrinsic[:3, 3]
+    cam = pts @ rot.T + t
+    depth = cam[:, 2]
+    valid = depth > 0.0
+    uvd = np.full((pts.shape[0], 3), np.nan)
+    uvd[:, 2] = depth
+    if np.any(valid):
+        proj = cam[valid] @ calib.intrinsic.T
+        uvd[valid, 0] = proj[:, 0] / proj[:, 2]
+        uvd[valid, 1] = proj[:, 1] / proj[:, 2]
+    return uvd, valid
+
+
+def iou_2d(a: Box2D, b: Box2D) -> float:
+    """Intersection-over-union of two axis-aligned rectangles, in [0, 1]."""
+    iw = min(a.u_max, b.u_max) - max(a.u_min, b.u_min)
+    ih = min(a.v_max, b.v_max) - max(a.v_min, b.v_min)
+    if iw <= 0.0 or ih <= 0.0:
+        return 0.0
+    inter = iw * ih
+    union = a.area + b.area - inter
+    return inter / union
+
+
+def reference_hull(box: BoxParams, calib: CameraCalib) -> Box2D | None:
+    """Image hull of the box part at depth ``NEAR_DEPTH`` or more, one point at a time.
+
+    The hull spans the corners in front of the near plane and, for every
+    edge with one end on each side, the point where the edge crosses it,
+    clipped to the image. None when nothing is in front or the clipped hull
+    has no area.
+    """
+    corners = box_corners(box)
+    depth = project_points(corners, calib)[0][:, 2]
+    hull_pts = [c for c, d in zip(corners, depth) if d >= NEAR_DEPTH]
+    for i, j in BOX_EDGES:
+        if (depth[i] >= NEAR_DEPTH) != (depth[j] >= NEAR_DEPTH):
+            t = (depth[i] - NEAR_DEPTH) / (depth[i] - depth[j])
+            hull_pts.append(corners[i] + t * (corners[j] - corners[i]))
+    if not hull_pts:
+        return None
+    uv = project_points(np.array(hull_pts), calib)[0][:, :2]
+    u_min = max(float(uv[:, 0].min()), 0.0)
+    v_min = max(float(uv[:, 1].min()), 0.0)
+    u_max = min(float(uv[:, 0].max()), float(calib.image_width))
+    v_max = min(float(uv[:, 1].max()), float(calib.image_height))
+    if u_min >= u_max or v_min >= v_max:
+        return None
+    return Box2D(u_min, v_min, u_max, v_max)
 
 
 def points_in_box(points: np.ndarray, box: BoxParams, tol: float = BOUNDARY_TOL) -> np.ndarray:
@@ -118,7 +189,7 @@ def reference_cost(
     else:
         lshape = 0.0
     surface = -min(math.hypot(box.x - ego.x, box.y - ego.y), weights.c_surface)
-    hull = project_box_to_2d(box, calib)
+    hull = reference_hull(box, calib)
     iou_term = 0.0 if hull is None else -weights.gamma * iou_2d(hull, proposal)
     total = (
         weights.lambda1 * density

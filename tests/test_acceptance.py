@@ -25,7 +25,6 @@ from autobox3d.geom import (
     box_corners,
     iou_bev,
     project_box_to_2d,
-    project_points,
     rotation_z,
 )
 from autobox3d.assoc import Proposal2D
@@ -33,7 +32,7 @@ from autobox3d.optimizer import SwarmConfig, grid_axis_counts, inertia_at, pso_s
 from autobox3d.pipeline import nms, run_annotate
 from autobox3d.synth import SynthClassSpec, SynthSpec, generate
 
-from _costfn_reference import points_in_box
+from _costfn_reference import points_in_box, project_points
 from _util import CAR_ANCHOR, build_pair, car_box, score_box, simple_calib, totals_eval
 
 BUDGET_FULL = 150000

@@ -20,6 +20,7 @@ from autobox3d.errors import ValidationError
 from autobox3d.geom import Box2D, CameraCalib, EgoPose
 from autobox3d.sceneprep import Cluster, Scene
 
+from _costfn_reference import project_points
 from _util import simple_calib
 
 
@@ -60,8 +61,6 @@ class TestUnproject:
         assert np.allclose(ray.direction, expect / np.linalg.norm(expect))
 
     def test_projection_inverts_unprojection(self):
-        from autobox3d.geom import project_points
-
         calib = simple_calib()
         for u, v in ((12.5, 80.0), (3.0, 3.0), (99.0, 41.0)):
             ray = unproject_pixel(u, v, calib)
@@ -293,3 +292,25 @@ class TestLoadProposals:
         path.write_text(json.dumps([self._entry(), self._entry(score=1.5)]))
         with pytest.raises(ValidationError, match="proposal 1"):
             load_proposals(path)
+
+    @pytest.mark.parametrize("key, value, kind", [
+        ("mask_pixel_count", 100.9, "an integer"),
+        ("crop_w", 40.7, "an integer"),
+        ("crop_h", True, "an integer"),
+        ("score", True, "a number"),
+        ("box", [10.0, 10.0, True, 30.0], "a number"),
+    ])
+    def test_fractional_or_boolean_value_names_key(self, tmp_path, key, value, kind):
+        # Truncating would load a 40.7 x true crop as 40 x 1 and then fail
+        # on the mask count, far from the cause.
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps([self._entry(), self._entry(**{key: value})]))
+        with pytest.raises(ValidationError, match=f"proposal 1: {key} must be {kind}"):
+            load_proposals(path)
+
+    def test_integral_float_counts_load_as_int(self, tmp_path):
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps([self._entry(mask_pixel_count=50.0, crop_w=10.0)]))
+        prop = load_proposals(path)[0]
+        assert (prop.mask_pixel_count, prop.crop_w) == (50, 10)
+        assert isinstance(prop.crop_w, int)

@@ -110,6 +110,22 @@ class TestAnnotate:
         assert "empty cloud" in capsys.readouterr().err
 
 
+    def test_fractional_crop_exits_2(self, workdir, tmp_path, capsys):
+        scenes = tmp_path / "scenes"
+        scenes.mkdir()
+        for path in (workdir / "scenes").glob("0000.*"):
+            shutil.copy(path, scenes / path.name)
+        props_path = scenes / "0000.proposals.json"
+        props = json.loads(props_path.read_text())
+        props[0].update(crop_w=40.7, crop_h=True, mask_pixel_count=100.9)
+        props_path.write_text(json.dumps(props))
+        cfg = tmp_path / "c.yaml"
+        cfg.write_text(f"paths:\n  scenes: {scenes}\n  output: {tmp_path / 'out'}\n")
+        assert main(["annotate", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "proposal 0: mask_pixel_count must be an integer, got 100.9" in err
+
+
 class TestFitBox:
     def test_prints_box_json(self, workdir, capsys):
         code = main([

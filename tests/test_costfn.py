@@ -225,6 +225,12 @@ class TestImageIou:
         w = CostWeights(gamma=7.0)
         assert self.iou_term(self.VISIBLE, self.HULL, w) == pytest.approx(-7.0, abs=1e-9)
 
+    def test_box_cut_by_image_plane_fills_image(self):
+        # Half of this box lies behind the camera; its hull is the whole image.
+        cut = BoxParams(0.5, 0.0, 0.5, 2.0, 1.0, 2.0, 0.0)
+        full = Box2D(0.0, 0.0, 100.0, 100.0)
+        assert self.iou_term(cut, full) == -CostWeights().gamma
+
 
 class TestTotal:
     def test_composition(self):
@@ -363,9 +369,9 @@ class TestBatchAgainstScalar:
 
     def test_result_independent_of_batch(self):
         # The batch spans three row tiles. One candidate behind the camera
-        # sends the middle tile down the masked hull path while the other
-        # tiles take the direct one; every candidate must still score, bit
-        # for bit, as it does alone.
+        # and one cut by the image plane send the middle tile down the masked
+        # hull path while the other tiles take the direct one; every
+        # candidate must still score, bit for bit, as it does alone.
         rng = np.random.default_rng(15)
         box = car_box()
         pair = build_pair(box, seed=7)
@@ -377,10 +383,16 @@ class TestBatchAgainstScalar:
         thetas = box.as_array() + rng.normal(0.0, 0.4, size=(n, 7))
         behind = n // 2
         thetas[behind] = [-15.0, 0.0, 0.0, 4.0, 2.0, 1.5, 0.0]
+        cut = behind + 1
+        thetas[cut] = [1.0, 0.0, -1.0, 4.0, 2.0, 1.5, 0.0]
+        ext = pair.calib.extrinsic
+        depth = box_corners(BoxParams.from_array(thetas[cut])) @ ext[2, :3] + ext[2, 3]
+        assert depth.min() < 0.0 < depth.max()
         together = self._assert_rows_score_alone(batch, thetas)
         assert together.iou2d[behind] == 0.0
-        front = batch.evaluate(np.delete(thetas, behind, axis=0))
-        assert np.array_equal(front.totals, np.delete(together.totals, behind))
+        assert together.iou2d[cut] < 0.0
+        front = batch.evaluate(np.delete(thetas, [behind, cut], axis=0))
+        assert np.array_equal(front.totals, np.delete(together.totals, [behind, cut]))
 
     def test_one_row_tiles(self):
         # More points than a tile holds elements: every tile is one row.

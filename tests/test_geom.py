@@ -7,20 +7,21 @@ import pytest
 
 from autobox3d.geom import (
     BOUNDARY_TOL,
+    NEAR_DEPTH,
     Box2D,
     BoxParams,
     CameraCalib,
     bev_footprint,
     box_corners,
     convex_intersection_area,
-    iou_2d,
+    image_hulls,
     iou_bev,
     project_box_to_2d,
-    project_points,
     rotation_z,
 )
+from autobox3d.synth import make_camera
 
-from _costfn_reference import points_in_box
+from _costfn_reference import iou_2d, points_in_box, project_points, reference_hull
 from _util import random_box, score_box, simple_calib
 
 SQ2 = math.sqrt(2.0)
@@ -183,6 +184,82 @@ class TestProjection:
     def test_box_behind_camera_is_none(self):
         calib = simple_calib()
         assert project_box_to_2d(BoxParams(0.0, 0.0, -5.0, 2.0, 2.0, 2.0, 0.0), calib) is None
+
+    def test_box_cut_by_image_plane_fills_image(self):
+        # Half of this box lies behind the camera. Its part in front reaches
+        # past every image border, so the hull is the whole image; the front
+        # corners alone give only [16.7, 100] x [16.7, 83.3].
+        box = BoxParams(0.5, 0.0, 0.5, 2.0, 1.0, 2.0, 0.0)
+        assert project_box_to_2d(box, simple_calib()) == Box2D(0.0, 0.0, 100.0, 100.0)
+
+
+class TestImageHulls:
+    """``image_hulls`` against sampled interiors and the scalar reference."""
+
+    CAMERAS = (
+        simple_calib(),
+        make_camera("cam1", 0.7, 400.0, 640, 480, center=(0.3, -0.2, 0.5)),
+    )
+
+    @staticmethod
+    def _boxes(rng, calib, n):
+        # Box centers at camera depth -1 to 6 m, so many boxes are cut by
+        # the image plane.
+        rot = calib.extrinsic[:3, :3]
+        t = calib.extrinsic[:3, 3]
+        out = []
+        for _ in range(n):
+            cam = rng.uniform([-2.0, -2.0, -1.0], [2.0, 2.0, 6.0])
+            center = rot.T @ (cam - t)
+            dims = rng.uniform(0.3, 4.5, size=3)
+            out.append(BoxParams(*center, *dims, rng.uniform(0.0, math.pi)))
+        return out
+
+    @pytest.mark.parametrize("cam", range(len(CAMERAS)))
+    def test_interior_points_project_inside(self, cam):
+        calib = self.CAMERAS[cam]
+        size = np.array([calib.image_width, calib.image_height], dtype=float)
+        rng = np.random.default_rng(40 + cam)
+        cut = 0
+        for box in self._boxes(rng, calib, 150):
+            local = rng.uniform(-0.5, 0.5, size=(400, 3)) * box.dims
+            c, s = math.cos(box.ry), math.sin(box.ry)
+            pts = np.column_stack([
+                box.x + c * local[:, 0] - s * local[:, 1],
+                box.y + s * local[:, 0] + c * local[:, 1],
+                box.z + local[:, 2],
+            ])
+            uvd, _ = project_points(pts, calib)
+            front = uvd[:, 2] >= NEAR_DEPTH
+            cut += bool(front.any() and not front.all())
+            uv = np.clip(uvd[front, :2], 0.0, size)
+            hull = project_box_to_2d(box, calib)
+            if hull is None:
+                inside = (uv > 1e-6).all(axis=1) & (uv < size - 1e-6).all(axis=1)
+                assert not inside.any()
+                continue
+            assert (uv[:, 0] >= hull.u_min - 1e-6).all() and (uv[:, 0] <= hull.u_max + 1e-6).all()
+            assert (uv[:, 1] >= hull.v_min - 1e-6).all() and (uv[:, 1] <= hull.v_max + 1e-6).all()
+        assert cut > 30
+
+    @pytest.mark.parametrize("cam", range(len(CAMERAS)))
+    def test_matches_reference(self, cam):
+        # Wholly in front or cut by the image plane, a hull matches the
+        # scalar reference to 1e-9.
+        calib = self.CAMERAS[cam]
+        boxes = self._boxes(np.random.default_rng(50 + cam), calib, 300)
+        rects, ok = image_hulls(np.array([b.as_array() for b in boxes]), calib)
+        kinds = []
+        for box, rect, row_ok in zip(boxes, rects, ok):
+            ref = reference_hull(box, calib)
+            assert (ref is not None) == row_ok
+            if ref is None:
+                assert (rect == 0.0).all()
+                continue
+            expect = (ref.u_min, ref.v_min, ref.u_max, ref.v_max)
+            assert tuple(rect) == pytest.approx(expect, rel=1e-9, abs=1e-9)
+            kinds.append((project_points(box_corners(box), calib)[0][:, 2] >= NEAR_DEPTH).all())
+        assert sum(kinds) > 30 and len(kinds) - sum(kinds) > 30
 
 
 class TestBox2D:

@@ -328,10 +328,12 @@ class TestGreedy:
 class TestPinnedResults:
     """Exact results of short searches, as ``float.hex``.
 
-    The batched kernel is meant to change only in speed, never in a bit of
-    its output, so these values may move only with a deliberate change to
-    the cost arithmetic. They follow numpy's float64 sin, cos and sqrt, so
-    a numpy build with different libm rounding may need them re-recorded.
+    Any change to a bit of the cost shows here, so these values move only
+    in a change whose stated purpose is the cost arithmetic, and CHANGES.md
+    lists each old and new value with the quality numbers before and after.
+    The shared near-plane-clipped image hull last moved both totals, in the
+    last bits. They follow numpy's float64 sin, cos and sqrt, so a numpy
+    build with different libm rounding may need them re-recorded.
     """
 
     PAIR_BOX = dict(dist=14.0, azimuth=-0.3, ry=1.1)
@@ -346,7 +348,7 @@ class TestPinnedResults:
         ev = kernel_eval(pair, self.WEIGHTS)
         res = pso_search(ev, pair.points, pair.ray, CAR_ANCHOR, cfg)
         assert res.evaluations == 2000
-        assert res.best_cost.total.hex() == "-0x1.3bc525375cce1p+4"
+        assert res.best_cost.total.hex() == "-0x1.3bc525375cce3p+4"
         assert [float(v).hex() for v in res.best_box.as_array()] == [
             "0x1.a3abcce63a093p+3", "-0x1.24a1088c6b907p+2", "-0x1.a445294aa7138p-1",
             "0x1.34dc6bb7a472bp+2", "0x1.eeaab0ac1a8e8p+0", "0x1.84b15b3f123aep+0",
@@ -358,7 +360,7 @@ class TestPinnedResults:
         ev = kernel_eval(pair, self.WEIGHTS)
         res = greedy_search(ev, pair.points, CAR_ANCHOR, budget=5000)
         assert res.evaluations == 4860
-        assert res.best_cost.total.hex() == "-0x1.1a49de296d650p+4"
+        assert res.best_cost.total.hex() == "-0x1.1a49de296d651p+4"
         assert [float(v).hex() for v in res.best_box.as_array()] == [
             "0x1.a7a09e568b36ep+3", "-0x1.60ffedcedbadep+2", "-0x1.97b7079773bc8p-1",
             "0x1.5333333333333p+2", "0x1.0cccccccccccdp+1", "0x1.6666666666666p+0",

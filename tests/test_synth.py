@@ -11,7 +11,6 @@ from autobox3d.geom import (
     BoxParams,
     EgoPose,
     project_box_to_2d,
-    project_points,
 )
 from autobox3d.sceneprep import clusters_from_labels, load_point_labels, load_scene
 from autobox3d.synth import (
@@ -25,7 +24,7 @@ from autobox3d.synth import (
     sample_box_surface,
 )
 
-from _costfn_reference import points_in_box
+from _costfn_reference import points_in_box, project_points
 
 
 SMALL_SPEC = SynthSpec(
