@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ValidationError, as_float, as_int
+from .errors import ValidationError, as_float, as_floats, as_int, as_str, reading
 from .geom import Box2D, CameraCalib
 from .sceneprep import Cluster, Scene
 
@@ -189,8 +189,8 @@ def load_proposals(path: str | Path) -> list[Proposal2D]:
     Each entry carries ``camera_id``, ``box`` as [u_min, v_min, u_max, v_max],
     ``class``, ``score``, ``mask_pixel_count``, ``crop_w``, ``crop_h``, and an
     optional ``embedding`` list. Malformed entries fail loudly with their
-    array index and key: booleans and fractional counts or crop sizes do not
-    load as numbers. Embeddings must share one dimension across the file.
+    array index and key, under the field rule of ``errors``. Embeddings must
+    share one dimension across the file.
     """
     path = Path(path)
     try:
@@ -202,37 +202,26 @@ def load_proposals(path: str | Path) -> list[Proposal2D]:
     out: list[Proposal2D] = []
     embed_dim: int | None = None
     for i, entry in enumerate(raw):
-        try:
+        with reading(f"{path}: proposal {i}"):
             if not isinstance(entry, dict):
                 raise ValueError("entry is not an object")
-            box_vals = entry["box"]
-            if not isinstance(box_vals, list) or len(box_vals) != 4:
-                raise ValueError("box must be a list of 4 numbers")
-            box = Box2D(*(as_float(v, "box") for v in box_vals))
             embedding = entry.get("embedding")
-            if embedding is not None:
-                embedding = np.asarray(embedding, dtype=float)
             prop = Proposal2D(
-                box=box,
-                camera_id=str(entry["camera_id"]),
-                class_id=str(entry["class"]),
+                box=Box2D(*as_floats(entry["box"], "box", (4,)).tolist()),
+                camera_id=as_str(entry["camera_id"], "camera_id"),
+                class_id=as_str(entry["class"], "class"),
                 score=as_float(entry["score"], "score"),
                 mask_pixel_count=as_int(entry["mask_pixel_count"], "mask_pixel_count"),
                 crop_w=as_int(entry["crop_w"], "crop_w"),
                 crop_h=as_int(entry["crop_h"], "crop_h"),
-                embedding=embedding,
+                embedding=None if embedding is None else as_floats(embedding, "embedding", (None,)),
                 index=i,
             )
-        except (KeyError, TypeError, ValueError) as exc:
-            detail = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
-            raise ValidationError(f"{path}: proposal {i}: {detail}") from exc
-        if prop.embedding is not None:
-            if embed_dim is None:
-                embed_dim = len(prop.embedding)
-            elif len(prop.embedding) != embed_dim:
-                raise ValidationError(
-                    f"{path}: proposal {i}: embedding dimension {len(prop.embedding)} "
-                    f"differs from earlier {embed_dim}"
-                )
+            if prop.embedding is not None:
+                embed_dim = embed_dim or len(prop.embedding)
+                if len(prop.embedding) != embed_dim:
+                    raise ValueError(
+                        f"embedding dimension {len(prop.embedding)} differs from earlier {embed_dim}"
+                    )
         out.append(prop)
     return out

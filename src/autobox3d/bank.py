@@ -8,19 +8,20 @@ for reproducibility checks and is asserted in the acceptance suite.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Iterator, NamedTuple
+from typing import Iterator
 
 import numpy as np
 
 from .costfn import CostBreakdown
-from .errors import ValidationError
+from .errors import as_bool, as_floats, as_str, from_mapping, reading
 from .filters import AlignmentVerdict
 from .geom import BoxParams
 
 
-class Provenance(NamedTuple):
+@dataclass(frozen=True)
+class Provenance:
     """Where a target came from: frame, camera, and proposal index."""
 
     frame: str
@@ -65,85 +66,49 @@ class NovelObjectBank:
 
 
 def _target_to_obj(frame_id: str, t: NovelObjectTarget) -> dict:
-    obj = {
+    embedding = {} if t.embedding is None else {"embedding": t.embedding.tolist()}
+    return {
         "frame": frame_id,
-        "box": {
-            "x": t.box.x, "y": t.box.y, "z": t.box.z,
-            "l": t.box.l, "w": t.box.w, "h": t.box.h, "ry": t.box.ry,
-        },
+        "box": asdict(t.box),
         "class": t.class_id,
-        "cost": {
-            "density": t.cost.density,
-            "lshape": t.cost.lshape,
-            "surface": t.cost.surface,
-            "iou2d": t.cost.iou2d,
-            "total": t.cost.total,
-        },
+        "cost": asdict(t.cost),
         "fit_for_alignment": bool(t.fit_for_alignment),
+        **embedding,
+        "provenance": asdict(t.provenance),
     }
-    if t.embedding is not None:
-        obj["embedding"] = [float(v) for v in t.embedding]
-    obj["provenance"] = {
-        "frame": t.provenance.frame,
-        "camera": t.provenance.camera,
-        "proposal": t.provenance.proposal,
-    }
-    return obj
 
 
 def write_bank(bank: NovelObjectBank, path: str | Path) -> None:
     """Write one JSON object per line, frames in sorted order."""
-    path = Path(path)
-    lines = []
-    for frame_id in sorted(bank.frames):
-        for t in bank.frames[frame_id]:
-            lines.append(json.dumps(_target_to_obj(frame_id, t), separators=(",", ":")))
-    path.write_text("".join(line + "\n" for line in lines))
+    Path(path).write_text("".join(
+        json.dumps(_target_to_obj(frame_id, t), separators=(",", ":")) + "\n"
+        for frame_id in sorted(bank.frames) for t in bank.frames[frame_id]
+    ))
 
 
 def _parse_target(obj: dict) -> tuple[str, NovelObjectTarget]:
-    frame = str(obj["frame"])
-    b = obj["box"]
-    box = BoxParams(
-        float(b["x"]), float(b["y"]), float(b["z"]),
-        float(b["l"]), float(b["w"]), float(b["h"]), float(b["ry"]),
-    )
-    c = obj["cost"]
-    cost = CostBreakdown(
-        float(c["density"]), float(c["lshape"]), float(c["surface"]),
-        float(c["iou2d"]), float(c["total"]),
-    )
-    p = obj["provenance"]
-    provenance = Provenance(str(p["frame"]), str(p["camera"]), int(p["proposal"]))
     embedding = obj.get("embedding")
-    if embedding is not None:
-        embedding = np.asarray(embedding, dtype=float)
-    return frame, NovelObjectTarget(
-        box=box,
-        class_id=str(obj["class"]),
-        cost=cost,
-        fit_for_alignment=bool(obj["fit_for_alignment"]),
-        provenance=provenance,
-        embedding=embedding,
+    return as_str(obj["frame"], "frame"), NovelObjectTarget(
+        box=from_mapping(BoxParams, obj["box"], "box"),
+        class_id=as_str(obj["class"], "class"),
+        cost=from_mapping(CostBreakdown, obj["cost"], "cost"),
+        fit_for_alignment=as_bool(obj["fit_for_alignment"], "fit_for_alignment"),
+        provenance=from_mapping(Provenance, obj["provenance"], "provenance"),
+        embedding=None if embedding is None else as_floats(embedding, "embedding", (None,)),
     )
 
 
 def read_bank(path: str | Path) -> NovelObjectBank:
     """Read a JSONL bank back; malformed lines fail with their line number."""
-    path = Path(path)
     frames: dict[str, list[NovelObjectTarget]] = {}
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
+            if not line.strip():
                 continue
-            try:
+            with reading(f"{path}: line {lineno}"):
                 obj = json.loads(line)
                 if not isinstance(obj, dict):
                     raise ValueError("line is not a JSON object")
                 frame, target = _parse_target(obj)
-            except (KeyError, TypeError, ValueError) as exc:
-                detail = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
-                raise ValidationError(f"{path}: line {lineno}: {detail}") from exc
             frames.setdefault(frame, []).append(target)
     return NovelObjectBank(frames)

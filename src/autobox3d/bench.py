@@ -15,14 +15,11 @@ from pathlib import Path
 
 from .assoc import CrossModalProposal, load_proposals, ray_pair
 from .config import PipelineConfig
-from .errors import ValidationError
+from .errors import ValidationError, as_index, as_str, from_mapping, reading
 from .geom import BoxParams, iou_bev
 from .optimizer import greedy_search, pso_search
-from .pipeline import derive_pair_seed, discover_frames, fit_setup
+from .pipeline import check_classes, derive_pair_seed, discover_frames, fit_setup
 from .sceneprep import clusters_from_labels, load_point_labels, load_scene
-
-
-_BOX_KEYS = ("x", "y", "z", "l", "w", "h", "ry")
 
 
 @dataclass(eq=False)
@@ -45,59 +42,32 @@ def load_bench_instances(config: PipelineConfig) -> list[BenchInstance]:
     for frame_id in discover_frames(config.scenes_dir):
         gt_path = config.scenes_dir / f"{frame_id}.gt.json"
         labels_path = config.scenes_dir / f"{frame_id}.ptlabels.txt"
-        if not gt_path.exists():
-            raise ValidationError(f"frame {frame_id}: benchmark needs {gt_path.name}")
-        if not labels_path.exists():
-            raise ValidationError(f"frame {frame_id}: benchmark needs {labels_path.name}")
+        for sidecar in (gt_path, labels_path):
+            if not sidecar.exists():
+                raise ValidationError(f"frame {frame_id}: benchmark needs {sidecar.name}")
         scene = load_scene(config.scenes_dir, frame_id)
         labels = load_point_labels(labels_path, len(scene.cloud))
         clusters = clusters_from_labels(scene.cloud, labels)
         proposals = load_proposals(config.scenes_dir / f"{frame_id}.proposals.json")
-        try:
-            gt = json.loads(gt_path.read_text())
-            entries = gt["instances"]
-        except (json.JSONDecodeError, KeyError, TypeError) as exc:
-            raise ValidationError(f"{gt_path}: {exc}") from exc
+        check_classes(proposals, config)
+        with reading(gt_path):
+            entries = json.loads(gt_path.read_text())["instances"]
         if len(entries) != len(clusters):
             raise ValidationError(
                 f"frame {frame_id}: {len(entries)} ground-truth instances but "
                 f"{len(clusters)} labeled clusters"
             )
         for k, entry in enumerate(entries):
-            try:
-                gt_box, prop_index, class_id = _gt_instance(entry, len(proposals))
-            except (KeyError, TypeError, ValueError) as exc:
-                detail = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
-                raise ValidationError(
-                    f"frame {frame_id}: ground-truth instance {k}: {detail}"
-                ) from exc
+            with reading(f"frame {frame_id}: ground-truth instance {k}"):
+                if not isinstance(entry, dict):
+                    raise ValueError("entry is not an object")
+                gt_box = from_mapping(BoxParams, entry["box"], "box")
+                prop_index = as_index(entry["proposal_index"], len(proposals), "proposal_index")
+                class_id = as_str(entry["class"], "class")
+                key = as_str(entry.get("id", f"{frame_id}:{k}"), "id")
             pair, _ = ray_pair(proposals[prop_index], clusters[k], scene)
-            instances.append(
-                BenchInstance(
-                    key=str(entry.get("id", f"{frame_id}:{k}")),
-                    class_id=class_id,
-                    pair=pair,
-                    gt_box=gt_box,
-                )
-            )
+            instances.append(BenchInstance(key, class_id, pair, gt_box))
     return instances
-
-
-def _gt_instance(entry: dict, n_proposals: int) -> tuple[BoxParams, int, str]:
-    """True box, proposal index and class of one ``gt.json`` instance."""
-    if not isinstance(entry, dict):
-        raise ValueError("entry is not an object")
-    box = entry["box"]
-    vals = [box[key] for key in _BOX_KEYS]
-    for key, v in zip(_BOX_KEYS, vals):
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise ValueError(f"box {key} must be a number, got {v!r}")
-    index = entry["proposal_index"]
-    if isinstance(index, bool) or not isinstance(index, int) or not 0 <= index < n_proposals:
-        raise ValueError(
-            f"proposal_index must be an integer in [0, {n_proposals}), got {index!r}"
-        )
-    return BoxParams(*(float(v) for v in vals)), index, str(entry["class"])
 
 
 def run_bench(

@@ -12,6 +12,7 @@ import hashlib
 import json
 import math
 from collections import namedtuple
+from contextlib import suppress
 from dataclasses import dataclass, field, replace
 from functools import reduce
 from pathlib import Path
@@ -19,7 +20,7 @@ from pathlib import Path
 import yaml
 
 from .costfn import AnchorRange, CostWeights
-from .errors import ValidationError, as_float, as_int
+from .errors import ValidationError, as_float, as_int, as_str, reading
 from .filters import DEFAULT_TAU_OCC, FilterThresholds
 from .optimizer import SwarmConfig
 
@@ -105,7 +106,7 @@ class PipelineConfig:
             raise ValidationError(f"nms_iou must be in [0, 1), got {self.nms_iou}")
         if not self.bench_budgets or any(b < 1 for b in self.bench_budgets):
             raise ValidationError("bench budgets must be positive")
-        self.bench_budgets = tuple(int(b) for b in self.bench_budgets)
+        self.bench_budgets = tuple(as_int(b, "bench budget") for b in self.bench_budgets)
 
 
 def _mapping(value, key: str, allowed: set[str] | None = None) -> dict:
@@ -119,12 +120,25 @@ def _mapping(value, key: str, allowed: set[str] | None = None) -> dict:
     return value
 
 
+def _yaml_number(value):
+    """A string that spells a number as that number (PyYAML reads ``1e3`` as a string)."""
+    if isinstance(value, str):
+        for parse in (int, float):
+            with suppress(ValueError):
+                return parse(value)
+    return value
+
+
 def _float(value, key: str) -> float:
-    return as_float(value, f"config key {key!r}")
+    return as_float(_yaml_number(value), f"config key {key!r}")
 
 
 def _int(value, key: str) -> int:
-    return as_int(value, f"config key {key!r}")
+    return as_int(_yaml_number(value), f"config key {key!r}")
+
+
+def _str(value, key: str) -> str:
+    return as_str(value, f"config key {key!r}")
 
 
 def _anchor(cls: str, spec, key: str) -> AnchorRange:
@@ -140,7 +154,8 @@ def _anchor(cls: str, spec, key: str) -> AnchorRange:
 def _merged(table: dict, value, key: str, parse_entry) -> dict:
     """A class table: the file's entries merge over the defaults in ``table``."""
     for cls, spec in _mapping(value, key).items():
-        table[str(cls)] = parse_entry(str(cls), spec, f"{key}.{cls}")
+        name = as_str(cls, f"a class name under config key {key!r}")
+        table[name] = parse_entry(name, spec, f"{key}.{cls}")
     return table
 
 
@@ -157,8 +172,8 @@ ConfigKey = namedtuple("ConfigKey", "key attr parse dump", defaults=(_float, lam
 SCHEMA: tuple[ConfigKey, ...] = (
     ConfigKey("seed", "seed", _int),
     ConfigKey("workers", "workers", _int),
-    ConfigKey("paths.scenes", "scenes_dir", lambda v, key: Path(str(v)), str),
-    ConfigKey("paths.output", "output_dir", lambda v, key: Path(str(v)), str),
+    ConfigKey("paths.scenes", "scenes_dir", _str, str),
+    ConfigKey("paths.output", "output_dir", _str, str),
     ConfigKey("weights.lambda1", "weights.lambda1"),
     ConfigKey("weights.lambda2", "weights.lambda2"),
     ConfigKey("weights.lambda3", "weights.lambda3"),
@@ -178,7 +193,7 @@ SCHEMA: tuple[ConfigKey, ...] = (
     ConfigKey("association.tau_match", "tau_match"),
     ConfigKey("association.d_min", "d_min"),
     ConfigKey("association.d_max", "d_max"),
-    ConfigKey("association.criterion", "match_criterion", lambda v, key: str(v)),
+    ConfigKey("association.criterion", "match_criterion", _str),
     ConfigKey("ground.cell", "ground_cell"),
     ConfigKey("ground.height_threshold", "ground_height"),
     ConfigKey("ground.refit_rounds", "ground_refits", _int),
@@ -226,17 +241,13 @@ def load_config(path: str | Path) -> PipelineConfig:
     except yaml.YAMLError as exc:
         raise ValidationError(f"{path}: not valid YAML: {exc}") from exc
     fields: dict[str, dict] = {}  # sub-config ("" for the top level) -> field -> value
-    try:
+    with reading(path):
         for key, value in _flatten({} if raw is None else raw).items():
             head, _, name = _BY_KEY[key].attr.rpartition(".")
             fields.setdefault(head, {})[name] = _BY_KEY[key].parse(value, key)
         base = PipelineConfig()
         subs = {head: replace(getattr(base, head), **f) for head, f in fields.items() if head}
         cfg = replace(base, **fields.get("", {}), **subs)
-    except (TypeError, ValueError) as exc:
-        if isinstance(exc, ValidationError):
-            raise
-        raise ValidationError(f"{path}: {exc}") from exc
     # A class in only one table would stop the run at its first proposal, after
     # every earlier frame was fitted. Class tables are the only mapping values.
     tables = {k: set(v) for k, v in _flatten(config_to_dict(cfg)).items() if isinstance(v, dict)}

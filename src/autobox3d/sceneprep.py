@@ -19,7 +19,7 @@ import numpy as np
 from scipy.sparse import csr_array
 from scipy.spatial import cKDTree
 
-from .errors import CloudFormatError, ValidationError
+from .errors import CloudFormatError, ValidationError, as_floats, as_int, as_str, reading
 from .geom import CameraCalib, EgoPose
 
 
@@ -175,21 +175,18 @@ def load_scene(scenes_dir: str | Path, frame_id: str) -> Scene:
         raise ValidationError(f"frame {frame_id}: missing {calib_path.name}") from None
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{calib_path}: not valid JSON: {exc}") from exc
-    try:
-        ego_vals = calib_raw["ego"]
-        ego = EgoPose(float(ego_vals[0]), float(ego_vals[1]), float(ego_vals[2]))
-        cameras = [
-            CameraCalib(
-                extrinsic=np.asarray(cam["extrinsic"], dtype=float),
-                intrinsic=np.asarray(cam["intrinsic"], dtype=float),
-                image_width=int(cam["image_width"]),
-                image_height=int(cam["image_height"]),
-                camera_id=str(cam["camera_id"]),
+    with reading(calib_path):
+        ego = EgoPose(*as_floats(calib_raw["ego"], "ego", (3,)).tolist())
+        cameras = list(calib_raw["cameras"])
+    for k, cam in enumerate(cameras):
+        with reading(f"{calib_path}: camera {k}"):
+            cameras[k] = CameraCalib(
+                extrinsic=as_floats(cam["extrinsic"], "extrinsic", (4, 4)),
+                intrinsic=as_floats(cam["intrinsic"], "intrinsic", (3, 3)),
+                image_width=as_int(cam["image_width"], "image_width"),
+                image_height=as_int(cam["image_height"], "image_height"),
+                camera_id=as_str(cam["camera_id"], "camera_id"),
             )
-            for cam in calib_raw["cameras"]
-        ]
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
-        raise ValidationError(f"{calib_path}: {exc}") from exc
     return Scene(frame_id=frame_id, cloud=cloud, ego=ego, cameras=cameras)
 
 
@@ -414,46 +411,46 @@ def cluster_objects(
     return out
 
 
-def load_ground_mask(path: str | Path, n_points: int) -> np.ndarray:
-    """Read a precomputed ground mask: one 0/1 per line, 1 meaning ground."""
-    path = Path(path)
+def _per_point(path: str | Path, n_points: int, noun: str, parse) -> list:
+    """One value per non-blank line of a sidecar, read by ``parse``, which
+    raises ``ValueError`` with the reason; the count must be ``n_points``."""
     vals = []
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            if line not in ("0", "1"):
-                raise ValidationError(f"{path}: line {lineno}: expected 0 or 1, got {line!r}")
-            vals.append(line == "1")
+            if token := line.strip():
+                try:
+                    vals.append(parse(token))
+                except ValueError as exc:
+                    raise ValidationError(f"{path}: line {lineno}: {exc}") from None
     if len(vals) != n_points:
-        raise ValidationError(
-            f"{path}: {len(vals)} mask entries for a cloud of {n_points} points"
-        )
-    return np.asarray(vals, dtype=bool)
+        raise ValidationError(f"{path}: {len(vals)} {noun} for a cloud of {n_points} points")
+    return vals
+
+
+def _ground_flag(token: str) -> bool:
+    if token not in ("0", "1"):
+        raise ValueError(f"expected 0 or 1, got {token!r}")
+    return token == "1"
+
+
+def _label(token: str) -> int:
+    try:
+        v = int(token)
+    except ValueError:
+        raise ValueError(f"not an integer: {token!r}") from None
+    if v < -1:
+        raise ValueError(f"label must be >= -1, got {v}")
+    return v
+
+
+def load_ground_mask(path: str | Path, n_points: int) -> np.ndarray:
+    """Read a precomputed ground mask: one 0/1 per line, 1 meaning ground."""
+    return np.asarray(_per_point(path, n_points, "mask entries", _ground_flag), dtype=bool)
 
 
 def load_point_labels(path: str | Path, n_points: int) -> np.ndarray:
     """Read per-point integer labels: -1 for ground/noise, else a cluster id."""
-    path = Path(path)
-    vals = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                v = int(line)
-            except ValueError:
-                raise ValidationError(f"{path}: line {lineno}: not an integer: {line!r}") from None
-            if v < -1:
-                raise ValidationError(f"{path}: line {lineno}: label must be >= -1, got {v}")
-            vals.append(v)
-    if len(vals) != n_points:
-        raise ValidationError(
-            f"{path}: {len(vals)} labels for a cloud of {n_points} points"
-        )
-    return np.asarray(vals, dtype=np.int64)
+    return np.asarray(_per_point(path, n_points, "labels", _label), dtype=np.int64)
 
 
 def clusters_from_labels(cloud: np.ndarray, labels: np.ndarray) -> list[Cluster]:

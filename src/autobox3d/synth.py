@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +20,7 @@ import yaml
 
 from .config import default_anchors
 from .costfn import AnchorRange
-from .errors import ValidationError, as_int
+from .errors import ValidationError, from_mapping
 from .geom import BoxParams, CameraCalib, EgoPose, project_box_to_2d, rotation_z
 from .sceneprep import save_cloud
 
@@ -93,7 +93,7 @@ class SynthSpec:
 
 
 def load_synth_spec(path: str | Path) -> SynthSpec:
-    """Read a YAML scene recipe; unknown keys and non-integral int keys fail."""
+    """Read a YAML scene recipe; unknown keys and values of the wrong type fail."""
     path = Path(path)
     try:
         raw = yaml.safe_load(path.read_text())
@@ -106,30 +106,10 @@ def load_synth_spec(path: str | Path) -> SynthSpec:
         if not isinstance(kwargs["classes"], list):
             raise ValidationError(f"{path}: classes must be a list")
         kwargs = {**kwargs, "classes": [
-            _from_mapping(SynthClassSpec, entry, f"{path}: classes[{i}]")
+            from_mapping(SynthClassSpec, entry, f"{path}: classes[{i}]:")
             for i, entry in enumerate(kwargs["classes"])
         ]}
-    return _from_mapping(SynthSpec, kwargs, f"{path}: spec")
-
-
-def _from_mapping(cls, entry, where: str):
-    """``cls`` built from one YAML mapping, failing with ``where`` on unknown
-    keys and on booleans or fractions for int fields; integral floats become
-    ints."""
-    if not isinstance(entry, dict):
-        raise ValidationError(f"{where} must be a mapping")
-    types = {f.name: f.type for f in fields(cls)}
-    unknown = set(entry) - set(types)
-    if unknown:
-        raise ValidationError(f"{where}: unknown key(s) {sorted(unknown)}")
-    kwargs = dict(entry)
-    for key, v in entry.items():
-        if types[key] == "int" and isinstance(v, (bool, float)):
-            kwargs[key] = as_int(v, f"{where}: {key}")
-    try:
-        return cls(**kwargs)
-    except TypeError as exc:
-        raise ValidationError(f"{where}: {exc}") from exc
+    return from_mapping(SynthSpec, kwargs, f"{path}:")
 
 
 def make_camera(
@@ -388,10 +368,7 @@ def generate(
                     "class": inst["class"],
                     "camera_id": inst["camera_id"],
                     "proposal_index": k,
-                    "box": {
-                        "x": box.x, "y": box.y, "z": box.z,
-                        "l": box.l, "w": box.w, "h": box.h, "ry": box.ry,
-                    },
+                    "box": asdict(box),
                     "n_points": int(len(pts)),
                     "mask_ratio": ratio,
                 }

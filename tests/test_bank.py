@@ -113,6 +113,19 @@ class TestRoundTrip:
         write_bank(read_bank(a), b)
         assert a.read_bytes() == b.read_bytes()
 
+    def test_provenance_reads_back_as_the_dataclass(self, tmp_path):
+        # Provenance is a frozen dataclass written with dataclasses.asdict; as a
+        # NamedTuple it also compared equal to a plain tuple.
+        bank = NovelObjectBank({"0000": [make_target(proposal=4), make_target(proposal=7)]})
+        path = tmp_path / "bank.jsonl"
+        write_bank(bank, path)
+        back = read_bank(path).frames["0000"]
+        assert [t.provenance for t in back] == [
+            Provenance("0000", "cam0", 4), Provenance("0000", "cam0", 7)
+        ]
+        assert all(type(t.provenance) is Provenance for t in back)
+        assert back[0].provenance != ("0000", "cam0", 4)
+
     def test_all_targets_iterates_sorted_frames(self):
         bank = NovelObjectBank({
             "0003": [make_target("0003")],

@@ -7,6 +7,7 @@ import shutil
 import numpy as np
 import pytest
 
+from autobox3d import bench
 from autobox3d.bench import load_bench_instances, run_bench, write_bench_csv
 from autobox3d.cli import main
 from autobox3d.config import PipelineConfig, save_config
@@ -100,6 +101,29 @@ class TestLoadInstances:
         save_config(config, tmp_path / "config.yaml")
         assert main(["bench", "--config", str(tmp_path / "config.yaml")]) == 2
         assert "missing key 'ry'" in capsys.readouterr().err
+
+    def test_unknown_class_fails_before_any_search(self, bench_config, tmp_path, monkeypatch,
+                                                   capsys):
+        # A "yeti" proposal in the last frame used to load, and run_bench raised
+        # only on reaching it, after searching every earlier instance.
+        scenes = tmp_path / "scenes"
+        shutil.copytree(bench_config.scenes_dir, scenes, ignore=shutil.ignore_patterns("out"))
+        path = scenes / "0001.proposals.json"
+        proposals = json.loads(path.read_text())
+        proposals[0]["class"] = "yeti"
+        path.write_text(json.dumps(proposals))
+        config = PipelineConfig(scenes_dir=scenes, output_dir=tmp_path / "out")
+        with pytest.raises(UnknownClassError, match="proposal 0: no anchor range for class 'yeti'"):
+            load_bench_instances(config)
+
+        def no_search(*args, **kwargs):
+            raise AssertionError("bench searched before it checked the classes")
+
+        monkeypatch.setattr(bench, "greedy_search", no_search)
+        monkeypatch.setattr(bench, "pso_search", no_search)
+        save_config(config, tmp_path / "config.yaml")
+        assert main(["bench", "--config", str(tmp_path / "config.yaml")]) == 2
+        assert "yeti" in capsys.readouterr().err
 
 
 class TestRunBench:

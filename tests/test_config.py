@@ -156,6 +156,11 @@ class TestDefaults:
         with pytest.raises(ValidationError):
             PipelineConfig(ground_quantile=0.0)
 
+    def test_budgets_built_in_code_are_not_truncated(self):
+        with pytest.raises(ValidationError, match="bench budget must be an integer, got 2.5"):
+            PipelineConfig(bench_budgets=(2.5, 300))
+        assert PipelineConfig(bench_budgets=[300.0]).bench_budgets == (300,)
+
 
 class TestLoadConfig:
     def test_empty_file_gives_defaults(self, tmp_path):
