@@ -17,8 +17,8 @@ from .assoc import CrossModalProposal, load_proposals, ray_pair
 from .config import PipelineConfig
 from .errors import ValidationError, as_index, as_str, from_mapping, reading
 from .geom import BoxParams, iou_bev
-from .optimizer import greedy_search, pso_search
-from .pipeline import check_classes, derive_pair_seed, discover_frames, fit_setup
+from .optimizer import SwarmStart, greedy_search, pso_search
+from .pipeline import check_classes, derive_pair_seed, discover_frames, fit_pair
 from .sceneprep import clusters_from_labels, load_point_labels, load_scene
 
 
@@ -92,7 +92,7 @@ def run_bench(
         instances = load_bench_instances(config)
     rows: list[dict] = []
     for inst in instances:
-        anchor, batch = fit_setup(inst.pair, config)
+        anchor, batch = fit_pair(inst.pair, config)
         for budget in budgets:
             for method in methods:
                 t0 = time.perf_counter()
@@ -101,10 +101,9 @@ def run_bench(
                 else:
                     n_iter = max(1, budget // config.swarm.n_swarm)
                     seed = derive_pair_seed(config.seed, f"bench:{inst.key}", budget)
-                    cfg = replace(config.swarm, n_iter=n_iter, seed=seed)
-                    result = pso_search(
-                        batch.evaluate, inst.pair.points, inst.pair.ray, anchor, cfg
-                    )
+                    start = SwarmStart(inst.pair.points, inst.pair.ray, anchor, seed)
+                    cfg = replace(config.swarm, n_iter=n_iter)
+                    [result] = pso_search(batch.evaluate, [start], cfg)
                 rows.append(
                     {
                         "instance": inst.key,

@@ -23,6 +23,7 @@ from .pipeline import (
     best_fit,
     fit_proposal,
     format_bank_summary,
+    frame_proposals,
     format_report,
     run_annotate,
     summarize_bank,
@@ -40,7 +41,7 @@ def _cmd_annotate(args: argparse.Namespace) -> int:
 
 def _cmd_fit_box(args: argparse.Namespace) -> int:
     config = load_config(args.config)
-    scene, pairs, stats = associate_frame(config, args.scene)
+    scene, pairs, stats = associate_frame(config, args.scene, frame_proposals(config, args.scene))
     if not 0 <= args.proposal < stats["proposals"]:
         raise ValidationError(
             f"proposal index {args.proposal} out of range; frame has {stats['proposals']}"

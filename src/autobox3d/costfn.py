@@ -12,9 +12,9 @@ terms, all phrased so that lower is better:
   image hull (``geom.image_hulls``) and the 2D proposal rectangle.
 
 ``BoxCostBatch`` is the one implementation. It scores many candidates at
-once; the swarm search calls it tens of thousands of times per proposal, so
-it avoids all per-candidate Python work and keeps its full (candidates x
-points) array passes few.
+once; the swarm search calls it thousands of times per frame, once per
+iteration for all of the frame's pairs, so it avoids all per-candidate
+Python work and keeps its full (candidates x points) array passes few.
 
 The top-edge term needs no segment clamping. Only enclosed points count,
 and an enclosed point's coordinate along an edge already lies within that
@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geom import BOUNDARY_TOL, Box2D, CameraCalib, EgoPose, image_hulls, rect_ious
+from .geom import BOUNDARY_TOL, Box2D, CameraCalib, EgoPose, camera_columns, image_hulls, rect_ious
 
 # Candidate x point elements per row tile of ``BoxCostBatch.evaluate``: 256 KB
 # per (S, N) float buffer, which stays in L2 cache. A tile costs about 0.2 ms
@@ -142,16 +142,32 @@ class BatchEval:
         )
 
 
+def _tiles(start: int, stop: int, tile: int) -> list[tuple[int, int]]:
+    """Row ranges of [start, stop), each of one to two ``tile``s of rows."""
+    n_tiles = (stop - start) // tile
+    if n_tiles <= 1:
+        return [(start, stop)]
+    rows = -(-(stop - start) // n_tiles)
+    return [(s, min(s + rows, stop)) for s in range(start, stop, rows)]
+
+
+# Rows of a BoxCostBatch parameter column: proposal, ego x y, weights, camera.
+_RECT, _EGO, _WEIGHTS, _CAMERA = slice(0, 4), slice(4, 6), slice(6, 11), slice(11, None)
+
+
 class BoxCostBatch:
     """The fitting cost of many candidate boxes at once.
 
-    Bound to one cluster / ego / 2D-proposal / camera at construction; each
-    ``evaluate`` call scores an (S, 7) array of candidates in row tiles of
-    about ``_TILE_ELEMS`` (candidate, point) elements, so the (S, N) buffers
-    stay in cache and are reused in place. A candidate's result depends on
-    neither the batch nor its tiling. The top-edge term uses the
+    Bound to one cluster / ego / 2D-proposal / camera / weights set; a
+    ``join`` of K kernels splits its rows into K equal blocks, block k
+    scored against set k. The (S, N) point terms run block by block in row
+    tiles of about ``_TILE_ELEMS`` (candidate, point) elements, so their
+    buffers stay in cache. The terms that read no point take each row's
+    parameters from per-row columns and run tile by tile in a single
+    kernel, but once over all rows in a joined one, which pays their fixed
+    per-call cost once for K clusters. A candidate's result depends on
+    neither the batch, its block nor its tiling. The top-edge term uses the
     enclosed-point identity from the module docstring instead of clamping.
-    The test suite checks it against a clamped single-box reference.
     """
 
     def __init__(
@@ -177,31 +193,85 @@ class BoxCostBatch:
         self._py = pts[:, 1][None, :]
         self._pz = pts[:, 2][None, :]
         self._tile = max(1, _TILE_ELEMS // self.n_points)
+        self.parts: tuple[BoxCostBatch, ...] = (self,)
+        self._cols = np.concatenate([
+            [proposal.u_min, proposal.v_min, proposal.u_max, proposal.v_max, ego.x, ego.y,
+             weights.lambda1, weights.lambda2, weights.lambda3, weights.gamma, weights.c_surface],
+            camera_columns([calib])[:, 0],
+        ])[:, None]
+
+    @classmethod
+    def join(cls, kernels: list[BoxCostBatch]) -> BoxCostBatch:
+        """One kernel whose block k scores bit for bit as ``kernels[k]``.
+
+        ``n_points`` is the mean over the clusters, so rows times
+        ``n_points`` still counts (candidate, point) pairs.
+        """
+        if not kernels:
+            raise ValueError("cannot join zero kernels")
+        joined = cls.__new__(cls)
+        joined.parts = tuple(part for k in kernels for part in k.parts)
+        joined.n_points = sum(part.n_points for part in joined.parts) / len(joined.parts)
+        joined._cols = np.concatenate([part._cols for part in joined.parts], axis=1)
+        return joined
 
     def evaluate(self, thetas: np.ndarray) -> BatchEval:
         """Score candidates of shape (S, 7) laid out as (x, y, z, l, w, h, ry)."""
         th = np.asarray(thetas, dtype=float)
         if th.ndim != 2 or th.shape[1] != 7:
             raise ValueError(f"thetas must be (S, 7), got {th.shape}")
-        # Tiling changes no bit: each row's arithmetic and row sums are its own,
-        # and so is its image hull (see ``geom.image_hulls``).
-        # Rows spread evenly, so a tile holds one to two tiles' worth.
-        n_tiles = len(th) // self._tile
-        if n_tiles <= 1:
-            return BatchEval(*self._score(th))
-        rows = -(-len(th) // n_tiles)
-        out = np.empty((5, len(th)))
-        for start in range(0, len(th), rows):
-            out[:, start : start + rows] = self._score(th[start : start + rows])
-        return BatchEval(*out)
+        k = len(self.parts)
+        if len(th) % k:
+            raise ValueError(f"{len(th)} rows do not split into {k} equal blocks")
+        if k == 1:
+            part = self.parts[0]
+            out = np.empty((5, len(th)))
+            for s, e in _tiles(0, len(th), part._tile):
+                out[:, s:e] = self._score(th[s:e], self._cols, [(part, 0, e - s)])
+            return BatchEval(*out)
+        rows = len(th) // k
+        blocks = [
+            (part, s, e)
+            for i, part in enumerate(self.parts)
+            for s, e in _tiles(i * rows, (i + 1) * rows, part._tile)
+        ]
+        return BatchEval(*self._score(th, np.repeat(self._cols, rows, axis=1), blocks))
 
-    def _score(self, th: np.ndarray) -> tuple[np.ndarray, ...]:
-        """(totals, density, lshape, surface, iou2d) of one row tile."""
-        w = self.weights
-        cx, cy, cz = th[:, 0], th[:, 1], th[:, 2]
-        bl, bw, bh = th[:, 3], th[:, 4], th[:, 5]
+    def _score(self, th: np.ndarray, cols: np.ndarray, blocks) -> tuple[np.ndarray, ...]:
+        """(totals, density, lshape, surface, iou2d) of rows ``th`` under
+        parameter columns ``cols`` (one per row, or one for all); the point
+        terms run on each (kernel, start, stop) of ``blocks``."""
+        ego_x, ego_y = cols[_EGO]
+        lambda1, lambda2, lambda3, gamma, c_surface = cols[_WEIGHTS]
+        cx, cy = th[:, 0], th[:, 1]
         cos = np.cos(th[:, 6])
         sin = np.sin(th[:, 6])
+
+        # Ego position in each box frame picks the near top edges by sign:
+        # the edge at x = sx running along y, and the edge at y = sy running
+        # along x, both on the top face.
+        edx = ego_x - cx
+        edy = ego_y - cy
+        e_lx = cos * edx + sin * edy
+        e_ly = cos * edy - sin * edx
+        sx = np.where(e_lx > 0.0, 0.5, -0.5) * th[:, 3]
+        sy = np.where(e_ly > 0.0, 0.5, -0.5) * th[:, 4]
+        density = np.empty(len(th))
+        lshape = np.empty(len(th))
+        for part, s, e in blocks:
+            density[s:e], lshape[s:e] = part._point_terms(th[s:e], cos[s:e], sin[s:e], sx[s:e], sy[s:e])
+
+        surface = -np.minimum(np.hypot(cx - ego_x, cy - ego_y), c_surface)
+
+        iou_term = -gamma * rect_ious(image_hulls(th, cols[_CAMERA])[0], cols[_RECT])
+
+        totals = lambda1 * density + lambda2 * lshape + lambda3 * surface + iou_term
+        return totals, density, lshape, surface, iou_term
+
+    def _point_terms(self, th, cos, sin, sx, sy) -> tuple[np.ndarray, np.ndarray]:
+        """(density, lshape) of rows ``th`` against this kernel's one cluster."""
+        cx, cy, cz = th[:, 0], th[:, 1], th[:, 2]
+        bl, bw, bh = th[:, 3], th[:, 4], th[:, 5]
         cos_c, sin_c = cos[:, None], sin[:, None]
 
         # Cluster points in each candidate's box frame, (S, N). The (S, N)
@@ -218,18 +288,9 @@ class BoxCostBatch:
         inside &= np.abs(ly, out=dx) <= 0.5 * bw[:, None] + BOUNDARY_TOL
         inside &= np.abs(lz, out=dx) <= 0.5 * bh[:, None] + BOUNDARY_TOL
         counts = inside.sum(axis=1)
-        density = -counts / self.n_points
 
-        # Ego position in each box frame picks the near top edges by sign:
-        # the edge at x = sx running along y, and the edge at y = sy running
-        # along x, both on the top face. Enclosed points need no clamping
+        # Distance to the nearer top edge; enclosed points need no clamping
         # (see the module docstring).
-        edx = self.ego.x - cx
-        edy = self.ego.y - cy
-        e_lx = cos * edx + sin * edy
-        e_ly = cos * edy - sin * edx
-        sx = np.where(e_lx > 0.0, 0.5, -0.5) * bl
-        sy = np.where(e_ly > 0.0, 0.5, -0.5) * bw
         lx -= sx[:, None]
         ly -= sy[:, None]
         lz -= 0.5 * bh[:, None]
@@ -240,10 +301,4 @@ class BoxCostBatch:
         # summation groups the terms the same way whatever the mask.
         d_near_sum = np.where(inside, d_near, 0.0).sum(axis=1)
         lshape = np.where(counts > 0, d_near_sum / np.maximum(counts, 1), 0.0)
-
-        surface = -np.minimum(np.hypot(cx - self.ego.x, cy - self.ego.y), w.c_surface)
-
-        iou_term = -w.gamma * rect_ious(image_hulls(th, self.calib)[0], self.proposal)
-
-        totals = w.lambda1 * density + w.lambda2 * lshape + w.lambda3 * surface + iou_term
-        return totals, density, lshape, surface, iou_term
+        return -counts / self.n_points, lshape

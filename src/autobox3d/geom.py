@@ -128,10 +128,6 @@ class Box2D:
         return self.v_max - self.v_min
 
     @property
-    def area(self) -> float:
-        return self.width * self.height
-
-    @property
     def center(self) -> tuple[float, float]:
         return (0.5 * (self.u_min + self.u_max), 0.5 * (self.v_min + self.v_max))
 
@@ -205,9 +201,20 @@ def box_corners(box: BoxParams) -> np.ndarray:
     return out
 
 
-def image_hulls(thetas: np.ndarray, calib: CameraCalib) -> tuple[np.ndarray, np.ndarray]:
+def camera_columns(calibs: list[CameraCalib]) -> np.ndarray:
+    """Hull parameters of K cameras, (15, K): per camera K [R | t] column by
+    column, the near plane's homogeneous depth W, image width and height."""
+    return np.array([
+        [*(c.intrinsic @ c.extrinsic[:3]).T.ravel(), NEAR_DEPTH * c.intrinsic[2, 2],
+         c.image_width, c.image_height]
+        for c in calibs
+    ], dtype=float).T
+
+
+def image_hulls(thetas: np.ndarray, calib: CameraCalib | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Image hulls of many boxes at once, (S, 7) thetas -> ((S, 4) rects, (S,) ok).
 
+    ``calib`` is one camera, or each row's as (15, S) ``camera_columns``.
     A hull is the bounding rectangle (u_min, v_min, u_max, v_max) of the
     part of the box at camera depth ``NEAR_DEPTH`` or more, clipped to the
     image. That part's vertices are the corners in front of the near plane
@@ -221,8 +228,10 @@ def image_hulls(thetas: np.ndarray, calib: CameraCalib) -> tuple[np.ndarray, np.
     not depend on the batch around it.
     """
     th = np.asarray(thetas, dtype=float)
-    # Homogeneous pixel rows (U, V, W) of K [R | t], each (3, 1); W = k22 * depth.
-    a0, a1, a2, a3 = (calib.intrinsic @ calib.extrinsic[:3]).T[:, :, None]
+    cam = camera_columns([calib]) if isinstance(calib, CameraCalib) else calib
+    # Homogeneous pixel rows (U, V, W) of K [R | t], each (3, 1) or (3, S); W = k22 * depth.
+    a0, a1, a2, a3 = cam[:12].reshape(4, 3, -1)
+    w_near, size = cam[12], cam[13:]
     cos, sin = np.cos(th[:, 6]), np.sin(th[:, 6])
     center = a0 * th[:, 0] + a1 * th[:, 1] + a2 * th[:, 2] + a3
     axis_l = (a0 * cos + a1 * sin) * th[:, 3]
@@ -235,25 +244,29 @@ def image_hulls(thetas: np.ndarray, calib: CameraCalib) -> tuple[np.ndarray, np.
     corners += sign_w * axis_w
     corners += sign_h * axis_h
     corners += center
-    w_near = NEAR_DEPTH * calib.intrinsic[2, 2]
     w = corners[:, 2]
     front = w >= w_near
-    if front.all():
+    cut = ~front.all(axis=0)
+    if not cut.any():
         uv = corners[:, :2] / w[:, None]
         lo, hi = uv.min(axis=0), uv.max(axis=0)
     else:
-        # Masked extremes over the corners and the near-plane crossings of the
-        # edges; on rows wholly in front they equal the unmasked ones.
-        a, b = corners[_BOX_EDGES[0]], corners[_BOX_EDGES[1]]
+        # Only cut rows take masked extremes over the corners and the edges'
+        # near-plane crossings, which on a row wholly in front equal the direct ones.
         with np.errstate(divide="ignore", invalid="ignore"):
-            t = (a[:, 2:] - w_near) / (a[:, 2:] - b[:, 2:])
-            cuts = (a[:, :2] + t * (b[:, :2] - a[:, :2])) / w_near
-            uv = np.concatenate([corners[:, :2] / w[:, None], cuts])
-        keep = np.concatenate([front, front[_BOX_EDGES[0]] != front[_BOX_EDGES[1]]])[:, None]
-        lo = np.where(keep, uv, np.inf).min(axis=0)
-        hi = np.where(keep, uv, -np.inf).max(axis=0)
+            uv = corners[:, :2] / w[:, None]
+            lo, hi = uv.min(axis=0), uv.max(axis=0)
+            a, b = corners[..., cut][_BOX_EDGES]
+            w_cut = np.broadcast_to(w_near, cut.shape)[cut]
+            t = (a[:, 2:] - w_cut) / (a[:, 2:] - b[:, 2:])
+            cuts = (a[:, :2] + t * (b[:, :2] - a[:, :2])) / w_cut
+        uv = np.concatenate([uv[..., cut], cuts])
+        f = front[:, cut]
+        keep = np.concatenate([f, f[_BOX_EDGES[0]] != f[_BOX_EDGES[1]]])[:, None]
+        lo[:, cut] = np.where(keep, uv, np.inf).min(axis=0)
+        hi[:, cut] = np.where(keep, uv, -np.inf).max(axis=0)
     lo = np.maximum(lo, 0.0)
-    hi = np.minimum(hi, [[float(calib.image_width)], [float(calib.image_height)]])
+    hi = np.minimum(hi, size)
     ok = (lo < hi).all(axis=0)
     return np.where(ok, np.concatenate([lo, hi]), 0.0).T, ok
 
@@ -268,16 +281,18 @@ def project_box_to_2d(box: BoxParams, calib: CameraCalib) -> Box2D | None:
     return Box2D(*rects[0].tolist()) if ok[0] else None
 
 
-def rect_ious(rects: np.ndarray, box: Box2D) -> np.ndarray:
+def rect_ious(rects: np.ndarray, box: Box2D | np.ndarray) -> np.ndarray:
     """IoU of each (u_min, v_min, u_max, v_max) row of ``rects`` with ``box``.
 
-    An empty rectangle, as ``image_hulls`` returns for a row that is not ok,
-    scores 0.
+    ``box`` is one rectangle for every row, or each row's rectangle as the
+    columns of a (4, S) array. An empty rectangle, as ``image_hulls``
+    returns for a row that is not ok, scores 0.
     """
-    iw = np.minimum(rects[:, 2], box.u_max) - np.maximum(rects[:, 0], box.u_min)
-    ih = np.minimum(rects[:, 3], box.v_max) - np.maximum(rects[:, 1], box.v_min)
+    u0, v0, u1, v1 = (box.u_min, box.v_min, box.u_max, box.v_max) if isinstance(box, Box2D) else box
+    iw = np.minimum(rects[:, 2], u1) - np.maximum(rects[:, 0], u0)
+    ih = np.minimum(rects[:, 3], v1) - np.maximum(rects[:, 1], v0)
     inter = np.where((iw > 0.0) & (ih > 0.0), iw * ih, 0.0)
-    union = (rects[:, 2] - rects[:, 0]) * (rects[:, 3] - rects[:, 1]) + box.area - inter
+    union = (rects[:, 2] - rects[:, 0]) * (rects[:, 3] - rects[:, 1]) + (u1 - u0) * (v1 - v0) - inter
     return np.where(inter > 0.0, inter / union, 0.0)
 
 

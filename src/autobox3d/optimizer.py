@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -41,7 +41,6 @@ class SwarmConfig:
     c1: float = 1.0
     c2: float = 1.0
     c_noise: float = 0.1
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.n_swarm < 1:
@@ -56,8 +55,15 @@ class SwarmConfig:
             raise ValueError(
                 f"w_init must not be below w_end, got {self.w_init} < {self.w_end}"
             )
-        if self.seed < 0:
-            raise ValueError(f"seed must be non-negative, got {self.seed}")
+
+
+class SwarmStart(NamedTuple):
+    """One swarm: cluster and ray (they place and bound it), anchor, seed."""
+
+    points: np.ndarray
+    ray: Ray
+    anchor: AnchorRange
+    seed: int
 
 
 @dataclass(eq=False)
@@ -107,10 +113,11 @@ def search_bounds(points: np.ndarray, anchor: AnchorRange) -> tuple[np.ndarray, 
 
 
 def clamp_thetas(thetas: np.ndarray, lb: np.ndarray, ub: np.ndarray) -> np.ndarray:
-    """Project candidates onto the feasible region; yaw wraps instead of clips."""
+    """Project candidates (..., 7) onto the feasible region; yaw wraps
+    instead of clips. ``lb`` and ``ub`` broadcast against the candidates."""
     out = np.array(thetas, dtype=float)
-    out[:, :6] = np.clip(out[:, :6], lb[:6], ub[:6])
-    out[:, 6] = np.mod(out[:, 6], math.pi)
+    out[..., :6] = np.clip(out[..., :6], lb[..., :6], ub[..., :6])
+    out[..., 6] = np.mod(out[..., 6], math.pi)
     return out
 
 
@@ -119,7 +126,7 @@ def init_particles(
     ray: Ray,
     anchor: AnchorRange,
     cfg: SwarmConfig,
-    rng: np.random.Generator | None = None,
+    rng: np.random.Generator,
 ) -> np.ndarray:
     """Initial swarm positions, shape (n_swarm, 7).
 
@@ -128,8 +135,6 @@ def init_particles(
     Gaussian position noise with per-axis spread ``c_noise`` times the mean
     anchor size. Dimensions and yaw draw uniformly from their ranges.
     """
-    if rng is None:
-        rng = np.random.default_rng(cfg.seed)
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 3 or len(pts) == 0:
         raise ValueError("points must be a non-empty (N, 3) array")
@@ -147,60 +152,69 @@ def init_particles(
     return np.hstack([positions, dims, ry])
 
 
-def pso_search(
-    evaluate: EvalFn,
-    points: np.ndarray,
-    ray: Ray,
-    anchor: AnchorRange,
-    cfg: SwarmConfig,
-) -> SearchResult:
-    """Fit a box to one cluster with a constrained particle swarm.
+def pso_search(evaluate: EvalFn, starts: list[SwarmStart], cfg: SwarmConfig) -> list[SearchResult]:
+    """Fit a box to each of K clusters with K constrained particle swarms in lockstep.
 
-    ``evaluate`` scores candidates; ``points`` and ``ray`` place the initial
-    swarm and bound the search. Every iteration scores the whole swarm once,
-    so the total budget is ``n_swarm * n_iter`` evaluations, the first
-    iteration being the scored initial population. Runs with the same
-    config are bit-reproducible.
+    Every iteration scores all K swarms in one ``evaluate`` call of
+    K * ``n_swarm`` rows, swarm k in block k. Each swarm's budget is
+    ``n_swarm * n_iter`` evaluations, the first iteration being the scored
+    initial population. Each swarm keeps its own generator, bounds, bests
+    and trace, and its arithmetic is elementwise, so its result is bit for
+    bit what it gets searched alone (K = 1). K = 0 returns [] unscored.
     """
-    rng = np.random.default_rng(cfg.seed)
-    lb, ub = search_bounds(points, anchor)
+    if not starts:
+        return []
+    k, n = len(starts), cfg.n_swarm
+    rngs = [np.random.default_rng(s.seed) for s in starts]
+    lb, ub = (np.stack(b)[:, None] for b in zip(*(search_bounds(s.points, s.anchor) for s in starts)))
     vmax = 0.5 * (ub - lb)
 
-    x = clamp_thetas(init_particles(points, ray, anchor, cfg, rng), lb, ub)
+    x = [init_particles(s.points, s.ray, s.anchor, cfg, rng) for s, rng in zip(starts, rngs)]
+    x = clamp_thetas(np.stack(x), lb, ub)
     v = np.zeros_like(x)
-    res = evaluate(x)
+    res = evaluate(x.reshape(k * n, 7))
+    f = res.totals.reshape(k, n)
     pbest_x = x.copy()
-    pbest_f = res.totals.copy()
-    g = int(np.argmin(res.totals))
-    gbest_x = x[g].copy()
-    gbest_f = float(res.totals[g])
-    gbest_parts = res.breakdown_at(g)
-    trace = [gbest_f]
+    pbest_f = f.copy()
+    swarms = np.arange(k)
+    g = np.argmin(f, axis=1)
+    gbest_x = x[swarms, g]
+    gbest_f = f[swarms, g]
+    gbest_parts = [res.breakdown_at(i * n + g[i]) for i in range(k)]
+    trace = np.empty((cfg.n_iter, k))
+    trace[0] = gbest_f
+    # r1 then r2 of every swarm, each pair drawn from the swarm's own generator.
+    r = np.empty((k, 2, n, 7))
 
     for it in range(1, cfg.n_iter):
         w = inertia_at(it, cfg)
-        r1 = rng.random(x.shape)
-        r2 = rng.random(x.shape)
-        v = w * v + cfg.c1 * r1 * (pbest_x - x) + cfg.c2 * r2 * (gbest_x[None, :] - x)
+        for rng, out in zip(rngs, r):
+            rng.random(out=out)
+        v = w * v + cfg.c1 * r[:, 0] * (pbest_x - x) + cfg.c2 * r[:, 1] * (gbest_x[:, None] - x)
         np.clip(v, -vmax, vmax, out=v)
         x = clamp_thetas(x + v, lb, ub)
-        res = evaluate(x)
-        improved = res.totals < pbest_f
-        pbest_f = np.where(improved, res.totals, pbest_f)
+        res = evaluate(x.reshape(k * n, 7))
+        f = res.totals.reshape(k, n)
+        improved = f < pbest_f
+        pbest_f = np.where(improved, f, pbest_f)
         pbest_x[improved] = x[improved]
-        g = int(np.argmin(res.totals))
-        if float(res.totals[g]) < gbest_f:
-            gbest_f = float(res.totals[g])
-            gbest_x = x[g].copy()
-            gbest_parts = res.breakdown_at(g)
-        trace.append(gbest_f)
+        g = np.argmin(f, axis=1)
+        best = f[swarms, g]
+        for i in np.flatnonzero(best < gbest_f):
+            gbest_f[i] = best[i]
+            gbest_x[i] = x[i, g[i]]
+            gbest_parts[i] = res.breakdown_at(i * n + g[i])
+        trace[it] = gbest_f
 
-    return SearchResult(
-        best_box=BoxParams.from_array(gbest_x),
-        best_cost=gbest_parts,
-        evaluations=cfg.n_swarm * cfg.n_iter,
-        trace=np.asarray(trace),
-    )
+    return [
+        SearchResult(
+            best_box=BoxParams.from_array(gbest_x[i]),
+            best_cost=gbest_parts[i],
+            evaluations=n * cfg.n_iter,
+            trace=trace[:, i].copy(),
+        )
+        for i in range(k)
+    ]
 
 
 def grid_axis_counts(budget: int) -> tuple[int, ...]:

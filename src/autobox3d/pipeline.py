@@ -26,7 +26,7 @@ from .costfn import AnchorRange, BoxCostBatch, adaptive_surface_clip
 from .errors import UnknownClassError, ValidationError
 from .filters import verdict
 from .geom import iou_bev
-from .optimizer import SearchResult, pso_search
+from .optimizer import SearchResult, SwarmStart, pso_search
 from .sceneprep import (
     Scene,
     cluster_objects,
@@ -48,7 +48,7 @@ def derive_pair_seed(seed: int, frame_id: str, pair_index: int) -> int:
     return int(ss.generate_state(1, np.uint32)[0])
 
 
-def fit_setup(pair: CrossModalProposal, config: PipelineConfig) -> tuple[AnchorRange, BoxCostBatch]:
+def fit_pair(pair: CrossModalProposal, config: PipelineConfig) -> tuple[AnchorRange, BoxCostBatch]:
     """Anchor range and cost kernel for fitting one pair under the run config.
 
     With ``surface_clip`` unset, the surface term's clip adapts to the pair's
@@ -69,29 +69,30 @@ def fit_setup(pair: CrossModalProposal, config: PipelineConfig) -> tuple[AnchorR
     return anchor, batch
 
 
-def fit_pair(pair: CrossModalProposal, config: PipelineConfig, seed: int) -> SearchResult:
-    """Run the swarm search for one matched pair under the run config."""
-    anchor, batch = fit_setup(pair, config)
-    cfg = replace(config.swarm, seed=seed)
-    return pso_search(batch.evaluate, pair.points, pair.ray, anchor, cfg)
-
-
 Fit = tuple[SearchResult, CrossModalProposal]
 
 
 def fit_proposal(
-    scene: Scene, pairs: list[CrossModalProposal], config: PipelineConfig, index: int
+    scene: Scene, pairs: list[CrossModalProposal], config: PipelineConfig, index: int | None = None
 ) -> list[Fit]:
-    """Swarm fits of every pair matched to proposal ``index``, in pair order.
+    """Swarm fits of every pair matched to proposal ``index`` (of every pair
+    when None), in pair order, as one lockstep search.
 
     A pair's seed derives from its position among all of the frame's pairs,
-    so fitting one proposal gives what annotating the whole frame gives it.
+    and a lockstep fit equals a separate one, so fitting one proposal gives
+    what annotating the whole frame gives it.
     """
-    return [
-        (fit_pair(pair, config, derive_pair_seed(config.seed, scene.frame_id, k)), pair)
-        for k, pair in enumerate(pairs)
-        if pair.proposal.index == index
+    chosen = [(k, pair) for k, pair in enumerate(pairs) if index in (None, pair.proposal.index)]
+    if not chosen:
+        return []
+    setups = [fit_pair(pair, config) for _, pair in chosen]
+    starts = [
+        SwarmStart(pair.points, pair.ray, anchor, derive_pair_seed(config.seed, scene.frame_id, k))
+        for (k, pair), (anchor, _) in zip(chosen, setups)
     ]
+    kernel = BoxCostBatch.join([batch for _, batch in setups])
+    results = pso_search(kernel.evaluate, starts, config.swarm)
+    return [(result, pair) for result, (_, pair) in zip(results, chosen)]
 
 
 def best_fit(fits: list[Fit]) -> Fit:
@@ -119,13 +120,15 @@ def prepare_targets(
 ) -> list[NovelObjectTarget]:
     """Fit, resolve per-proposal conflicts, filter, and deduplicate one frame.
 
-    When several clusters matched the same proposal, only the fit with the
+    All of the frame's pairs are fitted in one lockstep search. When
+    several clusters matched the same proposal, only the fit with the
     lowest total cost survives. Filters never drop a target, they only
     withhold the alignment flag; NMS is what removes duplicates.
     """
+    fits = fit_proposal(scene, pairs, config)
     targets: list[NovelObjectTarget] = []
     for idx in sorted({pair.proposal.index for pair in pairs}):
-        result, pair = best_fit(fit_proposal(scene, pairs, config, idx))
+        result, pair = best_fit([fit for fit in fits if fit[1].proposal.index == idx])
         vd = verdict(pair.proposal, result.best_box, pair.calib, config.thresholds)
         has_embedding = pair.proposal.embedding is not None
         targets.append(
@@ -198,14 +201,19 @@ def check_classes(proposals: list[Proposal2D], config: PipelineConfig) -> None:
                 )
 
 
+def frame_proposals(config: PipelineConfig, frame_id: str) -> list[Proposal2D]:
+    """A frame's proposals; none when it has no proposal file."""
+    path = config.scenes_dir / f"{frame_id}.proposals.json"
+    return load_proposals(path) if path.exists() else []
+
+
 def associate_frame(
-    config: PipelineConfig, frame_id: str
+    config: PipelineConfig, frame_id: str, proposals: list[Proposal2D]
 ) -> tuple[Scene, list[CrossModalProposal], dict]:
-    """Load one frame, check its proposal classes, cluster it, and pair
-    proposals with clusters; returns (scene, pairs, counters)."""
+    """Load one frame, check the classes of its ``proposals``, cluster it,
+    and pair proposals with clusters; returns (scene, pairs, counters)."""
     scene = load_scene(config.scenes_dir, frame_id)
     proposals_path = config.scenes_dir / f"{frame_id}.proposals.json"
-    proposals = load_proposals(proposals_path) if proposals_path.exists() else []
     check_classes(proposals, config)
     clusters = load_clusters(scene, config)
     pairs = associate(
@@ -226,9 +234,11 @@ def associate_frame(
     return scene, pairs, stats
 
 
-def process_frame(config: PipelineConfig, frame_id: str) -> tuple[str, list[NovelObjectTarget], dict]:
-    """Annotate one frame; returns (frame_id, targets, counters)."""
-    scene, pairs, stats = associate_frame(config, frame_id)
+def process_frame(
+    config: PipelineConfig, frame_id: str, proposals: list[Proposal2D]
+) -> tuple[str, list[NovelObjectTarget], dict]:
+    """Annotate one frame with its ``proposals``; returns (frame_id, targets, counters)."""
+    scene, pairs, stats = associate_frame(config, frame_id, proposals)
     return frame_id, prepare_targets(scene, pairs, config), stats
 
 
@@ -237,37 +247,38 @@ def run_annotate(config: PipelineConfig) -> dict:
 
     Writes ``bank.jsonl`` and ``report.json`` into the output dir and
     returns the report. The bank is byte-identical across runs with the
-    same config and inputs.
+    same config and inputs. Every frame's proposals are read, and their
+    classes and embedding dimensions checked, before any fit.
     """
     t0 = time.perf_counter()
     frame_ids = discover_frames(config.scenes_dir)
+    proposals = [frame_proposals(config, fid) for fid in frame_ids]
+    for props in proposals:
+        check_classes(props, config)
+    embed_dims = {len(p.embedding) for props in proposals for p in props if p.embedding is not None}
+    if len(embed_dims) > 1:
+        raise ValidationError(
+            f"embedding dimension must be constant per run, saw {sorted(embed_dims)}"
+        )
     results: list[tuple[str, list[NovelObjectTarget], dict]] = []
     if config.workers > 1 and len(frame_ids) > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=min(config.workers, len(frame_ids))) as ex:
-            results = list(ex.map(partial(process_frame, config), frame_ids))
+            results = list(ex.map(partial(process_frame, config), frame_ids, proposals))
     else:
-        results = [process_frame(config, fid) for fid in frame_ids]
+        results = [process_frame(config, fid, props) for fid, props in zip(frame_ids, proposals)]
     results.sort(key=lambda r: r[0])
 
     frames: dict[str, list[NovelObjectTarget]] = {}
     totals = {"proposals": 0, "clusters": 0, "pairs": 0}
     frames_missing_proposals: list[str] = []
-    embed_dims: set[int] = set()
     for frame_id, targets, stats in results:
         frames[frame_id] = targets
         for key in totals:
             totals[key] += stats[key]
         if not stats["had_proposal_file"]:
             frames_missing_proposals.append(frame_id)
-        for t in targets:
-            if t.embedding is not None:
-                embed_dims.add(len(t.embedding))
-    if len(embed_dims) > 1:
-        raise ValidationError(
-            f"embedding dimension must be constant per run, saw {sorted(embed_dims)}"
-        )
 
     bank = NovelObjectBank(frames)
     config.output_dir.mkdir(parents=True, exist_ok=True)

@@ -72,7 +72,7 @@ def iou_2d(a: Box2D, b: Box2D) -> float:
     if iw <= 0.0 or ih <= 0.0:
         return 0.0
     inter = iw * ih
-    union = a.area + b.area - inter
+    union = a.width * a.height + b.width * b.height - inter
     return inter / union
 
 

@@ -10,12 +10,15 @@ import numpy as np
 
 from autobox3d.assoc import CrossModalProposal, Proposal2D, ray_pair
 from autobox3d.costfn import AnchorRange, BatchEval, BoxCostBatch, CostBreakdown, CostWeights
-from autobox3d.geom import Box2D, BoxParams, CameraCalib, EgoPose, project_box_to_2d
-from autobox3d.optimizer import EvalFn
+from autobox3d.geom import (
+    NEAR_DEPTH, Box2D, BoxParams, CameraCalib, EgoPose, box_corners, project_box_to_2d,
+)
+from autobox3d.optimizer import EvalFn, SearchResult, SwarmConfig, SwarmStart, pso_search
 from autobox3d.sceneprep import Cluster, Scene
 from autobox3d.synth import make_camera, sample_box_surface
 
 CAR_ANCHOR = AnchorRange("car", (3.9, 1.6, 1.4), (5.3, 2.1, 1.9))
+PEDESTRIAN_ANCHOR = AnchorRange("pedestrian", (0.3, 0.3, 1.4), (1.0, 1.0, 2.0))
 
 GROUND_Z = -1.8
 
@@ -71,6 +74,30 @@ def build_pair(box: BoxParams, class_id: str = "car", seed: int = 0,
     return ray_pair(prop, cluster, scene)[0]
 
 
+def lockstep_pairs() -> list[tuple[CrossModalProposal, AnchorRange]]:
+    """Three pairs, with their anchors, for checking a lockstep search.
+
+    Their clusters hold 175, 1,786 and 28 points; the second tiles a block
+    of 50 candidate rows. The third is a pedestrian with its own anchor, the
+    second has a camera of its own, and the first car is near enough that
+    candidates around it are cut by its image plane.
+    """
+    near = build_pair(car_box(dist=3.2, azimuth=0.1, ry=0.3), seed=30)
+    far_box = car_box(dist=9.0, azimuth=-0.4, ry=1.2)
+    wide = make_camera("cam1", math.atan2(far_box.y, far_box.x), 500.0, 1280, 720)
+    dense = build_pair(far_box, seed=31, spacing=0.07, camera=wide)
+    walker = BoxParams(7.0, 2.0, GROUND_Z + 0.85, 0.6, 0.6, 1.7, 0.4)
+    person = build_pair(walker, class_id="pedestrian", seed=32)
+    return [(near, CAR_ANCHOR), (dense, CAR_ANCHOR), (person, PEDESTRIAN_ANCHOR)]
+
+
+def is_cut(theta: np.ndarray, calib: CameraCalib) -> bool:
+    """Whether box ``theta`` straddles the camera's near plane."""
+    ext = calib.extrinsic
+    depth = box_corners(BoxParams.from_array(theta)) @ ext[2, :3] + ext[2, 3]
+    return depth.min() < NEAR_DEPTH <= depth.max()
+
+
 def random_box(rng: np.random.Generator, span: float = 8.0) -> BoxParams:
     """A random reasonably-sized box for property tests."""
     x, y = rng.uniform(-span, span, size=2)
@@ -99,6 +126,12 @@ def kernel_eval(pair: CrossModalProposal, weights: CostWeights = CostWeights()) 
     """The production evaluator for one pair, ``BoxCostBatch(...).evaluate``."""
     return BoxCostBatch(pair.points, pair.scene.ego, pair.proposal.box,
                         pair.calib, weights).evaluate
+
+
+def swarm_fit(evaluate: EvalFn, pair: CrossModalProposal, cfg: SwarmConfig, seed: int,
+              anchor: AnchorRange = CAR_ANCHOR) -> SearchResult:
+    """One swarm searched alone (K = 1) over ``pair``'s cluster and ray."""
+    return pso_search(evaluate, [SwarmStart(pair.points, pair.ray, anchor, seed)], cfg)[0]
 
 
 def totals_eval(fn) -> EvalFn:

@@ -28,12 +28,12 @@ from autobox3d.geom import (
     rotation_z,
 )
 from autobox3d.assoc import Proposal2D
-from autobox3d.optimizer import SwarmConfig, grid_axis_counts, inertia_at, pso_search
+from autobox3d.optimizer import SwarmConfig, grid_axis_counts, inertia_at
 from autobox3d.pipeline import nms, run_annotate
 from autobox3d.synth import SynthClassSpec, SynthSpec, generate
 
 from _costfn_reference import points_in_box, project_points
-from _util import CAR_ANCHOR, build_pair, car_box, score_box, simple_calib, totals_eval
+from _util import CAR_ANCHOR, build_pair, car_box, score_box, simple_calib, swarm_fit, totals_eval
 
 BUDGET_FULL = 150000
 BUDGET_QUARTER = 37500
@@ -404,9 +404,8 @@ def test_criterion_7_property_suites(request):
         def sphere(thetas, t=target):
             return ((thetas - t) ** 2).sum(axis=1)
 
-        cfg = SwarmConfig(n_swarm=int(rng.integers(3, 9)), n_iter=int(rng.integers(5, 21)),
-                          seed=int(rng.integers(0, 2**31)))
-        res = pso_search(totals_eval(sphere), pair.points, pair.ray, CAR_ANCHOR, cfg)
+        cfg = SwarmConfig(n_swarm=int(rng.integers(3, 9)), n_iter=int(rng.integers(5, 21)))
+        res = swarm_fit(totals_eval(sphere), pair, cfg, seed=int(rng.integers(0, 2**31)))
         trace = res.trace
         if trace is None or len(trace) != cfg.n_iter:
             failures.append("trace missing or wrong length")

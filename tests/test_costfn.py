@@ -15,7 +15,11 @@ from autobox3d.costfn import AnchorRange, BoxCostBatch, CostWeights, adaptive_su
 from autobox3d.geom import BOUNDARY_TOL, Box2D, BoxParams, EgoPose, box_corners, project_box_to_2d
 
 from _costfn_reference import _point_segment_distances, anchor_edges, points_in_box, reference_cost
-from _util import CAR_ANCHOR, build_pair, car_box, random_box, score_box, simple_calib
+from autobox3d.optimizer import search_bounds
+
+from _util import (
+    CAR_ANCHOR, build_pair, car_box, is_cut, lockstep_pairs, random_box, score_box, simple_calib,
+)
 
 CUBE = BoxParams(0.0, 0.0, 0.0, 2.0, 2.0, 2.0, 0.0)
 
@@ -369,9 +373,9 @@ class TestBatchAgainstScalar:
 
     def test_result_independent_of_batch(self):
         # The batch spans three row tiles. One candidate behind the camera
-        # and one cut by the image plane send the middle tile down the masked
-        # hull path while the other tiles take the direct one; every
-        # candidate must still score, bit for bit, as it does alone.
+        # and one cut by the image plane take the masked hull path while the
+        # rest of their tile takes the direct one; every candidate must
+        # still score, bit for bit, as it does alone.
         rng = np.random.default_rng(15)
         box = car_box()
         pair = build_pair(box, seed=7)
@@ -415,6 +419,51 @@ class TestBatchAgainstScalar:
                              pair.calib, CostWeights())
         with pytest.raises(ValueError):
             batch.evaluate(np.zeros((5, 6)))
+
+
+class TestJoin:
+    """A joined kernel scores block k of its rows as kernel k alone does."""
+
+    ROWS = 50
+
+    def _kernels(self):
+        pairs = lockstep_pairs()
+        kernels = [
+            BoxCostBatch(p.points, p.scene.ego, p.proposal.box, p.calib,
+                         CostWeights(lambda1=4.0 + k, c_surface=6.0 + k))
+            for k, (p, _) in enumerate(pairs)
+        ]
+        rng = np.random.default_rng(33)
+        blocks = []
+        for p, anchor in pairs:
+            lb, ub = search_bounds(p.points, anchor)
+            blocks.append(rng.uniform(lb, ub, size=(self.ROWS, 7)))
+        return pairs, kernels, blocks
+
+    def test_blocks_score_as_their_kernels(self):
+        pairs, kernels, blocks = self._kernels()
+        assert any(is_cut(th, pairs[0][0].calib) for th in blocks[0])
+        dense = kernels[1].n_points
+        assert self.ROWS // (costfn._TILE_ELEMS // dense) >= 2, "the dense block must tile"
+        joined = BoxCostBatch.join(kernels)
+        assert joined.n_points == sum(k.n_points for k in kernels) / 3
+        together = joined.evaluate(np.vstack(blocks))
+        nested = BoxCostBatch.join([BoxCostBatch.join(kernels[:2]), kernels[2]])
+        again = nested.evaluate(np.vstack(blocks))
+        for k, (kernel, block) in enumerate(zip(kernels, blocks)):
+            alone = kernel.evaluate(block)
+            rows = slice(k * self.ROWS, (k + 1) * self.ROWS)
+            for name in ("totals", "density", "lshape", "surface", "iou2d"):
+                assert np.array_equal(getattr(together, name)[rows], getattr(alone, name)), (k, name)
+                assert np.array_equal(getattr(again, name)[rows], getattr(alone, name)), (k, name)
+
+    def test_rows_must_split_evenly(self):
+        _, kernels, blocks = self._kernels()
+        joined = BoxCostBatch.join(kernels)
+        with pytest.raises(ValueError, match="3 equal blocks"):
+            joined.evaluate(np.vstack(blocks)[:-1])
+        with pytest.raises(ValueError):
+            BoxCostBatch.join([])
 
 
 def test_full_surface_box_scores_near_perfect():

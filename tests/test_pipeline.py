@@ -21,9 +21,9 @@ from autobox3d.pipeline import (
     discover_frames,
     fit_pair,
     fit_proposal,
-    fit_setup,
     format_bank_summary,
     format_report,
+    frame_proposals,
     load_clusters,
     nms,
     prepare_targets,
@@ -35,8 +35,16 @@ from autobox3d.pipeline import (
 from autobox3d.sceneprep import load_point_labels, load_scene
 from autobox3d.synth import SynthClassSpec, SynthSpec, generate, make_camera
 
+from _util import swarm_fit
+
 
 TINY_SWARM = SwarmConfig(n_swarm=12, n_iter=60)
+
+def fit_alone(pair, config, seed):
+    """One pair's swarm fit searched on its own, under the run config."""
+    anchor, batch = fit_pair(pair, config)
+    return swarm_fit(batch.evaluate, pair, config.swarm, seed, anchor)
+
 
 CORPUS_SPEC = SynthSpec(
     seed=11,
@@ -226,19 +234,19 @@ class TestFitPair:
         pair = self.first_pair(corpus, config)
         pair.proposal.class_id = "yeti"
         with pytest.raises(UnknownClassError, match="yeti"):
-            fit_pair(pair, config, seed=1)
+            fit_pair(pair, config)
 
     def test_setup_surface_clip(self, corpus, tmp_path):
         adaptive = corpus_config(corpus, tmp_path)
         pair = self.first_pair(corpus, adaptive)
-        anchor, batch = fit_setup(pair, adaptive)
+        anchor, batch = fit_pair(pair, adaptive)
         assert anchor is adaptive.anchors[pair.proposal.class_id]
         assert np.array_equal(batch.points, pair.points)
         assert batch.proposal == pair.proposal.box
         clip = adaptive_surface_clip(pair.scene.ego, pair.cluster.centroid, anchor)
         assert batch.weights.c_surface == clip
         assert batch.weights.lambda1 == adaptive.weights.lambda1
-        _, fixed = fit_setup(pair, corpus_config(corpus, tmp_path, surface_clip=7.5))
+        _, fixed = fit_pair(pair, corpus_config(corpus, tmp_path, surface_clip=7.5))
         assert fixed.weights.c_surface == 7.5
 
 
@@ -274,7 +282,7 @@ def _write_mini_frame(scenes, frame_id, embed_dim, n_points=8):
 class TestProcessFrame:
     def test_counts_and_targets(self, corpus, tmp_path):
         config = corpus_config(corpus, tmp_path)
-        frame_id, targets, stats = process_frame(config, "0000")
+        frame_id, targets, stats = process_frame(config, "0000", frame_proposals(config, "0000"))
         assert frame_id == "0000"
         assert stats["proposals"] == 2
         assert stats["clusters"] == 2
@@ -312,7 +320,7 @@ class TestProcessFrame:
 
         monkeypatch.setattr("autobox3d.pipeline.fit_pair", no_fit)
         with pytest.raises(UnknownClassError, match="trailer"):
-            process_frame(config, "0000")
+            process_frame(config, "0000", frame_proposals(config, "0000"))
 
     def test_default_tables_cover_the_same_classes(self):
         config = PipelineConfig()
@@ -358,7 +366,7 @@ class TestProcessFrame:
         assert len(pairs) == 2
 
         fits = [
-            fit_pair(pair, config, derive_pair_seed(config.seed, "c0", k))
+            fit_alone(pair, config, derive_pair_seed(config.seed, "c0", k))
             for k, pair in enumerate(pairs)
         ]
         expected = min(fits, key=lambda r: r.best_cost.total)
@@ -372,7 +380,7 @@ class TestProcessFrame:
 class TestFitProposal:
     def test_seeds_follow_position_among_frame_pairs(self, corpus, tmp_path):
         config = corpus_config(corpus, tmp_path)
-        scene, pairs, stats = associate_frame(config, "0000")
+        scene, pairs, stats = associate_frame(config, "0000", frame_proposals(config, "0000"))
         assert stats["pairs"] == len(pairs)
         index = pairs[-1].proposal.index
         mine = [(k, p) for k, p in enumerate(pairs) if p.proposal.index == index]
@@ -380,8 +388,9 @@ class TestFitProposal:
         fits = fit_proposal(scene, pairs, config, index)
         assert [pair for _, pair in fits] == [pair for _, pair in mine]
         for (result, _), (k, pair) in zip(fits, mine):
-            expected = fit_pair(pair, config, derive_pair_seed(config.seed, "0000", k))
+            expected = fit_alone(pair, config, derive_pair_seed(config.seed, "0000", k))
             assert result.best_cost == expected.best_cost
+            assert np.array_equal(result.trace, expected.trace)
         assert fit_proposal(scene, pairs, config, stats["proposals"]) == []
 
     def test_best_fit_lowest_total_earliest_on_tie(self):
@@ -447,7 +456,7 @@ class TestRunAnnotate:
         text = format_report(report)
         assert "0001" in text
 
-    def test_mixed_embedding_dims_rejected(self, tmp_path):
+    def test_mixed_embedding_dims_rejected(self, tmp_path, monkeypatch):
         scenes = tmp_path / "scenes"
         scenes.mkdir()
         _write_mini_frame(scenes, "a", embed_dim=4)
@@ -455,8 +464,29 @@ class TestRunAnnotate:
         config = corpus_config(
             scenes, tmp_path / "out", swarm=SwarmConfig(n_swarm=8, n_iter=20)
         )
+
+        def no_search(*args, **kwargs):
+            raise AssertionError("a pair was fitted before the embedding check")
+
+        monkeypatch.setattr("autobox3d.pipeline.pso_search", no_search)
         with pytest.raises(ValidationError, match="embedding dimension"):
             run_annotate(config)
+
+    def test_unknown_class_in_last_frame_fails_before_any_fit(self, corpus, tmp_path,
+                                                              monkeypatch):
+        scenes = tmp_path / "scenes"
+        shutil.copytree(corpus, scenes)
+        path = scenes / "0001.proposals.json"
+        proposals = json.loads(path.read_text())
+        proposals[-1]["class"] = "yeti"
+        path.write_text(json.dumps(proposals))
+
+        def no_search(*args, **kwargs):
+            raise AssertionError("a frame was fitted before the last frame's class check")
+
+        monkeypatch.setattr("autobox3d.pipeline.pso_search", no_search)
+        with pytest.raises(UnknownClassError, match="yeti"):
+            run_annotate(corpus_config(scenes, tmp_path / "out"))
 
     def test_summarize_bank_matches_report(self, corpus, tmp_path):
         config = corpus_config(corpus, tmp_path / "out")
