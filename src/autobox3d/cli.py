@@ -14,10 +14,11 @@ import json
 import sys
 import traceback
 from dataclasses import asdict
+from pathlib import Path
 
 from .bench import run_bench, write_bench_csv
 from .config import load_config
-from .errors import CloudFormatError, ValidationError
+from .errors import CloudFormatError, ValidationError, make_output_dir
 from .pipeline import (
     associate_frame,
     best_fit,
@@ -76,19 +77,17 @@ def _cmd_fit_box(args: argparse.Namespace) -> int:
 
 def _cmd_bench(args: argparse.Namespace) -> int:
     config = load_config(args.config)
+    out_csv = Path(args.out) if args.out else make_output_dir(config.output_dir) / "bench.csv"
+    if out_csv.is_dir() or not out_csv.parent.is_dir():
+        raise ValidationError(f"cannot write bench rows to {out_csv}")
     rows = run_bench(config)
-    out_csv = args.out
-    if out_csv is None:
-        config.output_dir.mkdir(parents=True, exist_ok=True)
-        out_csv = config.output_dir / "bench.csv"
     write_bench_csv(rows, out_csv)
     by_key: dict[tuple[str, int], list[float]] = {}
     for row in rows:
         by_key.setdefault((row["method"], row["budget"]), []).append(row["bev_iou"])
     print(f"{len(rows)} runs over {len({r['instance'] for r in rows})} instances")
     for (method, budget), ious in sorted(by_key.items()):
-        mean = sum(ious) / len(ious)
-        print(f"  {method:8s} budget {budget:>8d}: mean IoU {mean:.3f}")
+        print(f"  {method:8s} budget {budget:>8d}: mean IoU {sum(ious) / len(ious):.3f}")
     print(f"rows written to {out_csv}")
     return 0
 

@@ -37,9 +37,11 @@ import numpy as np
 from .geom import BOUNDARY_TOL, Box2D, CameraCalib, EgoPose, camera_columns, image_hulls, rect_ious
 
 # Candidate x point elements per row tile of ``BoxCostBatch.evaluate``: 256 KB
-# per (S, N) float buffer, which stays in L2 cache. A tile costs about 0.2 ms
-# of fixed overhead, so a batch under two tiles takes one pass.
+# per (S, N) float buffer, which stays in L2 cache.
 _TILE_ELEMS = 32768
+# Rows per chunk of ``BoxCostBatch.evaluate``; each chunk pays the fixed cost
+# of the point-free terms once.
+_CHUNK_ROWS = 2048
 
 
 @dataclass(frozen=True)
@@ -133,21 +135,13 @@ class BatchEval:
     iou2d: np.ndarray
 
     def breakdown_at(self, i: int) -> CostBreakdown:
-        return CostBreakdown(
-            float(self.density[i]),
-            float(self.lshape[i]),
-            float(self.surface[i]),
-            float(self.iou2d[i]),
-            float(self.totals[i]),
-        )
+        terms = (self.density, self.lshape, self.surface, self.iou2d, self.totals)
+        return CostBreakdown(*(float(term[i]) for term in terms))
 
 
 def _tiles(start: int, stop: int, tile: int) -> list[tuple[int, int]]:
-    """Row ranges of [start, stop), each of one to two ``tile``s of rows."""
-    n_tiles = (stop - start) // tile
-    if n_tiles <= 1:
-        return [(start, stop)]
-    rows = -(-(stop - start) // n_tiles)
+    """Row ranges of [start, stop), not empty, each of one to two ``tile``s of rows."""
+    rows = -(-(stop - start) // max(1, (stop - start) // tile))
     return [(s, min(s + rows, stop)) for s in range(start, stop, rows)]
 
 
@@ -160,14 +154,14 @@ class BoxCostBatch:
 
     Bound to one cluster / ego / 2D-proposal / camera / weights set; a
     ``join`` of K kernels splits its rows into K equal blocks, block k
-    scored against set k. The (S, N) point terms run block by block in row
-    tiles of about ``_TILE_ELEMS`` (candidate, point) elements, so their
-    buffers stay in cache. The terms that read no point take each row's
-    parameters from per-row columns and run tile by tile in a single
-    kernel, but once over all rows in a joined one, which pays their fixed
-    per-call cost once for K clusters. A candidate's result depends on
-    neither the batch, its block nor its tiling. The top-edge term uses the
-    enclosed-point identity from the module docstring instead of clamping.
+    scored against set k. Rows go through in chunks of at most
+    ``_CHUNK_ROWS``. In each chunk, the terms that read no point run once,
+    from per-row parameter columns, and the (S, N) point terms run on each
+    block's part of the chunk in row tiles of about ``_TILE_ELEMS``
+    (candidate, point) elements, so their buffers stay in cache. A
+    candidate's result depends on neither the batch, its block, its chunk
+    nor its tiling. The top-edge term uses the enclosed-point identity from
+    the module docstring instead of clamping.
     """
 
     def __init__(
@@ -185,13 +179,9 @@ class BoxCostBatch:
             raise ValueError("obj_points is empty; cannot score an empty cluster")
         self.points = pts
         self.n_points = len(pts)
-        self.ego = ego
         self.proposal = proposal
-        self.calib = calib
         self.weights = weights
-        self._px = pts[:, 0][None, :]
-        self._py = pts[:, 1][None, :]
-        self._pz = pts[:, 2][None, :]
+        self._px, self._py, self._pz = pts.T[:, None, :]
         self._tile = max(1, _TILE_ELEMS // self.n_points)
         self.parts: tuple[BoxCostBatch, ...] = (self,)
         self._cols = np.concatenate([
@@ -223,41 +213,37 @@ class BoxCostBatch:
         k = len(self.parts)
         if len(th) % k:
             raise ValueError(f"{len(th)} rows do not split into {k} equal blocks")
-        if k == 1:
-            part = self.parts[0]
-            out = np.empty((5, len(th)))
-            for s, e in _tiles(0, len(th), part._tile):
-                out[:, s:e] = self._score(th[s:e], self._cols, [(part, 0, e - s)])
-            return BatchEval(*out)
         rows = len(th) // k
-        blocks = [
-            (part, s, e)
-            for i, part in enumerate(self.parts)
-            for s, e in _tiles(i * rows, (i + 1) * rows, part._tile)
-        ]
-        return BatchEval(*self._score(th, np.repeat(self._cols, rows, axis=1), blocks))
+        out = np.empty((5, len(th)))
+        for c0 in range(0, len(th), _CHUNK_ROWS):
+            c1 = min(c0 + _CHUNK_ROWS, len(th))
+            blocks = [
+                (self.parts[i], s - c0, e - c0)
+                for i in range(c0 // rows, (c1 - 1) // rows + 1)
+                for s, e in _tiles(max(c0, i * rows), min(c1, (i + 1) * rows), self.parts[i]._tile)
+            ]
+            cols = self._cols.take(np.arange(c0, c1) // rows, axis=1)
+            out[:, c0:c1] = self._score(th[c0:c1], cols, blocks)
+        return BatchEval(*out)
 
     def _score(self, th: np.ndarray, cols: np.ndarray, blocks) -> tuple[np.ndarray, ...]:
         """(totals, density, lshape, surface, iou2d) of rows ``th`` under
-        parameter columns ``cols`` (one per row, or one for all); the point
-        terms run on each (kernel, start, stop) of ``blocks``."""
+        per-row parameter columns ``cols``; the point terms run on each
+        (kernel, start, stop) of ``blocks``."""
         ego_x, ego_y = cols[_EGO]
         lambda1, lambda2, lambda3, gamma, c_surface = cols[_WEIGHTS]
         cx, cy = th[:, 0], th[:, 1]
-        cos = np.cos(th[:, 6])
-        sin = np.sin(th[:, 6])
+        cos, sin = np.cos(th[:, 6]), np.sin(th[:, 6])
 
         # Ego position in each box frame picks the near top edges by sign:
         # the edge at x = sx running along y, and the edge at y = sy running
         # along x, both on the top face.
-        edx = ego_x - cx
-        edy = ego_y - cy
+        edx, edy = ego_x - cx, ego_y - cy
         e_lx = cos * edx + sin * edy
         e_ly = cos * edy - sin * edx
         sx = np.where(e_lx > 0.0, 0.5, -0.5) * th[:, 3]
         sy = np.where(e_ly > 0.0, 0.5, -0.5) * th[:, 4]
-        density = np.empty(len(th))
-        lshape = np.empty(len(th))
+        density, lshape = np.empty((2, len(th)))
         for part, s, e in blocks:
             density[s:e], lshape[s:e] = part._point_terms(th[s:e], cos[s:e], sin[s:e], sx[s:e], sy[s:e])
 

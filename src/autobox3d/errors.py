@@ -6,6 +6,7 @@ nothing is converted on the way in, so ``true`` is not 1, ``"1.5"`` is not
 import sys
 from contextlib import contextmanager
 from dataclasses import MISSING, fields
+from pathlib import Path
 
 import numpy as np
 
@@ -20,6 +21,15 @@ class UnknownClassError(ValidationError):
 
 class CloudFormatError(ValueError):
     """A point cloud file could not be parsed."""
+
+
+def make_output_dir(path: Path) -> Path:
+    """``path``, made a directory if need be, or a ValidationError that names it."""
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ValidationError(f"cannot create output directory {path}: {exc.strerror}") from None
+    return path
 
 
 @contextmanager

@@ -273,7 +273,7 @@ def greedy_search(
 
     The grid shape comes from :func:`grid_axis_counts`, so the number of
     scored candidates is the largest even grid not exceeding ``budget``.
-    The whole grid goes to ``evaluate`` in one call; ``BoxCostBatch`` tiles
+    The whole grid goes to ``evaluate`` in one call; ``BoxCostBatch`` chunks
     it internally. Ties on cost keep the earliest candidate in grid
     enumeration order, as ``np.argmin`` does.
     """

@@ -23,7 +23,7 @@ from .assoc import CrossModalProposal, Proposal2D, associate, load_proposals
 from .bank import NovelObjectBank, NovelObjectTarget, Provenance, read_bank, write_bank
 from .config import PipelineConfig, config_fingerprint
 from .costfn import AnchorRange, BoxCostBatch, adaptive_surface_clip
-from .errors import UnknownClassError, ValidationError
+from .errors import UnknownClassError, ValidationError, make_output_dir
 from .filters import verdict
 from .geom import iou_bev
 from .optimizer import SearchResult, SwarmStart, pso_search
@@ -90,8 +90,7 @@ def fit_proposal(
         SwarmStart(pair.points, pair.ray, anchor, derive_pair_seed(config.seed, scene.frame_id, k))
         for (k, pair), (anchor, _) in zip(chosen, setups)
     ]
-    kernel = BoxCostBatch.join([batch for _, batch in setups])
-    results = pso_search(kernel.evaluate, starts, config.swarm)
+    results = pso_search(BoxCostBatch.join([b for _, b in setups]).evaluate, starts, config.swarm)
     return [(result, pair) for result, (_, pair) in zip(results, chosen)]
 
 
@@ -247,10 +246,11 @@ def run_annotate(config: PipelineConfig) -> dict:
 
     Writes ``bank.jsonl`` and ``report.json`` into the output dir and
     returns the report. The bank is byte-identical across runs with the
-    same config and inputs. Every frame's proposals are read, and their
-    classes and embedding dimensions checked, before any fit.
+    same config and inputs. The output dir is made, and every frame's proposal
+    classes and embedding dimensions are checked, before any fit.
     """
     t0 = time.perf_counter()
+    make_output_dir(config.output_dir)
     frame_ids = discover_frames(config.scenes_dir)
     proposals = [frame_proposals(config, fid) for fid in frame_ids]
     for props in proposals:
@@ -281,7 +281,6 @@ def run_annotate(config: PipelineConfig) -> dict:
             frames_missing_proposals.append(frame_id)
 
     bank = NovelObjectBank(frames)
-    config.output_dir.mkdir(parents=True, exist_ok=True)
     write_bank(bank, config.output_dir / "bank.jsonl")
 
     n_targets = len(bank)

@@ -3,6 +3,7 @@
 import csv
 import json
 import shutil
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,10 +13,13 @@ from autobox3d.bench import load_bench_instances, run_bench, write_bench_csv
 from autobox3d.cli import main
 from autobox3d.config import PipelineConfig, save_config
 from autobox3d.errors import UnknownClassError, ValidationError
+from autobox3d.geom import iou_bev
 from autobox3d.optimizer import SwarmConfig
+from autobox3d.pipeline import derive_pair_seed, fit_pair
 from autobox3d.synth import SynthClassSpec, SynthSpec, generate
 
 from _costfn_reference import points_in_box
+from _util import swarm_fit
 
 
 BENCH_SPEC = SynthSpec(
@@ -177,6 +181,37 @@ class TestRunBench:
         inst.class_id = inst.pair.proposal.class_id = "yeti"
         with pytest.raises(UnknownClassError, match="yeti"):
             run_bench(bench_config, methods=("greedy",), budgets=(128,), instances=[inst])
+
+    def test_lockstep_rows_equal_searches_alone(self, bench_config):
+        # All instances' swarms of one budget share one search; each row must
+        # still be what its swarm gets searched alone (K = 1).
+        instances = load_bench_instances(bench_config)
+        assert len(instances) == 2
+        budgets = (300, 700)
+        rows = run_bench(bench_config, methods=("adaptive",), budgets=budgets, instances=instances)
+        assert [(r["budget"], r["instance"]) for r in rows] == [
+            (b, inst.key) for b in budgets for inst in instances
+        ]
+        for row, (budget, inst) in zip(rows, [(b, i) for b in budgets for i in instances]):
+            anchor, batch = fit_pair(inst.pair, bench_config)
+            cfg = replace(bench_config.swarm, n_iter=budget // bench_config.swarm.n_swarm)
+            seed = derive_pair_seed(bench_config.seed, f"bench:{inst.key}", budget)
+            alone = swarm_fit(batch.evaluate, inst.pair, cfg, seed, anchor)
+            assert row["cost"] == alone.best_cost.total
+            assert row["bev_iou"] == iou_bev(alone.best_box, inst.gt_box)
+        for budget in budgets:
+            walls = {r["wall_time"] for r in rows if r["budget"] == budget}
+            assert len(walls) == 1 and walls.pop() > 0.0
+
+    def test_rows_come_in_budget_method_instance_order(self, bench_config):
+        rows = run_bench(bench_config, budgets=(128, 200))
+        keys = [(r["budget"], r["method"], r["instance"]) for r in rows]
+        assert keys == [
+            (b, m, i) for b in (128, 200) for m in ("greedy", "adaptive") for i in ("0000:0", "0001:0")
+        ]
+
+    def test_no_instances_no_rows(self, bench_config):
+        assert run_bench(bench_config, instances=[]) == []
 
     def test_precomputed_instances_reused(self, bench_config):
         instances = load_bench_instances(bench_config)

@@ -6,7 +6,7 @@ import shutil
 
 import pytest
 
-from autobox3d import pipeline
+from autobox3d import bench, pipeline
 from autobox3d.cli import main
 
 
@@ -125,6 +125,23 @@ class TestAnnotate:
         err = capsys.readouterr().err
         assert "proposal 0: mask_pixel_count must be an integer, got 100.9" in err
 
+    def test_output_dir_that_is_a_file_exits_2_before_fitting(
+        self, workdir, tmp_path, capsys, monkeypatch
+    ):
+        # The output dir used to be made only after every frame was fitted,
+        # and a file in its place then ended the run with a traceback.
+        out = tmp_path / "out"
+        out.write_text("not a directory\n")
+        cfg = tmp_path / "c.yaml"
+        cfg.write_text(f"paths:\n  scenes: {workdir / 'scenes'}\n  output: {out}\n")
+
+        def no_search(*args, **kwargs):
+            raise AssertionError("annotate searched before it made its output dir")
+
+        monkeypatch.setattr(pipeline, "pso_search", no_search)
+        assert main(["annotate", "--config", str(cfg)]) == 2
+        assert f"cannot create output directory {out}" in capsys.readouterr().err
+
 
 class TestFitBox:
     def test_prints_box_json(self, workdir, capsys):
@@ -229,6 +246,20 @@ class TestBench:
         # 2 instances x 1 budget x 2 methods.
         assert len(rows) == 4
         assert {r["method"] for r in rows} == {"greedy", "adaptive"}
+
+    def test_out_in_missing_dir_exits_2_before_fitting(self, workdir, tmp_path, capsys,
+                                                       monkeypatch):
+        # The CSV used to be written only after every fit.
+        def no_search(*args, **kwargs):
+            raise AssertionError("bench searched before it checked its output path")
+
+        monkeypatch.setattr(bench, "greedy_search", no_search)
+        monkeypatch.setattr(bench, "pso_search", no_search)
+        out_csv = tmp_path / "missing" / "x.csv"
+        code = main(["bench", "--config", str(workdir / "config.yaml"), "--out", str(out_csv)])
+        assert code == 2
+        assert str(out_csv) in capsys.readouterr().err
+        assert not out_csv.parent.exists()
 
     def test_default_csv_location(self, workdir, capsys):
         code = main(["bench", "--config", str(workdir / "config.yaml")])

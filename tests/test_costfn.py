@@ -413,6 +413,28 @@ class TestBatchAgainstScalar:
         together = self._assert_rows_score_alone(batch, thetas)
         assert together.density[0] < 0.0
 
+    def test_rows_across_chunks(self):
+        # More than two chunks of rows against one cluster, with rows behind
+        # the camera and cut by its image plane at and next to the chunk
+        # boundaries: each scores as it does alone.
+        rng = np.random.default_rng(19)
+        box = car_box()
+        pair = build_pair(box, seed=9)
+        batch = BoxCostBatch(pair.points, pair.scene.ego, pair.proposal.box,
+                             pair.calib, CostWeights(c_surface=9.0))
+        chunk = costfn._CHUNK_ROWS
+        n = 2 * chunk + 37
+        thetas = box.as_array() + rng.normal(0.0, 0.4, size=(n, 7))
+        behind = [chunk - 1, 2 * chunk, n - 1]
+        cut = [chunk, 2 * chunk - 1, 2 * chunk + 1]
+        thetas[behind] = [-15.0, 0.0, 0.0, 4.0, 2.0, 1.5, 0.0]
+        thetas[cut] = [1.0, 0.0, -1.0, 4.0, 2.0, 1.5, 0.0]
+        assert is_cut(thetas[cut[0]], pair.calib)
+        together = self._assert_rows_score_alone(batch, thetas)
+        assert (together.iou2d[behind] == 0.0).all()
+        assert (together.iou2d[cut] < 0.0).all()
+        assert (together.density < 0.0).sum() > chunk
+
     def test_rejects_bad_shapes(self):
         pair = build_pair(car_box(), seed=4)
         batch = BoxCostBatch(pair.points, pair.scene.ego, pair.proposal.box,
@@ -426,7 +448,7 @@ class TestJoin:
 
     ROWS = 50
 
-    def _kernels(self):
+    def _kernels(self, rows=ROWS):
         pairs = lockstep_pairs()
         kernels = [
             BoxCostBatch(p.points, p.scene.ego, p.proposal.box, p.calib,
@@ -437,14 +459,14 @@ class TestJoin:
         blocks = []
         for p, anchor in pairs:
             lb, ub = search_bounds(p.points, anchor)
-            blocks.append(rng.uniform(lb, ub, size=(self.ROWS, 7)))
+            blocks.append(rng.uniform(lb, ub, size=(rows, 7)))
         return pairs, kernels, blocks
 
-    def test_blocks_score_as_their_kernels(self):
-        pairs, kernels, blocks = self._kernels()
+    def _assert_blocks_score_as_their_kernels(self, rows):
+        pairs, kernels, blocks = self._kernels(rows)
         assert any(is_cut(th, pairs[0][0].calib) for th in blocks[0])
         dense = kernels[1].n_points
-        assert self.ROWS // (costfn._TILE_ELEMS // dense) >= 2, "the dense block must tile"
+        assert rows // (costfn._TILE_ELEMS // dense) >= 2, "the dense block must tile"
         joined = BoxCostBatch.join(kernels)
         assert joined.n_points == sum(k.n_points for k in kernels) / 3
         together = joined.evaluate(np.vstack(blocks))
@@ -452,10 +474,21 @@ class TestJoin:
         again = nested.evaluate(np.vstack(blocks))
         for k, (kernel, block) in enumerate(zip(kernels, blocks)):
             alone = kernel.evaluate(block)
-            rows = slice(k * self.ROWS, (k + 1) * self.ROWS)
+            part = slice(k * rows, (k + 1) * rows)
             for name in ("totals", "density", "lshape", "surface", "iou2d"):
-                assert np.array_equal(getattr(together, name)[rows], getattr(alone, name)), (k, name)
-                assert np.array_equal(getattr(again, name)[rows], getattr(alone, name)), (k, name)
+                assert np.array_equal(getattr(together, name)[part], getattr(alone, name)), (k, name)
+                assert np.array_equal(getattr(again, name)[part], getattr(alone, name)), (k, name)
+
+    def test_blocks_score_as_their_kernels(self):
+        self._assert_blocks_score_as_their_kernels(self.ROWS)
+
+    def test_blocks_straddling_chunks(self):
+        # Blocks of 1,500 rows: the dense block spans rows 1,500-3,000 and the
+        # pedestrian's 3,000-4,500, so each straddles a chunk boundary.
+        chunk = costfn._CHUNK_ROWS
+        rows = 1500
+        assert rows < chunk < 2 * rows and 3 * rows > 2 * chunk > 2 * rows
+        self._assert_blocks_score_as_their_kernels(rows)
 
     def test_rows_must_split_evenly(self):
         _, kernels, blocks = self._kernels()
