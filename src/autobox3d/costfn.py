@@ -37,7 +37,7 @@ import numpy as np
 from .geom import BOUNDARY_TOL, Box2D, CameraCalib, EgoPose, camera_columns, image_hulls, rect_ious
 
 # Candidate x point elements per row tile of ``BoxCostBatch.evaluate``: 256 KB
-# per (S, N) float buffer, which stays in L2 cache.
+# per (S, N) float buffer, which stays in L2 cache. A tile costs fixed overhead.
 _TILE_ELEMS = 32768
 # Rows per chunk of ``BoxCostBatch.evaluate``; each chunk pays the fixed cost
 # of the point-free terms once.
@@ -140,7 +140,7 @@ class BatchEval:
 
 
 def _tiles(start: int, stop: int, tile: int) -> list[tuple[int, int]]:
-    """Row ranges of [start, stop), not empty, each of one to two ``tile``s of rows."""
+    """Row ranges of the non-empty [start, stop), each of one to two ``tile``s of rows."""
     rows = -(-(stop - start) // max(1, (stop - start) // tile))
     return [(s, min(s + rows, stop)) for s in range(start, stop, rows)]
 
