@@ -136,15 +136,15 @@ def ray_depth(point: np.ndarray, ray: Ray) -> float:
     return float((np.asarray(point, dtype=float) - ray.origin) @ ray.direction)
 
 
-def ray_pair(prop: Proposal2D, cluster: Cluster, scene: Scene, ray: Ray | None = None,
-             criterion: str = "closest_point") -> tuple[CrossModalProposal, float]:
+def ray_pair(
+    prop: Proposal2D, cluster: Cluster, scene: Scene, ray: Ray | None = None
+) -> tuple[CrossModalProposal, float]:
     """``prop`` paired with ``cluster`` through ``ray``, the proposal's center ray
-    by default, and the depth along it of the cluster's reference point: the
-    point nearest the ray (``closest_point``) or the centroid. The pair's
-    ``distance_to_ray`` is the reference's distance to the ray."""
+    by default, and the depth along it of the cluster point nearest the ray.
+    The pair's ``distance_to_ray`` is that point's distance to the ray."""
     if ray is None:
         ray = center_ray(prop.box, scene.camera(prop.camera_id))
-    pts = cluster.centroid[None] if criterion == "centroid" else scene.cloud[cluster.point_indices]
+    pts = scene.cloud[cluster.point_indices]
     dists = points_to_ray_distances(pts, ray)
     k = int(np.argmin(dists))
     return CrossModalProposal(prop, cluster, scene, float(dists[k]), ray), ray_depth(pts[k], ray)
@@ -157,18 +157,14 @@ def associate(
     tau_match: float = 2.0,
     d_min: float = 0.5,
     d_max: float = 60.0,
-    criterion: str = "closest_point",
 ) -> list[CrossModalProposal]:
     """Pair proposals with clusters by proximity to the frustum center ray.
 
-    ``criterion`` selects the cluster reference: ``closest_point`` uses the
-    cluster point nearest the ray (default), ``centroid`` the cluster mean.
-    A pair forms when the reference lies within ``tau_match`` of the ray and
-    its depth along the ray falls inside [d_min, d_max]. Pairs come back
-    grouped per proposal; the pair set does not depend on cluster order.
+    A pair forms when the cluster point nearest the ray lies within
+    ``tau_match`` of it and its depth along the ray falls inside
+    [d_min, d_max]. Pairs come back grouped per proposal; the pair set does
+    not depend on cluster order.
     """
-    if criterion not in ("closest_point", "centroid"):
-        raise ValidationError(f"unknown association criterion {criterion!r}")
     if not (0.0 < d_min < d_max):
         raise ValidationError(f"need 0 < d_min < d_max, got {d_min}, {d_max}")
     if tau_match <= 0.0:
@@ -177,7 +173,7 @@ def associate(
     for prop in proposals:
         ray = center_ray(prop.box, scene.camera(prop.camera_id))
         for cluster in clusters:
-            pair, depth = ray_pair(prop, cluster, scene, ray, criterion)
+            pair, depth = ray_pair(prop, cluster, scene, ray)
             if pair.distance_to_ray <= tau_match and d_min <= depth <= d_max:
                 pairs.append(pair)
     return pairs

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 from collections import namedtuple
 from contextlib import suppress
 from dataclasses import dataclass, field, replace
@@ -57,13 +56,10 @@ class PipelineConfig:
     seed: int = 0
     workers: int = 1
     weights: CostWeights = field(default_factory=CostWeights)
-    # None means the surface clip adapts per proposal to the cluster range.
-    surface_clip: float | None = None
     swarm: SwarmConfig = field(default_factory=SwarmConfig)
     tau_match: float = 2.0
     d_min: float = 0.5
     d_max: float = 60.0
-    match_criterion: str = "closest_point"
     ground_cell: float = 4.0
     ground_height: float = 0.25
     ground_refits: int = 3
@@ -82,18 +78,12 @@ class PipelineConfig:
             raise ValidationError(f"seed must be non-negative, got {self.seed}")
         if self.workers < 1:
             raise ValidationError(f"workers must be at least 1, got {self.workers}")
-        if self.surface_clip is not None and not (
-            math.isfinite(self.surface_clip) and self.surface_clip > 0
-        ):
-            raise ValidationError(f"surface_clip must be positive, got {self.surface_clip}")
         if self.tau_match <= 0:
             raise ValidationError(f"tau_match must be positive, got {self.tau_match}")
         if not (0.0 < self.d_min < self.d_max):
             raise ValidationError(
                 f"need 0 < d_min < d_max, got {self.d_min}, {self.d_max}"
             )
-        if self.match_criterion not in ("closest_point", "centroid"):
-            raise ValidationError(f"unknown match_criterion {self.match_criterion!r}")
         if self.ground_cell <= 0 or self.ground_height <= 0:
             raise ValidationError("ground cell and height threshold must be positive")
         if self.ground_refits < 0:
@@ -166,7 +156,7 @@ def _budgets(value, key: str) -> tuple[int, ...]:
 
 
 # The one list of config keys, read by load_config, its unknown-key checks and config_to_dict
-# (so config_fingerprint and save_config too). A row holds the dotted YAML key, the dotted
+# (so config_fingerprint too). A row holds the dotted YAML key, the dotted
 # PipelineConfig attribute, a parser (YAML value, key) -> attribute and a dumper to plain data.
 ConfigKey = namedtuple("ConfigKey", "key attr parse dump", defaults=(_float, lambda v: v))
 SCHEMA: tuple[ConfigKey, ...] = (
@@ -178,11 +168,6 @@ SCHEMA: tuple[ConfigKey, ...] = (
     ConfigKey("weights.lambda2", "weights.lambda2"),
     ConfigKey("weights.lambda3", "weights.lambda3"),
     ConfigKey("weights.gamma", "weights.gamma"),
-    ConfigKey(
-        "surface_clip", "surface_clip",
-        lambda v, key: None if v in ("adaptive", None) else _float(v, key),
-        lambda v: "adaptive" if v is None else v,
-    ),
     ConfigKey("swarm.n_swarm", "swarm.n_swarm", _int),
     ConfigKey("swarm.n_iter", "swarm.n_iter", _int),
     ConfigKey("swarm.w_init", "swarm.w_init"),
@@ -193,7 +178,6 @@ SCHEMA: tuple[ConfigKey, ...] = (
     ConfigKey("association.tau_match", "tau_match"),
     ConfigKey("association.d_min", "d_min"),
     ConfigKey("association.d_max", "d_max"),
-    ConfigKey("association.criterion", "match_criterion", _str),
     ConfigKey("ground.cell", "ground_cell"),
     ConfigKey("ground.height_threshold", "ground_height"),
     ConfigKey("ground.refit_rounds", "ground_refits", _int),
@@ -272,8 +256,3 @@ def config_fingerprint(cfg: PipelineConfig) -> str:
     """Hex digest identifying the full parameter set of a run."""
     blob = json.dumps(config_to_dict(cfg), sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()
-
-
-def save_config(cfg: PipelineConfig, path: str | Path) -> None:
-    """Write a config back out as YAML (round-trips through load_config)."""
-    Path(path).write_text(yaml.safe_dump(config_to_dict(cfg), sort_keys=False))

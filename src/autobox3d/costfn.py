@@ -51,7 +51,7 @@ class CostWeights:
     ``lambda1`` scales the density term, ``lambda2`` the top-edge term,
     ``lambda3`` the near-surface term, and ``gamma`` the image-IoU reward.
     ``c_surface`` caps how far the surface term can pull; the pipeline
-    usually overrides it per proposal (see ``adaptive_surface_clip``).
+    sets it per pair (see ``adaptive_surface_clip``).
     """
 
     lambda1: float = 5.0
@@ -177,10 +177,7 @@ class BoxCostBatch:
             raise ValueError(f"obj_points must be (N, 3), got {pts.shape}")
         if len(pts) == 0:
             raise ValueError("obj_points is empty; cannot score an empty cluster")
-        self.points = pts
         self.n_points = len(pts)
-        self.proposal = proposal
-        self.weights = weights
         self._px, self._py, self._pz = pts.T[:, None, :]
         self._tile = max(1, _TILE_ELEMS // self.n_points)
         self.parts: tuple[BoxCostBatch, ...] = (self,)

@@ -247,17 +247,15 @@ def image_hulls(thetas: np.ndarray, calib: CameraCalib | np.ndarray) -> tuple[np
     w = corners[:, 2]
     front = w >= w_near
     cut = ~front.all(axis=0)
-    if not cut.any():
+    with np.errstate(divide="ignore", invalid="ignore"):
         uv = corners[:, :2] / w[:, None]
         lo, hi = uv.min(axis=0), uv.max(axis=0)
-    else:
+    if cut.any():
         # Only cut rows take masked extremes over the corners and the edges'
         # near-plane crossings, which on a row wholly in front equal the direct ones.
+        a, b = corners[..., cut][_BOX_EDGES]
+        w_cut = np.broadcast_to(w_near, cut.shape)[cut]
         with np.errstate(divide="ignore", invalid="ignore"):
-            uv = corners[:, :2] / w[:, None]
-            lo, hi = uv.min(axis=0), uv.max(axis=0)
-            a, b = corners[..., cut][_BOX_EDGES]
-            w_cut = np.broadcast_to(w_near, cut.shape)[cut]
             t = (a[:, 2:] - w_cut) / (a[:, 2:] - b[:, 2:])
             cuts = (a[:, :2] + t * (b[:, :2] - a[:, :2])) / w_cut
         uv = np.concatenate([uv[..., cut], cuts])

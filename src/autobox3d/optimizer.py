@@ -172,27 +172,26 @@ def pso_search(evaluate: EvalFn, starts: list[SwarmStart], cfg: SwarmConfig) -> 
     x = [init_particles(s.points, s.ray, s.anchor, cfg, rng) for s, rng in zip(starts, rngs)]
     x = clamp_thetas(np.stack(x), lb, ub)
     v = np.zeros_like(x)
-    res = evaluate(x.reshape(k * n, 7))
-    f = res.totals.reshape(k, n)
     pbest_x = x.copy()
-    pbest_f = f.copy()
+    pbest_f = np.full((k, n), np.inf)
     swarms = np.arange(k)
-    g = np.argmin(f, axis=1)
-    gbest_x = x[swarms, g]
-    gbest_f = f[swarms, g]
-    gbest_parts = [res.breakdown_at(i * n + g[i]) for i in range(k)]
+    gbest_x = x[:, 0].copy()
+    gbest_f = np.full(k, np.inf)
+    gbest_parts: list[CostBreakdown | None] = [None] * k
     trace = np.empty((cfg.n_iter, k))
-    trace[0] = gbest_f
     # r1 then r2 of every swarm, each pair drawn from the swarm's own generator.
     r = np.empty((k, 2, n, 7))
 
-    for it in range(1, cfg.n_iter):
-        w = inertia_at(it, cfg)
-        for rng, out in zip(rngs, r):
-            rng.random(out=out)
-        v = w * v + cfg.c1 * r[:, 0] * (pbest_x - x) + cfg.c2 * r[:, 1] * (gbest_x[:, None] - x)
-        np.clip(v, -vmax, vmax, out=v)
-        x = clamp_thetas(x + v, lb, ub)
+    # Iteration 0 scores the initial population; the bests start at +inf, and
+    # the kernel's totals are finite, so it seeds every best.
+    for it in range(cfg.n_iter):
+        if it:
+            w = inertia_at(it, cfg)
+            for rng, out in zip(rngs, r):
+                rng.random(out=out)
+            v = w * v + cfg.c1 * r[:, 0] * (pbest_x - x) + cfg.c2 * r[:, 1] * (gbest_x[:, None] - x)
+            np.clip(v, -vmax, vmax, out=v)
+            x = clamp_thetas(x + v, lb, ub)
         res = evaluate(x.reshape(k * n, 7))
         f = res.totals.reshape(k, n)
         improved = f < pbest_f
@@ -226,19 +225,15 @@ def grid_axis_counts(budget: int) -> tuple[int, ...]:
     """
     if budget < 1:
         raise ValueError(f"budget must be at least 1, got {budget}")
+    # The grid only grows, so an axis that cannot grow once never can again.
     counts = [1] * 7
-    frozen = [False] * 7
-    while not all(frozen):
+    grown = True
+    while grown:
+        grown = False
         for k in range(7):
-            if frozen[k]:
-                continue
-            prod = 1
-            for j, c in enumerate(counts):
-                prod *= c + 1 if j == k else c
-            if prod <= budget:
+            if math.prod(counts) // counts[k] * (counts[k] + 1) <= budget:
                 counts[k] += 1
-            else:
-                frozen[k] = True
+                grown = True
     return tuple(counts)
 
 

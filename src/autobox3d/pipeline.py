@@ -51,8 +51,8 @@ def derive_pair_seed(seed: int, frame_id: str, pair_index: int) -> int:
 def fit_pair(pair: CrossModalProposal, config: PipelineConfig) -> tuple[AnchorRange, BoxCostBatch]:
     """Anchor range and cost kernel for fitting one pair under the run config.
 
-    With ``surface_clip`` unset, the surface term's clip adapts to the pair's
-    cluster range (see ``adaptive_surface_clip``).
+    The surface term's clip adapts to the pair's cluster range (see
+    ``adaptive_surface_clip``).
     """
     try:
         anchor = config.anchors[pair.proposal.class_id]
@@ -61,9 +61,7 @@ def fit_pair(pair: CrossModalProposal, config: PipelineConfig) -> tuple[AnchorRa
         raise UnknownClassError(
             f"no anchor range for class {pair.proposal.class_id!r}; have {known}"
         ) from None
-    c_surface = config.surface_clip
-    if c_surface is None:
-        c_surface = adaptive_surface_clip(pair.scene.ego, pair.cluster.centroid, anchor)
+    c_surface = adaptive_surface_clip(pair.scene.ego, pair.cluster.centroid, anchor)
     weights = replace(config.weights, c_surface=c_surface)
     batch = BoxCostBatch(pair.points, pair.scene.ego, pair.proposal.box, pair.calib, weights)
     return anchor, batch
@@ -222,7 +220,6 @@ def associate_frame(
         tau_match=config.tau_match,
         d_min=config.d_min,
         d_max=config.d_max,
-        criterion=config.match_criterion,
     )
     stats = {
         "proposals": len(proposals),
@@ -268,7 +265,6 @@ def run_annotate(config: PipelineConfig) -> dict:
             results = list(ex.map(partial(process_frame, config), frame_ids, proposals))
     else:
         results = [process_frame(config, fid, props) for fid, props in zip(frame_ids, proposals)]
-    results.sort(key=lambda r: r[0])
 
     frames: dict[str, list[NovelObjectTarget]] = {}
     totals = {"proposals": 0, "clusters": 0, "pairs": 0}

@@ -16,8 +16,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.sparse import csr_array
-from scipy.spatial import cKDTree
 
 from .errors import CloudFormatError, ValidationError, as_floats, as_int, as_str, reading
 from .geom import CameraCalib, EgoPose
@@ -361,9 +359,11 @@ def cluster_objects(
     (point, squared distance, neighbor) picks every border point's nearest
     core neighbor.
     """
-    # Imported here: csgraph pulls in scipy.sparse.linalg, about 25 ms of
-    # start-up that runs with sidecar labels never use.
+    # Imported here: scipy.sparse and scipy.spatial take about 0.45 s to import,
+    # which runs that never cluster (sidecar labels, bench, synth) then skip.
+    from scipy.sparse import csr_array
     from scipy.sparse.csgraph import connected_components
+    from scipy.spatial import cKDTree
 
     if eps <= 0:
         raise ValueError(f"eps must be positive, got {eps}")

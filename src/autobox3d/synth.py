@@ -180,17 +180,17 @@ def sample_box_surface(
     box: BoxParams,
     ego: EgoPose,
     spacing: float,
+    ground_z: float,
     ground_clearance: float = 0.3,
-    ground_z: float | None = None,
     inset: float = 0.002,
 ) -> np.ndarray:
     """LiDAR-like points on the two ego-facing side faces and the roof.
 
-    Side faces start ``ground_clearance`` above the ground (or above the box
-    bottom when no ground level is given), mimicking how returns near the
-    road surface get eaten by ground removal. All samples sit ``inset``
-    inside the box skin, so the true box contains every one of its points
-    even after the cloud round-trips through float32 storage.
+    Side faces start ``ground_clearance`` above the ground at height
+    ``ground_z``, or at the box bottom when that is higher, mimicking how
+    returns near the road surface get eaten by ground removal. All samples
+    sit ``inset`` inside the box skin, so the true box contains every one of
+    its points even after the cloud round-trips through float32 storage.
     """
     # Ego side of the box decides which faces are visible.
     c, s = math.cos(box.ry), math.sin(box.ry)
@@ -203,11 +203,7 @@ def sample_box_surface(
     half_l = 0.5 * box.l - inset
     half_w = 0.5 * box.w - inset
     z_top = 0.5 * box.h - inset
-    z_floor = -0.5 * box.h
-    if ground_z is not None:
-        z_floor = max(z_floor, ground_z + ground_clearance - box.z)
-    else:
-        z_floor += ground_clearance
+    z_floor = max(-0.5 * box.h, ground_z + ground_clearance - box.z)
     face_h = z_top - z_floor
 
     local: list[np.ndarray] = []
@@ -286,11 +282,7 @@ def _place_instances(
     return placed
 
 
-def generate(
-    spec: SynthSpec,
-    out_dir: str | Path,
-    anchors: dict[str, AnchorRange] | None = None,
-) -> dict:
+def generate(spec: SynthSpec, out_dir: str | Path) -> dict:
     """Write a synthetic scene set and return a small summary.
 
     Per frame: ``<id>.bin`` cloud, ``<id>.calib.json``,
@@ -300,8 +292,7 @@ def generate(
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    if anchors is None:
-        anchors = default_anchors()
+    anchors = default_anchors()
     cameras = camera_ring(spec)
     ego = EgoPose(0.0, 0.0, 0.0)
     n_instances = 0
@@ -322,8 +313,8 @@ def generate(
         for k, inst in enumerate(instances):
             box: BoxParams = inst["box"]
             pts = sample_box_surface(
-                rng, box, ego, spec.point_spacing, spec.ground_clearance,
-                spec.ground_z, spec.surface_inset,
+                rng, box, ego, spec.point_spacing, spec.ground_z,
+                spec.ground_clearance, spec.surface_inset,
             )
             if len(pts) < 3:
                 raise ValidationError(

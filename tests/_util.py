@@ -5,10 +5,13 @@ trip) so unit tests stay fast and bit-stable.
 """
 
 import math
+from pathlib import Path
 
 import numpy as np
+import yaml
 
 from autobox3d.assoc import CrossModalProposal, Proposal2D, ray_pair
+from autobox3d.config import PipelineConfig, config_to_dict
 from autobox3d.costfn import AnchorRange, BatchEval, BoxCostBatch, CostBreakdown, CostWeights
 from autobox3d.geom import (
     NEAR_DEPTH, Box2D, BoxParams, CameraCalib, EgoPose, box_corners, project_box_to_2d,
@@ -145,3 +148,8 @@ def totals_eval(fn) -> EvalFn:
         return BatchEval(totals, nan, nan, nan, nan)
 
     return evaluate
+
+
+def save_config(cfg: PipelineConfig, path: str | Path) -> None:
+    """Write a config back out as YAML (round-trips through load_config)."""
+    Path(path).write_text(yaml.safe_dump(config_to_dict(cfg), sort_keys=False))

@@ -1,10 +1,10 @@
 """End-to-end acceptance gate for the box auto-annotation stack.
 
-Each test prints one summary line through the terminal reporter so the
-pass/fail verdicts stay visible even while pytest captures stdout. The
-heavy fixtures (a 200-instance synthetic corpus fitted at full budget)
-are shared across the comparison tests, so this module takes several
-minutes end to end.
+Each test records one CRITERION line, and tests/conftest.py writes them all
+in the terminal summary, so the verdicts show under pytest's default output
+capture. The heavy fixtures (a 200-instance synthetic corpus fitted at full
+budget) are shared across the comparison tests, so this module takes
+several minutes end to end.
 """
 
 import math
@@ -41,13 +41,9 @@ BUDGET_GRID = 78125
 
 
 def emit_and_assert(request, name, ok, detail):
-    """Print one CRITERION line on the live terminal, then assert."""
+    """Record one CRITERION line for the terminal summary, then assert."""
     line = f"{name}: {'PASS' if ok else 'FAIL'} ({detail})"
-    reporter = request.config.pluginmanager.get_plugin("terminalreporter")
-    if reporter is not None:
-        reporter.write_line(line)
-    else:
-        print(line)
+    request.node.user_properties.append(("verdict", line))
     assert ok, line
 
 

@@ -157,14 +157,13 @@ class TestAssociate:
         matched = {int(p.cluster.point_indices[0]) for p in pairs}
         assert matched == {1, 2}
 
-    def test_criterion_changes_reference(self):
+    def test_reference_is_point_nearest_ray(self):
+        # The centroid lies 2.5 m off the ray, beyond tau_match; the nearest point lies on it.
         scene = _scene_with([[0.0, 0.0, 10.0], [5.0, 0.0, 10.0]])
         cluster = Cluster.from_indices(scene.cloud, np.array([0, 1]))
-        by_point = associate(scene, [_proposal()], [cluster])
-        assert len(by_point) == 1
-        assert by_point[0].distance_to_ray == pytest.approx(0.0)
-        by_centroid = associate(scene, [_proposal()], [cluster], criterion="centroid")
-        assert by_centroid == []
+        pairs = associate(scene, [_proposal()], [cluster])
+        assert len(pairs) == 1
+        assert pairs[0].distance_to_ray == pytest.approx(0.0)
 
     def test_one_proposal_many_clusters(self):
         scene = _scene_with([[0.0, 0.0, 8.0], [0.5, 0.0, 20.0]])
@@ -195,8 +194,6 @@ class TestAssociate:
 
     def test_parameter_validation(self):
         scene = _scene_with([[0.0, 0.0, 10.0]])
-        with pytest.raises(ValidationError):
-            associate(scene, [], [], criterion="midpoint")
         with pytest.raises(ValidationError):
             associate(scene, [], [], d_min=0.0)
         with pytest.raises(ValidationError):

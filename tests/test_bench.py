@@ -11,7 +11,7 @@ import pytest
 from autobox3d import bench
 from autobox3d.bench import load_bench_instances, run_bench, write_bench_csv
 from autobox3d.cli import main
-from autobox3d.config import PipelineConfig, save_config
+from autobox3d.config import PipelineConfig
 from autobox3d.errors import UnknownClassError, ValidationError
 from autobox3d.geom import iou_bev
 from autobox3d.optimizer import SwarmConfig
@@ -19,7 +19,7 @@ from autobox3d.pipeline import derive_pair_seed, fit_pair
 from autobox3d.synth import SynthClassSpec, SynthSpec, generate
 
 from _costfn_reference import points_in_box
-from _util import swarm_fit
+from _util import save_config, swarm_fit
 
 
 BENCH_SPEC = SynthSpec(

@@ -2,10 +2,15 @@
 
 import csv
 import json
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import autobox3d
 from autobox3d import bench, pipeline
 from autobox3d.cli import main
 
@@ -97,6 +102,24 @@ class TestAnnotate:
         cfg.write_text("swam: {}\n")
         assert main(["annotate", "--config", str(cfg)]) == 2
         assert "swam" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, key", [
+        ("surface_clip: adaptive", "surface_clip"),
+        ("association: {criterion: closest_point}", "criterion"),
+    ], ids=["surface_clip", "association.criterion"])
+    def test_removed_key_exits_2_before_fitting(
+        self, workdir, tmp_path, capsys, monkeypatch, text, key
+    ):
+        cfg = tmp_path / "c.yaml"
+        cfg.write_text(f"paths: {{scenes: {workdir / 'scenes'}, output: {tmp_path}}}\n{text}\n")
+
+        def no_search(*args, **kwargs):
+            raise AssertionError("annotate searched under a config it should reject")
+
+        monkeypatch.setattr(pipeline, "pso_search", no_search)
+        assert main(["annotate", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "unknown config key(s)" in err and f"['{key}']" in err
 
     def test_empty_cloud_exits_2(self, workdir, tmp_path, capsys):
         scenes = tmp_path / "scenes"
@@ -282,6 +305,17 @@ class TestReport:
         code = main(["report", "--bank", str(tmp_path / "none.jsonl")])
         assert code == 2
         capsys.readouterr()
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy.sparse and scipy.spatial take about 0.45 s to import, and only
+    # clustering raw sweeps needs them.
+    src = str(Path(autobox3d.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = "import sys, autobox3d.cli; print(sorted(m for m in sys.modules if m[:5] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+                         capture_output=True, text=True, check=True)
+    assert out.stdout == "[]\n"
 
 
 class TestParser:

@@ -14,9 +14,10 @@ from autobox3d.config import (
     config_fingerprint,
     config_to_dict,
     load_config,
-    save_config,
 )
 from autobox3d.errors import ValidationError
+
+from _util import save_config
 
 
 def write_config(tmp_path, text):
@@ -48,7 +49,6 @@ NON_DEFAULT = {
     "weights.lambda2": 1.5,
     "weights.lambda3": 0.5,
     "weights.gamma": 2.5,
-    "surface_clip": 12.5,
     "swarm.n_swarm": 20,
     "swarm.n_iter": 40,
     "swarm.w_init": 8.0,
@@ -59,7 +59,6 @@ NON_DEFAULT = {
     "association.tau_match": 1.5,
     "association.d_min": 1.0,
     "association.d_max": 50.0,
-    "association.criterion": "centroid",
     "ground.cell": 3.0,
     "ground.height_threshold": 0.3,
     "ground.refit_rounds": 2,
@@ -80,9 +79,8 @@ seed: 11
 workers: 2
 paths: {scenes: s/scenes, output: s/out}
 weights: {lambda1: 4.5, lambda2: 1.5, lambda3: 0.5, gamma: 2.5}
-surface_clip: 12.5
 swarm: {n_swarm: 20, n_iter: 40, w_init: 8.0, w_end: 0.2, c1: 1.2, c2: 0.8, c_noise: 0.2}
-association: {tau_match: 1.5, d_min: 1.0, d_max: 50.0, criterion: centroid}
+association: {tau_match: 1.5, d_min: 1.0, d_max: 50.0}
 ground: {cell: 3.0, height_threshold: 0.3, refit_rounds: 2, seed_quantile: 0.4}
 clustering: {eps: 0.6, min_pts: 4}
 nms_iou: 0.4
@@ -112,7 +110,7 @@ INT_KEYS = (
 )
 DEFAULTS = config_to_dict(PipelineConfig())
 FLOAT_KEYS = tuple(row.key for row in SCHEMA if isinstance(lookup(DEFAULTS, row.key), float))
-FLOAT_KEYS += ("surface_clip", "thresholds.tau_occ.car")
+FLOAT_KEYS += ("thresholds.tau_occ.car",)
 
 
 class TestDefaults:
@@ -120,10 +118,8 @@ class TestDefaults:
         cfg = PipelineConfig()
         assert cfg.seed == 0
         assert cfg.workers == 1
-        assert cfg.surface_clip is None
         assert cfg.tau_match == 2.0
         assert (cfg.d_min, cfg.d_max) == (0.5, 60.0)
-        assert cfg.match_criterion == "closest_point"
         assert cfg.nms_iou == 0.5
         assert cfg.bench_budgets == (37500, 75000, 150000)
         assert cfg.weights.lambda1 == 5.0
@@ -144,11 +140,7 @@ class TestDefaults:
         with pytest.raises(ValidationError):
             PipelineConfig(workers=0)
         with pytest.raises(ValidationError):
-            PipelineConfig(surface_clip=0.0)
-        with pytest.raises(ValidationError):
             PipelineConfig(d_min=5.0, d_max=5.0)
-        with pytest.raises(ValidationError):
-            PipelineConfig(match_criterion="psychic")
         with pytest.raises(ValidationError):
             PipelineConfig(nms_iou=1.0)
         with pytest.raises(ValidationError):
@@ -179,7 +171,6 @@ swarm:
   n_iter: 50
 association:
   tau_match: 1.5
-  criterion: centroid
 nms_iou: 0.3
 """))
         assert cfg.seed == 7
@@ -191,7 +182,6 @@ nms_iou: 0.3
         assert cfg.swarm.w_init == 10.0  # untouched default
         assert cfg.tau_match == 1.5
         assert cfg.d_max == 60.0
-        assert cfg.match_criterion == "centroid"
         assert cfg.nms_iou == 0.3
 
     def test_weights_and_thresholds(self, tmp_path):
@@ -253,10 +243,6 @@ thresholds:
 """))
         assert cfg.thresholds.tau_occ["tractor"] == 0.4
         assert tuple(cfg.anchors["tractor"].dims_max) == (5.0, 3.0, 3.0)
-
-    def test_surface_clip_adaptive_spelling(self, tmp_path):
-        assert load_config(write_config(tmp_path, "surface_clip: adaptive")).surface_clip is None
-        assert load_config(write_config(tmp_path, "surface_clip: 12.5")).surface_clip == 12.5
 
     def test_ground_and_clustering(self, tmp_path):
         cfg = load_config(write_config(tmp_path, """
@@ -398,11 +384,12 @@ class TestReadme:
 
 
 class TestFingerprint:
-    # Digests recorded before the schema table replaced the hand-written
-    # loader and dumper; a change here changes every report.json.
+    # Digests recorded when `surface_clip` and `association.criterion` left
+    # the schema; each equals the old dump without those two keys. A change
+    # here changes every report.json.
     def test_pinned_default_digest(self):
         assert config_fingerprint(PipelineConfig()) == (
-            "dd6557b48b3e1f9c0a13e448d60a5ee1c58f1d4d297a67572eec9198e6d3999e"
+            "bc99186d09e735d966d7a73f3cec25047f3e823aa27ac8e0fd8786eb24353266"
         )
 
     def test_pinned_every_key_digest(self, tmp_path):
@@ -410,7 +397,7 @@ class TestFingerprint:
         for row in SCHEMA:
             lookup(yaml.safe_load(EVERY_KEY), row.key)  # KeyError if the config skips a key
         assert config_fingerprint(cfg) == (
-            "b658aa390d27c49c08b8381eb8ff2d8c50480eda01dd57e03f24e39b4cc0ad2d"
+            "b656f456716ba6af649d106a50cd34018e3e06a487523d2aa49017225f26ddd8"
         )
 
     def test_stable_for_equal_configs(self):

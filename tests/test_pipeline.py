@@ -2,13 +2,14 @@
 
 import json
 import shutil
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from autobox3d.bank import NovelObjectTarget, Provenance, read_bank
 from autobox3d.config import PipelineConfig
-from autobox3d.costfn import CostBreakdown, adaptive_surface_clip
+from autobox3d.costfn import BoxCostBatch, CostBreakdown, CostWeights, adaptive_surface_clip
 from autobox3d.errors import UnknownClassError, ValidationError
 from autobox3d.filters import AlignmentVerdict
 from autobox3d.geom import BoxParams, iou_bev
@@ -237,17 +238,27 @@ class TestFitPair:
             fit_pair(pair, config)
 
     def test_setup_surface_clip(self, corpus, tmp_path):
-        adaptive = corpus_config(corpus, tmp_path)
-        pair = self.first_pair(corpus, adaptive)
-        anchor, batch = fit_pair(pair, adaptive)
-        assert anchor is adaptive.anchors[pair.proposal.class_id]
-        assert np.array_equal(batch.points, pair.points)
-        assert batch.proposal == pair.proposal.box
+        config = corpus_config(corpus, tmp_path, weights=CostWeights(lambda1=4.0))
+        pair = self.first_pair(corpus, config)
+        anchor, batch = fit_pair(pair, config)
+        assert anchor is config.anchors[pair.proposal.class_id]
         clip = adaptive_surface_clip(pair.scene.ego, pair.cluster.centroid, anchor)
-        assert batch.weights.c_surface == clip
-        assert batch.weights.lambda1 == adaptive.weights.lambda1
-        _, fixed = fit_pair(pair, corpus_config(corpus, tmp_path, surface_clip=7.5))
-        assert fixed.weights.c_surface == 7.5
+        expected, default_clip = (
+            BoxCostBatch(pair.points, pair.scene.ego, pair.proposal.box, pair.calib,
+                         replace(config.weights, c_surface=c))
+            for c in (clip, config.weights.c_surface)
+        )
+        # Centers from 1 m to 40 m out along the cluster's bearing, so the
+        # surface term saturates at the clip.
+        bearing = pair.cluster.centroid[:2] / np.linalg.norm(pair.cluster.centroid[:2])
+        thetas = np.array([
+            [*(r * bearing), pair.cluster.centroid[2], 4.5, 1.8, 1.6, 0.4]
+            for r in np.linspace(1.0, 40.0, 40)
+        ])
+        got, want = batch.evaluate(thetas), expected.evaluate(thetas)
+        for term in ("totals", "density", "lshape", "surface", "iou2d"):
+            assert np.array_equal(getattr(got, term), getattr(want, term)), term
+        assert not np.array_equal(got.surface, default_clip.evaluate(thetas).surface)
 
 
 def _write_mini_frame(scenes, frame_id, embed_dim, n_points=8):
