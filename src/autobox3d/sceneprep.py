@@ -331,11 +331,7 @@ def remove_ground(
             d2 = np.sum((centers[have] - centers[k]) ** 2, axis=1)
             planes[k] = planes[have[int(np.argmin(d2))]]
 
-    cell_planes = planes[inverse]
-    residual = np.abs(
-        pts[:, 2] - (cell_planes[:, 0] * pts[:, 0] + cell_planes[:, 1] * pts[:, 1] + cell_planes[:, 2])
-    )
-    ground = residual <= height_threshold
+    ground = _plane_residuals(pts, planes[inverse].T) <= height_threshold
     return np.where(ground)[0], np.where(~ground)[0]
 
 

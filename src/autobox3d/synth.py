@@ -21,7 +21,7 @@ import yaml
 from .config import default_anchors
 from .costfn import AnchorRange
 from .errors import ValidationError, from_mapping
-from .geom import BoxParams, CameraCalib, EgoPose, project_box_to_2d, rotation_z
+from .geom import Box2D, BoxParams, CameraCalib, EgoPose, project_box_to_2d, rotation_z
 from .sceneprep import save_cloud
 
 
@@ -206,29 +206,19 @@ def sample_box_surface(
     z_floor = max(-0.5 * box.h, ground_z + ground_clearance - box.z)
     face_h = z_top - z_floor
 
-    local: list[np.ndarray] = []
-    uv = poisson_disk(rng, 2.0 * half_w, face_h, spacing)
-    if len(uv):
-        face = np.column_stack(
-            [np.full(len(uv), sx * half_l), uv[:, 0] - half_w, z_floor + uv[:, 1]]
-        )
-        local.append(face)
-    uv = poisson_disk(rng, 2.0 * half_l, face_h, spacing)
-    if len(uv):
-        face = np.column_stack(
-            [uv[:, 0] - half_l, np.full(len(uv), sy * half_w), z_floor + uv[:, 1]]
-        )
-        local.append(face)
-    uv = poisson_disk(rng, 2.0 * half_l, 2.0 * half_w, spacing)
-    if len(uv):
-        roof = np.column_stack(
-            [uv[:, 0] - half_l, uv[:, 1] - half_w, np.full(len(uv), z_top)]
-        )
-        local.append(roof)
-    if not local:
-        return np.empty((0, 3))
-    pts = np.vstack(local)
-    return pts @ rotation_z(box.ry).T + box.center
+    # Each face is (corner, unit axis u, extent along u, unit axis v, extent
+    # along v); a sample (u, v) lands at corner + u * axis_u + v * axis_v.
+    ex, ey, ez = np.eye(3)
+    faces = (
+        ((sx * half_l, -half_w, z_floor), ey, 2.0 * half_w, ez, face_h),
+        ((-half_l, sy * half_w, z_floor), ex, 2.0 * half_l, ez, face_h),
+        ((-half_l, -half_w, z_top), ex, 2.0 * half_l, ey, 2.0 * half_w),
+    )
+    local = []
+    for corner, axis_u, extent_u, axis_v, extent_v in faces:
+        uv = poisson_disk(rng, extent_u, extent_v, spacing)
+        local.append(np.asarray(corner) + uv[:, :1] * axis_u + uv[:, 1:] * axis_v)
+    return np.vstack(local) @ rotation_z(box.ry).T + box.center
 
 
 def _place_instances(
@@ -237,9 +227,12 @@ def _place_instances(
     cameras: list[CameraCalib],
     anchors: dict[str, AnchorRange],
     frame_id: str,
-) -> list[dict]:
-    """Drop instances without footprint overlap, each visible in its camera."""
-    placed: list[dict] = []
+) -> list[tuple[SynthClassSpec, BoxParams, CameraCalib, Box2D]]:
+    """Drop instances without footprint overlap, each visible in its camera.
+
+    Each accepted instance comes back as (class entry, box, camera, image hull).
+    """
+    placed: list[tuple[SynthClassSpec, BoxParams, CameraCalib, Box2D]] = []
     half_hfov = math.atan(spec.image_width / (2.0 * spec.focal))
     for cls in spec.classes:
         if cls.name not in anchors:
@@ -258,21 +251,15 @@ def _place_instances(
                 ry = rng.uniform(0.0, math.pi)
                 box = BoxParams(x, y, z, *(float(d) for d in dims), ry)
                 radius = 0.5 * math.hypot(box.l, box.w)
-                clear = True
-                for other in placed:
-                    ob = other["box"]
-                    gap = radius + 0.5 * math.hypot(ob.l, ob.w) + 0.8
-                    if math.hypot(x - ob.x, y - ob.y) < gap:
-                        clear = False
-                        break
-                if not clear:
+                if any(
+                    math.hypot(x - ob.x, y - ob.y) < radius + 0.5 * math.hypot(ob.l, ob.w) + 0.8
+                    for _, ob, _, _ in placed
+                ):
                     continue
                 hull = project_box_to_2d(box, cameras[cam_k])
                 if hull is None or hull.width < 2.0 or hull.height < 2.0:
                     continue
-                placed.append(
-                    {"class": cls.name, "box": box, "camera_id": cameras[cam_k].camera_id}
-                )
+                placed.append((cls, box, cameras[cam_k], hull))
                 break
             else:
                 raise ValidationError(
@@ -295,6 +282,20 @@ def generate(spec: SynthSpec, out_dir: str | Path) -> dict:
     anchors = default_anchors()
     cameras = camera_ring(spec)
     ego = EgoPose(0.0, 0.0, 0.0)
+    calib = {
+        "ego": [ego.x, ego.y, ego.z],
+        "cameras": [
+            {
+                "camera_id": cam.camera_id,
+                "extrinsic": cam.extrinsic.tolist(),
+                "intrinsic": cam.intrinsic.tolist(),
+                "image_width": cam.image_width,
+                "image_height": cam.image_height,
+            }
+            for cam in cameras
+        ],
+    }
+    calib_text = json.dumps(calib, indent=1)
     n_instances = 0
 
     for fi in range(spec.n_frames):
@@ -310,54 +311,42 @@ def generate(spec: SynthSpec, out_dir: str | Path) -> dict:
 
         gt_entries = []
         proposals = []
-        for k, inst in enumerate(instances):
-            box: BoxParams = inst["box"]
+        for k, (cls, box, cam, hull) in enumerate(instances):
             pts = sample_box_surface(
                 rng, box, ego, spec.point_spacing, spec.ground_z,
                 spec.ground_clearance, spec.surface_inset,
             )
             if len(pts) < 3:
                 raise ValidationError(
-                    f"frame {frame_id}: instance {k} ({inst['class']}) got only "
+                    f"frame {frame_id}: instance {k} ({cls.name}) got only "
                     f"{len(pts)} surface points; lower point_spacing"
                 )
             chunks.append(pts)
             labels.append(np.full(len(pts), k, dtype=np.int64))
 
-            cam = next(c for c in cameras if c.camera_id == inst["camera_id"])
-            hull = project_box_to_2d(box, cam)
-            assert hull is not None  # guaranteed by placement
             crop_w = max(1, int(round(hull.width)))
             crop_h = max(1, int(round(hull.height)))
-            ratio = rng.uniform(
-                *next(
-                    (c.mask_ratio_min, c.mask_ratio_max)
-                    for c in spec.classes
-                    if c.name == inst["class"]
-                )
-            )
+            ratio = rng.uniform(cls.mask_ratio_min, cls.mask_ratio_max)
             mask_px = int(np.clip(round(ratio * crop_w * crop_h), 0, crop_w * crop_h))
-            embedding = None
-            if spec.embedding_dim > 0:
-                vec = rng.standard_normal(spec.embedding_dim)
-                embedding = (vec / np.linalg.norm(vec)).tolist()
+            # Drawn before the score: the draw order fixes the corpus bytes.
+            vec = rng.standard_normal(spec.embedding_dim) if spec.embedding_dim > 0 else None
             proposal = {
-                "camera_id": inst["camera_id"],
+                "camera_id": cam.camera_id,
                 "box": [hull.u_min, hull.v_min, hull.u_max, hull.v_max],
-                "class": inst["class"],
+                "class": cls.name,
                 "score": float(rng.uniform(spec.score_min, spec.score_max)),
                 "mask_pixel_count": mask_px,
                 "crop_w": crop_w,
                 "crop_h": crop_h,
             }
-            if embedding is not None:
-                proposal["embedding"] = embedding
+            if vec is not None:
+                proposal["embedding"] = (vec / np.linalg.norm(vec)).tolist()
             proposals.append(proposal)
             gt_entries.append(
                 {
                     "id": f"{frame_id}:{k}",
-                    "class": inst["class"],
-                    "camera_id": inst["camera_id"],
+                    "class": cls.name,
+                    "camera_id": cam.camera_id,
                     "proposal_index": k,
                     "box": asdict(box),
                     "n_points": int(len(pts)),
@@ -371,20 +360,7 @@ def generate(spec: SynthSpec, out_dir: str | Path) -> dict:
         (out / f"{frame_id}.ptlabels.txt").write_text(
             "\n".join(str(int(v)) for v in point_labels) + "\n"
         )
-        calib = {
-            "ego": [ego.x, ego.y, ego.z],
-            "cameras": [
-                {
-                    "camera_id": cam.camera_id,
-                    "extrinsic": cam.extrinsic.tolist(),
-                    "intrinsic": cam.intrinsic.tolist(),
-                    "image_width": cam.image_width,
-                    "image_height": cam.image_height,
-                }
-                for cam in cameras
-            ],
-        }
-        (out / f"{frame_id}.calib.json").write_text(json.dumps(calib, indent=1))
+        (out / f"{frame_id}.calib.json").write_text(calib_text)
         (out / f"{frame_id}.proposals.json").write_text(json.dumps(proposals, indent=1))
         (out / f"{frame_id}.gt.json").write_text(
             json.dumps({"frame": frame_id, "instances": gt_entries}, indent=1)

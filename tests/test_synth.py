@@ -1,5 +1,6 @@
 """Synthetic scene generation: cameras, surface sampling, and full frames."""
 
+import hashlib
 import json
 import math
 
@@ -34,6 +35,28 @@ SMALL_SPEC = SynthSpec(
     ground_extent=20.0,
     n_cameras=2,
 )
+
+# Several classes, a pedestrian distance band and four cameras, small enough
+# to generate in well under a second.
+PINNED_SPEC = dict(
+    seed=11,
+    n_frames=2,
+    classes=[
+        SynthClassSpec(name="car", count=2, distance_min=6.0, distance_max=30.0),
+        SynthClassSpec(name="pedestrian", count=2, distance_min=5.0, distance_max=15.0,
+                       mask_ratio_min=0.3, mask_ratio_max=0.6),
+        SynthClassSpec(name="truck", count=1, distance_min=12.0, distance_max=35.0),
+    ],
+    ground_extent=25.0,
+    n_cameras=4,
+)
+
+# sha256 over (name, bytes) of every file ``generate`` writes for
+# PINNED_SPEC, in sorted name order, keyed by ``embedding_dim``.
+CORPUS_DIGESTS = {
+    16: "be4e1ff6d1d5e7e684e04e688aef7cca636e231483351b7222016e533c4f629e",
+    0: "23c82e099f51ebe0ef8b2714b59fe4dd12ffb93cd35d3c1242655fcb7711073e",
+}
 
 
 class TestSpecValidation:
@@ -318,7 +341,30 @@ class TestGenerate:
         proposals = json.loads((tmp_path / "0000.proposals.json").read_text())
         assert "embedding" not in proposals[0]
 
+    def test_repeated_class_name_keeps_each_entrys_mask_range(self, tmp_path):
+        entries = [
+            SynthClassSpec(name="car", count=1, mask_ratio_min=0.90, mask_ratio_max=0.95),
+            SynthClassSpec(name="car", count=1, mask_ratio_min=0.10, mask_ratio_max=0.15),
+        ]
+        spec = SynthSpec(seed=4, n_frames=2, n_cameras=3, ground_extent=20.0, classes=entries)
+        generate(spec, tmp_path)
+        for fid in ("0000", "0001"):
+            gt = json.loads((tmp_path / f"{fid}.gt.json").read_text())
+            # Instances come in the order of the spec's class entries.
+            for entry, inst in zip(entries, gt["instances"], strict=True):
+                assert entry.mask_ratio_min <= inst["mask_ratio"] <= entry.mask_ratio_max
+
     def test_unknown_class_fails(self, tmp_path):
         spec = SynthSpec(classes=[SynthClassSpec(name="zeppelin", count=1)])
         with pytest.raises(ValidationError, match="zeppelin"):
             generate(spec, tmp_path)
+
+
+@pytest.mark.parametrize("embedding_dim", sorted(CORPUS_DIGESTS))
+def test_pinned_corpus_bytes(tmp_path, embedding_dim):
+    generate(SynthSpec(**PINNED_SPEC, embedding_dim=embedding_dim), tmp_path)
+    digest = hashlib.sha256()
+    for path in sorted(tmp_path.iterdir()):
+        digest.update(path.name.encode())
+        digest.update(path.read_bytes())
+    assert digest.hexdigest() == CORPUS_DIGESTS[embedding_dim]
