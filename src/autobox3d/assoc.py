@@ -165,10 +165,6 @@ def associate(
     [d_min, d_max]. Pairs come back grouped per proposal; the pair set does
     not depend on cluster order.
     """
-    if not (0.0 < d_min < d_max):
-        raise ValidationError(f"need 0 < d_min < d_max, got {d_min}, {d_max}")
-    if tau_match <= 0.0:
-        raise ValidationError(f"tau_match must be positive, got {tau_match}")
     pairs: list[CrossModalProposal] = []
     for prop in proposals:
         ray = center_ray(prop.box, scene.camera(prop.camera_id))

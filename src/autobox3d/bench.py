@@ -28,7 +28,6 @@ class BenchInstance:
     """One ground-truth object wired up as a ready-to-fit pair."""
 
     key: str
-    class_id: str
     pair: CrossModalProposal
     gt_box: BoxParams
 
@@ -50,7 +49,6 @@ def load_bench_instances(config: PipelineConfig) -> list[BenchInstance]:
         labels = load_point_labels(labels_path, len(scene.cloud))
         clusters = clusters_from_labels(scene.cloud, labels)
         proposals = load_proposals(config.scenes_dir / f"{frame_id}.proposals.json")
-        check_classes(proposals, config)
         with reading(gt_path):
             entries = json.loads(gt_path.read_text())["instances"]
         if len(entries) != len(clusters):
@@ -65,9 +63,12 @@ def load_bench_instances(config: PipelineConfig) -> list[BenchInstance]:
                 gt_box = from_mapping(BoxParams, entry["box"], "box")
                 prop_index = as_index(entry["proposal_index"], len(proposals), "proposal_index")
                 class_id = as_str(entry["class"], "class")
+                if class_id != proposals[prop_index].class_id:
+                    raise ValueError(f"class {class_id!r} but proposal {prop_index} "
+                                     f"has class {proposals[prop_index].class_id!r}")
                 key = as_str(entry.get("id", f"{frame_id}:{k}"), "id")
             pair, _ = ray_pair(proposals[prop_index], clusters[k], scene)
-            instances.append(BenchInstance(key, class_id, pair, gt_box))
+            instances.append(BenchInstance(key, pair, gt_box))
     return instances
 
 
@@ -93,6 +94,7 @@ def run_bench(
         budgets = config.bench_budgets
     if instances is None:
         instances = load_bench_instances(config)
+    check_classes([inst.pair.proposal for inst in instances], config)
     if not instances:
         return []
     setups = [fit_pair(inst.pair, config) for inst in instances]

@@ -22,6 +22,7 @@ from .errors import CloudFormatError, ValidationError, make_output_dir
 from .pipeline import (
     associate_frame,
     best_fit,
+    check_classes,
     fit_proposal,
     format_bank_summary,
     frame_proposals,
@@ -42,7 +43,9 @@ def _cmd_annotate(args: argparse.Namespace) -> int:
 
 def _cmd_fit_box(args: argparse.Namespace) -> int:
     config = load_config(args.config)
-    scene, pairs, stats = associate_frame(config, args.scene, frame_proposals(config, args.scene))
+    proposals = frame_proposals(config, args.scene)
+    check_classes(proposals, config)
+    scene, pairs, stats = associate_frame(config, args.scene, proposals)
     if not 0 <= args.proposal < stats["proposals"]:
         raise ValidationError(
             f"proposal index {args.proposal} out of range; frame has {stats['proposals']}"

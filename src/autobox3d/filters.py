@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass, field
 
 from .assoc import Proposal2D
-from .errors import UnknownClassError
 from .geom import Box2D, BoxParams, CameraCalib, image_hulls, rect_ious
 
 # Per-class occlusion thresholds: minimum mask-to-crop area ratio that still
@@ -68,37 +67,15 @@ class AlignmentVerdict:
         return self.not_occluded and self.high_res and self.mv_aligned
 
 
-def occlusion_filter(
-    mask_pixel_count: int,
-    crop_w: int,
-    crop_h: int,
-    class_id: str,
-    thresholds: FilterThresholds,
-) -> bool:
-    """True when the mask fills strictly more of the crop than the class bar.
-
-    An unknown class is a configuration hole, not a pass or a fail.
-    """
-    try:
-        tau = thresholds.tau_occ[class_id]
-    except KeyError:
-        known = sorted(thresholds.tau_occ)
-        raise UnknownClassError(
-            f"no occlusion threshold configured for class {class_id!r}; have {known}"
-        ) from None
-    if crop_w < 1 or crop_h < 1:
-        raise ValueError(f"crop size must be at least 1x1, got {crop_w}x{crop_h}")
-    area = crop_w * crop_h
-    if not 0 <= mask_pixel_count <= area:
-        raise ValueError(f"mask_pixel_count {mask_pixel_count} outside crop of {area} pixels")
-    return mask_pixel_count / area > tau
+def occlusion_filter(proposal: Proposal2D, thresholds: FilterThresholds) -> bool:
+    """True when the mask fills strictly more of the crop than the class bar."""
+    crop = proposal.crop_w * proposal.crop_h
+    return proposal.mask_pixel_count / crop > thresholds.tau_occ[proposal.class_id]
 
 
-def resolution_filter(crop_w: int, crop_h: int, thresholds: FilterThresholds) -> bool:
+def resolution_filter(proposal: Proposal2D, thresholds: FilterThresholds) -> bool:
     """True when the crop area is strictly above the resolution bar."""
-    if crop_w < 1 or crop_h < 1:
-        raise ValueError(f"crop size must be at least 1x1, got {crop_w}x{crop_h}")
-    return crop_w * crop_h > thresholds.tau_res
+    return proposal.crop_w * proposal.crop_h > thresholds.tau_res
 
 
 def multiview_filter(
@@ -125,10 +102,7 @@ def verdict(
 ) -> AlignmentVerdict:
     """Run all three filters for one fitted target."""
     return AlignmentVerdict(
-        not_occluded=occlusion_filter(
-            proposal.mask_pixel_count, proposal.crop_w, proposal.crop_h,
-            proposal.class_id, thresholds,
-        ),
-        high_res=resolution_filter(proposal.crop_w, proposal.crop_h, thresholds),
+        not_occluded=occlusion_filter(proposal, thresholds),
+        high_res=resolution_filter(proposal, thresholds),
         mv_aligned=multiview_filter(box, proposal.box, calib, thresholds),
     )

@@ -54,13 +54,7 @@ def fit_pair(pair: CrossModalProposal, config: PipelineConfig) -> tuple[AnchorRa
     The surface term's clip adapts to the pair's cluster range (see
     ``adaptive_surface_clip``).
     """
-    try:
-        anchor = config.anchors[pair.proposal.class_id]
-    except KeyError:
-        known = sorted(config.anchors)
-        raise UnknownClassError(
-            f"no anchor range for class {pair.proposal.class_id!r}; have {known}"
-        ) from None
+    anchor = config.anchors[pair.proposal.class_id]
     c_surface = adaptive_surface_clip(pair.scene.ego, pair.cluster.centroid, anchor)
     weights = replace(config.weights, c_surface=c_surface)
     batch = BoxCostBatch(pair.points, pair.scene.ego, pair.proposal.box, pair.calib, weights)
@@ -187,7 +181,8 @@ def load_clusters(scene: Scene, config: PipelineConfig):
 
 
 def check_classes(proposals: list[Proposal2D], config: PipelineConfig) -> None:
-    """Fail before any fit when a proposal's class is missing from a class table."""
+    """Fail before any fit when a proposal's class is missing from a class table.
+    The one class check: past it, the fit and the filters index the tables."""
     tables = (("anchor range", config.anchors), ("tau_occ threshold", config.thresholds.tau_occ))
     for prop in proposals:
         for what, table in tables:
@@ -207,11 +202,10 @@ def frame_proposals(config: PipelineConfig, frame_id: str) -> list[Proposal2D]:
 def associate_frame(
     config: PipelineConfig, frame_id: str, proposals: list[Proposal2D]
 ) -> tuple[Scene, list[CrossModalProposal], dict]:
-    """Load one frame, check the classes of its ``proposals``, cluster it,
-    and pair proposals with clusters; returns (scene, pairs, counters)."""
+    """Load one frame, cluster it, and pair its ``proposals`` with clusters;
+    returns (scene, pairs, counters)."""
     scene = load_scene(config.scenes_dir, frame_id)
     proposals_path = config.scenes_dir / f"{frame_id}.proposals.json"
-    check_classes(proposals, config)
     clusters = load_clusters(scene, config)
     pairs = associate(
         scene,

@@ -276,10 +276,6 @@ def remove_ground(
         raise ValidationError("cannot remove ground from an empty cloud")
     if not np.all(np.isfinite(pts)):
         raise ValidationError("cannot remove ground from a cloud with non-finite coordinates")
-    if cell_size <= 0 or height_threshold <= 0:
-        raise ValueError("cell_size and height_threshold must be positive")
-    if not (0.0 < seed_quantile <= 1.0):
-        raise ValueError(f"seed_quantile must be in (0, 1], got {seed_quantile}")
 
     cells = np.floor(pts[:, :2] / cell_size).astype(np.int64)
     origin = cells.min(axis=0)
@@ -361,10 +357,6 @@ def cluster_objects(
     from scipy.sparse.csgraph import connected_components
     from scipy.spatial import cKDTree
 
-    if eps <= 0:
-        raise ValueError(f"eps must be positive, got {eps}")
-    if min_pts < 1:
-        raise ValueError(f"min_pts must be at least 1, got {min_pts}")
     idx = np.asarray(indices, dtype=np.int64)
     if len(idx) == 0:
         return []

@@ -275,9 +275,14 @@ def generate(spec: SynthSpec, out_dir: str | Path) -> dict:
     Per frame: ``<id>.bin`` cloud, ``<id>.calib.json``,
     ``<id>.proposals.json``, ``<id>.gt.json`` with true boxes, and
     ``<id>.ptlabels.txt`` mapping each point to its instance (-1 = ground).
-    Proposal k belongs to ground-truth instance k.
+    Proposal k belongs to ground-truth instance k. A directory holding frames
+    this spec does not write fails first: readers would mix the corpora.
     """
     out = Path(out_dir)
+    stale = sorted({p.name[: -len(".calib.json")] for p in out.glob("*.calib.json")}
+                   - {f"{fi:04d}" for fi in range(spec.n_frames)})
+    if stale:
+        raise ValidationError(f"{out} holds frames {stale} of another corpus")
     out.mkdir(parents=True, exist_ok=True)
     anchors = default_anchors()
     cameras = camera_ring(spec)

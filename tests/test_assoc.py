@@ -192,15 +192,6 @@ class TestAssociate:
         key = lambda pair: int(pair.cluster.point_indices[0])
         assert sorted(map(key, fwd)) == sorted(map(key, rev))
 
-    def test_parameter_validation(self):
-        scene = _scene_with([[0.0, 0.0, 10.0]])
-        with pytest.raises(ValidationError):
-            associate(scene, [], [], d_min=0.0)
-        with pytest.raises(ValidationError):
-            associate(scene, [], [], d_min=6.0, d_max=5.0)
-        with pytest.raises(ValidationError):
-            associate(scene, [], [], tau_match=0.0)
-
 
 class TestProposal2D:
     def test_score_range(self):
@@ -210,10 +201,15 @@ class TestProposal2D:
             _proposal(score=-0.1)
 
     def test_crop_and_mask_consistency(self):
+        # The one check of these fields; the alignment filters trust them.
         with pytest.raises(ValueError):
             _proposal(crop_w=0)
         with pytest.raises(ValueError):
+            _proposal(crop_h=0)
+        with pytest.raises(ValueError):
             _proposal(mask_pixel_count=401, crop_w=20, crop_h=20)
+        with pytest.raises(ValueError):
+            _proposal(mask_pixel_count=-1)
         _proposal(mask_pixel_count=400, crop_w=20, crop_h=20)
 
     def test_embedding_must_be_1d(self):

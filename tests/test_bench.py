@@ -59,7 +59,7 @@ class TestLoadInstances:
         instances = load_bench_instances(bench_config)
         assert [i.key for i in instances] == ["0000:0", "0001:0"]
         for inst in instances:
-            assert inst.class_id == "car"
+            assert inst.pair.proposal.class_id == "car"
             pts = inst.pair.points
             assert points_in_box(pts, inst.gt_box).all()
             assert inst.pair.distance_to_ray < 2.0
@@ -96,6 +96,14 @@ class TestLoadInstances:
         with pytest.raises(ValidationError, match="instance 0: box l must be a number"):
             load_bench_instances(config)
 
+    def test_class_differs_from_proposal(self, bench_config, tmp_path):
+        # Bench fits with the proposal's anchor, so a differing class used to pass.
+        config = _edited_gt_config(bench_config, tmp_path,
+                                   lambda gt: gt["instances"][0].update({"class": "truck"}))
+        with pytest.raises(ValidationError, match="frame 0000: ground-truth instance 0: "
+                                                  "class 'truck' but proposal 0 has class 'car'"):
+            load_bench_instances(config)
+
     def test_missing_box_key_exits_2(self, bench_config, tmp_path, capsys):
         config = _edited_gt_config(bench_config, tmp_path,
                                    lambda gt: gt["instances"][0]["box"].pop("ry"))
@@ -108,23 +116,25 @@ class TestLoadInstances:
 
     def test_unknown_class_fails_before_any_search(self, bench_config, tmp_path, monkeypatch,
                                                    capsys):
-        # A "yeti" proposal in the last frame used to load, and run_bench raised
+        # A "yeti" instance in the last frame used to load, and run_bench raised
         # only on reaching it, after searching every earlier instance.
         scenes = tmp_path / "scenes"
         shutil.copytree(bench_config.scenes_dir, scenes, ignore=shutil.ignore_patterns("out"))
-        path = scenes / "0001.proposals.json"
-        proposals = json.loads(path.read_text())
-        proposals[0]["class"] = "yeti"
-        path.write_text(json.dumps(proposals))
+        for suffix, records in (("proposals", lambda raw: raw),
+                                ("gt", lambda raw: raw["instances"])):
+            path = scenes / f"0001.{suffix}.json"
+            raw = json.loads(path.read_text())
+            records(raw)[0]["class"] = "yeti"
+            path.write_text(json.dumps(raw))
         config = PipelineConfig(scenes_dir=scenes, output_dir=tmp_path / "out")
-        with pytest.raises(UnknownClassError, match="proposal 0: no anchor range for class 'yeti'"):
-            load_bench_instances(config)
 
         def no_search(*args, **kwargs):
             raise AssertionError("bench searched before it checked the classes")
 
         monkeypatch.setattr(bench, "greedy_search", no_search)
         monkeypatch.setattr(bench, "pso_search", no_search)
+        with pytest.raises(UnknownClassError, match="proposal 0: no anchor range for class 'yeti'"):
+            run_bench(config)
         save_config(config, tmp_path / "config.yaml")
         assert main(["bench", "--config", str(tmp_path / "config.yaml")]) == 2
         assert "yeti" in capsys.readouterr().err
@@ -180,7 +190,7 @@ class TestRunBench:
 
     def test_unknown_class_raises(self, bench_config):
         inst = load_bench_instances(bench_config)[0]
-        inst.class_id = inst.pair.proposal.class_id = "yeti"
+        inst.pair.proposal.class_id = "yeti"
         with pytest.raises(UnknownClassError, match="yeti"):
             run_bench(bench_config, methods=("greedy",), budgets=(128,), instances=[inst])
 

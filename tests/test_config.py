@@ -1,5 +1,6 @@
 """YAML config loading, validation, round trips, and fingerprints."""
 
+import inspect
 import re
 from dataclasses import fields
 from pathlib import Path
@@ -7,6 +8,7 @@ from pathlib import Path
 import pytest
 import yaml
 
+from autobox3d.assoc import associate
 from autobox3d.config import (
     DEFAULT_ANCHOR_DIMS,
     SCHEMA,
@@ -16,6 +18,7 @@ from autobox3d.config import (
     load_config,
 )
 from autobox3d.errors import ValidationError
+from autobox3d.sceneprep import cluster_objects, remove_ground
 
 from _util import save_config
 
@@ -147,6 +150,28 @@ class TestDefaults:
             PipelineConfig(bench_budgets=())
         with pytest.raises(ValidationError):
             PipelineConfig(ground_quantile=0.0)
+        # The one check of the association, ground and clustering settings:
+        # associate, remove_ground and cluster_objects trust their arguments.
+        for bad in (dict(tau_match=0.0), dict(d_min=0.0), dict(ground_cell=0.0),
+                    dict(ground_height=0.0), dict(ground_refits=-1), dict(cluster_eps=0.0),
+                    dict(cluster_min_pts=0)):
+            with pytest.raises(ValidationError):
+                PipelineConfig(**bad)
+
+    def test_stage_keyword_defaults_match_config(self):
+        # The stages keep keyword defaults for direct callers; each must equal
+        # the PipelineConfig default that the pipeline passes in.
+        cfg = PipelineConfig()
+        stages = {
+            associate: dict(tau_match="tau_match", d_min="d_min", d_max="d_max"),
+            remove_ground: dict(cell_size="ground_cell", height_threshold="ground_height",
+                                refit_rounds="ground_refits", seed_quantile="ground_quantile"),
+            cluster_objects: dict(eps="cluster_eps", min_pts="cluster_min_pts"),
+        }
+        for fn, names in stages.items():
+            params = inspect.signature(fn).parameters
+            for arg, attr in names.items():
+                assert params[arg].default == getattr(cfg, attr), (fn.__name__, arg)
 
     def test_budgets_built_in_code_are_not_truncated(self):
         with pytest.raises(ValidationError, match="bench budget must be an integer, got 2.5"):

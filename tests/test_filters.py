@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from autobox3d.errors import UnknownClassError
 from autobox3d.filters import (
     DEFAULT_TAU_OCC,
     AlignmentVerdict,
@@ -41,48 +40,43 @@ class TestThresholds:
         FilterThresholds(tau_mv=1.0)  # closed at the top
 
 
+def _crop(mask_pixel_count, crop_w, crop_h, class_id="car"):
+    return _proposal(mask_pixel_count=mask_pixel_count, crop_w=crop_w, crop_h=crop_h,
+                     class_id=class_id)
+
+
 class TestOcclusion:
     def test_strictly_above_threshold(self):
         # Crop 100x80 = 8000 pixels; the car bar of 0.5 sits at 4000.
-        assert not occlusion_filter(4000, 100, 80, "car", TH)
-        assert occlusion_filter(4001, 100, 80, "car", TH)
+        assert not occlusion_filter(_crop(4000, 100, 80), TH)
+        assert occlusion_filter(_crop(4001, 100, 80), TH)
 
     def test_class_specific_bar(self):
         # Pedestrian bar 0.25 of 8000 = 2000.
-        assert not occlusion_filter(2000, 100, 80, "pedestrian", TH)
-        assert occlusion_filter(2001, 100, 80, "pedestrian", TH)
+        assert not occlusion_filter(_crop(2000, 100, 80, "pedestrian"), TH)
+        assert occlusion_filter(_crop(2001, 100, 80, "pedestrian"), TH)
 
     def test_unknown_class_raises(self):
-        with pytest.raises(UnknownClassError, match="'unicycle'"):
-            occlusion_filter(10, 10, 10, "unicycle", TH)
+        # check_classes stops an unknown class before any fit; past it, a class
+        # missing from tau_occ is a KeyError, never a silent pass or fail.
+        with pytest.raises(KeyError, match="'unicycle'"):
+            occlusion_filter(_crop(10, 10, 10, "unicycle"), TH)
 
     def test_all_default_classes_covered(self):
         for cls in DEFAULT_TAU_OCC:
-            occlusion_filter(0, 10, 10, cls, TH)
-
-    def test_input_validation(self):
-        with pytest.raises(ValueError):
-            occlusion_filter(0, 0, 10, "car", TH)
-        with pytest.raises(ValueError):
-            occlusion_filter(101, 10, 10, "car", TH)
-        with pytest.raises(ValueError):
-            occlusion_filter(-1, 10, 10, "car", TH)
+            occlusion_filter(_crop(0, 10, 10, cls), TH)
 
 
 class TestResolution:
     def test_strictly_above_threshold(self):
-        assert not resolution_filter(63, 63, TH)   # 3969
-        assert not resolution_filter(100, 40, TH)  # exactly 4000
-        assert resolution_filter(63, 64, TH)       # 4032
+        assert not resolution_filter(_crop(0, 63, 63), TH)   # 3969
+        assert not resolution_filter(_crop(0, 100, 40), TH)  # exactly 4000
+        assert resolution_filter(_crop(0, 63, 64), TH)       # 4032
 
     def test_custom_bar(self):
         th = FilterThresholds(tau_res=100.0)
-        assert resolution_filter(11, 10, th)
-        assert not resolution_filter(10, 10, th)
-
-    def test_input_validation(self):
-        with pytest.raises(ValueError):
-            resolution_filter(10, 0, TH)
+        assert resolution_filter(_crop(0, 11, 10), th)
+        assert not resolution_filter(_crop(0, 10, 10), th)
 
 
 class TestMultiView:
@@ -152,5 +146,5 @@ class TestVerdict:
         assert not shifted.fit_for_alignment
 
     def test_unknown_class_propagates(self):
-        with pytest.raises(UnknownClassError):
+        with pytest.raises(KeyError):
             verdict(self._prop(class_id="hovercraft"), self.BOX, self.CALIB, TH)

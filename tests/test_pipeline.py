@@ -231,10 +231,12 @@ class TestFitPair:
         return associate(scene, proposals, load_clusters(scene, config))[0]
 
     def test_unknown_class_raises(self, corpus, tmp_path):
+        # The entry points' check_classes stops an unknown class before any
+        # fit; past it, a class without an anchor range is a KeyError.
         config = corpus_config(corpus, tmp_path)
         pair = self.first_pair(corpus, config)
         pair.proposal.class_id = "yeti"
-        with pytest.raises(UnknownClassError, match="yeti"):
+        with pytest.raises(KeyError, match="yeti"):
             fit_pair(pair, config)
 
     def test_setup_surface_clip(self, corpus, tmp_path):
@@ -326,12 +328,13 @@ class TestProcessFrame:
         else:
             del config.thresholds.tau_occ["trailer"]
 
-        def no_fit(*args, **kwargs):
-            raise AssertionError("fit_pair called before the class check")
+        def no_search(*args, **kwargs):
+            raise AssertionError("a pair was fitted before the class check")
 
-        monkeypatch.setattr("autobox3d.pipeline.fit_pair", no_fit)
-        with pytest.raises(UnknownClassError, match="trailer"):
-            process_frame(config, "0000", frame_proposals(config, "0000"))
+        monkeypatch.setattr("autobox3d.pipeline.pso_search", no_search)
+        what = "anchor range" if table == "anchors" else "tau_occ threshold"
+        with pytest.raises(UnknownClassError, match=f"no {what} for class 'trailer'"):
+            run_annotate(config)
 
     def test_default_tables_cover_the_same_classes(self):
         config = PipelineConfig()

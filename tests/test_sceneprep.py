@@ -188,13 +188,6 @@ class TestGroundRemoval:
         with pytest.raises(ValidationError, match="empty cloud"):
             remove_ground(np.empty((0, 3)))
 
-    def test_bad_params_raise(self):
-        cloud = np.zeros((10, 3))
-        with pytest.raises(ValueError):
-            remove_ground(cloud, cell_size=0.0)
-        with pytest.raises(ValueError):
-            remove_ground(cloud, seed_quantile=0.0)
-
 
 class TestClustering:
     def test_two_blobs(self):
@@ -267,13 +260,6 @@ class TestClustering:
 
     def test_empty_indices(self):
         assert cluster_objects(np.zeros((5, 3)), np.array([], dtype=np.int64)) == []
-
-    def test_bad_params(self):
-        cloud = np.zeros((5, 3))
-        with pytest.raises(ValueError):
-            cluster_objects(cloud, np.arange(5), eps=0.0)
-        with pytest.raises(ValueError):
-            cluster_objects(cloud, np.arange(5), min_pts=0)
 
 
 class TestSidecars:

@@ -3,10 +3,12 @@
 import hashlib
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from autobox3d.cli import main
 from autobox3d.errors import ValidationError
 from autobox3d.geom import (
     BoxParams,
@@ -331,6 +333,22 @@ class TestGenerate:
         generate(SMALL_SPEC, tmp_path)
         for name in ("0000.bin", "0000.proposals.json", "0001.gt.json"):
             assert (tmp_path / name).read_bytes() == (out_dir / name).read_bytes()
+
+    def test_stale_frames_of_another_corpus_fail(self, tmp_path, capsys):
+        # Generating 1 frame over a 3-frame corpus used to leave 0001 and 0002
+        # behind, and discover_frames then read the two corpora as one.
+        scenes = tmp_path / "scenes"
+        spec = SynthSpec(seed=1, n_frames=3, ground_extent=15.0,
+                         classes=[SynthClassSpec(count=1, distance_max=20.0)])
+        generate(spec, scenes)
+        generate(spec, scenes)  # the same frame ids may be written again
+        before = {p.name: p.read_bytes() for p in scenes.iterdir()}
+        with pytest.raises(ValidationError, match=r"scenes holds frames \['0001', '0002'\]"):
+            generate(replace(spec, seed=2, n_frames=1), scenes)
+        assert {p.name: p.read_bytes() for p in scenes.iterdir()} == before
+        (tmp_path / "spec.yaml").write_text("n_frames: 1\n")
+        assert main(["synth", "--spec", str(tmp_path / "spec.yaml"), "--out", str(scenes)]) == 2
+        assert "['0001', '0002'] of another corpus" in capsys.readouterr().err
 
     def test_no_embedding_when_disabled(self, tmp_path):
         spec = SynthSpec(
