@@ -47,9 +47,13 @@ def default_anchors() -> dict[str, AnchorRange]:
     }
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, frozen=True)
 class PipelineConfig:
-    """Everything one annotation run needs, in one place."""
+    """Everything one annotation run needs, in one place.
+
+    Frozen, because the stages trust the values checked here: derive a
+    changed config with ``dataclasses.replace``, which checks it again.
+    """
 
     scenes_dir: Path = Path("scenes")
     output_dir: Path = Path("out")
@@ -72,8 +76,8 @@ class PipelineConfig:
     bench_budgets: tuple[int, ...] = (37500, 75000, 150000)
 
     def __post_init__(self) -> None:
-        self.scenes_dir = Path(self.scenes_dir)
-        self.output_dir = Path(self.output_dir)
+        object.__setattr__(self, "scenes_dir", Path(self.scenes_dir))
+        object.__setattr__(self, "output_dir", Path(self.output_dir))
         if self.seed < 0:
             raise ValidationError(f"seed must be non-negative, got {self.seed}")
         if self.workers < 1:
@@ -96,7 +100,9 @@ class PipelineConfig:
             raise ValidationError(f"nms_iou must be in [0, 1), got {self.nms_iou}")
         if not self.bench_budgets or any(b < 1 for b in self.bench_budgets):
             raise ValidationError("bench budgets must be positive")
-        self.bench_budgets = tuple(as_int(b, "bench budget") for b in self.bench_budgets)
+        object.__setattr__(
+            self, "bench_budgets", tuple(as_int(b, "bench budget") for b in self.bench_budgets)
+        )
 
 
 def _mapping(value, key: str, allowed: set[str] | None = None) -> dict:

@@ -16,6 +16,15 @@ once; the swarm search calls it thousands of times per frame, once per
 iteration for all of the frame's pairs, so it avoids all per-candidate
 Python work and keeps its full (candidates x points) array passes few.
 
+The cluster points' coordinates in each candidate's box frame come from
+one float64 BLAS product per row tile of S candidates. The kernel stores
+its cluster once as homogeneous offsets [p - o; 1], (4, N), from the
+cluster centroid o; the tile stacks its rows' rigid transforms [R | t] into a
+(3S, 4) matrix, with t taken from the candidate center minus o, and the
+product gives x, y and z as three (S, N) planes. The offsets keep every
+term within a few meters of zero, so the coordinates agree with rotating
+p minus the center directly to about 1e-15 m, far inside ``BOUNDARY_TOL``.
+
 The top-edge term needs no segment clamping. Only enclosed points count,
 and an enclosed point's coordinate along an edge already lies within that
 edge's face, so its distance to the edge at x = sx running along y is
@@ -38,6 +47,7 @@ from .geom import BOUNDARY_TOL, Box2D, CameraCalib, EgoPose, camera_columns, ima
 
 # Candidate x point elements per row tile of ``BoxCostBatch.evaluate``: 256 KB
 # per (S, N) float buffer, which stays in L2 cache. A tile costs fixed overhead.
+# A grid-search sweep from 4,096 to 131,072 peaked here (README Performance).
 _TILE_ELEMS = 32768
 # Rows per chunk of ``BoxCostBatch.evaluate``; each chunk pays the fixed cost
 # of the point-free terms once.
@@ -160,8 +170,13 @@ class BoxCostBatch:
     block's part of the chunk in row tiles of about ``_TILE_ELEMS``
     (candidate, point) elements, so their buffers stay in cache. A
     candidate's result depends on neither the batch, its block, its chunk
-    nor its tiling. The top-edge term uses the enclosed-point identity from
-    the module docstring instead of clamping.
+    nor its tiling. For the point terms that rests on the box-frame
+    product (module docstring): an element of it depends only on its row
+    and column as long as BLAS sums each element's four terms the same way
+    whatever the matrix shape and thread split. OpenBLAS does; the
+    rows-alone tests in ``test_costfn.py`` check it, with one of them above
+    OpenBLAS's threading threshold. The top-edge term uses the
+    enclosed-point identity from the module docstring instead of clamping.
     """
 
     def __init__(
@@ -178,7 +193,8 @@ class BoxCostBatch:
         if len(pts) == 0:
             raise ValueError("obj_points is empty; cannot score an empty cluster")
         self.n_points = len(pts)
-        self._px, self._py, self._pz = pts.T[:, None, :]
+        self._origin = pts.mean(axis=0)
+        self._hom = np.vstack([(pts - self._origin).T, np.ones(len(pts))])
         self._tile = max(1, _TILE_ELEMS // self.n_points)
         self.parts: tuple[BoxCostBatch, ...] = (self,)
         self._cols = np.concatenate([
@@ -253,27 +269,30 @@ class BoxCostBatch:
 
     def _point_terms(self, th, cos, sin, sx, sy) -> tuple[np.ndarray, np.ndarray]:
         """(density, lshape) of rows ``th`` against this kernel's one cluster."""
-        cx, cy, cz = th[:, 0], th[:, 1], th[:, 2]
         bl, bw, bh = th[:, 3], th[:, 4], th[:, 5]
-        cos_c, sin_c = cos[:, None], sin[:, None]
+        tx, ty, tz = (th[:, :3] - self._origin).T
 
-        # Cluster points in each candidate's box frame, (S, N). The (S, N)
-        # passes dominate the cost, so buffers are reused once a value is dead.
-        dx = self._px - cx[:, None]
-        dy = self._py - cy[:, None]
-        lx = cos_c * dx
-        lz = sin_c * dy
-        lx += lz
-        ly = np.multiply(cos_c, dy, out=dy)
-        ly -= np.multiply(sin_c, dx, out=dx)
-        np.subtract(self._pz, cz[:, None], out=lz)
-        inside = np.abs(lx, out=dx) <= 0.5 * bl[:, None] + BOUNDARY_TOL
-        inside &= np.abs(ly, out=dx) <= 0.5 * bw[:, None] + BOUNDARY_TOL
-        inside &= np.abs(lz, out=dx) <= 0.5 * bh[:, None] + BOUNDARY_TOL
+        # Cluster points in each candidate's box frame, (S, N): the rows'
+        # [R | t] rigid transforms, stacked as (3, S, 4), times the
+        # homogeneous points give lx, ly and lz as three contiguous planes.
+        rt = np.zeros((3, len(th), 4))
+        rt[0, :, 0] = rt[1, :, 1] = cos
+        rt[0, :, 1] = sin
+        rt[1, :, 0] = -sin
+        rt[2, :, 2] = 1.0
+        rt[0, :, 3] = -(cos * tx + sin * ty)
+        rt[1, :, 3] = sin * tx - cos * ty
+        rt[2, :, 3] = -tz
+        lx, ly, lz = (rt.reshape(-1, 4) @ self._hom).reshape(3, len(th), self.n_points)
+        buf = np.abs(lx)
+        inside = buf <= 0.5 * bl[:, None] + BOUNDARY_TOL
+        inside &= np.abs(ly, out=buf) <= 0.5 * bw[:, None] + BOUNDARY_TOL
+        inside &= np.abs(lz, out=buf) <= 0.5 * bh[:, None] + BOUNDARY_TOL
         counts = inside.sum(axis=1)
 
         # Distance to the nearer top edge; enclosed points need no clamping
-        # (see the module docstring).
+        # (see the module docstring). The (S, N) passes dominate the cost, so
+        # buffers are reused once a value is dead.
         lx -= sx[:, None]
         ly -= sy[:, None]
         lz -= 0.5 * bh[:, None]

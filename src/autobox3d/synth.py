@@ -156,23 +156,32 @@ def poisson_disk(
     """Blue-noise samples of a rectangle by dart throwing, shape (M, 2).
 
     Darts land until 60 rejections happen in a row, which fills the
-    rectangle close to saturation for the given minimum spacing.
+    rectangle close to saturation for the given minimum spacing. A dart is
+    tested only against the accepted samples in the 3 x 3 cells around it,
+    on a grid of cells 1.5 spacings wide: a sample two or more cells away
+    lies more than a spacing from the dart, whatever the rounding of the
+    cell indices, so the grid rejects exactly the darts a scan of every
+    sample would, and the same draws give the same samples.
     """
     if width <= 0 or height <= 0:
         return np.empty((0, 2))
-    accepted: list[np.ndarray] = []
-    pts = np.empty((0, 2))
+    cell = 1.5 * spacing
+    grid: dict[tuple[int, int], list[tuple[float, float]]] = {}
+    accepted: list[tuple[float, float]] = []
     misses = 0
     sq = spacing * spacing
     while misses < 60:
-        cand = rng.random(2) * (width, height)
-        if len(accepted) and np.min(np.sum((pts - cand) ** 2, axis=1)) < sq:
+        u, v = rng.random(2).tolist()
+        x, y = u * width, v * height
+        i, j = int(x // cell), int(y // cell)
+        near = (p for di in (-1, 0, 1) for dj in (-1, 0, 1) for p in grid.get((i + di, j + dj), ()))
+        if any((px - x) * (px - x) + (py - y) * (py - y) < sq for px, py in near):
             misses += 1
             continue
-        accepted.append(cand)
-        pts = np.asarray(accepted)
+        grid.setdefault((i, j), []).append((x, y))
+        accepted.append((x, y))
         misses = 0
-    return pts
+    return np.array(accepted)
 
 
 def sample_box_surface(

@@ -2,7 +2,7 @@
 
 import inspect
 import re
-from dataclasses import fields
+from dataclasses import FrozenInstanceError, fields, replace
 from pathlib import Path
 
 import pytest
@@ -177,6 +177,16 @@ class TestDefaults:
         with pytest.raises(ValidationError, match="bench budget must be an integer, got 2.5"):
             PipelineConfig(bench_budgets=(2.5, 300))
         assert PipelineConfig(bench_budgets=[300.0]).bench_budgets == (300,)
+
+    def test_frozen_after_checks(self):
+        # The stages trust the checked values, so no assignment may skip the
+        # checks; a changed config comes from replace, which checks again.
+        cfg = PipelineConfig(scenes_dir="in")
+        with pytest.raises(FrozenInstanceError):
+            cfg.cluster_eps = 0.0
+        assert cfg.cluster_eps == 0.5 and cfg.scenes_dir == Path("in")
+        with pytest.raises(ValidationError):
+            replace(cfg, cluster_eps=0.0)
 
 
 class TestLoadConfig:

@@ -413,6 +413,23 @@ class TestBatchAgainstScalar:
         together = self._assert_rows_score_alone(batch, thetas)
         assert together.density[0] < 0.0
 
+    def test_threaded_block_product(self):
+        # One tile of 2 * tile - 1 rows, whose (3 * rows, 4) @ (4, N) box-frame
+        # product is above OpenBLAS's threading threshold (M * N * K >
+        # 65,536 * 4), so an unpinned BLAS splits it between threads; each
+        # row must still score as it does alone, in a product far below it.
+        rng = np.random.default_rng(21)
+        box = car_box()
+        pair = build_pair(box, seed=10)
+        batch = BoxCostBatch(pair.points, pair.scene.ego, pair.proposal.box,
+                             pair.calib, CostWeights(c_surface=9.0))
+        n = 2 * batch._tile - 1
+        assert costfn._tiles(0, n, batch._tile) == [(0, n)]
+        assert (3 * n) * batch.n_points * 4 > 65536 * 4
+        thetas = box.as_array() + rng.normal(0.0, 0.3, size=(n, 7))
+        together = self._assert_rows_score_alone(batch, thetas)
+        assert (together.density < 0.0).sum() > n // 2
+
     def test_rows_across_chunks(self):
         # More than two chunks of rows against one cluster, with rows behind
         # the camera and cut by its image plane at and next to the chunk

@@ -222,6 +222,28 @@ class TestPoissonDisk:
         rng = np.random.default_rng(2)
         assert poisson_disk(rng, 0.0, 5.0, 1.0).shape == (0, 2)
 
+    @pytest.mark.parametrize("seed, width, height, spacing", [
+        (3, 5.0, 5.0, 0.8), (4, 4.57, 1.31, 0.12), (5, 0.3, 7.0, 0.25), (6, 2.0, 2.0, 3.0),
+    ])
+    def test_matches_full_scan(self, seed, width, height, spacing):
+        # The grid lookup must reject exactly the darts that a scan of every
+        # accepted sample rejects, and leave the generator in the same state.
+        def full_scan(rng):
+            accepted, misses = [], 0
+            while misses < 60:
+                cand = rng.random(2) * (width, height)
+                if accepted and np.min(np.sum((np.asarray(accepted) - cand) ** 2, axis=1)) < spacing * spacing:
+                    misses += 1
+                    continue
+                accepted.append(cand)
+                misses = 0
+            return np.asarray(accepted)
+
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = poisson_disk(rng, width, height, spacing)
+        assert np.array_equal(got, full_scan(ref_rng)) and got.shape[1] == 2
+        assert rng.random() == ref_rng.random()
+
 
 class TestSampleBoxSurface:
     BOX = BoxParams(10.0, 5.0, -1.8 + 0.85, 4.6, 1.9, 1.7, 0.4)
