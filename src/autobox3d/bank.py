@@ -10,7 +10,6 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Iterator
 
 import numpy as np
 
@@ -51,24 +50,10 @@ class NovelObjectTarget:
             self.embedding = np.asarray(self.embedding, dtype=float)
 
 
-@dataclass(eq=False)
-class NovelObjectBank:
-    """All targets of a run, grouped per frame."""
-
-    frames: dict[str, list[NovelObjectTarget]]
-
-    def all_targets(self) -> Iterator[NovelObjectTarget]:
-        for frame_id in sorted(self.frames):
-            yield from self.frames[frame_id]
-
-    def __len__(self) -> int:
-        return sum(len(v) for v in self.frames.values())
-
-
-def _target_to_obj(frame_id: str, t: NovelObjectTarget) -> dict:
+def _target_to_obj(t: NovelObjectTarget) -> dict:
     embedding = {} if t.embedding is None else {"embedding": t.embedding.tolist()}
     return {
-        "frame": frame_id,
+        "frame": t.provenance.frame,
         "box": asdict(t.box),
         "class": t.class_id,
         "cost": asdict(t.cost),
@@ -78,17 +63,18 @@ def _target_to_obj(frame_id: str, t: NovelObjectTarget) -> dict:
     }
 
 
-def write_bank(bank: NovelObjectBank, path: str | Path) -> None:
-    """Write one JSON object per line, frames in sorted order."""
+def write_bank(targets: list[NovelObjectTarget], path: str | Path) -> None:
+    """Write one JSON object per line, frames in sorted order; targets of one
+    frame keep their list order."""
     Path(path).write_text("".join(
-        json.dumps(_target_to_obj(frame_id, t), separators=(",", ":")) + "\n"
-        for frame_id in sorted(bank.frames) for t in bank.frames[frame_id]
+        json.dumps(_target_to_obj(t), separators=(",", ":")) + "\n"
+        for t in sorted(targets, key=lambda t: t.provenance.frame)
     ))
 
 
-def _parse_target(obj: dict) -> tuple[str, NovelObjectTarget]:
+def _parse_target(obj: dict) -> NovelObjectTarget:
     embedding = obj.get("embedding")
-    return as_str(obj["frame"], "frame"), NovelObjectTarget(
+    target = NovelObjectTarget(
         box=from_mapping(BoxParams, obj["box"], "box"),
         class_id=as_str(obj["class"], "class"),
         cost=from_mapping(CostBreakdown, obj["cost"], "cost"),
@@ -96,11 +82,19 @@ def _parse_target(obj: dict) -> tuple[str, NovelObjectTarget]:
         provenance=from_mapping(Provenance, obj["provenance"], "provenance"),
         embedding=None if embedding is None else as_floats(embedding, "embedding", (None,)),
     )
+    frame = as_str(obj["frame"], "frame")
+    if frame != target.provenance.frame:
+        raise ValueError(
+            f"frame {frame!r} differs from provenance.frame {target.provenance.frame!r}"
+        )
+    return target
 
 
-def read_bank(path: str | Path) -> NovelObjectBank:
-    """Read a JSONL bank back; malformed lines fail with their line number."""
-    frames: dict[str, list[NovelObjectTarget]] = {}
+def read_bank(path: str | Path) -> list[NovelObjectTarget]:
+    """Read a JSONL bank back as its targets in file order; malformed lines,
+    and lines whose frame is not their provenance frame, fail with their line
+    number."""
+    targets: list[NovelObjectTarget] = []
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
@@ -109,6 +103,5 @@ def read_bank(path: str | Path) -> NovelObjectBank:
                 obj = json.loads(line)
                 if not isinstance(obj, dict):
                     raise ValueError("line is not a JSON object")
-                frame, target = _parse_target(obj)
-            frames.setdefault(frame, []).append(target)
-    return NovelObjectBank(frames)
+                targets.append(_parse_target(obj))
+    return targets

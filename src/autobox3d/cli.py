@@ -43,12 +43,12 @@ def _cmd_annotate(args: argparse.Namespace) -> int:
 
 def _cmd_fit_box(args: argparse.Namespace) -> int:
     config = load_config(args.config)
-    proposals = frame_proposals(config, args.scene)
+    proposals = frame_proposals(config, args.scene) or []
     check_classes(proposals, config)
-    scene, pairs, stats = associate_frame(config, args.scene, proposals)
-    if not 0 <= args.proposal < stats["proposals"]:
+    scene, pairs, _ = associate_frame(config, args.scene, proposals)
+    if not 0 <= args.proposal < len(proposals):
         raise ValidationError(
-            f"proposal index {args.proposal} out of range; frame has {stats['proposals']}"
+            f"proposal index {args.proposal} out of range; frame has {len(proposals)}"
         )
     fits = fit_proposal(scene, pairs, config, args.proposal)
     if not fits:

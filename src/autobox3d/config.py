@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 from collections import namedtuple
-from contextlib import suppress
 from dataclasses import dataclass, field, replace
 from functools import reduce
 from pathlib import Path
@@ -116,21 +116,36 @@ def _mapping(value, key: str, allowed: set[str] | None = None) -> dict:
     return value
 
 
-def _yaml_number(value):
-    """A string that spells a number as that number (PyYAML reads ``1e3`` as a string)."""
-    if isinstance(value, str):
-        for parse in (int, float):
-            with suppress(ValueError):
-                return parse(value)
-    return value
+class _Loader(yaml.SafeLoader):
+    """PyYAML's safe loader that also reads YAML 1.2 floats such as ``1e3``
+    and ``4.5e1``, which YAML 1.1 leaves as strings. The float pattern also
+    matches ints; the int resolver, registered before it, takes those."""
+
+
+_Loader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?(?:\.[0-9]+|[0-9]+(?:\.[0-9]*)?)(?:[eE][-+]?[0-9]+)?$"),
+    list("-+0123456789."),
+)
+
+
+def read_yaml(path: str | Path, what: str):
+    """The parsed YAML document at ``path``; a missing file or invalid YAML
+    fails as a ValidationError that names the file as a ``what`` file."""
+    try:
+        return yaml.load(Path(path).read_text(), Loader=_Loader)
+    except FileNotFoundError:
+        raise ValidationError(f"{what} file not found: {path}") from None
+    except yaml.YAMLError as exc:
+        raise ValidationError(f"{path}: not valid YAML: {exc}") from exc
 
 
 def _float(value, key: str) -> float:
-    return as_float(_yaml_number(value), f"config key {key!r}")
+    return as_float(value, f"config key {key!r}")
 
 
 def _int(value, key: str) -> int:
-    return as_int(_yaml_number(value), f"config key {key!r}")
+    return as_int(value, f"config key {key!r}")
 
 
 def _str(value, key: str) -> str:
@@ -223,13 +238,7 @@ def _flatten(raw, prefix: str = "") -> dict:
 
 def load_config(path: str | Path) -> PipelineConfig:
     """Read a YAML pipeline config, strictly validated, defaults filled in."""
-    path = Path(path)
-    try:
-        raw = yaml.safe_load(path.read_text())
-    except FileNotFoundError:
-        raise ValidationError(f"config file not found: {path}") from None
-    except yaml.YAMLError as exc:
-        raise ValidationError(f"{path}: not valid YAML: {exc}") from exc
+    raw = read_yaml(path, "config")
     fields: dict[str, dict] = {}  # sub-config ("" for the top level) -> field -> value
     with reading(path):
         for key, value in _flatten({} if raw is None else raw).items():

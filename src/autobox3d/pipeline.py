@@ -12,7 +12,6 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from collections.abc import Iterable
 from dataclasses import replace
 from functools import partial
 from pathlib import Path
@@ -20,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .assoc import CrossModalProposal, Proposal2D, associate, load_proposals
-from .bank import NovelObjectBank, NovelObjectTarget, Provenance, read_bank, write_bank
+from .bank import NovelObjectTarget, Provenance, read_bank, write_bank
 from .config import PipelineConfig, config_fingerprint
 from .costfn import AnchorRange, BoxCostBatch, adaptive_surface_clip
 from .errors import UnknownClassError, ValidationError, make_output_dir
@@ -193,10 +192,10 @@ def check_classes(proposals: list[Proposal2D], config: PipelineConfig) -> None:
                 )
 
 
-def frame_proposals(config: PipelineConfig, frame_id: str) -> list[Proposal2D]:
-    """A frame's proposals; none when it has no proposal file."""
+def frame_proposals(config: PipelineConfig, frame_id: str) -> list[Proposal2D] | None:
+    """A frame's proposals; None when it has no proposal file."""
     path = config.scenes_dir / f"{frame_id}.proposals.json"
-    return load_proposals(path) if path.exists() else []
+    return load_proposals(path) if path.exists() else None
 
 
 def associate_frame(
@@ -205,7 +204,6 @@ def associate_frame(
     """Load one frame, cluster it, and pair its ``proposals`` with clusters;
     returns (scene, pairs, counters)."""
     scene = load_scene(config.scenes_dir, frame_id)
-    proposals_path = config.scenes_dir / f"{frame_id}.proposals.json"
     clusters = load_clusters(scene, config)
     pairs = associate(
         scene,
@@ -215,21 +213,15 @@ def associate_frame(
         d_min=config.d_min,
         d_max=config.d_max,
     )
-    stats = {
-        "proposals": len(proposals),
-        "clusters": len(clusters),
-        "pairs": len(pairs),
-        "had_proposal_file": proposals_path.exists(),
-    }
-    return scene, pairs, stats
+    return scene, pairs, {"clusters": len(clusters), "pairs": len(pairs)}
 
 
 def process_frame(
     config: PipelineConfig, frame_id: str, proposals: list[Proposal2D]
-) -> tuple[str, list[NovelObjectTarget], dict]:
-    """Annotate one frame with its ``proposals``; returns (frame_id, targets, counters)."""
+) -> tuple[list[NovelObjectTarget], dict]:
+    """Annotate one frame with its ``proposals``; returns (targets, counters)."""
     scene, pairs, stats = associate_frame(config, frame_id, proposals)
-    return frame_id, prepare_targets(scene, pairs, config), stats
+    return prepare_targets(scene, pairs, config), stats
 
 
 def run_annotate(config: PipelineConfig) -> dict:
@@ -243,7 +235,9 @@ def run_annotate(config: PipelineConfig) -> dict:
     t0 = time.perf_counter()
     make_output_dir(config.output_dir)
     frame_ids = discover_frames(config.scenes_dir)
-    proposals = [frame_proposals(config, fid) for fid in frame_ids]
+    loaded = [frame_proposals(config, fid) for fid in frame_ids]
+    frames_missing_proposals = [fid for fid, props in zip(frame_ids, loaded) if props is None]
+    proposals = [props or [] for props in loaded]
     for props in proposals:
         check_classes(props, config)
     embed_dims = {len(p.embedding) for props in proposals for p in props if p.embedding is not None}
@@ -251,7 +245,6 @@ def run_annotate(config: PipelineConfig) -> dict:
         raise ValidationError(
             f"embedding dimension must be constant per run, saw {sorted(embed_dims)}"
         )
-    results: list[tuple[str, list[NovelObjectTarget], dict]] = []
     if config.workers > 1 and len(frame_ids) > 1:
         from concurrent.futures import ProcessPoolExecutor
 
@@ -260,22 +253,10 @@ def run_annotate(config: PipelineConfig) -> dict:
     else:
         results = [process_frame(config, fid, props) for fid, props in zip(frame_ids, proposals)]
 
-    frames: dict[str, list[NovelObjectTarget]] = {}
-    totals = {"proposals": 0, "clusters": 0, "pairs": 0}
-    frames_missing_proposals: list[str] = []
-    for frame_id, targets, stats in results:
-        frames[frame_id] = targets
-        for key in totals:
-            totals[key] += stats[key]
-        if not stats["had_proposal_file"]:
-            frames_missing_proposals.append(frame_id)
-
-    bank = NovelObjectBank(frames)
+    bank = [t for targets, _ in results for t in targets]
     write_bank(bank, config.output_dir / "bank.jsonl")
-
-    n_targets = len(bank)
     reasons = {"fit": 0, **{r: 0 for r in REJECT_REASONS}}
-    for t in bank.all_targets():
+    for t in bank:
         reason = reject_reason(t)
         reasons["fit" if reason is None else reason] += 1
 
@@ -283,22 +264,22 @@ def run_annotate(config: PipelineConfig) -> dict:
         "fingerprint": config_fingerprint(config),
         "frames": len(frame_ids),
         "frames_missing_proposals": frames_missing_proposals,
-        "proposals": totals["proposals"],
-        "clusters": totals["clusters"],
-        "pairs": totals["pairs"],
-        "targets": n_targets,
+        "proposals": sum(map(len, proposals)),
+        "clusters": sum(stats["clusters"] for _, stats in results),
+        "pairs": sum(stats["pairs"] for _, stats in results),
+        "targets": len(bank),
         "reasons": reasons,
         "fractions": {
-            k: (round(v / n_targets, 4) if n_targets else 0.0) for k, v in reasons.items()
+            k: (round(v / len(bank), 4) if bank else 0.0) for k, v in reasons.items()
         },
-        "per_class": _tally_classes(bank.all_targets()),
+        "per_class": _tally_classes(bank),
         "elapsed_s": round(time.perf_counter() - t0, 3),
     }
     (config.output_dir / "report.json").write_text(json.dumps(report, indent=2) + "\n")
     return report
 
 
-def _tally_classes(targets: Iterable[NovelObjectTarget]) -> dict[str, dict[str, int]]:
+def _tally_classes(targets: list[NovelObjectTarget]) -> dict[str, dict[str, int]]:
     """Banked and fit-for-alignment target counts per class, in class order."""
     per_class: dict[str, dict[str, int]] = {}
     for t in targets:
@@ -340,11 +321,11 @@ def summarize_bank(path: str | Path) -> dict:
     """Counts from an existing bank file (for the report subcommand)."""
     bank = read_bank(path)
     n = len(bank)
-    per_class = _tally_classes(bank.all_targets())
+    per_class = _tally_classes(bank)
     fit = sum(d["fit"] for d in per_class.values())
     return {
         "path": str(path),
-        "frames": len(bank.frames),
+        "frames": len({t.provenance.frame for t in bank}),
         "targets": n,
         "fit_for_alignment": fit,
         "fit_fraction": round(fit / n, 4) if n else 0.0,

@@ -391,12 +391,9 @@ def cluster_objects(
     nearest = np.diff(border, prepend=-1) != 0
     labels[border[nearest]] = labels[neighbor[nearest]]
 
-    members = np.argsort(labels, kind="stable")
-    members = members[labels[members] >= 0]
-    groups = np.split(idx[members], np.cumsum(np.bincount(labels[members]))[:-1])
-    out = [Cluster.from_indices(cloud, g) for g in groups]
-    out.sort(key=lambda c: int(c.point_indices[0]))
-    return out
+    cloud_labels = np.full(len(cloud), -1, dtype=np.int64)
+    cloud_labels[idx] = labels
+    return sorted(clusters_from_labels(cloud, cloud_labels), key=lambda c: int(c.point_indices[0]))
 
 
 def _per_point(path: str | Path, n_points: int, noun: str, parse) -> list:
@@ -442,9 +439,9 @@ def load_point_labels(path: str | Path, n_points: int) -> np.ndarray:
 
 
 def clusters_from_labels(cloud: np.ndarray, labels: np.ndarray) -> list[Cluster]:
-    """Build clusters from a per-point label array, ordered by label value."""
+    """Build clusters from a per-point label array (-1 for none), ordered by label value."""
     labels = np.asarray(labels, dtype=np.int64)
-    out = []
-    for cid in np.unique(labels[labels >= 0]):
-        out.append(Cluster.from_indices(cloud, np.where(labels == cid)[0]))
-    return out
+    members = np.flatnonzero(labels >= 0)
+    members = members[np.argsort(labels[members], kind="stable")]
+    groups = np.split(members, np.flatnonzero(np.diff(labels[members])) + 1)
+    return [Cluster.from_indices(cloud, g) for g in groups if len(g)]

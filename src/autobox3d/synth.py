@@ -16,9 +16,8 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
-import yaml
 
-from .config import default_anchors
+from .config import default_anchors, read_yaml
 from .costfn import AnchorRange
 from .errors import ValidationError, from_mapping
 from .geom import Box2D, BoxParams, CameraCalib, EgoPose, project_box_to_2d, rotation_z
@@ -94,13 +93,7 @@ class SynthSpec:
 
 def load_synth_spec(path: str | Path) -> SynthSpec:
     """Read a YAML scene recipe; unknown keys and values of the wrong type fail."""
-    path = Path(path)
-    try:
-        raw = yaml.safe_load(path.read_text())
-    except FileNotFoundError:
-        raise ValidationError(f"spec file not found: {path}") from None
-    except yaml.YAMLError as exc:
-        raise ValidationError(f"{path}: not valid YAML: {exc}") from exc
+    raw = read_yaml(path, "spec")
     kwargs = {} if raw is None else raw
     if isinstance(kwargs, dict) and "classes" in kwargs:
         if not isinstance(kwargs["classes"], list):

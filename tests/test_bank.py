@@ -5,13 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from autobox3d.bank import (
-    NovelObjectBank,
-    NovelObjectTarget,
-    Provenance,
-    read_bank,
-    write_bank,
-)
+from autobox3d.bank import NovelObjectTarget, Provenance, read_bank, write_bank
 from autobox3d.costfn import CostBreakdown
 from autobox3d.errors import ValidationError
 from autobox3d.filters import AlignmentVerdict
@@ -32,9 +26,8 @@ def make_target(frame="0000", proposal=0, embedding=None, fit=True, class_id="ca
 
 class TestSerialization:
     def test_key_order_fixed(self, tmp_path):
-        bank = NovelObjectBank({"0000": [make_target(embedding=[0.5, -0.5])]})
         path = tmp_path / "bank.jsonl"
-        write_bank(bank, path)
+        write_bank([make_target(embedding=[0.5, -0.5])], path)
         line = path.read_text().splitlines()[0]
         obj = json.loads(line)
         assert list(obj) == [
@@ -46,25 +39,30 @@ class TestSerialization:
         assert list(obj["provenance"]) == ["frame", "camera", "proposal"]
 
     def test_optional_fields_omitted(self, tmp_path):
-        bank = NovelObjectBank({"0000": [make_target()]})
         path = tmp_path / "bank.jsonl"
-        write_bank(bank, path)
+        write_bank([make_target()], path)
         obj = json.loads(path.read_text())
         assert "embedding" not in obj
         assert "verdict" not in obj
 
     def test_frames_written_sorted(self, tmp_path):
-        bank = NovelObjectBank({
-            "0002": [make_target("0002")],
-            "0000": [make_target("0000"), make_target("0000", proposal=1)],
-        })
+        # A stable sort on the frame: one frame's targets keep their list order.
+        targets = [
+            make_target("0002"),
+            make_target("0000", proposal=3),
+            make_target("0001"),
+            make_target("0000", proposal=1),
+        ]
         path = tmp_path / "bank.jsonl"
-        write_bank(bank, path)
-        frames = [json.loads(l)["frame"] for l in path.read_text().splitlines()]
-        assert frames == ["0000", "0000", "0002"]
+        write_bank(targets, path)
+        objs = [json.loads(l) for l in path.read_text().splitlines()]
+        assert [(o["frame"], o["provenance"]["proposal"]) for o in objs] == [
+            ("0000", 3), ("0000", 1), ("0001", 0), ("0002", 0)
+        ]
+        assert all(o["frame"] == o["provenance"]["frame"] for o in objs)
 
     def test_byte_identical_rewrites(self, tmp_path):
-        bank = NovelObjectBank({"0000": [make_target(embedding=[0.123456789, -1.0])]})
+        bank = [make_target(embedding=[0.123456789, -1.0])]
         a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
         write_bank(bank, a)
         write_bank(bank, b)
@@ -72,7 +70,7 @@ class TestSerialization:
 
     def test_compact_separators(self, tmp_path):
         path = tmp_path / "bank.jsonl"
-        write_bank(NovelObjectBank({"0000": [make_target()]}), path)
+        write_bank([make_target()], path)
         line = path.read_text().splitlines()[0]
         assert ": " not in line and ", " not in line
 
@@ -84,13 +82,11 @@ class TestRoundTrip:
             make_target(proposal=1, fit=False, class_id="pedestrian"),
             make_target(proposal=2),
         ]
-        bank = NovelObjectBank({"0000": targets})
         path = tmp_path / "bank.jsonl"
-        write_bank(bank, path)
+        write_bank(targets, path)
         back = read_bank(path)
         assert len(back) == 3
-        got = back.frames["0000"]
-        for orig, rt in zip(targets, got):
+        for orig, rt in zip(targets, back):
             assert np.array_equal(rt.box.as_array(), orig.box.as_array())
             assert rt.class_id == orig.class_id
             assert rt.cost == orig.cost
@@ -104,10 +100,7 @@ class TestRoundTrip:
             assert rt.verdict is None
 
     def test_write_read_write_is_stable(self, tmp_path):
-        bank = NovelObjectBank({
-            "0001": [make_target("0001", embedding=[1.0 / 3.0])],
-            "0000": [make_target("0000")],
-        })
+        bank = [make_target("0001", embedding=[1.0 / 3.0]), make_target("0000")]
         a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
         write_bank(bank, a)
         write_bank(read_bank(a), b)
@@ -116,24 +109,25 @@ class TestRoundTrip:
     def test_provenance_reads_back_as_the_dataclass(self, tmp_path):
         # Provenance is a frozen dataclass written with dataclasses.asdict; as a
         # NamedTuple it also compared equal to a plain tuple.
-        bank = NovelObjectBank({"0000": [make_target(proposal=4), make_target(proposal=7)]})
         path = tmp_path / "bank.jsonl"
-        write_bank(bank, path)
-        back = read_bank(path).frames["0000"]
+        write_bank([make_target(proposal=4), make_target(proposal=7)], path)
+        back = read_bank(path)
         assert [t.provenance for t in back] == [
             Provenance("0000", "cam0", 4), Provenance("0000", "cam0", 7)
         ]
         assert all(type(t.provenance) is Provenance for t in back)
         assert back[0].provenance != ("0000", "cam0", 4)
 
-    def test_all_targets_iterates_sorted_frames(self):
-        bank = NovelObjectBank({
-            "0003": [make_target("0003")],
-            "0001": [make_target("0001"), make_target("0001", proposal=1)],
-        })
-        frames = [t.provenance.frame for t in bank.all_targets()]
-        assert frames == ["0001", "0001", "0003"]
-        assert len(bank) == 3
+    def test_read_returns_file_order(self, tmp_path):
+        # Lines out of frame order, as no writer leaves them, read back as they stand.
+        path = tmp_path / "bank.jsonl"
+        write_bank([make_target("0003")], tmp_path / "a.jsonl")
+        write_bank([make_target("0001"), make_target("0001", proposal=1)], tmp_path / "b.jsonl")
+        path.write_text((tmp_path / "a.jsonl").read_text() + (tmp_path / "b.jsonl").read_text())
+        back = read_bank(path)
+        assert [(t.provenance.frame, t.provenance.proposal) for t in back] == [
+            ("0003", 0), ("0001", 0), ("0001", 1)
+        ]
 
 
 class TestReadErrors:
@@ -162,6 +156,14 @@ class TestReadErrors:
         path = tmp_path / "bank.jsonl"
         path.write_text("[1,2,3]\n")
         with pytest.raises(ValidationError, match="not a JSON object"):
+            read_bank(path)
+
+    def test_frame_must_match_provenance(self, tmp_path):
+        obj = json.loads(self.GOOD)
+        obj["frame"] = "1"
+        path = tmp_path / "bank.jsonl"
+        path.write_text(self.GOOD + "\n" + json.dumps(obj) + "\n")
+        with pytest.raises(ValidationError, match="line 2: frame '1' differs from provenance"):
             read_bank(path)
 
     def test_blank_lines_skipped(self, tmp_path):

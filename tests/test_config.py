@@ -345,6 +345,13 @@ bench:
         with pytest.raises(ValidationError, match=re.escape(repr(key)) + " must be a number"):
             load_config(path)
 
+    def test_quoted_number_rejected(self, tmp_path):
+        # A quoted value is a string, whatever it spells.
+        with pytest.raises(ValidationError, match="'swarm.n_iter' must be an integer"):
+            load_config(write_config(tmp_path, 'swarm: {n_iter: "10"}\n'))
+        with pytest.raises(ValidationError, match="'nms_iou' must be a number"):
+            load_config(write_config(tmp_path, "nms_iou: '1e-1'\n"))
+
     def test_bad_value_propagates_as_validation_error(self, tmp_path):
         with pytest.raises(ValidationError):
             load_config(write_config(tmp_path, "seed: banana"))

@@ -1,5 +1,6 @@
 """End-to-end pipeline: seeding, NMS, conflict resolution, full runs."""
 
+import hashlib
 import json
 import shutil
 from dataclasses import replace
@@ -295,12 +296,12 @@ def _write_mini_frame(scenes, frame_id, embed_dim, n_points=8):
 class TestProcessFrame:
     def test_counts_and_targets(self, corpus, tmp_path):
         config = corpus_config(corpus, tmp_path)
-        frame_id, targets, stats = process_frame(config, "0000", frame_proposals(config, "0000"))
-        assert frame_id == "0000"
-        assert stats["proposals"] == 2
+        proposals = frame_proposals(config, "0000")
+        assert len(proposals) == 2
+        targets, stats = process_frame(config, "0000", proposals)
+        assert set(stats) == {"clusters", "pairs"}
         assert stats["clusters"] == 2
         assert stats["pairs"] >= 2
-        assert stats["had_proposal_file"]
         assert 1 <= len(targets) <= 2
         for t in targets:
             assert t.provenance.frame == "0000"
@@ -405,7 +406,7 @@ class TestFitProposal:
             expected = fit_alone(pair, config, derive_pair_seed(config.seed, "0000", k))
             assert result.best_cost == expected.best_cost
             assert np.array_equal(result.trace, expected.trace)
-        assert fit_proposal(scene, pairs, config, stats["proposals"]) == []
+        assert fit_proposal(scene, pairs, config, len(frame_proposals(config, "0000"))) == []
 
     def test_best_fit_lowest_total_earliest_on_tie(self):
         def fit(total, tag):
@@ -416,7 +417,40 @@ class TestFitProposal:
         assert best_fit([fit(-3.0, "a"), fit(-3.0, "b")])[1] == "a"
 
 
+# Three frames of two classes, with embeddings; the last frame's proposal
+# file is removed.
+PINNED_SPEC = SynthSpec(
+    seed=23,
+    n_frames=3,
+    classes=[
+        SynthClassSpec(name="car", count=2, distance_min=8.0, distance_max=22.0),
+        SynthClassSpec(name="pedestrian", count=1, distance_min=5.0, distance_max=12.0),
+    ],
+    ground_extent=18.0,
+    n_cameras=2,
+)
+# sha256 of bank.jsonl, and of report.json without its "elapsed_s" and
+# "fingerprint" (which holds the corpus paths), for PINNED_SPEC under
+# PINNED_SWARM. Any change to these bytes is a change to the bank.
+PINNED_BANK_SHA256 = "87723893a79714084824af913831b5598ed6f7d68f90bcb1195781e4ff864b53"
+PINNED_REPORT_SHA256 = "c132c9f83de2a25f47d089585e26c2f685910e5eefebdafb908ce24e7cf78178"
+PINNED_SWARM = SwarmConfig(n_swarm=12, n_iter=20)
+
+
 class TestRunAnnotate:
+    def test_pinned_bank_and_report_bytes(self, tmp_path):
+        scenes = tmp_path / "scenes"
+        generate(PINNED_SPEC, scenes)
+        (scenes / "0002.proposals.json").unlink()
+        run_annotate(corpus_config(scenes, tmp_path / "out", swarm=PINNED_SWARM))
+        bank = (tmp_path / "out" / "bank.jsonl").read_bytes()
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["frames_missing_proposals"] == ["0002"]
+        del report["elapsed_s"], report["fingerprint"]
+        report_bytes = (json.dumps(report, indent=2) + "\n").encode()
+        assert hashlib.sha256(bank).hexdigest() == PINNED_BANK_SHA256
+        assert hashlib.sha256(report_bytes).hexdigest() == PINNED_REPORT_SHA256
+
     def test_outputs_and_report(self, corpus, tmp_path):
         config = corpus_config(corpus, tmp_path / "out")
         report = run_annotate(config)
@@ -432,6 +466,7 @@ class TestRunAnnotate:
         assert report["frames_missing_proposals"] == []
         bank = read_bank(tmp_path / "out" / "bank.jsonl")
         assert len(bank) == report["targets"]
+        assert [t.provenance.frame for t in bank] == sorted(t.provenance.frame for t in bank)
         assert sum(report["reasons"].values()) == report["targets"]
         assert report["per_class"]["car"]["targets"] == report["targets"]
         on_disk = json.loads((tmp_path / "out" / "report.json").read_text())
@@ -463,10 +498,12 @@ class TestRunAnnotate:
         for src in corpus.iterdir():
             if src.name != "0001.proposals.json":
                 shutil.copy(src, scenes / src.name)
+        assert frame_proposals(corpus_config(scenes, tmp_path), "0001") is None
         config = corpus_config(scenes, tmp_path / "out")
         report = run_annotate(config)
         assert report["frames"] == 2
         assert report["frames_missing_proposals"] == ["0001"]
+        assert report["proposals"] == len(frame_proposals(config, "0000"))
         text = format_report(report)
         assert "0001" in text
 
@@ -509,6 +546,6 @@ class TestRunAnnotate:
         assert summary["targets"] == report["targets"]
         assert summary["fit_for_alignment"] == report["reasons"]["fit"]
         assert summary["per_class"] == report["per_class"]
-        assert summary["frames"] == len(read_bank(tmp_path / "out" / "bank.jsonl").frames)
+        assert summary["frames"] == report["frames"]
         text = format_bank_summary(summary)
         assert f"targets: {summary['targets']}" in text

@@ -126,7 +126,7 @@ def test_config_fields(tmp_path, capsys, text, key):
 
 
 def test_config_reads_numeric_strings(tmp_path):
-    # PyYAML reads 1e3 as a string; the config, and no other reader, takes it as 1000.
+    # YAML 1.1 leaves 1e3 a string; the config and synth-spec reader take it as 1000.
     config = tmp_path / "config.yaml"
     config.write_text("seed: 1e3\nthresholds: {tau_res: 1e3}\n")
     cfg = load_config(config)

@@ -159,6 +159,20 @@ classes:
         with pytest.raises(ValidationError, match="not found"):
             load_synth_spec(tmp_path / "nope.yaml")
 
+    def test_exponent_floats_read_as_numbers(self, tmp_path):
+        # YAML 1.1 leaves 4.5e1 and 2e-1 strings; the spec reads YAML 1.2 floats.
+        path = tmp_path / "spec.yaml"
+        path.write_text("ground_extent: 4.5e1\nclasses:\n  - name: car\n    distance_min: 2e-1\n")
+        spec = load_synth_spec(path)
+        assert spec.ground_extent == 45.0
+        assert spec.classes[0].distance_min == 0.2
+
+    def test_quoted_number_rejected(self, tmp_path):
+        path = tmp_path / "spec.yaml"
+        path.write_text('ground_extent: "45"\n')
+        with pytest.raises(ValidationError, match="ground_extent must be a number"):
+            load_synth_spec(path)
+
 
 class TestMakeCamera:
     def test_forward_point_hits_principal_point(self):
