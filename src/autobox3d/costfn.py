@@ -52,6 +52,8 @@ _TILE_ELEMS = 32768
 # Rows per chunk of ``BoxCostBatch.evaluate``; each chunk pays the fixed cost
 # of the point-free terms once.
 _CHUNK_ROWS = 2048
+# How far the skip test of ``BoxCostBatch`` widens each candidate box, in m.
+_SKIP_MARGIN = BOUNDARY_TOL + 1e-6
 
 
 @dataclass(frozen=True)
@@ -150,13 +152,16 @@ class BatchEval:
 
 
 def _tiles(start: int, stop: int, tile: int) -> list[tuple[int, int]]:
-    """Row ranges of the non-empty [start, stop), each of one to two ``tile``s of rows."""
-    rows = -(-(stop - start) // max(1, (stop - start) // tile))
+    """Row ranges of [start, stop), each of one to two ``tile``s of rows; none if it is empty."""
+    rows = -(-(stop - start) // max(1, (stop - start) // tile)) or 1
     return [(s, min(s + rows, stop)) for s in range(start, stop, rows)]
 
 
-# Rows of a BoxCostBatch parameter column: proposal, ego x y, weights, camera.
-_RECT, _EGO, _WEIGHTS, _CAMERA = slice(0, 4), slice(4, 6), slice(6, 11), slice(11, None)
+# Rows of a BoxCostBatch parameter column: proposal, ego x y, weights, the
+# center and half-extents of the cluster's axis-aligned bounding box, camera.
+_RECT, _EGO, _WEIGHTS, _BOUNDS, _CAMERA = (
+    slice(0, 4), slice(4, 6), slice(6, 11), slice(11, 17), slice(17, None)
+)
 
 
 class BoxCostBatch:
@@ -166,11 +171,27 @@ class BoxCostBatch:
     ``join`` of K kernels splits its rows into K equal blocks, block k
     scored against set k. Rows go through in chunks of at most
     ``_CHUNK_ROWS``. In each chunk, the terms that read no point run once,
-    from per-row parameter columns, and the (S, N) point terms run on each
-    block's part of the chunk in row tiles of about ``_TILE_ELEMS``
-    (candidate, point) elements, so their buffers stay in cache. A
-    candidate's result depends on neither the batch, its block, its chunk
-    nor its tiling. For the point terms that rests on the box-frame
+    from per-row parameter columns. The (S, N) point terms run only on the
+    rows that the skip test below keeps: each block's kept rows are packed
+    and taken in row tiles of about ``_TILE_ELEMS`` (candidate, point)
+    elements, so their buffers stay in cache and no tile holds a skipped
+    row.
+
+    The skip test widens each box by ``_SKIP_MARGIN``, ``BOUNDARY_TOL``
+    plus 1e-6 m, and looks for a separating axis between it and the
+    cluster's axis-aligned bounding box among world x, y and z and the
+    box's own x and y. For a box that turns only about z, these are all
+    the axes on which the two can separate. A point that the pass counts
+    lies within ``BOUNDARY_TOL`` of the box, give or take the product's
+    ~1e-15 m error, so it lies inside the widened box with about 1e-6 m to
+    spare. That is far more than the rounding of the test's own arithmetic
+    (~1e-14 m at scene scale), so no axis separates a row that encloses a
+    point. A skipped row keeps density and lshape 0.0, exactly what the
+    pass gives a row that encloses no point (``-counts / N`` is +0.0 at
+    zero counts), so the skip changes no bit of the result.
+
+    A candidate's result depends on neither the batch, its block, its
+    chunk nor its tiling. For the point terms that rests on the box-frame
     product (module docstring): an element of it depends only on its row
     and column as long as BLAS sums each element's four terms the same way
     whatever the matrix shape and thread split. OpenBLAS does; the
@@ -197,9 +218,11 @@ class BoxCostBatch:
         self._hom = np.vstack([(pts - self._origin).T, np.ones(len(pts))])
         self._tile = max(1, _TILE_ELEMS // self.n_points)
         self.parts: tuple[BoxCostBatch, ...] = (self,)
+        lo, hi = pts.min(axis=0), pts.max(axis=0)
         self._cols = np.concatenate([
             [proposal.u_min, proposal.v_min, proposal.u_max, proposal.v_max, ego.x, ego.y,
              weights.lambda1, weights.lambda2, weights.lambda3, weights.gamma, weights.c_surface],
+            0.5 * (lo + hi), 0.5 * (hi - lo),
             camera_columns([calib])[:, 0],
         ])[:, None]
 
@@ -231,9 +254,8 @@ class BoxCostBatch:
         for c0 in range(0, len(th), _CHUNK_ROWS):
             c1 = min(c0 + _CHUNK_ROWS, len(th))
             blocks = [
-                (self.parts[i], s - c0, e - c0)
+                (self.parts[i], max(c0, i * rows) - c0, min(c1, (i + 1) * rows) - c0)
                 for i in range(c0 // rows, (c1 - 1) // rows + 1)
-                for s, e in _tiles(max(c0, i * rows), min(c1, (i + 1) * rows), self.parts[i]._tile)
             ]
             cols = self._cols.take(np.arange(c0, c1) // rows, axis=1)
             out[:, c0:c1] = self._score(th[c0:c1], cols, blocks)
@@ -241,8 +263,8 @@ class BoxCostBatch:
 
     def _score(self, th: np.ndarray, cols: np.ndarray, blocks) -> tuple[np.ndarray, ...]:
         """(totals, density, lshape, surface, iou2d) of rows ``th`` under
-        per-row parameter columns ``cols``; the point terms run on each
-        (kernel, start, stop) of ``blocks``."""
+        per-row parameter columns ``cols``; the point terms run on the kept
+        rows of each (kernel, start, stop) of ``blocks``."""
         ego_x, ego_y = cols[_EGO]
         lambda1, lambda2, lambda3, gamma, c_surface = cols[_WEIGHTS]
         cx, cy = th[:, 0], th[:, 1]
@@ -256,9 +278,15 @@ class BoxCostBatch:
         e_ly = cos * edy - sin * edx
         sx = np.where(e_lx > 0.0, 0.5, -0.5) * th[:, 3]
         sy = np.where(e_ly > 0.0, 0.5, -0.5) * th[:, 4]
-        density, lshape = np.empty((2, len(th)))
+        # Rows that cannot enclose a point keep density and lshape 0.0 (class
+        # docstring); each block's other rows are packed, then tiled.
+        density, lshape = np.zeros((2, len(th)))
+        near = self._may_enclose(th, cos, sin, cols[_BOUNDS])
         for part, s, e in blocks:
-            density[s:e], lshape[s:e] = part._point_terms(th[s:e], cos[s:e], sin[s:e], sx[s:e], sy[s:e])
+            rows = s + np.flatnonzero(near[s:e])
+            for a, b in _tiles(0, len(rows), part._tile):
+                r = rows[a:b]
+                density[r], lshape[r] = part._point_terms(th[r], cos[r], sin[r], sx[r], sy[r])
 
         surface = -np.minimum(np.hypot(cx - ego_x, cy - ego_y), c_surface)
 
@@ -266,6 +294,21 @@ class BoxCostBatch:
 
         totals = lambda1 * density + lambda2 * lshape + lambda3 * surface + iou_term
         return totals, density, lshape, surface, iou_term
+
+    @staticmethod
+    def _may_enclose(th, cos, sin, bounds) -> np.ndarray:
+        """Rows whose box, widened by ``_SKIP_MARGIN``, no axis separates from
+        the cluster's bounding box (center and half-extents ``bounds``, (6, S));
+        a NaN bound separates nothing."""
+        (dx, dy, dz), (ax, ay, az) = bounds[:3] - th[:, :3].T, bounds[3:]
+        hl, hw, hh = (0.5 * th[:, 3:6] + _SKIP_MARGIN).T
+        ac, as_ = np.abs(cos), np.abs(sin)
+        far = np.abs(dx) > hl * ac + hw * as_ + ax
+        far |= np.abs(dy) > hl * as_ + hw * ac + ay
+        far |= np.abs(dz) > hh + az
+        far |= np.abs(cos * dx + sin * dy) > hl + ax * ac + ay * as_
+        far |= np.abs(cos * dy - sin * dx) > hw + ax * as_ + ay * ac
+        return ~far
 
     def _point_terms(self, th, cos, sin, sx, sy) -> tuple[np.ndarray, np.ndarray]:
         """(density, lshape) of rows ``th`` against this kernel's one cluster."""

@@ -318,14 +318,15 @@ def format_report(report: dict) -> str:
 
 
 def summarize_bank(path: str | Path) -> dict:
-    """Counts from an existing bank file (for the report subcommand)."""
+    """Counts from an existing bank file (for the report subcommand); the bank
+    has no line for a frame without targets, so only the others are counted."""
     bank = read_bank(path)
     n = len(bank)
     per_class = _tally_classes(bank)
     fit = sum(d["fit"] for d in per_class.values())
     return {
         "path": str(path),
-        "frames": len({t.provenance.frame for t in bank}),
+        "frames_with_targets": len({t.provenance.frame for t in bank}),
         "targets": n,
         "fit_for_alignment": fit,
         "fit_fraction": round(fit / n, 4) if n else 0.0,
@@ -339,7 +340,7 @@ def format_bank_summary(summary: dict) -> str:
     share = round(100.0 * fit / n) if n else 0
     lines = [
         f"bank: {summary['path']}",
-        f"frames: {summary['frames']}",
+        f"frames with targets: {summary['frames_with_targets']}",
         f"targets: {n}",
         f"fit for alignment: {share}% ({fit})",
     ]

@@ -38,6 +38,12 @@ TEN_POINTS = np.array([
 ])
 
 
+def kept_rows(batch, thetas):
+    """Which rows of ``thetas`` the skip test sends to ``batch``'s point pass."""
+    return BoxCostBatch._may_enclose(thetas, np.cos(thetas[:, 6]), np.sin(thetas[:, 6]),
+                                     batch._cols[costfn._BOUNDS])
+
+
 class TestWeights:
     def test_defaults(self):
         w = CostWeights()
@@ -427,6 +433,7 @@ class TestBatchAgainstScalar:
         assert costfn._tiles(0, n, batch._tile) == [(0, n)]
         assert (3 * n) * batch.n_points * 4 > 65536 * 4
         thetas = box.as_array() + rng.normal(0.0, 0.3, size=(n, 7))
+        assert kept_rows(batch, thetas).all(), "the point pass must see the whole tile"
         together = self._assert_rows_score_alone(batch, thetas)
         assert (together.density < 0.0).sum() > n // 2
 
@@ -514,6 +521,124 @@ class TestJoin:
             joined.evaluate(np.vstack(blocks)[:-1])
         with pytest.raises(ValueError):
             BoxCostBatch.join([])
+
+
+class TestSkip:
+    """Rows that no axis separates from the cluster's bounding box skip the
+    point pass, and score bit for bit as if they had run it."""
+
+    def _assert_skip_is_exact(self, batch, thetas, monkeypatch):
+        """Skipped rows enclose no point; every term equals a pass over all rows."""
+        skipped = batch.evaluate(thetas)
+        with monkeypatch.context() as m:
+            m.setattr(BoxCostBatch, "_may_enclose",
+                      staticmethod(lambda th, cos, sin, bounds: np.ones(len(th), dtype=bool)))
+            full = batch.evaluate(thetas)
+        for name in ("totals", "density", "lshape", "surface", "iou2d"):
+            assert getattr(skipped, name).tobytes() == getattr(full, name).tobytes(), name
+        return full
+
+    @staticmethod
+    def _touching(points, rng, gap):
+        """Boxes beyond each extreme point of the cluster, along the box's x
+        and y axes and world z, each with the face nearest the cluster
+        ``gap`` outside that point; four yaws in each quadrant, one of them
+        on the quadrant's axis."""
+        rows = []
+        for quadrant in range(-2, 2):
+            for ry in quadrant * math.pi / 2 + np.array([0.0, *rng.uniform(0.0, math.pi / 2, 3)]):
+                l, w, h = rng.uniform([0.5, 0.4, 0.5], [5.0, 2.5, 2.0])
+                c, s = math.cos(ry), math.sin(ry)
+                for axis, half in (((c, s, 0.0), l / 2), ((-s, c, 0.0), w / 2), ((0.0, 0.0, 1.0), h / 2)):
+                    for u in (np.array(axis), -np.array(axis)):
+                        p = points[np.argmax(points @ u)]
+                        rows.append([*(p + (half + gap) * u), l, w, h, ry])
+        return np.array(rows)
+
+    def test_boxes_touching_extreme_points(self, monkeypatch):
+        rng = np.random.default_rng(41)
+        pair = build_pair(car_box(dist=11.0, azimuth=-0.3, ry=2.1), seed=12)
+        batch = BoxCostBatch(pair.points, pair.scene.ego, pair.proposal.box,
+                             pair.calib, CostWeights(c_surface=9.0))
+        for gap in (-0.5 * BOUNDARY_TOL, 0.5 * BOUNDARY_TOL, 0.9 * BOUNDARY_TOL):
+            thetas = self._touching(pair.points, rng, gap)
+            full = self._assert_skip_is_exact(batch, thetas, monkeypatch)
+            # Each box encloses its extreme point, inside the face or in the
+            # boundary band just outside it, so no row may be skipped.
+            assert (full.density < 0.0).all(), gap
+            assert kept_rows(batch, thetas).all(), gap
+        for gap in (2.0 * BOUNDARY_TOL, 0.5e-6, 1e-3):
+            thetas = self._touching(pair.points, rng, gap)
+            full = self._assert_skip_is_exact(batch, thetas, monkeypatch)
+            assert not (full.density < 0.0)[~kept_rows(batch, thetas)].any(), gap
+
+    def test_random_boxes_around_cluster(self, monkeypatch):
+        rng = np.random.default_rng(42)
+        pair = build_pair(car_box(dist=14.0, azimuth=0.4, ry=-0.8), seed=13)
+        batch = BoxCostBatch(pair.points, pair.scene.ego, pair.proposal.box,
+                             pair.calib, CostWeights(c_surface=9.0))
+        n = 3000
+        thetas = np.column_stack([
+            pair.points.mean(axis=0) + rng.normal(0.0, 2.5, size=(n, 3)),
+            rng.uniform(0.3, 6.0, size=(n, 3)),
+            rng.uniform(-2.0 * math.pi, 2.0 * math.pi, size=n),
+        ])
+        full = self._assert_skip_is_exact(batch, thetas, monkeypatch)
+        near = kept_rows(batch, thetas)
+        assert not (full.density < 0.0)[~near].any()
+        assert (full.density < 0.0).sum() > n // 10 and (~near).sum() > n // 10
+
+    def test_chunks_that_keep_no_rows_or_all(self, monkeypatch):
+        # Chunk 0 lies far from the cluster, chunk 1 encloses all of it, and
+        # the last, short chunk mixes both.
+        rng = np.random.default_rng(43)
+        pair = build_pair(car_box(), seed=14)
+        batch = BoxCostBatch(pair.points, pair.scene.ego, pair.proposal.box,
+                             pair.calib, CostWeights(c_surface=9.0))
+        chunk = costfn._CHUNK_ROWS
+        center = pair.points.mean(axis=0)
+        thetas = np.column_stack([
+            center + rng.normal(0.0, 0.2, size=(2 * chunk + 9, 3)),
+            rng.uniform(8.0, 10.0, size=(2 * chunk + 9, 3)),
+            rng.uniform(0.0, 2.0 * math.pi, size=2 * chunk + 9),
+        ])
+        thetas[:chunk, :2] += 40.0
+        thetas[2 * chunk :: 2, :2] += 40.0
+        near = kept_rows(batch, thetas)
+        assert not near[:chunk].any() and near[chunk : 2 * chunk].all()
+        full = self._assert_skip_is_exact(batch, thetas, monkeypatch)
+        assert (full.density[chunk : 2 * chunk] == -1.0).all()
+        assert (full.density[:chunk] == 0.0).all() and (full.lshape[:chunk] == 0.0).all()
+
+    def test_joined_blocks(self, monkeypatch):
+        pairs = lockstep_pairs()
+        rng = np.random.default_rng(44)
+        kernels, blocks = [], []
+        for k, (p, anchor) in enumerate(pairs):
+            kernels.append(BoxCostBatch(p.points, p.scene.ego, p.proposal.box, p.calib,
+                                        CostWeights(c_surface=6.0 + k)))
+            lb, ub = search_bounds(p.points, anchor)
+            blocks.append(rng.uniform(lb, ub, size=(300, 7)))
+        joined = BoxCostBatch.join(kernels)
+        full = self._assert_skip_is_exact(joined, np.vstack(blocks), monkeypatch)
+        for k, (kernel, block) in enumerate(zip(kernels, blocks)):
+            near = kept_rows(kernel, block)
+            assert 0 < near.sum() < len(block), k
+            assert not (full.density[k * 300 : (k + 1) * 300] < 0.0)[~near].any(), k
+
+    def test_nan_separates_nothing(self):
+        # A NaN center coordinate leaves the other axes to decide; a NaN yaw
+        # makes every bound NaN, so even a box far from the cluster is kept.
+        pair = build_pair(car_box(), seed=15)
+        batch = BoxCostBatch(pair.points, pair.scene.ego, pair.proposal.box,
+                             pair.calib, CostWeights())
+        thetas = np.stack([car_box().as_array(), car_box(dist=30.0).as_array()])
+        thetas[0, 0] = thetas[1, 6] = np.nan
+        assert kept_rows(batch, thetas).all()
+
+    def test_empty_range_has_no_tiles(self):
+        assert costfn._tiles(0, 0, 10) == []
+        assert costfn._tiles(5, 5, 10) == []
 
 
 def test_full_surface_box_scores_near_perfect():

@@ -546,6 +546,19 @@ class TestRunAnnotate:
         assert summary["targets"] == report["targets"]
         assert summary["fit_for_alignment"] == report["reasons"]["fit"]
         assert summary["per_class"] == report["per_class"]
-        assert summary["frames"] == report["frames"]
+        assert summary["frames_with_targets"] == report["frames"]
         text = format_bank_summary(summary)
         assert f"targets: {summary['targets']}" in text
+
+        # A frame without a proposal file banks nothing, so the bank cannot
+        # count it: the summary names the frames it can count.
+        scenes = tmp_path / "scenes"
+        shutil.copytree(corpus, scenes)
+        (scenes / "0001.proposals.json").unlink()
+        report = run_annotate(corpus_config(scenes, tmp_path / "out2"))
+        summary = summarize_bank(tmp_path / "out2" / "bank.jsonl")
+        assert report["frames"] == 2 and report["frames_missing_proposals"] == ["0001"]
+        assert summary["frames_with_targets"] == 1
+        assert summary["targets"] == report["targets"] > 0
+        text = format_bank_summary(summary)
+        assert "frames with targets: 1" in text
