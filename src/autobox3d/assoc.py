@@ -20,6 +20,23 @@ from .geom import Box2D, CameraCalib
 from .sceneprep import Cluster, Scene
 
 
+@dataclass(frozen=True)
+class AssocConfig:
+    """The ``association`` config section: a cluster pairs with a proposal
+    when it comes within ``tau_match`` meters of the proposal's center ray,
+    at a depth along the ray in [``d_min``, ``d_max``]."""
+
+    tau_match: float = 2.0
+    d_min: float = 0.5
+    d_max: float = 60.0
+
+    def __post_init__(self) -> None:
+        if self.tau_match <= 0:
+            raise ValidationError(f"tau_match must be positive, got {self.tau_match}")
+        if not (0.0 < self.d_min < self.d_max):
+            raise ValidationError(f"need 0 < d_min < d_max, got {self.d_min}, {self.d_max}")
+
+
 @dataclass(eq=False)
 class Ray:
     """Half-line from ``origin`` along unit vector ``direction``."""
@@ -154,23 +171,21 @@ def associate(
     scene: Scene,
     proposals: list[Proposal2D],
     clusters: list[Cluster],
-    tau_match: float = 2.0,
-    d_min: float = 0.5,
-    d_max: float = 60.0,
+    config: AssocConfig,
 ) -> list[CrossModalProposal]:
     """Pair proposals with clusters by proximity to the frustum center ray.
 
     A pair forms when the cluster point nearest the ray lies within
-    ``tau_match`` of it and its depth along the ray falls inside
-    [d_min, d_max]. Pairs come back grouped per proposal; the pair set does
-    not depend on cluster order.
+    ``config.tau_match`` of it and its depth along the ray falls inside
+    [``config.d_min``, ``config.d_max``]. Pairs come back grouped per
+    proposal; the pair set does not depend on cluster order.
     """
     pairs: list[CrossModalProposal] = []
     for prop in proposals:
         ray = center_ray(prop.box, scene.camera(prop.camera_id))
         for cluster in clusters:
             pair, depth = ray_pair(prop, cluster, scene, ray)
-            if pair.distance_to_ray <= tau_match and d_min <= depth <= d_max:
+            if pair.distance_to_ray <= config.tau_match and config.d_min <= depth <= config.d_max:
                 pairs.append(pair)
     return pairs
 

@@ -51,6 +51,8 @@ def load_bench_instances(config: PipelineConfig) -> list[BenchInstance]:
         proposals = load_proposals(config.scenes_dir / f"{frame_id}.proposals.json")
         with reading(gt_path):
             entries = json.loads(gt_path.read_text())["instances"]
+            if not isinstance(entries, list):
+                raise ValueError(f"instances must be a list, got {entries!r}")
         if len(entries) != len(clusters):
             raise ValidationError(
                 f"frame {frame_id}: {len(entries)} ground-truth instances but "
@@ -91,7 +93,7 @@ def run_bench(
         if m not in ("greedy", "adaptive"):
             raise ValidationError(f"unknown bench method {m!r}")
     if budgets is None:
-        budgets = config.bench_budgets
+        budgets = config.bench.budgets
     if instances is None:
         instances = load_bench_instances(config)
     check_classes([inst.pair.proposal for inst in instances], config)

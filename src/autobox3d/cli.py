@@ -44,12 +44,12 @@ def _cmd_annotate(args: argparse.Namespace) -> int:
 def _cmd_fit_box(args: argparse.Namespace) -> int:
     config = load_config(args.config)
     proposals = frame_proposals(config, args.scene) or []
-    check_classes(proposals, config)
-    scene, pairs, _ = associate_frame(config, args.scene, proposals)
     if not 0 <= args.proposal < len(proposals):
         raise ValidationError(
             f"proposal index {args.proposal} out of range; frame has {len(proposals)}"
         )
+    check_classes(proposals, config)
+    scene, pairs, _ = associate_frame(config, args.scene, proposals)
     fits = fit_proposal(scene, pairs, config, args.proposal)
     if not fits:
         print(

@@ -1,9 +1,17 @@
 """Pipeline configuration: defaults, YAML loading, and fingerprinting.
 
 Every constant the pipeline uses lives here or in the config file; nothing
-is buried in call sites. ``SCHEMA`` is the one list of YAML keys, and
-loading, dumping and fingerprinting all read it. ``load_config`` is strict:
-unknown keys fail, so typos cannot silently fall back to defaults.
+is buried in call sites. Each YAML section is the frozen settings dataclass
+of the stage it sets, with one field per key, named like the key, and its
+own checks: ``weights`` is ``CostWeights``, ``swarm`` ``SwarmConfig``,
+``association`` ``AssocConfig``, ``ground`` ``GroundConfig``,
+``clustering`` ``ClusterConfig``, ``thresholds`` ``FilterThresholds`` and
+``bench`` ``BenchConfig``. ``PipelineConfig`` holds them next to the
+top-level keys, so its fields are the one list of keys: ``load_config``,
+``config_to_dict`` and the run fingerprint all walk them. ``load_config``
+is strict: unknown keys fail, so typos cannot silently fall back to
+defaults, and each value goes through the field rule of ``errors`` for its
+declared type.
 """
 
 from __future__ import annotations
@@ -11,17 +19,18 @@ from __future__ import annotations
 import hashlib
 import json
 import re
-from collections import namedtuple
-from dataclasses import dataclass, field, replace
-from functools import reduce
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
 import yaml
 
+from .assoc import AssocConfig
 from .costfn import AnchorRange, CostWeights
-from .errors import ValidationError, as_float, as_int, as_str, reading
-from .filters import DEFAULT_TAU_OCC, FilterThresholds
+from .errors import ValidationError, as_field, as_float, as_int, as_str, reading
+from .filters import FilterThresholds
 from .optimizer import SwarmConfig
+from .sceneprep import ClusterConfig, GroundConfig
 
 # Dimension ranges (l, w, h) per class. The car range reflects common sedan
 # statistics; the rest are serviceable defaults meant to be overridden from
@@ -47,12 +56,28 @@ def default_anchors() -> dict[str, AnchorRange]:
     }
 
 
+@dataclass(frozen=True)
+class BenchConfig:
+    """The ``bench`` config section: the candidate budgets each search method
+    gets per instance, one pass per budget."""
+
+    budgets: tuple[int, ...] = (37500, 75000, 150000)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "budgets", tuple(as_int(b, "bench budget") for b in self.budgets))
+        if not self.budgets or min(self.budgets) < 1:
+            raise ValidationError(f"bench.budgets must be a non-empty list of positive "
+                                  f"integers, got {list(self.budgets)}")
+
+
 @dataclass(eq=False, frozen=True)
 class PipelineConfig:
     """Everything one annotation run needs, in one place.
 
-    Frozen, because the stages trust the values checked here: derive a
-    changed config with ``dataclasses.replace``, which checks it again.
+    Frozen, because the stages trust the values checked here and in the
+    sections: derive a changed config with ``dataclasses.replace``, which
+    checks it again. ``scenes_dir`` and ``output_dir`` are the YAML
+    ``paths`` section; every other field is the YAML key of its name.
     """
 
     scenes_dir: Path = Path("scenes")
@@ -61,19 +86,13 @@ class PipelineConfig:
     workers: int = 1
     weights: CostWeights = field(default_factory=CostWeights)
     swarm: SwarmConfig = field(default_factory=SwarmConfig)
-    tau_match: float = 2.0
-    d_min: float = 0.5
-    d_max: float = 60.0
-    ground_cell: float = 4.0
-    ground_height: float = 0.25
-    ground_refits: int = 3
-    ground_quantile: float = 0.30
-    cluster_eps: float = 0.5
-    cluster_min_pts: int = 5
+    association: AssocConfig = field(default_factory=AssocConfig)
+    ground: GroundConfig = field(default_factory=GroundConfig)
+    clustering: ClusterConfig = field(default_factory=ClusterConfig)
     nms_iou: float = 0.5
     thresholds: FilterThresholds = field(default_factory=FilterThresholds)
     anchors: dict[str, AnchorRange] = field(default_factory=default_anchors)
-    bench_budgets: tuple[int, ...] = (37500, 75000, 150000)
+    bench: BenchConfig = field(default_factory=BenchConfig)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "scenes_dir", Path(self.scenes_dir))
@@ -82,27 +101,20 @@ class PipelineConfig:
             raise ValidationError(f"seed must be non-negative, got {self.seed}")
         if self.workers < 1:
             raise ValidationError(f"workers must be at least 1, got {self.workers}")
-        if self.tau_match <= 0:
-            raise ValidationError(f"tau_match must be positive, got {self.tau_match}")
-        if not (0.0 < self.d_min < self.d_max):
-            raise ValidationError(
-                f"need 0 < d_min < d_max, got {self.d_min}, {self.d_max}"
-            )
-        if self.ground_cell <= 0 or self.ground_height <= 0:
-            raise ValidationError("ground cell and height threshold must be positive")
-        if self.ground_refits < 0:
-            raise ValidationError("ground refit rounds must be non-negative")
-        if not (0.0 < self.ground_quantile <= 1.0):
-            raise ValidationError(f"ground_quantile must be in (0, 1], got {self.ground_quantile}")
-        if self.cluster_eps <= 0 or self.cluster_min_pts < 1:
-            raise ValidationError("clustering needs eps > 0 and min_pts >= 1")
         if not (0.0 <= self.nms_iou < 1.0):
             raise ValidationError(f"nms_iou must be in [0, 1), got {self.nms_iou}")
-        if not self.bench_budgets or any(b < 1 for b in self.bench_budgets):
-            raise ValidationError("bench budgets must be positive")
-        object.__setattr__(
-            self, "bench_budgets", tuple(as_int(b, "bench budget") for b in self.bench_budgets)
-        )
+        # A class in only one table would stop the run at its first proposal,
+        # after every earlier frame was fitted.
+        tables = {"anchors": set(self.anchors),
+                  "thresholds.tau_occ": set(self.thresholds.tau_occ)}
+        named = set().union(*tables.values())
+        holes = [f"{k} lacks {sorted(named - have)}" for k, have in tables.items() if named - have]
+        if holes:
+            raise ValidationError(f"class tables differ: {'; '.join(holes)}")
+
+
+# YAML ``paths`` key -> PipelineConfig field.
+_PATHS = {"scenes": "scenes_dir", "output": "output_dir"}
 
 
 def _mapping(value, key: str, allowed: set[str] | None = None) -> dict:
@@ -140,18 +152,6 @@ def read_yaml(path: str | Path, what: str):
         raise ValidationError(f"{path}: not valid YAML: {exc}") from exc
 
 
-def _float(value, key: str) -> float:
-    return as_float(value, f"config key {key!r}")
-
-
-def _int(value, key: str) -> int:
-    return as_int(value, f"config key {key!r}")
-
-
-def _str(value, key: str) -> str:
-    return as_str(value, f"config key {key!r}")
-
-
 def _anchor(cls: str, spec, key: str) -> AnchorRange:
     spec = _mapping(spec, key, {"min", "max"})
     if len(spec) != 2:
@@ -159,112 +159,74 @@ def _anchor(cls: str, spec, key: str) -> AnchorRange:
     for end, dims in spec.items():
         if not isinstance(dims, (list, tuple)) or len(dims) != 3:
             raise ValidationError(f"config key '{key}.{end}' must be a list of 3 numbers")
-    return AnchorRange(cls, *([_float(v, key) for v in spec[end]] for end in ("min", "max")))
+    return AnchorRange(
+        cls, *([as_float(v, f"config key {key!r}") for v in spec[end]] for end in ("min", "max"))
+    )
 
 
-def _merged(table: dict, value, key: str, parse_entry) -> dict:
-    """A class table: the file's entries merge over the defaults in ``table``."""
-    for cls, spec in _mapping(value, key).items():
-        name = as_str(cls, f"a class name under config key {key!r}")
-        table[name] = parse_entry(name, spec, f"{key}.{cls}")
-    return table
+def _read(hint, default, value, key: str):
+    """The YAML ``value`` of config key ``key`` as a field of type ``hint``
+    whose default is ``default``."""
+    what = f"config key {key!r}"
+    if is_dataclass(hint):
+        return _section(default, value, key)
+    if get_origin(hint) is tuple:
+        if not isinstance(value, list):
+            raise ValidationError(f"{what} must be a list, got {value!r}")
+        return tuple(as_field(get_args(hint)[0].__name__, v, what) for v in value)
+    if get_origin(hint) is dict:
+        # A class table: the file's entries merge over the defaults.
+        entry, table = get_args(hint)[1], dict(default)
+        for cls, spec in _mapping(value, key).items():
+            name = as_str(cls, f"a class name under {what}")
+            sub = f"{key}.{name}"
+            if entry is AnchorRange:
+                table[name] = _anchor(name, spec, sub)
+            else:
+                table[name] = _read(entry, None, spec, sub)
+        return table
+    return as_field(hint.__name__, value, what)
 
 
-def _budgets(value, key: str) -> tuple[int, ...]:
-    if not isinstance(value, list) or not value:
-        raise ValidationError(f"{key} must be a non-empty list")
-    return tuple(_int(b, key) for b in value)
-
-
-# The one list of config keys, read by load_config, its unknown-key checks and config_to_dict
-# (so config_fingerprint too). A row holds the dotted YAML key, the dotted
-# PipelineConfig attribute, a parser (YAML value, key) -> attribute and a dumper to plain data.
-ConfigKey = namedtuple("ConfigKey", "key attr parse dump", defaults=(_float, lambda v: v))
-SCHEMA: tuple[ConfigKey, ...] = (
-    ConfigKey("seed", "seed", _int),
-    ConfigKey("workers", "workers", _int),
-    ConfigKey("paths.scenes", "scenes_dir", _str, str),
-    ConfigKey("paths.output", "output_dir", _str, str),
-    ConfigKey("weights.lambda1", "weights.lambda1"),
-    ConfigKey("weights.lambda2", "weights.lambda2"),
-    ConfigKey("weights.lambda3", "weights.lambda3"),
-    ConfigKey("weights.gamma", "weights.gamma"),
-    ConfigKey("swarm.n_swarm", "swarm.n_swarm", _int),
-    ConfigKey("swarm.n_iter", "swarm.n_iter", _int),
-    ConfigKey("swarm.w_init", "swarm.w_init"),
-    ConfigKey("swarm.w_end", "swarm.w_end"),
-    ConfigKey("swarm.c1", "swarm.c1"),
-    ConfigKey("swarm.c2", "swarm.c2"),
-    ConfigKey("swarm.c_noise", "swarm.c_noise"),
-    ConfigKey("association.tau_match", "tau_match"),
-    ConfigKey("association.d_min", "d_min"),
-    ConfigKey("association.d_max", "d_max"),
-    ConfigKey("ground.cell", "ground_cell"),
-    ConfigKey("ground.height_threshold", "ground_height"),
-    ConfigKey("ground.refit_rounds", "ground_refits", _int),
-    ConfigKey("ground.seed_quantile", "ground_quantile"),
-    ConfigKey("clustering.eps", "cluster_eps"),
-    ConfigKey("clustering.min_pts", "cluster_min_pts", _int),
-    ConfigKey("nms_iou", "nms_iou"),
-    ConfigKey("thresholds.tau_res", "thresholds.tau_res"),
-    ConfigKey("thresholds.tau_mv", "thresholds.tau_mv"),
-    ConfigKey(
-        "thresholds.tau_occ", "thresholds.tau_occ",
-        lambda v, key: _merged(dict(DEFAULT_TAU_OCC), v, key, lambda c, s, k: _float(s, k)),
-        lambda table: dict(sorted(table.items())),
-    ),
-    ConfigKey(
-        "anchors", "anchors",
-        lambda v, key: _merged(default_anchors(), v, key, _anchor),
-        lambda table: {
-            c: {"min": a.dims_min.tolist(), "max": a.dims_max.tolist()}
-            for c, a in sorted(table.items())
-        },
-    ),
-    ConfigKey("bench.budgets", "bench_budgets", _budgets, list),
-)
-_BY_KEY = {row.key: row for row in SCHEMA}
-
-
-def _flatten(raw, prefix: str = "") -> dict:
-    """Dotted schema key -> value; fails on any key the schema lacks."""
-    allowed = {k[len(prefix):].split(".")[0] for k in _BY_KEY if k.startswith(prefix)}
-    flat = {}
-    for name, value in _mapping(raw, prefix[:-1] or "<root>", allowed).items():
-        key = prefix + name
-        flat.update({key: value} if key in _BY_KEY else _flatten(value, key + "."))
-    return flat
+def _section(default, value, key: str):
+    """``default`` with the fields that the mapping ``value`` sets, read by their types."""
+    hints = get_type_hints(type(default))
+    return replace(default, **{
+        name: _read(hints[name], getattr(default, name), v, f"{key}.{name}" if key else name)
+        for name, v in _mapping(value, key or "<root>", {f.name for f in fields(default)}).items()
+    })
 
 
 def load_config(path: str | Path) -> PipelineConfig:
     """Read a YAML pipeline config, strictly validated, defaults filled in."""
     raw = read_yaml(path, "config")
-    fields: dict[str, dict] = {}  # sub-config ("" for the top level) -> field -> value
+    keys = {f.name for f in fields(PipelineConfig)} - set(_PATHS.values()) | {"paths"}
     with reading(path):
-        for key, value in _flatten({} if raw is None else raw).items():
-            head, _, name = _BY_KEY[key].attr.rpartition(".")
-            fields.setdefault(head, {})[name] = _BY_KEY[key].parse(value, key)
-        base = PipelineConfig()
-        subs = {head: replace(getattr(base, head), **f) for head, f in fields.items() if head}
-        cfg = replace(base, **fields.get("", {}), **subs)
-    # A class in only one table would stop the run at its first proposal, after
-    # every earlier frame was fitted. Class tables are the only mapping values.
-    tables = {k: set(v) for k, v in _flatten(config_to_dict(cfg)).items() if isinstance(v, dict)}
-    named = set().union(*tables.values())
-    holes = [f"{key} lacks {sorted(named - have)}" for key, have in tables.items() if named - have]
-    if holes:
-        raise ValidationError(f"{path}: class tables differ: {'; '.join(holes)}")
-    return cfg
+        raw = _mapping({} if raw is None else raw, "<root>", keys)
+        dirs = _mapping(raw.get("paths", {}), "paths", set(_PATHS))
+        base = PipelineConfig(**{
+            _PATHS[k]: as_str(v, f"config key 'paths.{k}'") for k, v in dirs.items()
+        })
+        return _section(base, {k: v for k, v in raw.items() if k != "paths"}, "")
+
+
+def _dump(value):
+    """Plain data for a config value; sections and class tables become mappings."""
+    if isinstance(value, AnchorRange):
+        return {"min": value.dims_min.tolist(), "max": value.dims_max.tolist()}
+    if is_dataclass(value):
+        return {f.name: _dump(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, dict):
+        return {k: _dump(v) for k, v in sorted(value.items())}
+    if isinstance(value, tuple):
+        return list(value)
+    return str(value) if isinstance(value, Path) else value
 
 
 def config_to_dict(cfg: PipelineConfig) -> dict:
-    """Plain-data view of a config in schema order, JSON-serializable."""
-    out: dict = {}
-    for row in SCHEMA:
-        section, _, leaf = row.key.rpartition(".")
-        value = reduce(getattr, row.attr.split("."), cfg)
-        (out.setdefault(section, {}) if section else out)[leaf] = row.dump(value)
-    return out
+    """Plain-data view of a config, keyed like its YAML, JSON-serializable."""
+    out = _dump(cfg)
+    return {"paths": {k: out.pop(attr) for k, attr in _PATHS.items()}, **out}
 
 
 def config_fingerprint(cfg: PipelineConfig) -> str:

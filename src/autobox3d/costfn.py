@@ -7,7 +7,10 @@ terms, all phrased so that lower is better:
 * lshape: mean distance from enclosed points to the two nearest
   non-parallel top edges of the box, the visible "L" of the roofline.
 * surface: negated distance from the ego to the box center in the ground
-  plane, clipped, which pushes the box toward the visible near surface.
+  plane, clipped at ``c_surface``, which pushes the box toward the visible
+  near surface. The clip is set per pair (``adaptive_surface_clip``) and
+  passed to ``BoxCostBatch`` next to the ``CostWeights``; it is not a
+  config key.
 * iou2d: negated, weighted image IoU between the box's near-plane-clipped
   image hull (``geom.image_hulls``) and the 2D proposal rectangle.
 
@@ -58,27 +61,22 @@ _SKIP_MARGIN = BOUNDARY_TOL + 1e-6
 
 @dataclass(frozen=True)
 class CostWeights:
-    """Weights of the four cost terms plus the surface clip distance.
+    """Weights of the four cost terms, the ``weights`` config section.
 
     ``lambda1`` scales the density term, ``lambda2`` the top-edge term,
     ``lambda3`` the near-surface term, and ``gamma`` the image-IoU reward.
-    ``c_surface`` caps how far the surface term can pull; the pipeline
-    sets it per pair (see ``adaptive_surface_clip``).
     """
 
     lambda1: float = 5.0
     lambda2: float = 1.0
     lambda3: float = 1.0
     gamma: float = 3.0
-    c_surface: float = 10.0
 
     def __post_init__(self) -> None:
-        for name in ("lambda1", "lambda2", "lambda3", "gamma", "c_surface"):
+        for name in ("lambda1", "lambda2", "lambda3", "gamma"):
             v = getattr(self, name)
             if not math.isfinite(v) or v < 0:
                 raise ValueError(f"{name} must be finite and non-negative, got {v}")
-        if self.c_surface <= 0:
-            raise ValueError(f"c_surface must be positive, got {self.c_surface}")
 
 
 @dataclass(eq=False)
@@ -157,8 +155,9 @@ def _tiles(start: int, stop: int, tile: int) -> list[tuple[int, int]]:
     return [(s, min(s + rows, stop)) for s in range(start, stop, rows)]
 
 
-# Rows of a BoxCostBatch parameter column: proposal, ego x y, weights, the
-# center and half-extents of the cluster's axis-aligned bounding box, camera.
+# Rows of a BoxCostBatch parameter column: proposal, ego x y, weights and
+# surface clip, the center and half-extents of the cluster's axis-aligned
+# bounding box, camera.
 _RECT, _EGO, _WEIGHTS, _BOUNDS, _CAMERA = (
     slice(0, 4), slice(4, 6), slice(6, 11), slice(11, 17), slice(17, None)
 )
@@ -167,9 +166,9 @@ _RECT, _EGO, _WEIGHTS, _BOUNDS, _CAMERA = (
 class BoxCostBatch:
     """The fitting cost of many candidate boxes at once.
 
-    Bound to one cluster / ego / 2D-proposal / camera / weights set; a
-    ``join`` of K kernels splits its rows into K equal blocks, block k
-    scored against set k. Rows go through in chunks of at most
+    Bound to one cluster / ego / 2D-proposal / camera / weights / surface
+    clip set; a ``join`` of K kernels splits its rows into K equal blocks,
+    block k scored against set k. Rows go through in chunks of at most
     ``_CHUNK_ROWS``. In each chunk, the terms that read no point run once,
     from per-row parameter columns. The (S, N) point terms run only on the
     rows that the skip test below keeps: each block's kept rows are packed
@@ -207,12 +206,15 @@ class BoxCostBatch:
         proposal: Box2D,
         calib: CameraCalib,
         weights: CostWeights,
+        c_surface: float,
     ) -> None:
         pts = np.asarray(obj_points, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != 3:
             raise ValueError(f"obj_points must be (N, 3), got {pts.shape}")
         if len(pts) == 0:
             raise ValueError("obj_points is empty; cannot score an empty cluster")
+        if not 0.0 < c_surface < math.inf:
+            raise ValueError(f"c_surface must be positive and finite, got {c_surface}")
         self.n_points = len(pts)
         self._origin = pts.mean(axis=0)
         self._hom = np.vstack([(pts - self._origin).T, np.ones(len(pts))])
@@ -221,7 +223,7 @@ class BoxCostBatch:
         lo, hi = pts.min(axis=0), pts.max(axis=0)
         self._cols = np.concatenate([
             [proposal.u_min, proposal.v_min, proposal.u_max, proposal.v_max, ego.x, ego.y,
-             weights.lambda1, weights.lambda2, weights.lambda3, weights.gamma, weights.c_surface],
+             weights.lambda1, weights.lambda2, weights.lambda3, weights.gamma, c_surface],
             0.5 * (lo + hi), 0.5 * (hi - lo),
             camera_columns([calib])[:, 0],
         ])[:, None]

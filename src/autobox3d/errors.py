@@ -93,6 +93,12 @@ def as_floats(value, what: str, shape: tuple) -> np.ndarray:
 _RULES = {"float": as_float, "int": as_int, "str": as_str, "bool": as_bool}
 
 
+def as_field(kind: str, value, what: str):
+    """``value`` read by the field rule for the type named ``kind``; a value
+    of any other type is taken as given."""
+    return _RULES[kind](value, what) if kind in _RULES else value
+
+
 def from_mapping(cls, entry, where: str):
     """Dataclass ``cls`` from one mapping, each value read by the rule for its
     field's type as ``"<where> <key>"``; a field of another type takes the
@@ -106,7 +112,4 @@ def from_mapping(cls, entry, where: str):
     for f in fields(cls):
         if f.name not in entry and f.default is MISSING and f.default_factory is MISSING:
             raise KeyError(f.name)
-    return cls(**{
-        key: _RULES[types[key]](v, f"{where} {key}") if types[key] in _RULES else v
-        for key, v in entry.items()
-    })
+    return cls(**{key: as_field(types[key], v, f"{where} {key}") for key, v in entry.items()})

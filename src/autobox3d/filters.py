@@ -31,9 +31,9 @@ DEFAULT_TAU_OCC: dict[str, float] = {
 }
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, frozen=True)
 class FilterThresholds:
-    """Thresholds for the three alignment filters.
+    """Thresholds for the three alignment filters, the ``thresholds`` config section.
 
     ``tau_occ`` maps class id to the minimum mask coverage ratio,
     ``tau_res`` is the minimum crop area in pixels, and ``tau_mv`` the

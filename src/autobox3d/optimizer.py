@@ -26,7 +26,7 @@ EvalFn = Callable[[np.ndarray], BatchEval]
 
 @dataclass(frozen=True)
 class SwarmConfig:
-    """Swarm search settings.
+    """Swarm search settings, the ``swarm`` config section.
 
     Inertia follows a half-cosine ramp from ``w_init`` down to ``w_end``
     across the iterations; ``c1``/``c2`` weigh the pull toward each

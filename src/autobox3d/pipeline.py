@@ -12,7 +12,6 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from dataclasses import replace
 from functools import partial
 from pathlib import Path
 
@@ -55,8 +54,9 @@ def fit_pair(pair: CrossModalProposal, config: PipelineConfig) -> tuple[AnchorRa
     """
     anchor = config.anchors[pair.proposal.class_id]
     c_surface = adaptive_surface_clip(pair.scene.ego, pair.cluster.centroid, anchor)
-    weights = replace(config.weights, c_surface=c_surface)
-    batch = BoxCostBatch(pair.points, pair.scene.ego, pair.proposal.box, pair.calib, weights)
+    batch = BoxCostBatch(
+        pair.points, pair.scene.ego, pair.proposal.box, pair.calib, config.weights, c_surface
+    )
     return anchor, batch
 
 
@@ -169,14 +169,8 @@ def load_clusters(scene: Scene, config: PipelineConfig):
         ground = load_ground_mask(mask_path, len(scene.cloud))
         object_idx = np.where(~ground)[0]
     else:
-        _, object_idx = remove_ground(
-            scene.cloud,
-            cell_size=config.ground_cell,
-            height_threshold=config.ground_height,
-            refit_rounds=config.ground_refits,
-            seed_quantile=config.ground_quantile,
-        )
-    return cluster_objects(scene.cloud, object_idx, config.cluster_eps, config.cluster_min_pts)
+        _, object_idx = remove_ground(scene.cloud, config.ground)
+    return cluster_objects(scene.cloud, object_idx, config.clustering)
 
 
 def check_classes(proposals: list[Proposal2D], config: PipelineConfig) -> None:
@@ -205,14 +199,7 @@ def associate_frame(
     returns (scene, pairs, counters)."""
     scene = load_scene(config.scenes_dir, frame_id)
     clusters = load_clusters(scene, config)
-    pairs = associate(
-        scene,
-        proposals,
-        clusters,
-        tau_match=config.tau_match,
-        d_min=config.d_min,
-        d_max=config.d_max,
-    )
+    pairs = associate(scene, proposals, clusters, config.association)
     return scene, pairs, {"clusters": len(clusters), "pairs": len(pairs)}
 
 

@@ -21,6 +21,36 @@ from .errors import CloudFormatError, ValidationError, as_floats, as_int, as_str
 from .geom import CameraCalib, EgoPose
 
 
+@dataclass(frozen=True)
+class GroundConfig:
+    """Ground removal settings, the ``ground`` config section (see ``remove_ground``)."""
+
+    cell: float = 4.0
+    height_threshold: float = 0.25
+    refit_rounds: int = 3
+    seed_quantile: float = 0.30
+
+    def __post_init__(self) -> None:
+        if self.cell <= 0 or self.height_threshold <= 0:
+            raise ValidationError("ground cell and height threshold must be positive")
+        if self.refit_rounds < 0:
+            raise ValidationError("ground refit rounds must be non-negative")
+        if not (0.0 < self.seed_quantile <= 1.0):
+            raise ValidationError(f"seed_quantile must be in (0, 1], got {self.seed_quantile}")
+
+
+@dataclass(frozen=True)
+class ClusterConfig:
+    """Clustering settings, the ``clustering`` config section (see ``cluster_objects``)."""
+
+    eps: float = 0.5
+    min_pts: int = 5
+
+    def __post_init__(self) -> None:
+        if self.eps <= 0 or self.min_pts < 1:
+            raise ValidationError("clustering needs eps > 0 and min_pts >= 1")
+
+
 @dataclass(eq=False)
 class Cluster:
     """A group of cloud points, stored as sorted indices into the scene cloud."""
@@ -222,19 +252,15 @@ def _seed_thresholds(
     return np.where(t >= 0.5, b - diff * (1 - t), a + diff * t)
 
 
-def _fit_ground_plane(
-    cand: np.ndarray,
-    height_threshold: float,
-    refit_rounds: int,
-) -> np.ndarray | None:
+def _fit_ground_plane(cand: np.ndarray, config: GroundConfig) -> np.ndarray | None:
     """Plane through one region's seed points, with outlier-rejecting refits."""
     if len(cand) < 3:
         return None
     plane = _fit_plane(cand)
     if plane is None:
         return None
-    for _ in range(refit_rounds):
-        keep = _plane_residuals(cand, plane) <= height_threshold
+    for _ in range(config.refit_rounds):
+        keep = _plane_residuals(cand, plane) <= config.height_threshold
         n_keep = int(keep.sum())
         if n_keep < 3 or n_keep == len(cand):
             break
@@ -246,22 +272,16 @@ def _fit_ground_plane(
     return plane
 
 
-def remove_ground(
-    cloud: np.ndarray,
-    cell_size: float = 4.0,
-    height_threshold: float = 0.25,
-    refit_rounds: int = 3,
-    seed_quantile: float = 0.30,
-) -> tuple[np.ndarray, np.ndarray]:
+def remove_ground(cloud: np.ndarray, config: GroundConfig) -> tuple[np.ndarray, np.ndarray]:
     """Split a cloud into (ground_indices, object_indices).
 
-    The xy plane is tiled into ``cell_size`` squares; each cell fits a plane
-    to its points at or below its ``seed_quantile`` height, with
-    ``refit_rounds`` outlier-rejecting refits. Cells with fewer than 3 seed
-    points inherit the nearest fitted cell's plane (or a single global fit
-    when no cell succeeds). A point is ground when it sits within
-    ``height_threshold`` of its cell's plane. The two index arrays are
-    ascending and partition the cloud exactly.
+    The xy plane is tiled into ``config.cell`` squares; each cell fits a
+    plane to its points at or below its ``config.seed_quantile`` height,
+    with ``config.refit_rounds`` outlier-rejecting refits. Cells with fewer
+    than 3 seed points inherit the nearest fitted cell's plane (or a single
+    global fit when no cell succeeds). A point is ground when it sits within
+    ``config.height_threshold`` of its cell's plane. The two index arrays
+    are ascending and partition the cloud exactly.
 
     Points are grouped by one scalar key per cell, the row-major index of
     the cell in the occupied grid, which orders cells lexicographically by
@@ -277,14 +297,14 @@ def remove_ground(
     if not np.all(np.isfinite(pts)):
         raise ValidationError("cannot remove ground from a cloud with non-finite coordinates")
 
-    cells = np.floor(pts[:, :2] / cell_size).astype(np.int64)
+    cells = np.floor(pts[:, :2] / config.cell).astype(np.int64)
     origin = cells.min(axis=0)
     dims = cells.max(axis=0) - origin + 1
     try:
         keys = np.ravel_multi_index(tuple((cells - origin).T), dims)
     except ValueError:
         raise ValidationError(
-            f"ground grid of {dims[0]} x {dims[1]} cells of size {cell_size} "
+            f"ground grid of {dims[0]} x {dims[1]} cells of size {config.cell} "
             "is too large to index"
         ) from None
     uniq_keys, inverse = np.unique(keys, return_inverse=True)
@@ -295,56 +315,50 @@ def remove_ground(
     by_z = np.argsort(pts[:, 2])
     cell_ids = inverse[by_z].astype(np.min_scalar_type(len(counts) - 1))
     by_cell_z = by_z[np.argsort(cell_ids, kind="stable")]
-    seed_z = _seed_thresholds(pts[by_cell_z, 2], starts, counts, seed_quantile)
+    seed_z = _seed_thresholds(pts[by_cell_z, 2], starts, counts, config.seed_quantile)
 
     # Each cell's points stay in cloud order; the fits depend on row order.
     by_cell = pts[np.argsort(inverse, kind="stable")]
     is_seed = by_cell[:, 2] <= np.repeat(seed_z, counts)
     planes = np.full((len(counts), 3), np.nan)
     for k, (start, stop) in enumerate(zip(starts, starts + counts)):
-        plane = _fit_ground_plane(
-            by_cell[start:stop][is_seed[start:stop]], height_threshold, refit_rounds
-        )
+        plane = _fit_ground_plane(by_cell[start:stop][is_seed[start:stop]], config)
         if plane is not None:
             planes[k] = plane
 
     fitted = np.all(np.isfinite(planes), axis=1)
     if not np.any(fitted):
         global_z = _seed_thresholds(
-            np.sort(pts[:, 2]), np.zeros(1, np.int64), np.array([len(pts)]), seed_quantile
+            np.sort(pts[:, 2]), np.zeros(1, np.int64), np.array([len(pts)]), config.seed_quantile
         )[0]
-        plane = _fit_ground_plane(pts[pts[:, 2] <= global_z], height_threshold, refit_rounds)
+        plane = _fit_ground_plane(pts[pts[:, 2] <= global_z], config)
         if plane is None:
             # Tiny cloud: fall back to a horizontal plane through the lowest point.
             plane = np.array([0.0, 0.0, float(pts[:, 2].min())])
         planes[:] = plane
     elif not np.all(fitted):
         uniq = np.column_stack(np.unravel_index(uniq_keys, dims)) + origin
-        centers = (uniq.astype(float) + 0.5) * cell_size
+        centers = (uniq.astype(float) + 0.5) * config.cell
         missing = np.where(~fitted)[0]
         have = np.where(fitted)[0]
         for k in missing:
             d2 = np.sum((centers[have] - centers[k]) ** 2, axis=1)
             planes[k] = planes[have[int(np.argmin(d2))]]
 
-    ground = _plane_residuals(pts, planes[inverse].T) <= height_threshold
+    ground = _plane_residuals(pts, planes[inverse].T) <= config.height_threshold
     return np.where(ground)[0], np.where(~ground)[0]
 
 
-def cluster_objects(
-    cloud: np.ndarray,
-    indices: np.ndarray,
-    eps: float = 0.5,
-    min_pts: int = 5,
-) -> list[Cluster]:
+def cluster_objects(cloud: np.ndarray, indices: np.ndarray, config: ClusterConfig) -> list[Cluster]:
     """Density-connected clusters among ``cloud[indices]``.
 
-    A point with at least ``min_pts`` neighbors within ``eps`` (itself
-    included) is a core point; clusters are the connected components of
-    core points, and each non-core point joins the cluster of its nearest
-    core neighbor (the lowest index on a tie), which keeps membership stable
-    under input reordering. Points with no core neighbor are dropped as
-    noise. Clusters come back ordered by their smallest cloud index.
+    A point with at least ``config.min_pts`` neighbors within ``config.eps``
+    (itself included) is a core point; clusters are the connected
+    components of core points, and each non-core point joins the cluster of
+    its nearest core neighbor (the lowest index on a tie), which keeps
+    membership stable under input reordering. Points with no core neighbor
+    are dropped as noise. Clusters come back ordered by their smallest
+    cloud index.
 
     The neighbor pairs come from one k-d tree pair query; the core graph's
     components come from ``scipy.sparse.csgraph``, and one sort over
@@ -362,8 +376,8 @@ def cluster_objects(
         return []
     pts = np.asarray(cloud, dtype=float)[idx]
 
-    pairs = cKDTree(pts).query_pairs(eps, output_type="ndarray")
-    core = np.bincount(pairs.ravel(), minlength=len(pts)) + 1 >= min_pts
+    pairs = cKDTree(pts).query_pairs(config.eps, output_type="ndarray")
+    core = np.bincount(pairs.ravel(), minlength=len(pts)) + 1 >= config.min_pts
     n_core = int(core.sum())
     if n_core == 0:
         return []

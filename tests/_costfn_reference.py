@@ -171,6 +171,7 @@ def reference_cost(
     proposal: Box2D,
     calib: CameraCalib,
     weights: CostWeights,
+    c_surface: float,
 ) -> CostBreakdown:
     """Score one candidate box; the containment mask is computed once."""
     pts = np.asarray(obj_points, dtype=float)
@@ -188,7 +189,7 @@ def reference_cost(
         lshape = float(np.mean(np.minimum(d0, d1)))
     else:
         lshape = 0.0
-    surface = -min(math.hypot(box.x - ego.x, box.y - ego.y), weights.c_surface)
+    surface = -min(math.hypot(box.x - ego.x, box.y - ego.y), c_surface)
     hull = reference_hull(box, calib)
     iou_term = 0.0 if hull is None else -weights.gamma * iou_2d(hull, proposal)
     total = (

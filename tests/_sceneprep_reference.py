@@ -12,7 +12,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from autobox3d.errors import ValidationError
-from autobox3d.sceneprep import Cluster, _fit_plane, _plane_residuals
+from autobox3d.sceneprep import Cluster, ClusterConfig, GroundConfig, _fit_plane, _plane_residuals
 
 
 def fit_ground_plane_loop(
@@ -42,13 +42,7 @@ def fit_ground_plane_loop(
     return plane
 
 
-def remove_ground_loop(
-    cloud: np.ndarray,
-    cell_size: float = 4.0,
-    height_threshold: float = 0.25,
-    refit_rounds: int = 3,
-    seed_quantile: float = 0.30,
-) -> tuple[np.ndarray, np.ndarray]:
+def remove_ground_loop(cloud: np.ndarray, config: GroundConfig) -> tuple[np.ndarray, np.ndarray]:
     """Split a cloud into (ground_indices, object_indices).
 
     The xy plane is tiled into ``cell_size`` squares; each cell fits a plane
@@ -58,6 +52,8 @@ def remove_ground_loop(
     when it sits within ``height_threshold`` of its cell's plane. The two
     index arrays are ascending and partition the cloud exactly.
     """
+    cell_size, height_threshold = config.cell, config.height_threshold
+    refit_rounds, seed_quantile = config.refit_rounds, config.seed_quantile
     pts = np.asarray(cloud, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 3:
         raise ValueError(f"cloud must be (N, 3), got {pts.shape}")
@@ -107,10 +103,7 @@ def remove_ground_loop(
 
 
 def cluster_objects_loop(
-    cloud: np.ndarray,
-    indices: np.ndarray,
-    eps: float = 0.5,
-    min_pts: int = 5,
+    cloud: np.ndarray, indices: np.ndarray, config: ClusterConfig
 ) -> list[Cluster]:
     """Density-connected clusters among ``cloud[indices]``.
 
@@ -121,6 +114,7 @@ def cluster_objects_loop(
     Points with no core neighbor are dropped as noise. Clusters come back
     ordered by their smallest cloud index.
     """
+    eps, min_pts = config.eps, config.min_pts
     if eps <= 0:
         raise ValueError(f"eps must be positive, got {eps}")
     if min_pts < 1:

@@ -113,22 +113,23 @@ def random_box(rng: np.random.Generator, span: float = 8.0) -> BoxParams:
 def score_box(box: BoxParams, points=((0.0, 0.0, 0.0),), ego: EgoPose = EgoPose(),
               proposal: Box2D = Box2D(0.0, 0.0, 100.0, 100.0),
               calib: CameraCalib | None = None,
-              weights: CostWeights = CostWeights()) -> CostBreakdown:
+              weights: CostWeights = CostWeights(), c_surface: float = 10.0) -> CostBreakdown:
     """One box scored by the production kernel, ``BoxCostBatch``.
 
     An oracle passes what its term reads. The rest default to one dummy
-    point at the origin, the ego at the origin, ``simple_calib()`` and a
-    proposal covering its whole image.
+    point at the origin, the ego at the origin, ``simple_calib()``, a
+    proposal covering its whole image and a 10 m surface clip.
     """
     batch = BoxCostBatch(np.asarray(points, dtype=float), ego, proposal,
-                         simple_calib() if calib is None else calib, weights)
+                         simple_calib() if calib is None else calib, weights, c_surface)
     return batch.evaluate(box.as_array()[None]).breakdown_at(0)
 
 
-def kernel_eval(pair: CrossModalProposal, weights: CostWeights = CostWeights()) -> EvalFn:
+def kernel_eval(pair: CrossModalProposal, weights: CostWeights = CostWeights(),
+                c_surface: float = 10.0) -> EvalFn:
     """The production evaluator for one pair, ``BoxCostBatch(...).evaluate``."""
     return BoxCostBatch(pair.points, pair.scene.ego, pair.proposal.box,
-                        pair.calib, weights).evaluate
+                        pair.calib, weights, c_surface).evaluate
 
 
 def swarm_fit(evaluate: EvalFn, pair: CrossModalProposal, cfg: SwarmConfig, seed: int,

@@ -172,7 +172,7 @@ def test_criterion_4_cost_oracles(request):
     arithmetic("edge distance empty box", score_box(far, ten_points, side_ego).lshape, 0.0)
     arithmetic("surface 3-4-5", score_box(off_axis, ego=EgoPose(), weights=w).surface, -5.0)
     arithmetic("surface clipped at 4",
-               score_box(off_axis, ego=EgoPose(), weights=CostWeights(c_surface=4.0)).surface,
+               score_box(off_axis, ego=EgoPose(), weights=w, c_surface=4.0).surface,
                -4.0)
     arithmetic("surface relative to ego",
                score_box(off_axis, ego=EgoPose(3.0, 0.0, 0.0), weights=w).surface, -4.0)

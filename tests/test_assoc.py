@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from autobox3d.assoc import (
+    AssocConfig,
     Proposal2D,
     Ray,
     associate,
@@ -130,7 +131,7 @@ class TestAssociate:
     def test_cluster_on_axis_pairs(self):
         scene = _scene_with([[0.0, 0.0, 10.0]])
         cluster = Cluster.from_indices(scene.cloud, np.array([0]))
-        pairs = associate(scene, [_proposal()], [cluster])
+        pairs = associate(scene, [_proposal()], [cluster], AssocConfig())
         assert len(pairs) == 1
         assert pairs[0].distance_to_ray == pytest.approx(0.0)
         assert np.array_equal(pairs[0].points, scene.cloud)
@@ -140,7 +141,7 @@ class TestAssociate:
         scene = _scene_with([[2.0, 0.0, 10.0], [2.0001, 0.0, 10.0]])
         on = Cluster.from_indices(scene.cloud, np.array([0]))
         off = Cluster.from_indices(scene.cloud, np.array([1]))
-        pairs = associate(scene, [_proposal()], [on, off])
+        pairs = associate(scene, [_proposal()], [on, off], AssocConfig())
         assert len(pairs) == 1
         assert pairs[0].cluster is on
         assert pairs[0].distance_to_ray == pytest.approx(2.0)
@@ -153,7 +154,7 @@ class TestAssociate:
             [0.0, 0.0, 70.0],  # beyond d_max
         ])
         clusters = [Cluster.from_indices(scene.cloud, np.array([k])) for k in range(4)]
-        pairs = associate(scene, [_proposal()], clusters)
+        pairs = associate(scene, [_proposal()], clusters, AssocConfig())
         matched = {int(p.cluster.point_indices[0]) for p in pairs}
         assert matched == {1, 2}
 
@@ -161,14 +162,14 @@ class TestAssociate:
         # The centroid lies 2.5 m off the ray, beyond tau_match; the nearest point lies on it.
         scene = _scene_with([[0.0, 0.0, 10.0], [5.0, 0.0, 10.0]])
         cluster = Cluster.from_indices(scene.cloud, np.array([0, 1]))
-        pairs = associate(scene, [_proposal()], [cluster])
+        pairs = associate(scene, [_proposal()], [cluster], AssocConfig())
         assert len(pairs) == 1
         assert pairs[0].distance_to_ray == pytest.approx(0.0)
 
     def test_one_proposal_many_clusters(self):
         scene = _scene_with([[0.0, 0.0, 8.0], [0.5, 0.0, 20.0]])
         clusters = [Cluster.from_indices(scene.cloud, np.array([k])) for k in range(2)]
-        pairs = associate(scene, [_proposal()], clusters)
+        pairs = associate(scene, [_proposal()], clusters, AssocConfig())
         assert len(pairs) == 2
         assert pairs[0].cluster is clusters[0]
         assert pairs[1].cluster is clusters[1]
@@ -177,7 +178,7 @@ class TestAssociate:
         scene = _scene_with([[0.0, 0.0, 8.0], [0.5, 0.0, 20.0]])
         clusters = [Cluster.from_indices(scene.cloud, np.array([k])) for k in range(2)]
         props = [_proposal(score=0.9), _proposal(score=0.8)]
-        pairs = associate(scene, props, clusters)
+        pairs = associate(scene, props, clusters, AssocConfig())
         assert [p.proposal is props[0] for p in pairs] == [True, True, False, False]
 
     def test_cluster_order_invariant(self):
@@ -187,8 +188,8 @@ class TestAssociate:
         ])
         scene = _scene_with(cloud)
         clusters = [Cluster.from_indices(cloud, np.array([k])) for k in range(40)]
-        fwd = associate(scene, [_proposal()], clusters)
-        rev = associate(scene, [_proposal()], clusters[::-1])
+        fwd = associate(scene, [_proposal()], clusters, AssocConfig())
+        rev = associate(scene, [_proposal()], clusters[::-1], AssocConfig())
         key = lambda pair: int(pair.cluster.point_indices[0])
         assert sorted(map(key, fwd)) == sorted(map(key, rev))
 

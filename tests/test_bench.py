@@ -81,6 +81,17 @@ class TestLoadInstances:
         with pytest.raises(ValidationError, match="0 ground-truth instances"):
             load_bench_instances(config)
 
+    @pytest.mark.parametrize("instances", [5, None])
+    def test_instances_not_a_list_exits_2(self, bench_config, tmp_path, capsys, instances):
+        # A number here used to escape as a TypeError traceback, exit code 1.
+        config = _edited_gt_config(bench_config, tmp_path,
+                                   lambda gt: gt.update(instances=instances))
+        with pytest.raises(ValidationError, match=r"0000\.gt\.json: instances must be a list"):
+            load_bench_instances(config)
+        save_config(config, tmp_path / "config.yaml")
+        assert main(["bench", "--config", str(tmp_path / "config.yaml")]) == 2
+        assert "0000.gt.json: instances must be a list" in capsys.readouterr().err
+
     @pytest.mark.parametrize("index", [-1, 1, 0.0, True, "0"])
     def test_bad_proposal_index(self, bench_config, tmp_path, index):
         # -1 used to pair the instance with the last proposal.

@@ -202,7 +202,12 @@ class TestFitBox:
         assert out["box"] == target["box"]
         assert out["cost"] == target["cost"]
 
-    def test_out_of_range_proposal_exits_2(self, workdir, capsys):
+    def test_out_of_range_proposal_exits_2(self, workdir, capsys, monkeypatch):
+        # The index is checked before the frame is loaded, ground-stripped and clustered.
+        def no_load(*args, **kwargs):
+            raise AssertionError("fit-box read the frame before checking the proposal index")
+
+        monkeypatch.setattr(pipeline, "load_scene", no_load)
         code = main([
             "fit-box", "--config", str(workdir / "config.yaml"),
             "--scene", "0000", "--proposal", "99",

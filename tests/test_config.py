@@ -1,24 +1,25 @@
 """YAML config loading, validation, round trips, and fingerprints."""
 
-import inspect
 import re
-from dataclasses import FrozenInstanceError, fields, replace
+from dataclasses import FrozenInstanceError, fields, is_dataclass, replace
 from pathlib import Path
 
 import pytest
 import yaml
 
-from autobox3d.assoc import associate
+from autobox3d.assoc import AssocConfig
 from autobox3d.config import (
     DEFAULT_ANCHOR_DIMS,
-    SCHEMA,
+    BenchConfig,
     PipelineConfig,
     config_fingerprint,
     config_to_dict,
+    default_anchors,
     load_config,
 )
+from autobox3d.costfn import AnchorRange
 from autobox3d.errors import ValidationError
-from autobox3d.sceneprep import cluster_objects, remove_ground
+from autobox3d.sceneprep import ClusterConfig, GroundConfig
 
 from _util import save_config
 
@@ -42,7 +43,27 @@ def lookup(d: dict, key: str):
     return d
 
 
-# A value other than the default for every schema key.
+PATH_KEYS = {"scenes_dir": "paths.scenes", "output_dir": "paths.output"}
+
+
+def yaml_keys(section=PipelineConfig(), prefix: str = "") -> list[str]:
+    """Every dotted YAML key, from the dataclass fields: a section's fields
+    are its keys, and ``scenes_dir`` and ``output_dir`` are under ``paths``."""
+    keys = []
+    for f in fields(section):
+        value = getattr(section, f.name)
+        if is_dataclass(value):
+            keys += yaml_keys(value, f"{prefix}{f.name}.")
+        else:
+            keys.append(PATH_KEYS.get(f.name, prefix + f.name))
+    return keys
+
+
+KEYS = yaml_keys()
+# The two class tables, each one key whose value is a mapping.
+CLASS_TABLES = ("thresholds.tau_occ", "anchors")
+
+# A value other than the default for every key.
 NON_DEFAULT = {
     "seed": 11,
     "workers": 2,
@@ -112,7 +133,7 @@ INT_KEYS = (
     "clustering.min_pts", "bench.budgets",
 )
 DEFAULTS = config_to_dict(PipelineConfig())
-FLOAT_KEYS = tuple(row.key for row in SCHEMA if isinstance(lookup(DEFAULTS, row.key), float))
+FLOAT_KEYS = tuple(key for key in KEYS if isinstance(lookup(DEFAULTS, key), float))
 FLOAT_KEYS += ("thresholds.tau_occ.car",)
 
 
@@ -121,10 +142,10 @@ class TestDefaults:
         cfg = PipelineConfig()
         assert cfg.seed == 0
         assert cfg.workers == 1
-        assert cfg.tau_match == 2.0
-        assert (cfg.d_min, cfg.d_max) == (0.5, 60.0)
+        assert cfg.association.tau_match == 2.0
+        assert (cfg.association.d_min, cfg.association.d_max) == (0.5, 60.0)
         assert cfg.nms_iou == 0.5
-        assert cfg.bench_budgets == (37500, 75000, 150000)
+        assert cfg.bench.budgets == (37500, 75000, 150000)
         assert cfg.weights.lambda1 == 5.0
         assert cfg.weights.gamma == 3.0
         assert cfg.swarm.n_swarm == 50
@@ -143,50 +164,45 @@ class TestDefaults:
         with pytest.raises(ValidationError):
             PipelineConfig(workers=0)
         with pytest.raises(ValidationError):
-            PipelineConfig(d_min=5.0, d_max=5.0)
-        with pytest.raises(ValidationError):
             PipelineConfig(nms_iou=1.0)
-        with pytest.raises(ValidationError):
-            PipelineConfig(bench_budgets=())
-        with pytest.raises(ValidationError):
-            PipelineConfig(ground_quantile=0.0)
-        # The one check of the association, ground and clustering settings:
-        # associate, remove_ground and cluster_objects trust their arguments.
-        for bad in (dict(tau_match=0.0), dict(d_min=0.0), dict(ground_cell=0.0),
-                    dict(ground_height=0.0), dict(ground_refits=-1), dict(cluster_eps=0.0),
-                    dict(cluster_min_pts=0)):
+        tractor = AnchorRange("tractor", (3.0, 2.0, 2.0), (5.0, 3.0, 3.0))
+        with pytest.raises(ValidationError, match=r"thresholds.tau_occ lacks \['tractor'\]"):
+            PipelineConfig(anchors={**default_anchors(), "tractor": tractor})
+        # The one check of the association, ground, clustering and bench
+        # settings: associate, remove_ground, cluster_objects and run_bench
+        # trust the section they are given.
+        for section, bad in (
+            (AssocConfig, dict(tau_match=0.0)), (AssocConfig, dict(d_min=0.0)),
+            (AssocConfig, dict(d_min=5.0, d_max=5.0)), (GroundConfig, dict(cell=0.0)),
+            (GroundConfig, dict(height_threshold=0.0)), (GroundConfig, dict(refit_rounds=-1)),
+            (GroundConfig, dict(seed_quantile=0.0)), (ClusterConfig, dict(eps=0.0)),
+            (ClusterConfig, dict(min_pts=0)), (BenchConfig, dict(budgets=())),
+            (BenchConfig, dict(budgets=(100, 0))),
+        ):
             with pytest.raises(ValidationError):
-                PipelineConfig(**bad)
-
-    def test_stage_keyword_defaults_match_config(self):
-        # The stages keep keyword defaults for direct callers; each must equal
-        # the PipelineConfig default that the pipeline passes in.
-        cfg = PipelineConfig()
-        stages = {
-            associate: dict(tau_match="tau_match", d_min="d_min", d_max="d_max"),
-            remove_ground: dict(cell_size="ground_cell", height_threshold="ground_height",
-                                refit_rounds="ground_refits", seed_quantile="ground_quantile"),
-            cluster_objects: dict(eps="cluster_eps", min_pts="cluster_min_pts"),
-        }
-        for fn, names in stages.items():
-            params = inspect.signature(fn).parameters
-            for arg, attr in names.items():
-                assert params[arg].default == getattr(cfg, attr), (fn.__name__, arg)
+                section(**bad)
 
     def test_budgets_built_in_code_are_not_truncated(self):
         with pytest.raises(ValidationError, match="bench budget must be an integer, got 2.5"):
-            PipelineConfig(bench_budgets=(2.5, 300))
-        assert PipelineConfig(bench_budgets=[300.0]).bench_budgets == (300,)
+            BenchConfig(budgets=(2.5, 300))
+        assert BenchConfig(budgets=[300.0]).budgets == (300,)
 
     def test_frozen_after_checks(self):
         # The stages trust the checked values, so no assignment may skip the
-        # checks; a changed config comes from replace, which checks again.
+        # checks, in the config or in any of its sections; a changed config
+        # comes from replace, which checks again.
         cfg = PipelineConfig(scenes_dir="in")
         with pytest.raises(FrozenInstanceError):
-            cfg.cluster_eps = 0.0
-        assert cfg.cluster_eps == 0.5 and cfg.scenes_dir == Path("in")
+            cfg.nms_iou = 1.0
+        for section in (getattr(cfg, f.name) for f in fields(cfg)):
+            if is_dataclass(section):
+                with pytest.raises(FrozenInstanceError):
+                    setattr(section, fields(section)[0].name, 0.0)
+        assert cfg.nms_iou == 0.5 and cfg.scenes_dir == Path("in")
         with pytest.raises(ValidationError):
-            replace(cfg, cluster_eps=0.0)
+            replace(cfg, nms_iou=1.0)
+        with pytest.raises(ValidationError):
+            replace(cfg.clustering, eps=0.0)
 
 
 class TestLoadConfig:
@@ -215,8 +231,8 @@ nms_iou: 0.3
         assert cfg.swarm.n_swarm == 10
         assert cfg.swarm.n_iter == 50
         assert cfg.swarm.w_init == 10.0  # untouched default
-        assert cfg.tau_match == 1.5
-        assert cfg.d_max == 60.0
+        assert cfg.association.tau_match == 1.5
+        assert cfg.association.d_max == 60.0
         assert cfg.nms_iou == 0.3
 
     def test_weights_and_thresholds(self, tmp_path):
@@ -290,19 +306,23 @@ clustering:
 bench:
   budgets: [100, 200]
 """))
-        assert cfg.ground_cell == 2.0
-        assert cfg.ground_height == 0.2
-        assert cfg.cluster_eps == 0.7
-        assert cfg.cluster_min_pts == 4
-        assert cfg.bench_budgets == (100, 200)
+        assert cfg.ground == GroundConfig(cell=2.0, height_threshold=0.2)
+        assert cfg.clustering == ClusterConfig(eps=0.7, min_pts=4)
+        assert cfg.bench.budgets == (100, 200)
 
     def test_unknown_root_key(self, tmp_path):
         with pytest.raises(ValidationError, match="swam"):
             load_config(write_config(tmp_path, "swam:\n  n_swarm: 5\n"))
+        # The two path fields are set only under paths.
+        with pytest.raises(ValidationError, match="scenes_dir"):
+            load_config(write_config(tmp_path, "scenes_dir: data\n"))
 
     def test_unknown_nested_key(self, tmp_path):
         with pytest.raises(ValidationError, match="particles"):
             load_config(write_config(tmp_path, "swarm:\n  particles: 5\n"))
+        # The surface clip is set per pair, not in the file.
+        with pytest.raises(ValidationError, match="c_surface"):
+            load_config(write_config(tmp_path, "weights:\n  c_surface: 5.0\n"))
 
     def test_anchor_needs_min_and_max(self, tmp_path):
         with pytest.raises(ValidationError, match="min and max"):
@@ -337,7 +357,7 @@ bench:
     def test_integral_float_loads_as_int(self, tmp_path):
         cfg = load_config(write_config(tmp_path, "seed: 3.0\nbench: {budgets: [100.0]}\n"))
         assert cfg.seed == 3 and type(cfg.seed) is int
-        assert cfg.bench_budgets == (100,)
+        assert cfg.bench.budgets == (100,) and type(cfg.bench.budgets[0]) is int
 
     @pytest.mark.parametrize("key", FLOAT_KEYS)
     def test_float_keys_reject_booleans(self, tmp_path, key):
@@ -381,13 +401,21 @@ anchors:
 
 class TestSchema:
     def test_every_key_has_a_test_value(self):
-        assert list(NON_DEFAULT) == [row.key for row in SCHEMA]
+        assert sorted(NON_DEFAULT) == sorted(KEYS)
 
     def test_schema_reaches_every_config_field(self):
-        reached = {row.attr.split(".")[0] for row in SCHEMA}
-        assert reached == {f.name for f in fields(PipelineConfig)}
+        # config_to_dict dumps exactly the keys the dataclass fields declare.
+        def leaves(d, prefix=""):
+            for name, value in d.items():
+                key = prefix + name
+                if isinstance(value, dict) and key not in CLASS_TABLES:
+                    yield from leaves(value, key + ".")
+                else:
+                    yield key
+        assert sorted(leaves(DEFAULTS)) == sorted(KEYS)
+        assert set(CLASS_TABLES) <= set(KEYS)
 
-    @pytest.mark.parametrize("key", [row.key for row in SCHEMA])
+    @pytest.mark.parametrize("key", KEYS)
     def test_key_round_trips_and_moves_fingerprint(self, tmp_path, key):
         value = NON_DEFAULT[key]
         cfg = load_config(write_config(tmp_path, yaml.safe_dump(nested(key, value))))
@@ -417,11 +445,11 @@ class TestReadme:
     def test_block_names_every_key(self):
         raw = yaml.safe_load(self.config_block())
         missing = []
-        for row in SCHEMA:
+        for key in KEYS:
             try:
-                lookup(raw, row.key)
+                lookup(raw, key)
             except (KeyError, TypeError):
-                missing.append(row.key)
+                missing.append(key)
         assert missing == []
 
 
@@ -436,8 +464,8 @@ class TestFingerprint:
 
     def test_pinned_every_key_digest(self, tmp_path):
         cfg = load_config(write_config(tmp_path, EVERY_KEY))
-        for row in SCHEMA:
-            lookup(yaml.safe_load(EVERY_KEY), row.key)  # KeyError if the config skips a key
+        for key in KEYS:
+            lookup(yaml.safe_load(EVERY_KEY), key)  # KeyError if the config skips a key
         assert config_fingerprint(cfg) == (
             "b656f456716ba6af649d106a50cd34018e3e06a487523d2aa49017225f26ddd8"
         )

@@ -48,11 +48,13 @@ class TestWeights:
     def test_defaults(self):
         w = CostWeights()
         assert (w.lambda1, w.lambda2, w.lambda3, w.gamma) == (5.0, 1.0, 1.0, 3.0)
-        assert w.c_surface == 10.0
 
     def test_rejects_nonpositive_clip(self):
-        with pytest.raises(ValueError):
-            CostWeights(c_surface=0.0)
+        # The surface clip is the kernel's own argument, set per pair.
+        for clip in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="c_surface"):
+                BoxCostBatch(np.zeros((1, 3)), EgoPose(), Box2D(0.0, 0.0, 10.0, 10.0),
+                             simple_calib(), CostWeights(), clip)
 
 
 class TestAnchorRange:
@@ -193,7 +195,7 @@ class TestSurface:
         assert score_box(self.BOX, ego=EgoPose()).surface == -5.0
 
     def test_clipped(self):
-        assert score_box(self.BOX, weights=CostWeights(c_surface=4.0)).surface == -4.0
+        assert score_box(self.BOX, c_surface=4.0).surface == -4.0
 
     def test_relative_to_ego(self):
         assert score_box(self.BOX, ego=EgoPose(3.0, 0.0, 0.0)).surface == -4.0
@@ -269,7 +271,7 @@ class TestTotal:
             bd = score_box(box, pts, EgoPose(), prop, calib, w)
             assert -1.0 <= bd.density <= 0.0
             assert bd.lshape >= 0.0
-            assert -w.c_surface <= bd.surface <= 0.0
+            assert -10.0 <= bd.surface <= 0.0
             assert -w.gamma <= bd.iou2d <= 0.0
 
 
@@ -294,9 +296,9 @@ class TestBatchAgainstScalar:
     def test_random_candidates_agree(self):
         rng = np.random.default_rng(14)
         pair = build_pair(car_box(), seed=2)
-        weights = CostWeights(c_surface=9.0)
+        weights = CostWeights()
         batch = BoxCostBatch(pair.points, pair.scene.ego, pair.proposal.box,
-                             pair.calib, weights)
+                             pair.calib, weights, 9.0)
         thetas = np.column_stack([
             rng.uniform(5.0, 18.0, size=300),
             rng.uniform(-2.0, 6.0, size=300),
@@ -309,7 +311,7 @@ class TestBatchAgainstScalar:
         res = batch.evaluate(thetas)
         for i in range(0, 300, 7):
             bd = reference_cost(BoxParams.from_array(thetas[i]), pair.points,
-                                pair.scene.ego, pair.proposal.box, pair.calib, weights)
+                                pair.scene.ego, pair.proposal.box, pair.calib, weights, 9.0)
             got = res.breakdown_at(i)
             assert got.density == pytest.approx(bd.density, abs=1e-9)
             assert got.lshape == pytest.approx(bd.lshape, abs=1e-9)
@@ -322,13 +324,13 @@ class TestBatchAgainstScalar:
         pair = build_pair(car_box(), seed=3)
         weights = CostWeights()
         batch = BoxCostBatch(pair.points, pair.scene.ego, pair.proposal.box,
-                             pair.calib, weights)
+                             pair.calib, weights, 10.0)
         empty = np.array([100.0, 100.0, 0.0, 4.0, 2.0, 1.5, 0.0])
         behind = np.array([-15.0, 0.0, 0.0, 4.0, 2.0, 1.5, 0.0])
         res = batch.evaluate(np.stack([empty, behind]))
         for i, theta in enumerate((empty, behind)):
             bd = reference_cost(BoxParams.from_array(theta), pair.points,
-                                pair.scene.ego, pair.proposal.box, pair.calib, weights)
+                                pair.scene.ego, pair.proposal.box, pair.calib, weights, 10.0)
             assert res.breakdown_at(i).total == pytest.approx(bd.total, abs=1e-9)
         assert res.density[0] == 0.0
         assert res.lshape[0] == 0.0
@@ -355,14 +357,14 @@ class TestBatchAgainstScalar:
             box.y + s * local[:, 0] + c * local[:, 1],
             box.z + local[:, 2],
         ])
-        weights = CostWeights(c_surface=12.0)
-        batch = BoxCostBatch(pts, pair.scene.ego, pair.proposal.box, pair.calib, weights)
+        weights = CostWeights()
+        batch = BoxCostBatch(pts, pair.scene.ego, pair.proposal.box, pair.calib, weights, 12.0)
         thetas = np.stack([box.as_array(), box.as_array() + [0.05, -0.03, 0.0, 0.0, 0.0, 0.0, 0.01]])
         res = batch.evaluate(thetas)
         assert points_in_box(pts, box).all() and res.density[0] == -1.0
         for i, theta in enumerate(thetas):
             bd = reference_cost(BoxParams.from_array(theta), pts, pair.scene.ego,
-                                pair.proposal.box, pair.calib, weights)
+                                pair.proposal.box, pair.calib, weights, 12.0)
             got = res.breakdown_at(i)
             assert got.density == bd.density
             assert got.lshape == pytest.approx(bd.lshape, abs=1e-9)
@@ -386,7 +388,7 @@ class TestBatchAgainstScalar:
         box = car_box()
         pair = build_pair(box, seed=7)
         batch = BoxCostBatch(pair.points, pair.scene.ego, pair.proposal.box,
-                             pair.calib, CostWeights(c_surface=9.0))
+                             pair.calib, CostWeights(), 9.0)
         tile = max(1, costfn._TILE_ELEMS // batch.n_points)
         assert tile > 10
         n = 3 * tile + tile // 2
@@ -412,7 +414,7 @@ class TestBatchAgainstScalar:
         extra = pair.points[rng.integers(0, len(pair.points), costfn._TILE_ELEMS)]
         pts = np.vstack([pair.points, extra + rng.normal(0.0, 0.05, extra.shape)])
         batch = BoxCostBatch(pts, pair.scene.ego, pair.proposal.box,
-                             pair.calib, CostWeights(c_surface=9.0))
+                             pair.calib, CostWeights(), 9.0)
         assert batch.n_points > costfn._TILE_ELEMS
         thetas = box.as_array() + rng.normal(0.0, 0.3, size=(4, 7))
         thetas[2] = [-15.0, 0.0, 0.0, 4.0, 2.0, 1.5, 0.0]
@@ -428,7 +430,7 @@ class TestBatchAgainstScalar:
         box = car_box()
         pair = build_pair(box, seed=10)
         batch = BoxCostBatch(pair.points, pair.scene.ego, pair.proposal.box,
-                             pair.calib, CostWeights(c_surface=9.0))
+                             pair.calib, CostWeights(), 9.0)
         n = 2 * batch._tile - 1
         assert costfn._tiles(0, n, batch._tile) == [(0, n)]
         assert (3 * n) * batch.n_points * 4 > 65536 * 4
@@ -445,7 +447,7 @@ class TestBatchAgainstScalar:
         box = car_box()
         pair = build_pair(box, seed=9)
         batch = BoxCostBatch(pair.points, pair.scene.ego, pair.proposal.box,
-                             pair.calib, CostWeights(c_surface=9.0))
+                             pair.calib, CostWeights(), 9.0)
         chunk = costfn._CHUNK_ROWS
         n = 2 * chunk + 37
         thetas = box.as_array() + rng.normal(0.0, 0.4, size=(n, 7))
@@ -462,7 +464,7 @@ class TestBatchAgainstScalar:
     def test_rejects_bad_shapes(self):
         pair = build_pair(car_box(), seed=4)
         batch = BoxCostBatch(pair.points, pair.scene.ego, pair.proposal.box,
-                             pair.calib, CostWeights())
+                             pair.calib, CostWeights(), 10.0)
         with pytest.raises(ValueError):
             batch.evaluate(np.zeros((5, 6)))
 
@@ -476,7 +478,7 @@ class TestJoin:
         pairs = lockstep_pairs()
         kernels = [
             BoxCostBatch(p.points, p.scene.ego, p.proposal.box, p.calib,
-                         CostWeights(lambda1=4.0 + k, c_surface=6.0 + k))
+                         CostWeights(lambda1=4.0 + k), 6.0 + k)
             for k, (p, _) in enumerate(pairs)
         ]
         rng = np.random.default_rng(33)
@@ -559,7 +561,7 @@ class TestSkip:
         rng = np.random.default_rng(41)
         pair = build_pair(car_box(dist=11.0, azimuth=-0.3, ry=2.1), seed=12)
         batch = BoxCostBatch(pair.points, pair.scene.ego, pair.proposal.box,
-                             pair.calib, CostWeights(c_surface=9.0))
+                             pair.calib, CostWeights(), 9.0)
         for gap in (-0.5 * BOUNDARY_TOL, 0.5 * BOUNDARY_TOL, 0.9 * BOUNDARY_TOL):
             thetas = self._touching(pair.points, rng, gap)
             full = self._assert_skip_is_exact(batch, thetas, monkeypatch)
@@ -576,7 +578,7 @@ class TestSkip:
         rng = np.random.default_rng(42)
         pair = build_pair(car_box(dist=14.0, azimuth=0.4, ry=-0.8), seed=13)
         batch = BoxCostBatch(pair.points, pair.scene.ego, pair.proposal.box,
-                             pair.calib, CostWeights(c_surface=9.0))
+                             pair.calib, CostWeights(), 9.0)
         n = 3000
         thetas = np.column_stack([
             pair.points.mean(axis=0) + rng.normal(0.0, 2.5, size=(n, 3)),
@@ -594,7 +596,7 @@ class TestSkip:
         rng = np.random.default_rng(43)
         pair = build_pair(car_box(), seed=14)
         batch = BoxCostBatch(pair.points, pair.scene.ego, pair.proposal.box,
-                             pair.calib, CostWeights(c_surface=9.0))
+                             pair.calib, CostWeights(), 9.0)
         chunk = costfn._CHUNK_ROWS
         center = pair.points.mean(axis=0)
         thetas = np.column_stack([
@@ -616,7 +618,7 @@ class TestSkip:
         kernels, blocks = [], []
         for k, (p, anchor) in enumerate(pairs):
             kernels.append(BoxCostBatch(p.points, p.scene.ego, p.proposal.box, p.calib,
-                                        CostWeights(c_surface=6.0 + k)))
+                                        CostWeights(), 6.0 + k))
             lb, ub = search_bounds(p.points, anchor)
             blocks.append(rng.uniform(lb, ub, size=(300, 7)))
         joined = BoxCostBatch.join(kernels)
@@ -631,7 +633,7 @@ class TestSkip:
         # makes every bound NaN, so even a box far from the cluster is kept.
         pair = build_pair(car_box(), seed=15)
         batch = BoxCostBatch(pair.points, pair.scene.ego, pair.proposal.box,
-                             pair.calib, CostWeights())
+                             pair.calib, CostWeights(), 10.0)
         thetas = np.stack([car_box().as_array(), car_box(dist=30.0).as_array()])
         thetas[0, 0] = thetas[1, 6] = np.nan
         assert kept_rows(batch, thetas).all()
@@ -647,9 +649,8 @@ def test_full_surface_box_scores_near_perfect():
     box = car_box(dist=10.0, azimuth=0.0, ry=0.4)
     pair = build_pair(box, seed=5)
     clip = adaptive_surface_clip(pair.scene.ego, pair.cluster.centroid, CAR_ANCHOR)
-    weights = CostWeights(c_surface=clip)
     bd = score_box(box, pair.points, pair.scene.ego, pair.proposal.box,
-                   pair.calib, weights)
+                   pair.calib, c_surface=clip)
     assert bd.density == -1.0
     assert bd.lshape < 0.9
     assert bd.iou2d == pytest.approx(-3.0, abs=1e-6)

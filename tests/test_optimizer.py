@@ -242,7 +242,7 @@ class TestSwarmSearch:
         from autobox3d.geom import iou_bev
 
         clip = adaptive_surface_clip(pair.scene.ego, pair.cluster.centroid, CAR_ANCHOR)
-        res = swarm_fit(kernel_eval(pair, CostWeights(c_surface=clip)), pair,
+        res = swarm_fit(kernel_eval(pair, c_surface=clip), pair,
                         SwarmConfig(), seed=6)
         assert iou_bev(res.best_box, box) >= 0.7
 
@@ -255,7 +255,7 @@ class TestLockstep:
         cfg = SwarmConfig(n_swarm=50, n_iter=15)
         kernels = [
             BoxCostBatch(p.points, p.scene.ego, p.proposal.box, p.calib,
-                         CostWeights(c_surface=6.0 + k))
+                         CostWeights(), 6.0 + k)
             for k, (p, _) in enumerate(pairs)
         ]
         starts = [SwarmStart(p.points, p.ray, anchor, 40 + k) for k, (p, anchor) in enumerate(pairs)]
@@ -384,7 +384,7 @@ class TestPinnedResults:
     """
 
     PAIR_BOX = dict(dist=14.0, azimuth=-0.3, ry=1.1)
-    WEIGHTS = CostWeights(c_surface=15.0)
+    CLIP = 15.0
 
     def _pair(self):
         return build_pair(car_box(**self.PAIR_BOX), seed=21)
@@ -392,7 +392,7 @@ class TestPinnedResults:
     def test_swarm(self):
         cfg = SwarmConfig(n_swarm=50, n_iter=40)
         pair = self._pair()
-        ev = kernel_eval(pair, self.WEIGHTS)
+        ev = kernel_eval(pair, c_surface=self.CLIP)
         res = swarm_fit(ev, pair, cfg, seed=9)
         assert res.evaluations == 2000
         assert res.best_cost.total.hex() == "-0x1.3bc525375cce3p+4"
@@ -404,7 +404,7 @@ class TestPinnedResults:
 
     def test_grid(self):
         pair = self._pair()
-        ev = kernel_eval(pair, self.WEIGHTS)
+        ev = kernel_eval(pair, c_surface=self.CLIP)
         res = greedy_search(ev, pair.points, CAR_ANCHOR, budget=5000)
         assert res.evaluations == 4860
         assert res.best_cost.total.hex() == "-0x1.1a49de296d651p+4"

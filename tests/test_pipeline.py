@@ -3,7 +3,6 @@
 import hashlib
 import json
 import shutil
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -229,7 +228,7 @@ class TestFitPair:
 
         scene = load_scene(corpus, "0000")
         proposals = load_proposals(corpus / "0000.proposals.json")
-        return associate(scene, proposals, load_clusters(scene, config))[0]
+        return associate(scene, proposals, load_clusters(scene, config), config.association)[0]
 
     def test_unknown_class_raises(self, corpus, tmp_path):
         # The entry points' check_classes stops an unknown class before any
@@ -246,10 +245,10 @@ class TestFitPair:
         anchor, batch = fit_pair(pair, config)
         assert anchor is config.anchors[pair.proposal.class_id]
         clip = adaptive_surface_clip(pair.scene.ego, pair.cluster.centroid, anchor)
-        expected, default_clip = (
+        expected, fixed_clip = (
             BoxCostBatch(pair.points, pair.scene.ego, pair.proposal.box, pair.calib,
-                         replace(config.weights, c_surface=c))
-            for c in (clip, config.weights.c_surface)
+                         config.weights, c)
+            for c in (clip, 10.0)
         )
         # Centers from 1 m to 40 m out along the cluster's bearing, so the
         # surface term saturates at the clip.
@@ -261,7 +260,7 @@ class TestFitPair:
         got, want = batch.evaluate(thetas), expected.evaluate(thetas)
         for term in ("totals", "density", "lshape", "surface", "iou2d"):
             assert np.array_equal(getattr(got, term), getattr(want, term)), term
-        assert not np.array_equal(got.surface, default_clip.evaluate(thetas).surface)
+        assert not np.array_equal(got.surface, fixed_clip.evaluate(thetas).surface)
 
 
 def _write_mini_frame(scenes, frame_id, embed_dim, n_points=8):
@@ -377,7 +376,7 @@ class TestProcessFrame:
         scene = load_scene(scenes, "c0")
         proposals = load_proposals(scenes / "c0.proposals.json")
         clusters = load_clusters(scene, config)
-        pairs = associate(scene, proposals, clusters)
+        pairs = associate(scene, proposals, clusters, config.association)
         assert len(pairs) == 2
 
         fits = [

@@ -9,6 +9,8 @@ import pytest
 from autobox3d.errors import CloudFormatError, ValidationError
 from autobox3d.sceneprep import (
     Cluster,
+    ClusterConfig,
+    GroundConfig,
     Scene,
     cluster_objects,
     clusters_from_labels,
@@ -143,7 +145,7 @@ class TestGroundRemoval:
         obj = np.array([15.0, 15.0, -0.75]) + \
             rng.uniform(-1, 1, size=(120, 3)) * [1.5, 1.0, 0.35]
         cloud = np.vstack([ground, obj])
-        g_idx, o_idx = remove_ground(cloud)
+        g_idx, o_idx = remove_ground(cloud, GroundConfig())
         obj_ids = np.arange(len(ground), len(cloud))
         assert np.isin(obj_ids, o_idx).all()
         recall = np.isin(np.arange(len(ground)), g_idx).mean()
@@ -156,7 +158,7 @@ class TestGroundRemoval:
         obj = np.array([10.0, 10.0, -0.1]) + \
             np.random.default_rng(3).uniform(-0.3, 0.3, size=(50, 3))
         cloud = np.vstack([sloped, obj])
-        g_idx, o_idx = remove_ground(cloud)
+        g_idx, o_idx = remove_ground(cloud, GroundConfig())
         obj_ids = np.arange(len(sloped), len(cloud))
         assert np.isin(obj_ids, o_idx).all()
         assert np.isin(np.arange(len(sloped)), g_idx).mean() > 0.98
@@ -165,14 +167,14 @@ class TestGroundRemoval:
         ground = self._flat_scene(z=-1.8)
         probes = np.array([[5.0, 5.0, -1.8 + 0.24], [5.0, 5.0, -1.8 + 0.26]])
         cloud = np.vstack([ground, probes])
-        g_idx, o_idx = remove_ground(cloud)
+        g_idx, o_idx = remove_ground(cloud, GroundConfig())
         assert len(ground) in g_idx
         assert len(ground) + 1 in o_idx
 
     def test_indices_partition_cloud(self):
         rng = np.random.default_rng(4)
         cloud = rng.uniform(-20, 20, size=(500, 3))
-        g_idx, o_idx = remove_ground(cloud)
+        g_idx, o_idx = remove_ground(cloud, GroundConfig())
         merged = np.concatenate([g_idx, o_idx])
         assert np.array_equal(np.sort(merged), np.arange(500))
         assert np.array_equal(g_idx, np.sort(g_idx))
@@ -180,13 +182,13 @@ class TestGroundRemoval:
 
     def test_tiny_cloud_fallback(self):
         cloud = np.array([[0.0, 0.0, -1.8], [0.1, 0.0, -1.1]])
-        g_idx, o_idx = remove_ground(cloud)
+        g_idx, o_idx = remove_ground(cloud, GroundConfig())
         assert list(g_idx) == [0]
         assert list(o_idx) == [1]
 
     def test_empty_cloud_raises(self):
         with pytest.raises(ValidationError, match="empty cloud"):
-            remove_ground(np.empty((0, 3)))
+            remove_ground(np.empty((0, 3)), GroundConfig())
 
 
 class TestClustering:
@@ -195,7 +197,7 @@ class TestClustering:
         a = rng.normal([0, 0, 0], 0.1, size=(12, 3))
         b = rng.normal([5, 0, 0], 0.1, size=(15, 3))
         cloud = np.vstack([a, b])
-        clusters = cluster_objects(cloud, np.arange(len(cloud)))
+        clusters = cluster_objects(cloud, np.arange(len(cloud)), ClusterConfig())
         assert len(clusters) == 2
         assert set(clusters[0].point_indices) == set(range(12))
         assert set(clusters[1].point_indices) == set(range(12, 27))
@@ -204,7 +206,7 @@ class TestClustering:
         rng = np.random.default_rng(6)
         blob = rng.normal([0, 0, 0], 0.1, size=(10, 3))
         cloud = np.vstack([blob, [[30.0, 30.0, 30.0]]])
-        clusters = cluster_objects(cloud, np.arange(len(cloud)))
+        clusters = cluster_objects(cloud, np.arange(len(cloud)), ClusterConfig())
         assert len(clusters) == 1
         assert 10 not in clusters[0].point_indices
 
@@ -214,7 +216,7 @@ class TestClustering:
         cloud = np.column_stack([
             np.arange(5) * 0.4, np.zeros(5), np.zeros(5),
         ])
-        clusters = cluster_objects(cloud, np.arange(5), eps=0.5, min_pts=3)
+        clusters = cluster_objects(cloud, np.arange(5), ClusterConfig(eps=0.5, min_pts=3))
         assert len(clusters) == 1
         assert set(clusters[0].point_indices) == set(range(5))
 
@@ -222,7 +224,7 @@ class TestClustering:
         cloud = np.column_stack([
             np.arange(30) * 0.2, np.zeros(30), np.zeros(30),
         ])
-        clusters = cluster_objects(cloud, np.arange(30), eps=0.5, min_pts=4)
+        clusters = cluster_objects(cloud, np.arange(30), ClusterConfig(eps=0.5, min_pts=4))
         assert len(clusters) == 1
 
     def test_subset_indices_only(self):
@@ -230,7 +232,7 @@ class TestClustering:
         blob = rng.normal([0, 0, 0], 0.1, size=(20, 3))
         cloud = np.vstack([blob, blob + [5, 0, 0]])
         chosen = np.arange(20)
-        clusters = cluster_objects(cloud, chosen)
+        clusters = cluster_objects(cloud, chosen, ClusterConfig())
         assert len(clusters) == 1
         assert np.isin(clusters[0].point_indices, chosen).all()
 
@@ -239,7 +241,7 @@ class TestClustering:
         far = rng.normal([8, 0, 0], 0.1, size=(10, 3))
         near = rng.normal([0, 0, 0], 0.1, size=(10, 3))
         cloud = np.vstack([far, near])
-        clusters = cluster_objects(cloud, np.arange(20))
+        clusters = cluster_objects(cloud, np.arange(20), ClusterConfig())
         assert int(clusters[0].point_indices[0]) == 0
 
     def test_permutation_stable(self):
@@ -247,9 +249,9 @@ class TestClustering:
         a = rng.normal([0, 0, 0], 0.15, size=(150, 3))
         b = rng.normal([4, 0, 0], 0.15, size=(150, 3))
         cloud = np.vstack([a, b])
-        base = cluster_objects(cloud, np.arange(300))
+        base = cluster_objects(cloud, np.arange(300), ClusterConfig())
         perm = rng.permutation(300)
-        permuted = cluster_objects(cloud[perm], np.arange(300))
+        permuted = cluster_objects(cloud[perm], np.arange(300), ClusterConfig())
         def as_sets(clusters, mapping=None):
             out = set()
             for c in clusters:
@@ -259,7 +261,7 @@ class TestClustering:
         assert as_sets(base) == as_sets(permuted, perm)
 
     def test_empty_indices(self):
-        assert cluster_objects(np.zeros((5, 3)), np.array([], dtype=np.int64)) == []
+        assert cluster_objects(np.zeros((5, 3)), np.array([], dtype=np.int64), ClusterConfig()) == []
 
 
 class TestSidecars:

@@ -12,7 +12,9 @@ import numpy as np
 import pytest
 
 from autobox3d.errors import ValidationError
-from autobox3d.sceneprep import _seed_thresholds, cluster_objects, load_cloud, remove_ground
+from autobox3d.sceneprep import (
+    ClusterConfig, GroundConfig, _seed_thresholds, cluster_objects, load_cloud, remove_ground,
+)
 from autobox3d.synth import SynthClassSpec, SynthSpec, generate
 
 from _sceneprep_reference import cluster_objects_loop, remove_ground_loop
@@ -43,16 +45,18 @@ def frame_cloud(tmp_path_factory):
 
 
 def assert_same_ground(cloud, **kwargs):
-    ground, objects = remove_ground(cloud, **kwargs)
-    ref_ground, ref_objects = remove_ground_loop(cloud, **kwargs)
+    config = GroundConfig(**kwargs)
+    ground, objects = remove_ground(cloud, config)
+    ref_ground, ref_objects = remove_ground_loop(cloud, config)
     assert np.array_equal(ground, ref_ground)
     assert np.array_equal(objects, ref_objects)
     return objects
 
 
 def assert_same_clusters(cloud, indices, **kwargs):
-    clusters = cluster_objects(cloud, indices, **kwargs)
-    ref = cluster_objects_loop(cloud, indices, **kwargs)
+    config = ClusterConfig(**kwargs)
+    clusters = cluster_objects(cloud, indices, config)
+    ref = cluster_objects_loop(cloud, indices, config)
     assert len(clusters) == len(ref)
     for got, want in zip(clusters, ref):
         assert np.array_equal(got.point_indices, want.point_indices)
@@ -75,9 +79,9 @@ class TestSynthFrame:
         clusters = assert_same_clusters(frame_cloud, objects)
         assert len(clusters) >= 4
 
-    @pytest.mark.parametrize("cell_size, seed_quantile", [(2.0, 0.1), (7.5, 0.5), (4.0, 1.0)])
-    def test_matches_loop_reference_other_settings(self, frame_cloud, cell_size, seed_quantile):
-        assert_same_ground(frame_cloud, cell_size=cell_size, seed_quantile=seed_quantile)
+    @pytest.mark.parametrize("cell, seed_quantile", [(2.0, 0.1), (7.5, 0.5), (4.0, 1.0)])
+    def test_matches_loop_reference_other_settings(self, frame_cloud, cell, seed_quantile):
+        assert_same_ground(frame_cloud, cell=cell, seed_quantile=seed_quantile)
 
     def test_permuted_input(self, frame_cloud):
         perm = np.random.default_rng(3).permutation(len(frame_cloud))
@@ -87,8 +91,8 @@ class TestSynthFrame:
         assert_same_clusters(cloud, objects[::-1])
 
     def test_pinned_digest(self, frame_cloud):
-        ground, objects = remove_ground(frame_cloud)
-        assert digest(ground, cluster_objects(frame_cloud, objects)) == FRAME_DIGEST
+        ground, objects = remove_ground(frame_cloud, GroundConfig())
+        assert digest(ground, cluster_objects(frame_cloud, objects, ClusterConfig())) == FRAME_DIGEST
 
 
 class TestSeedThresholds:
@@ -108,7 +112,7 @@ class TestRandomClouds:
     def test_uniform_cloud(self, seed):
         rng = np.random.default_rng(100 + seed)
         cloud = rng.uniform([-12, -12, -2], [12, 12, 1], size=(3000, 3))
-        objects = assert_same_ground(cloud, cell_size=3.0)
+        objects = assert_same_ground(cloud, cell=3.0)
         for min_pts in (1, 3, 5):
             assert_same_clusters(cloud, objects, eps=0.7, min_pts=min_pts)
 
@@ -116,7 +120,7 @@ class TestRandomClouds:
         rng = np.random.default_rng(7)
         base = rng.uniform(-3, 3, size=(200, 3))
         cloud = np.vstack([base, base[:50], base[:10]])
-        assert_same_ground(cloud, cell_size=1.5)
+        assert_same_ground(cloud, cell=1.5)
         assert_same_clusters(cloud, np.arange(len(cloud)), eps=0.6, min_pts=4)
 
 
@@ -141,7 +145,7 @@ class TestGroundFallbacks:
         xy = np.array([(i, j) for i in range(8) for j in range(8)], dtype=float) + 0.5
         z = 0.05 * xy[:, 0] - 1.8 + rng.normal(0, 0.01, len(xy))
         z[::9] += 1.0
-        assert_same_ground(np.column_stack([xy, z]), cell_size=1.0)
+        assert_same_ground(np.column_stack([xy, z]), cell=1.0)
 
     def test_tiny_cloud(self):
         assert_same_ground(np.array([[0.0, 0.0, -1.8], [0.1, 0.0, -1.1]]))
@@ -151,12 +155,12 @@ class TestGroundFallbacks:
         cloud = np.zeros((10, 3))
         cloud[4, 2] = np.nan
         with pytest.raises(ValidationError, match="non-finite"):
-            remove_ground(cloud)
+            remove_ground(cloud, GroundConfig())
 
     def test_grid_too_large_for_int64_keys_raises(self):
         cloud = np.array([[0.0, 0.0, 0.0], [5e9, 5e9, 0.0]])
         with pytest.raises(ValidationError, match="too large"):
-            remove_ground(cloud, cell_size=1.0)
+            remove_ground(cloud, GroundConfig(cell=1.0))
 
 
 class TestLattice:
