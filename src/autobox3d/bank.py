@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .costfn import CostBreakdown
-from .errors import as_bool, as_floats, as_str, from_mapping, reading
+from .errors import as_bool, as_floats, as_str, read_record, reading
 from .filters import AlignmentVerdict
 from .geom import BoxParams
 
@@ -75,11 +75,11 @@ def write_bank(targets: list[NovelObjectTarget], path: str | Path) -> None:
 def _parse_target(obj: dict) -> NovelObjectTarget:
     embedding = obj.get("embedding")
     target = NovelObjectTarget(
-        box=from_mapping(BoxParams, obj["box"], "box"),
+        box=read_record(BoxParams, obj["box"], "box"),
         class_id=as_str(obj["class"], "class"),
-        cost=from_mapping(CostBreakdown, obj["cost"], "cost"),
+        cost=read_record(CostBreakdown, obj["cost"], "cost"),
         fit_for_alignment=as_bool(obj["fit_for_alignment"], "fit_for_alignment"),
-        provenance=from_mapping(Provenance, obj["provenance"], "provenance"),
+        provenance=read_record(Provenance, obj["provenance"], "provenance"),
         embedding=None if embedding is None else as_floats(embedding, "embedding", (None,)),
     )
     frame = as_str(obj["frame"], "frame")

@@ -16,7 +16,7 @@ from pathlib import Path
 from .assoc import CrossModalProposal, load_proposals, ray_pair
 from .config import PipelineConfig
 from .costfn import BoxCostBatch
-from .errors import ValidationError, as_index, as_str, from_mapping, reading
+from .errors import ValidationError, as_index, as_str, read_record, reading
 from .geom import BoxParams, iou_bev
 from .optimizer import SwarmStart, greedy_search, pso_search
 from .pipeline import check_classes, derive_pair_seed, discover_frames, fit_pair
@@ -59,10 +59,10 @@ def load_bench_instances(config: PipelineConfig) -> list[BenchInstance]:
                 f"{len(clusters)} labeled clusters"
             )
         for k, entry in enumerate(entries):
-            with reading(f"frame {frame_id}: ground-truth instance {k}"):
+            with reading(f"{gt_path}: ground-truth instance {k}"):
                 if not isinstance(entry, dict):
                     raise ValueError("entry is not an object")
-                gt_box = from_mapping(BoxParams, entry["box"], "box")
+                gt_box = read_record(BoxParams, entry["box"], "box")
                 prop_index = as_index(entry["proposal_index"], len(proposals), "proposal_index")
                 class_id = as_str(entry["class"], "class")
                 if class_id != proposals[prop_index].class_id:

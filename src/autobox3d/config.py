@@ -7,11 +7,11 @@ own checks: ``weights`` is ``CostWeights``, ``swarm`` ``SwarmConfig``,
 ``association`` ``AssocConfig``, ``ground`` ``GroundConfig``,
 ``clustering`` ``ClusterConfig``, ``thresholds`` ``FilterThresholds`` and
 ``bench`` ``BenchConfig``. ``PipelineConfig`` holds them next to the
-top-level keys, so its fields are the one list of keys: ``load_config``,
-``config_to_dict`` and the run fingerprint all walk them. ``load_config``
-is strict: unknown keys fail, so typos cannot silently fall back to
-defaults, and each value goes through the field rule of ``errors`` for its
-declared type.
+top-level keys, so its fields are the one list of keys. ``load_config``
+maps ``paths`` to ``scenes_dir`` and ``output_dir`` and reads the rest with
+``errors.read_record``, strictly: unknown keys fail, so typos cannot fall
+back to defaults. ``config_to_dict`` and the fingerprint walk the same
+fields, each value through the field rule of its declared type.
 """
 
 from __future__ import annotations
@@ -19,15 +19,16 @@ from __future__ import annotations
 import hashlib
 import json
 import re
-from dataclasses import dataclass, field, fields, is_dataclass, replace
+from dataclasses import dataclass, field, fields, is_dataclass
 from pathlib import Path
-from typing import get_args, get_origin, get_type_hints
+from typing import get_args
 
+import numpy as np
 import yaml
 
 from .assoc import AssocConfig
 from .costfn import AnchorRange, CostWeights
-from .errors import ValidationError, as_field, as_float, as_int, as_str, reading
+from .errors import ValidationError, as_dict, as_int, field_types, read_record, reading
 from .filters import FilterThresholds
 from .optimizer import SwarmConfig
 from .sceneprep import ClusterConfig, GroundConfig
@@ -51,7 +52,7 @@ DEFAULT_ANCHOR_DIMS: dict[str, tuple[tuple[float, float, float], tuple[float, fl
 
 def default_anchors() -> dict[str, AnchorRange]:
     return {
-        cls: AnchorRange(cls, list(lo), list(hi))
+        cls: AnchorRange(list(lo), list(hi))
         for cls, (lo, hi) in DEFAULT_ANCHOR_DIMS.items()
     }
 
@@ -117,17 +118,6 @@ class PipelineConfig:
 _PATHS = {"scenes": "scenes_dir", "output": "output_dir"}
 
 
-def _mapping(value, key: str, allowed: set[str] | None = None) -> dict:
-    if not isinstance(value, dict):
-        raise ValidationError(f"config key {key!r} must be a mapping")
-    if allowed is not None and set(value) - allowed:
-        raise ValidationError(
-            f"unknown config key(s) under {key!r}: {sorted(set(value) - allowed)}; "
-            f"allowed: {sorted(allowed)}"
-        )
-    return value
-
-
 class _Loader(yaml.SafeLoader):
     """PyYAML's safe loader that also reads YAML 1.2 floats such as ``1e3``
     and ``4.5e1``, which YAML 1.1 leaves as strings. The float pattern also
@@ -152,80 +142,40 @@ def read_yaml(path: str | Path, what: str):
         raise ValidationError(f"{path}: not valid YAML: {exc}") from exc
 
 
-def _anchor(cls: str, spec, key: str) -> AnchorRange:
-    spec = _mapping(spec, key, {"min", "max"})
-    if len(spec) != 2:
-        raise ValidationError(f"{key} needs both min and max")
-    for end, dims in spec.items():
-        if not isinstance(dims, (list, tuple)) or len(dims) != 3:
-            raise ValidationError(f"config key '{key}.{end}' must be a list of 3 numbers")
-    return AnchorRange(
-        cls, *([as_float(v, f"config key {key!r}") for v in spec[end]] for end in ("min", "max"))
-    )
-
-
-def _read(hint, default, value, key: str):
-    """The YAML ``value`` of config key ``key`` as a field of type ``hint``
-    whose default is ``default``."""
-    what = f"config key {key!r}"
-    if is_dataclass(hint):
-        return _section(default, value, key)
-    if get_origin(hint) is tuple:
-        if not isinstance(value, list):
-            raise ValidationError(f"{what} must be a list, got {value!r}")
-        return tuple(as_field(get_args(hint)[0].__name__, v, what) for v in value)
-    if get_origin(hint) is dict:
-        # A class table: the file's entries merge over the defaults.
-        entry, table = get_args(hint)[1], dict(default)
-        for cls, spec in _mapping(value, key).items():
-            name = as_str(cls, f"a class name under {what}")
-            sub = f"{key}.{name}"
-            if entry is AnchorRange:
-                table[name] = _anchor(name, spec, sub)
-            else:
-                table[name] = _read(entry, None, spec, sub)
-        return table
-    return as_field(hint.__name__, value, what)
-
-
-def _section(default, value, key: str):
-    """``default`` with the fields that the mapping ``value`` sets, read by their types."""
-    hints = get_type_hints(type(default))
-    return replace(default, **{
-        name: _read(hints[name], getattr(default, name), v, f"{key}.{name}" if key else name)
-        for name, v in _mapping(value, key or "<root>", {f.name for f in fields(default)}).items()
-    })
-
-
 def load_config(path: str | Path) -> PipelineConfig:
     """Read a YAML pipeline config, strictly validated, defaults filled in."""
     raw = read_yaml(path, "config")
-    keys = {f.name for f in fields(PipelineConfig)} - set(_PATHS.values()) | {"paths"}
     with reading(path):
-        raw = _mapping({} if raw is None else raw, "<root>", keys)
-        dirs = _mapping(raw.get("paths", {}), "paths", set(_PATHS))
-        base = PipelineConfig(**{
-            _PATHS[k]: as_str(v, f"config key 'paths.{k}'") for k, v in dirs.items()
-        })
-        return _section(base, {k: v for k, v in raw.items() if k != "paths"}, "")
+        doc = as_dict({} if raw is None else raw, "the config")
+        dirs = read_record(dict[str, str], doc.get("paths", {}), "paths")
+        # ``scenes_dir`` and ``output_dir`` are keys only under ``paths``.
+        unknown = {f"paths.{k}" for k in set(dirs) - set(_PATHS)} | set(_PATHS.values()) & set(doc)
+        if unknown:
+            raise ValidationError(f"unknown key(s) {sorted(unknown)}")
+        base = PipelineConfig(**{_PATHS[k]: v for k, v in dirs.items()})
+        return read_record(PipelineConfig, {k: v for k, v in doc.items() if k != "paths"}, base=base)
 
 
-def _dump(value):
-    """Plain data for a config value; sections and class tables become mappings."""
-    if isinstance(value, AnchorRange):
-        return {"min": value.dims_min.tolist(), "max": value.dims_max.tolist()}
+def _dump(value, hint):
+    """Plain data for a config value of declared type ``hint``: sections and
+    class tables become mappings, and each scalar goes through the field rule
+    ``load_config`` reads it with, so a config built in code with ``3000``
+    for a float dumps ``3000.0``, as its YAML loads."""
     if is_dataclass(value):
-        return {f.name: _dump(getattr(value, f.name)) for f in fields(value)}
+        hints = field_types(type(value))
+        return {f.name: _dump(getattr(value, f.name), hints[f.name]) for f in fields(value)}
     if isinstance(value, dict):
-        return {k: _dump(v) for k, v in sorted(value.items())}
+        return {k: _dump(v, get_args(hint)[1]) for k, v in sorted(value.items())}
     if isinstance(value, tuple):
-        return list(value)
-    return str(value) if isinstance(value, Path) else value
+        return [_dump(v, get_args(hint)[0]) for v in value]
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    return str(value) if isinstance(value, Path) else read_record(hint, value, "a config value")
 
 
 def config_to_dict(cfg: PipelineConfig) -> dict:
     """Plain-data view of a config, keyed like its YAML, JSON-serializable."""
-    out = _dump(cfg)
+    out = _dump(cfg, PipelineConfig)
     return {"paths": {k: out.pop(attr) for k, attr in _PATHS.items()}, **out}
 
 

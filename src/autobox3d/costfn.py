@@ -83,22 +83,20 @@ class CostWeights:
 class AnchorRange:
     """Per-class bounds on box dimensions (l, w, h), both ends inclusive."""
 
-    class_id: str
-    dims_min: np.ndarray
-    dims_max: np.ndarray
+    min: np.ndarray
+    max: np.ndarray
 
     def __post_init__(self) -> None:
-        self.dims_min = np.asarray(self.dims_min, dtype=float)
-        self.dims_max = np.asarray(self.dims_max, dtype=float)
-        if self.dims_min.shape != (3,) or self.dims_max.shape != (3,):
-            raise ValueError("anchor dims must have shape (3,)")
-        if not (np.all(np.isfinite(self.dims_min)) and np.all(np.isfinite(self.dims_max))):
-            raise ValueError("anchor dims must be finite")
-        if np.any(self.dims_min <= 0):
-            raise ValueError(f"anchor minimum dims must be positive, got {self.dims_min}")
-        if np.any(self.dims_min > self.dims_max):
+        for end in ("min", "max"):
+            dims = np.asarray(getattr(self, end), dtype=float)
+            if dims.shape != (3,) or not np.all(np.isfinite(dims)):
+                raise ValueError(f"{end} must be 3 finite numbers, got {dims.tolist()}")
+            setattr(self, end, dims)
+        if np.any(self.min <= 0):
+            raise ValueError(f"anchor minimum dims must be positive, got {self.min}")
+        if np.any(self.min > self.max):
             raise ValueError(
-                f"anchor minimum must not exceed maximum, got {self.dims_min} > {self.dims_max}"
+                f"anchor minimum must not exceed maximum, got {self.min} > {self.max}"
             )
 
 
@@ -130,7 +128,7 @@ def adaptive_surface_clip(ego: EgoPose, cluster_centroid: np.ndarray, anchor: An
     """
     c = np.asarray(cluster_centroid, dtype=float)
     d = math.hypot(c[0] - ego.x, c[1] - ego.y)
-    margin = max(0.5, 0.1 * math.hypot(float(anchor.dims_max[0]), float(anchor.dims_max[1])))
+    margin = max(0.5, 0.1 * math.hypot(float(anchor.max[0]), float(anchor.max[1])))
     return d + margin
 
 
@@ -149,10 +147,10 @@ class BatchEval:
         return CostBreakdown(*(float(term[i]) for term in terms))
 
 
-def _tiles(start: int, stop: int, tile: int) -> list[tuple[int, int]]:
-    """Row ranges of [start, stop), each of one to two ``tile``s of rows; none if it is empty."""
-    rows = -(-(stop - start) // max(1, (stop - start) // tile)) or 1
-    return [(s, min(s + rows, stop)) for s in range(start, stop, rows)]
+def _tiles(stop: int, tile: int) -> list[tuple[int, int]]:
+    """Row ranges of [0, stop), each of one to two ``tile``s of rows; none if it is empty."""
+    rows = -(-stop // max(1, stop // tile)) or 1
+    return [(s, min(s + rows, stop)) for s in range(0, stop, rows)]
 
 
 # Rows of a BoxCostBatch parameter column: proposal, ego x y, weights and
@@ -286,7 +284,7 @@ class BoxCostBatch:
         near = self._may_enclose(th, cos, sin, cols[_BOUNDS])
         for part, s, e in blocks:
             rows = s + np.flatnonzero(near[s:e])
-            for a, b in _tiles(0, len(rows), part._tile):
+            for a, b in _tiles(len(rows), part._tile):
                 r = rows[a:b]
                 density[r], lshape[r] = part._point_terms(th[r], cos[r], sin[r], sx[r], sy[r])
 

@@ -1,12 +1,14 @@
-"""Exception types, and the one field rule of every JSON and YAML reader:
-nothing is converted on the way in, so ``true`` is not 1, ``"1.5"`` is not
-1.5 and null is not ``"None"``.
+"""Exception types, the one field rule of every JSON and YAML reader, and
+its one record walker, ``read_record``. Nothing is converted on the way in,
+so ``true`` is not 1, ``"1.5"`` is not 1.5 and null is not ``"None"``.
 """
 
 import sys
 from contextlib import contextmanager
-from dataclasses import MISSING, fields
+from dataclasses import MISSING, fields, is_dataclass, replace
+from functools import cache
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -90,26 +92,60 @@ def as_floats(value, what: str, shape: tuple) -> np.ndarray:
     return np.array([as_float(v, what) for v in arr.flat]).reshape(arr.shape)
 
 
-_RULES = {"float": as_float, "int": as_int, "str": as_str, "bool": as_bool}
+_RULES = {float: as_float, int: as_int, str: as_str, bool: as_bool}
+# The declared type of each field of a dataclass, resolved once per class.
+field_types = cache(get_type_hints)
 
 
-def as_field(kind: str, value, what: str):
-    """``value`` read by the field rule for the type named ``kind``; a value
-    of any other type is taken as given."""
-    return _RULES[kind](value, what) if kind in _RULES else value
+def read_record(hint, value, key: str = "", base=None):
+    """``value``, as parsed from JSON or YAML, read as type ``hint``, with its
+    full dotted ``key`` (``swarm.n_iter``, ``classes[1].count``) in messages.
+
+    A dataclass reads a mapping by its fields' declared types: unknown keys
+    fail, a field without a default that the mapping leaves out raises
+    ``KeyError`` (``reading`` reports a missing key), and over a ``base``
+    instance the mapping sets only the fields it names. ``list``/``tuple``
+    read a list, ``dict`` a table merged over ``base``, ``np.ndarray`` a list
+    of numbers, scalars go through their field rules, and other types pass.
+    """
+    what, dot = key or "the document", f"{key}." if key else ""
+    if is_dataclass(hint):
+        names = {f.name for f in fields(hint)}
+        entry = as_dict(value, what)
+        if set(entry) - names:
+            unknown = sorted(f"{dot}{k}" for k in set(entry) - names)
+            raise ValidationError(f"unknown key(s) {unknown}; allowed: {sorted(names)}")
+        if base is None:
+            for f in fields(hint):
+                if f.name not in entry and f.default is MISSING and f.default_factory is MISSING:
+                    raise KeyError(dot + f.name)
+        kwargs = {
+            name: read_record(field_types(hint)[name], v, dot + name,
+                              None if base is None else getattr(base, name))
+            for name, v in entry.items()
+        }
+        try:
+            return hint(**kwargs) if base is None else replace(base, **kwargs)
+        except ValueError as exc:  # the dataclass's own checks, named at their key
+            raise ValidationError(f"{key}: {exc}" if key else str(exc)) from exc
+    origin, args = get_origin(hint), get_args(hint)
+    if origin in (list, tuple):
+        if not isinstance(value, list):
+            raise ValidationError(f"{what} must be a list, got {value!r}")
+        return origin(read_record(args[0], v, f"{key}[{i}]") for i, v in enumerate(value))
+    if origin is dict:
+        table = dict(base or {})
+        for name, v in as_dict(value, what).items():
+            name = as_str(name, f"a key of {what}")
+            table[name] = read_record(args[1], v, dot + name)
+        return table
+    if hint is np.ndarray:
+        return as_floats(value, what, (None,))
+    return _RULES[hint](value, what) if hint in _RULES else value
 
 
-def from_mapping(cls, entry, where: str):
-    """Dataclass ``cls`` from one mapping, each value read by the rule for its
-    field's type as ``"<where> <key>"``; a field of another type takes the
-    value as given. Unknown keys fail; a missing field without a default
-    raises ``KeyError``, which ``reading`` reports as a missing key."""
-    if not isinstance(entry, dict):
-        raise ValidationError(f"{where.rstrip(':')} must be a mapping")
-    types = {f.name: getattr(f.type, "__name__", f.type) for f in fields(cls)}
-    if set(entry) - set(types):
-        raise ValidationError(f"{where} unknown key(s) {sorted(set(entry) - set(types))}")
-    for f in fields(cls):
-        if f.name not in entry and f.default is MISSING and f.default_factory is MISSING:
-            raise KeyError(f.name)
-    return cls(**{key: as_field(types[key], v, f"{where} {key}") for key, v in entry.items()})
+def as_dict(value, what: str) -> dict:
+    """``value`` if it is a mapping (a JSON object)."""
+    if not isinstance(value, dict):
+        raise ValidationError(f"{what} must be a mapping, got {value!r}")
+    return value

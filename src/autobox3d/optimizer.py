@@ -88,7 +88,7 @@ def inertia_at(iteration: int, cfg: SwarmConfig) -> float:
     """
     if not 0 <= iteration < cfg.n_iter:
         raise ValueError(f"iteration {iteration} outside [0, {cfg.n_iter})")
-    if iteration == 0 or cfg.n_iter == 1:
+    if iteration == 0:
         return cfg.w_init
     if iteration == cfg.n_iter - 1:
         return cfg.w_end
@@ -106,9 +106,9 @@ def search_bounds(points: np.ndarray, anchor: AnchorRange) -> tuple[np.ndarray, 
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 3 or len(pts) == 0:
         raise ValueError("points must be a non-empty (N, 3) array")
-    dilate = 0.5 * float(np.linalg.norm(anchor.dims_max))
-    lb = np.concatenate([pts.min(axis=0) - dilate, anchor.dims_min, [0.0]])
-    ub = np.concatenate([pts.max(axis=0) + dilate, anchor.dims_max, [math.pi]])
+    dilate = 0.5 * float(np.linalg.norm(anchor.max))
+    lb = np.concatenate([pts.min(axis=0) - dilate, anchor.min, [0.0]])
+    ub = np.concatenate([pts.max(axis=0) + dilate, anchor.max, [math.pi]])
     return lb, ub
 
 
@@ -145,9 +145,9 @@ def init_particles(
     sites = np.empty((s, 3))
     sites[:n_near] = near_ray
     sites[n_near:] = centroid
-    noise_scale = cfg.c_noise * 0.5 * (anchor.dims_min + anchor.dims_max)
+    noise_scale = cfg.c_noise * 0.5 * (anchor.min + anchor.max)
     positions = sites + rng.standard_normal((s, 3)) * noise_scale
-    dims = rng.uniform(anchor.dims_min, anchor.dims_max, size=(s, 3))
+    dims = rng.uniform(anchor.min, anchor.max, size=(s, 3))
     ry = rng.uniform(0.0, math.pi, size=(s, 1))
     return np.hstack([positions, dims, ry])
 

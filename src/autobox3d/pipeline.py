@@ -29,6 +29,7 @@ from .sceneprep import (
     Scene,
     cluster_objects,
     clusters_from_labels,
+    load_calib,
     load_ground_mask,
     load_point_labels,
     load_scene,
@@ -217,7 +218,7 @@ def run_annotate(config: PipelineConfig) -> dict:
     Writes ``bank.jsonl`` and ``report.json`` into the output dir and
     returns the report. The bank is byte-identical across runs with the
     same config and inputs. The output dir is made, and every frame's proposal
-    classes and embedding dimensions are checked, before any fit.
+    classes, cameras and embedding dimensions are checked, before any fit.
     """
     t0 = time.perf_counter()
     make_output_dir(config.output_dir)
@@ -225,8 +226,11 @@ def run_annotate(config: PipelineConfig) -> dict:
     loaded = [frame_proposals(config, fid) for fid in frame_ids]
     frames_missing_proposals = [fid for fid, props in zip(frame_ids, loaded) if props is None]
     proposals = [props or [] for props in loaded]
-    for props in proposals:
+    for fid, props in zip(frame_ids, proposals):
         check_classes(props, config)
+        cameras = Scene(fid, np.zeros((0, 3)), *load_calib(config.scenes_dir, fid))
+        for prop in props:
+            cameras.camera(prop.camera_id)  # fails on a camera the calib lacks
     embed_dims = {len(p.embedding) for props in proposals for p in props if p.embedding is not None}
     if len(embed_dims) > 1:
         raise ValidationError(

@@ -196,6 +196,12 @@ def load_scene(scenes_dir: str | Path, frame_id: str) -> Scene:
         else:
             raise ValidationError(f"frame {frame_id}: no cloud file under {scenes_dir}")
     cloud = load_cloud(cloud_path)
+    ego, cameras = load_calib(scenes_dir, frame_id)
+    return Scene(frame_id=frame_id, cloud=cloud, ego=ego, cameras=cameras)
+
+
+def load_calib(scenes_dir: Path, frame_id: str) -> tuple[EgoPose, list[CameraCalib]]:
+    """The ego pose and cameras of ``<frame_id>.calib.json``."""
     calib_path = scenes_dir / f"{frame_id}.calib.json"
     try:
         calib_raw = json.loads(calib_path.read_text())
@@ -215,7 +221,7 @@ def load_scene(scenes_dir: str | Path, frame_id: str) -> Scene:
                 image_height=as_int(cam["image_height"], "image_height"),
                 camera_id=as_str(cam["camera_id"], "camera_id"),
             )
-    return Scene(frame_id=frame_id, cloud=cloud, ego=ego, cameras=cameras)
+    return ego, cameras
 
 
 def _fit_plane(points: np.ndarray) -> np.ndarray | None:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .config import default_anchors, read_yaml
 from .costfn import AnchorRange
-from .errors import ValidationError, from_mapping
+from .errors import ValidationError, read_record, reading
 from .geom import Box2D, BoxParams, CameraCalib, EgoPose, project_box_to_2d, rotation_z
 from .sceneprep import save_cloud
 
@@ -94,15 +94,8 @@ class SynthSpec:
 def load_synth_spec(path: str | Path) -> SynthSpec:
     """Read a YAML scene recipe; unknown keys and values of the wrong type fail."""
     raw = read_yaml(path, "spec")
-    kwargs = {} if raw is None else raw
-    if isinstance(kwargs, dict) and "classes" in kwargs:
-        if not isinstance(kwargs["classes"], list):
-            raise ValidationError(f"{path}: classes must be a list")
-        kwargs = {**kwargs, "classes": [
-            from_mapping(SynthClassSpec, entry, f"{path}: classes[{i}]:")
-            for i, entry in enumerate(kwargs["classes"])
-        ]}
-    return from_mapping(SynthSpec, kwargs, f"{path}:")
+    with reading(path):
+        return read_record(SynthSpec, {} if raw is None else raw)
 
 
 def make_camera(
@@ -242,7 +235,7 @@ def _place_instances(
         anchor = anchors[cls.name]
         for j in range(cls.count):
             for _ in range(200):
-                dims = rng.uniform(anchor.dims_min, anchor.dims_max)
+                dims = rng.uniform(anchor.min, anchor.max)
                 cam_k = int(rng.integers(0, spec.n_cameras))
                 cam_yaw = 2.0 * math.pi * cam_k / spec.n_cameras
                 azimuth = cam_yaw + rng.uniform(-0.75, 0.75) * half_hfov

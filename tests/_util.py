@@ -20,8 +20,8 @@ from autobox3d.optimizer import EvalFn, SearchResult, SwarmConfig, SwarmStart, p
 from autobox3d.sceneprep import Cluster, Scene
 from autobox3d.synth import make_camera, sample_box_surface
 
-CAR_ANCHOR = AnchorRange("car", (3.9, 1.6, 1.4), (5.3, 2.1, 1.9))
-PEDESTRIAN_ANCHOR = AnchorRange("pedestrian", (0.3, 0.3, 1.4), (1.0, 1.0, 2.0))
+CAR_ANCHOR = AnchorRange((3.9, 1.6, 1.4), (5.3, 2.1, 1.9))
+PEDESTRIAN_ANCHOR = AnchorRange((0.3, 0.3, 1.4), (1.0, 1.0, 2.0))
 
 GROUND_Z = -1.8
 

@@ -141,7 +141,7 @@ class TestReadErrors:
     def test_reports_line_number(self, tmp_path):
         path = tmp_path / "bank.jsonl"
         path.write_text(self.GOOD + "\n{broken\n")
-        with pytest.raises(ValidationError, match="line 2"):
+        with pytest.raises(ValidationError, match=r"bank\.jsonl: line 2: "):
             read_bank(path)
 
     def test_missing_key(self, tmp_path):
@@ -149,13 +149,13 @@ class TestReadErrors:
         del obj["cost"]
         path = tmp_path / "bank.jsonl"
         path.write_text(json.dumps(obj) + "\n")
-        with pytest.raises(ValidationError, match="line 1.*cost"):
+        with pytest.raises(ValidationError, match=r"bank\.jsonl: line 1: missing key 'cost'"):
             read_bank(path)
 
     def test_non_object_line(self, tmp_path):
         path = tmp_path / "bank.jsonl"
         path.write_text("[1,2,3]\n")
-        with pytest.raises(ValidationError, match="not a JSON object"):
+        with pytest.raises(ValidationError, match=r"bank\.jsonl: line 1: line is not a JSON object"):
             read_bank(path)
 
     def test_frame_must_match_provenance(self, tmp_path):
@@ -163,7 +163,8 @@ class TestReadErrors:
         obj["frame"] = "1"
         path = tmp_path / "bank.jsonl"
         path.write_text(self.GOOD + "\n" + json.dumps(obj) + "\n")
-        with pytest.raises(ValidationError, match="line 2: frame '1' differs from provenance"):
+        with pytest.raises(ValidationError,
+                           match=r"bank\.jsonl: line 2: frame '1' differs from provenance"):
             read_bank(path)
 
     def test_blank_lines_skipped(self, tmp_path):

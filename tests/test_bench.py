@@ -97,33 +97,34 @@ class TestLoadInstances:
         # -1 used to pair the instance with the last proposal.
         config = _edited_gt_config(bench_config, tmp_path,
                                    lambda gt: gt["instances"][0].update(proposal_index=index))
-        with pytest.raises(ValidationError, match="frame 0000: ground-truth instance 0: "
+        with pytest.raises(ValidationError, match=r"0000\.gt\.json: ground-truth instance 0: "
                                                   "proposal_index must be an integer"):
             load_bench_instances(config)
 
     def test_bad_box_value(self, bench_config, tmp_path):
         config = _edited_gt_config(bench_config, tmp_path,
                                    lambda gt: gt["instances"][0]["box"].update(l="4.5"))
-        with pytest.raises(ValidationError, match="instance 0: box l must be a number"):
+        with pytest.raises(ValidationError, match=r"0000\.gt\.json: ground-truth instance 0: "
+                                                  r"box\.l must be a number"):
             load_bench_instances(config)
 
     def test_class_differs_from_proposal(self, bench_config, tmp_path):
         # Bench fits with the proposal's anchor, so a differing class used to pass.
         config = _edited_gt_config(bench_config, tmp_path,
                                    lambda gt: gt["instances"][0].update({"class": "truck"}))
-        with pytest.raises(ValidationError, match="frame 0000: ground-truth instance 0: "
+        with pytest.raises(ValidationError, match=r"0000\.gt\.json: ground-truth instance 0: "
                                                   "class 'truck' but proposal 0 has class 'car'"):
             load_bench_instances(config)
 
     def test_missing_box_key_exits_2(self, bench_config, tmp_path, capsys):
         config = _edited_gt_config(bench_config, tmp_path,
                                    lambda gt: gt["instances"][0]["box"].pop("ry"))
-        with pytest.raises(ValidationError, match="frame 0000: ground-truth instance 0: "
-                                                  "missing key 'ry'"):
+        with pytest.raises(ValidationError, match=r"0000\.gt\.json: ground-truth instance 0: "
+                                                  r"missing key 'box\.ry'"):
             load_bench_instances(config)
         save_config(config, tmp_path / "config.yaml")
         assert main(["bench", "--config", str(tmp_path / "config.yaml")]) == 2
-        assert "missing key 'ry'" in capsys.readouterr().err
+        assert "missing key 'box.ry'" in capsys.readouterr().err
 
     def test_unknown_class_fails_before_any_search(self, bench_config, tmp_path, monkeypatch,
                                                    capsys):

@@ -72,7 +72,7 @@ class TestSynth:
 
     @pytest.mark.parametrize("text, where", [
         ("n_frames: 1.5\n", "n_frames"),
-        ("classes:\n  - name: car\n    count: 1.5\n", "classes[0]: count"),
+        ("classes:\n  - name: car\n    count: 1.5\n", "classes[0].count"),
     ], ids=["n_frames", "count"])
     def test_fractional_integer_exits_2(self, tmp_path, capsys, text, where):
         spec = tmp_path / "spec.yaml"
@@ -105,7 +105,7 @@ class TestAnnotate:
 
     @pytest.mark.parametrize("text, key", [
         ("surface_clip: adaptive", "surface_clip"),
-        ("association: {criterion: closest_point}", "criterion"),
+        ("association: {criterion: closest_point}", "association.criterion"),
     ], ids=["surface_clip", "association.criterion"])
     def test_removed_key_exits_2_before_fitting(
         self, workdir, tmp_path, capsys, monkeypatch, text, key
@@ -119,7 +119,7 @@ class TestAnnotate:
         monkeypatch.setattr(pipeline, "pso_search", no_search)
         assert main(["annotate", "--config", str(cfg)]) == 2
         err = capsys.readouterr().err
-        assert "unknown config key(s)" in err and f"['{key}']" in err
+        assert f"unknown key(s) ['{key}']" in err
 
     def test_empty_cloud_exits_2(self, workdir, tmp_path, capsys):
         scenes = tmp_path / "scenes"
@@ -164,6 +164,29 @@ class TestAnnotate:
         monkeypatch.setattr(pipeline, "pso_search", no_search)
         assert main(["annotate", "--config", str(cfg)]) == 2
         assert f"cannot create output directory {out}" in capsys.readouterr().err
+
+
+    def test_unknown_camera_exits_2_before_fitting(self, workdir, tmp_path, capsys, monkeypatch):
+        # A proposal naming a camera its frame's calib lacks used to stop the
+        # run only at that frame, after every earlier frame was fitted.
+        scenes = tmp_path / "scenes"
+        scenes.mkdir()
+        for path in (workdir / "scenes").glob("0000.*"):
+            for frame in ("0000", "0001"):
+                shutil.copy(path, scenes / path.name.replace("0000", frame))
+        props_path = scenes / "0001.proposals.json"
+        props = json.loads(props_path.read_text())
+        props[0]["camera_id"] = "camX"
+        props_path.write_text(json.dumps(props))
+        cfg = tmp_path / "c.yaml"
+        cfg.write_text(f"paths:\n  scenes: {scenes}\n  output: {tmp_path / 'out'}\n")
+
+        def no_search(*args, **kwargs):
+            raise AssertionError("annotate searched before it checked every camera")
+
+        monkeypatch.setattr(pipeline, "pso_search", no_search)
+        assert main(["annotate", "--config", str(cfg)]) == 2
+        assert "frame 0001: unknown camera 'camX'" in capsys.readouterr().err
 
 
 class TestFitBox:

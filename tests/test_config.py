@@ -19,6 +19,7 @@ from autobox3d.config import (
 )
 from autobox3d.costfn import AnchorRange
 from autobox3d.errors import ValidationError
+from autobox3d.filters import FilterThresholds
 from autobox3d.sceneprep import ClusterConfig, GroundConfig
 
 from _util import save_config
@@ -155,8 +156,8 @@ class TestDefaults:
         cfg = PipelineConfig()
         assert set(cfg.anchors) == set(DEFAULT_ANCHOR_DIMS)
         car = cfg.anchors["car"]
-        assert tuple(car.dims_min) == (3.9, 1.6, 1.4)
-        assert tuple(car.dims_max) == (5.3, 2.1, 1.9)
+        assert tuple(car.min) == (3.9, 1.6, 1.4)
+        assert tuple(car.max) == (5.3, 2.1, 1.9)
 
     def test_validation(self):
         with pytest.raises(ValidationError):
@@ -165,7 +166,7 @@ class TestDefaults:
             PipelineConfig(workers=0)
         with pytest.raises(ValidationError):
             PipelineConfig(nms_iou=1.0)
-        tractor = AnchorRange("tractor", (3.0, 2.0, 2.0), (5.0, 3.0, 3.0))
+        tractor = AnchorRange((3.0, 2.0, 2.0), (5.0, 3.0, 3.0))
         with pytest.raises(ValidationError, match=r"thresholds.tau_occ lacks \['tractor'\]"):
             PipelineConfig(anchors={**default_anchors(), "tractor": tractor})
         # The one check of the association, ground, clustering and bench
@@ -260,8 +261,8 @@ anchors:
     min: [4.0, 1.7, 1.5]
     max: [5.0, 2.0, 1.8]
 """))
-        assert tuple(cfg.anchors["car"].dims_min) == (4.0, 1.7, 1.5)
-        assert tuple(cfg.anchors["pedestrian"].dims_max) == (1.0, 0.9, 2.0)
+        assert tuple(cfg.anchors["car"].min) == (4.0, 1.7, 1.5)
+        assert tuple(cfg.anchors["pedestrian"].max) == (1.0, 0.9, 2.0)
 
     def test_anchor_class_without_tau_occ_fails(self, tmp_path):
         with pytest.raises(ValidationError, match=r"thresholds.tau_occ lacks \['tractor'\]"):
@@ -293,7 +294,7 @@ thresholds:
     tractor: 0.4
 """))
         assert cfg.thresholds.tau_occ["tractor"] == 0.4
-        assert tuple(cfg.anchors["tractor"].dims_max) == (5.0, 3.0, 3.0)
+        assert tuple(cfg.anchors["tractor"].max) == (5.0, 3.0, 3.0)
 
     def test_ground_and_clustering(self, tmp_path):
         cfg = load_config(write_config(tmp_path, """
@@ -325,11 +326,13 @@ bench:
             load_config(write_config(tmp_path, "weights:\n  c_surface: 5.0\n"))
 
     def test_anchor_needs_min_and_max(self, tmp_path):
-        with pytest.raises(ValidationError, match="min and max"):
-            load_config(write_config(tmp_path, "anchors:\n  car:\n    min: [4, 1.7, 1.5]\n"))
+        path = write_config(tmp_path, "anchors:\n  car:\n    min: [4, 1.7, 1.5]\n")
+        with pytest.raises(ValidationError, match=f"^{re.escape(str(path))}: "
+                                                  r"missing key 'anchors\.car\.max'$"):
+            load_config(path)
 
     def test_anchor_triplet_shape(self, tmp_path):
-        with pytest.raises(ValidationError, match="3 numbers"):
+        with pytest.raises(ValidationError, match=r"anchors\.car: min must be 3 finite numbers"):
             load_config(write_config(
                 tmp_path, "anchors:\n  car:\n    min: [4, 1.7]\n    max: [5, 2, 1.8]\n"
             ))
@@ -351,7 +354,9 @@ bench:
     def test_integer_keys_are_strict(self, tmp_path, key, bad):
         value = [bad] if key == "bench.budgets" else bad
         path = write_config(tmp_path, yaml.safe_dump(nested(key, value)))
-        with pytest.raises(ValidationError, match=re.escape(repr(key)) + " must be an integer"):
+        named = f"{key}[0]" if key == "bench.budgets" else key
+        with pytest.raises(ValidationError,
+                           match=f"^{re.escape(f'{path}: {named}')} must be an integer"):
             load_config(path)
 
     def test_integral_float_loads_as_int(self, tmp_path):
@@ -362,14 +367,14 @@ bench:
     @pytest.mark.parametrize("key", FLOAT_KEYS)
     def test_float_keys_reject_booleans(self, tmp_path, key):
         path = write_config(tmp_path, yaml.safe_dump(nested(key, True)))
-        with pytest.raises(ValidationError, match=re.escape(repr(key)) + " must be a number"):
+        with pytest.raises(ValidationError, match=f"^{re.escape(f'{path}: {key}')} must be a number"):
             load_config(path)
 
     def test_quoted_number_rejected(self, tmp_path):
         # A quoted value is a string, whatever it spells.
-        with pytest.raises(ValidationError, match="'swarm.n_iter' must be an integer"):
+        with pytest.raises(ValidationError, match=r"cfg\.yaml: swarm\.n_iter must be an integer"):
             load_config(write_config(tmp_path, 'swarm: {n_iter: "10"}\n'))
-        with pytest.raises(ValidationError, match="'nms_iou' must be a number"):
+        with pytest.raises(ValidationError, match=r"cfg\.yaml: nms_iou must be a number"):
             load_config(write_config(tmp_path, "nms_iou: '1e-1'\n"))
 
     def test_bad_value_propagates_as_validation_error(self, tmp_path):
@@ -469,6 +474,12 @@ class TestFingerprint:
         assert config_fingerprint(cfg) == (
             "b656f456716ba6af649d106a50cd34018e3e06a487523d2aa49017225f26ddd8"
         )
+
+    def test_code_built_config_matches_its_yaml(self, tmp_path):
+        # An int given in code for a float key dumps as the float its YAML loads as.
+        cfg = load_config(write_config(tmp_path, "nms_iou: 0\nthresholds: {tau_res: 3000}\n"))
+        built = PipelineConfig(nms_iou=0, thresholds=FilterThresholds(tau_res=3000))
+        assert config_fingerprint(built) == config_fingerprint(cfg)
 
     def test_stable_for_equal_configs(self):
         assert config_fingerprint(PipelineConfig()) == config_fingerprint(PipelineConfig())

@@ -60,7 +60,7 @@ class TestWeights:
 class TestAnchorRange:
     def test_rejects_inverted_range(self):
         with pytest.raises(ValueError):
-            AnchorRange("bad", (2.0, 1.0, 1.0), (1.0, 2.0, 2.0))
+            AnchorRange((2.0, 1.0, 1.0), (1.0, 2.0, 2.0))
 
 
 class TestDensity:
@@ -282,7 +282,7 @@ class TestAdaptiveClip:
         assert c == pytest.approx(5.570087712549569, abs=1e-9)
 
     def test_margin_floor(self):
-        tiny = AnchorRange("cone", (0.2, 0.2, 0.5), (0.4, 0.4, 1.2))
+        tiny = AnchorRange((0.2, 0.2, 0.5), (0.4, 0.4, 1.2))
         c = adaptive_surface_clip(EgoPose(), np.array([3.0, 4.0, 0.0]), tiny)
         assert c == pytest.approx(5.5, abs=1e-12)
 
@@ -432,7 +432,7 @@ class TestBatchAgainstScalar:
         batch = BoxCostBatch(pair.points, pair.scene.ego, pair.proposal.box,
                              pair.calib, CostWeights(), 9.0)
         n = 2 * batch._tile - 1
-        assert costfn._tiles(0, n, batch._tile) == [(0, n)]
+        assert costfn._tiles(n, batch._tile) == [(0, n)]
         assert (3 * n) * batch.n_points * 4 > 65536 * 4
         thetas = box.as_array() + rng.normal(0.0, 0.3, size=(n, 7))
         assert kept_rows(batch, thetas).all(), "the point pass must see the whole tile"
@@ -639,8 +639,7 @@ class TestSkip:
         assert kept_rows(batch, thetas).all()
 
     def test_empty_range_has_no_tiles(self):
-        assert costfn._tiles(0, 0, 10) == []
-        assert costfn._tiles(5, 5, 10) == []
+        assert costfn._tiles(0, 10) == []
 
 
 def test_full_surface_box_scores_near_perfect():

@@ -92,8 +92,8 @@ class TestBounds:
         dil = 0.5 * math.sqrt(5.3 ** 2 + 2.1 ** 2 + 1.9 ** 2)
         assert np.allclose(lb[:3], -dil, atol=1e-12)
         assert np.allclose(ub[:3], 1.0 + dil, atol=1e-12)
-        assert np.array_equal(lb[3:6], CAR_ANCHOR.dims_min)
-        assert np.array_equal(ub[3:6], CAR_ANCHOR.dims_max)
+        assert np.array_equal(lb[3:6], CAR_ANCHOR.min)
+        assert np.array_equal(ub[3:6], CAR_ANCHOR.max)
         assert (lb[6], ub[6]) == (0.0, math.pi)
 
     def test_clamp_thetas(self):
@@ -109,8 +109,8 @@ class TestBounds:
 
     # Rows (x, y, z, l, w, h, ry) against the car anchor's dims and yaw
     # bounds [0, pi]: dims clip to the anchor, yaw wraps onto [0, pi).
-    CAR_LB = np.array([-10.0, -10.0, -10.0, *CAR_ANCHOR.dims_min, 0.0])
-    CAR_UB = np.array([10.0, 10.0, 10.0, *CAR_ANCHOR.dims_max, math.pi])
+    CAR_LB = np.array([-10.0, -10.0, -10.0, *CAR_ANCHOR.min, 0.0])
+    CAR_UB = np.array([10.0, 10.0, 10.0, *CAR_ANCHOR.max, math.pi])
 
     @pytest.mark.parametrize("raw, expect", [
         pytest.param([0, 0, 0, 10.0, 0.5, 1.6, 0.2], [0, 0, 0, 5.3, 1.6, 1.6, 0.2], id="dims-clip"),
@@ -158,15 +158,15 @@ class TestInit:
         swarm = init_particles(pair.points, pair.ray, CAR_ANCHOR,
                                replace(TINY, n_swarm=200), rng_of())
         assert swarm.shape == (200, 7)
-        assert (swarm[:, 3:6] >= CAR_ANCHOR.dims_min).all()
-        assert (swarm[:, 3:6] <= CAR_ANCHOR.dims_max).all()
+        assert (swarm[:, 3:6] >= CAR_ANCHOR.min).all()
+        assert (swarm[:, 3:6] <= CAR_ANCHOR.max).all()
         assert (swarm[:, 6] >= 0.0).all() and (swarm[:, 6] < math.pi).all()
 
     def test_noise_scale(self):
         pair = build_pair(car_box(), seed=10)
         cfg = replace(TINY, n_swarm=4000, c_noise=0.1)
         swarm = init_particles(pair.points, pair.ray, CAR_ANCHOR, cfg, rng_of())
-        scale = 0.1 * 0.5 * (CAR_ANCHOR.dims_min + CAR_ANCHOR.dims_max)
+        scale = 0.1 * 0.5 * (CAR_ANCHOR.min + CAR_ANCHOR.max)
         got = swarm[:2000, :3].std(axis=0)
         assert np.allclose(got, scale, rtol=0.1)
 
@@ -204,8 +204,8 @@ class TestSwarmSearch:
         lb, ub = search_bounds(pair.points, CAR_ANCHOR)
         res = swarm_fit(kernel_eval(pair), pair, TINY, TINY_SEED)
         box = res.best_box
-        assert (box.dims >= CAR_ANCHOR.dims_min - 1e-12).all()
-        assert (box.dims <= CAR_ANCHOR.dims_max + 1e-12).all()
+        assert (box.dims >= CAR_ANCHOR.min - 1e-12).all()
+        assert (box.dims <= CAR_ANCHOR.max + 1e-12).all()
         assert 0.0 <= box.ry <= math.pi
         assert (lb[:3] - 1e-12 <= box.center).all()
         assert (box.center <= ub[:3] + 1e-12).all()
@@ -327,7 +327,7 @@ class TestGreedy:
         assert res.evaluations == 1
         expect = np.concatenate([
             0.5 * (lb[:3] + ub[:3]),
-            0.5 * (CAR_ANCHOR.dims_min + CAR_ANCHOR.dims_max),
+            0.5 * (CAR_ANCHOR.min + CAR_ANCHOR.max),
             [math.pi / 2.0],
         ])
         assert np.allclose(res.best_box.as_array(), expect, atol=1e-12)

@@ -306,8 +306,8 @@ class TestProcessFrame:
             assert t.provenance.frame == "0000"
             assert t.class_id == "car"
             anchor = config.anchors["car"]
-            assert np.all(t.box.dims >= np.asarray(anchor.dims_min) - 1e-9)
-            assert np.all(t.box.dims <= np.asarray(anchor.dims_max) + 1e-9)
+            assert np.all(t.box.dims >= np.asarray(anchor.min) - 1e-9)
+            assert np.all(t.box.dims <= np.asarray(anchor.max) + 1e-9)
             assert 0.0 <= t.box.ry < np.pi
             assert np.isfinite(t.cost.total)
             assert t.verdict is not None

@@ -13,6 +13,7 @@ import pytest
 from autobox3d.cli import main
 from autobox3d.config import load_config
 from autobox3d.sceneprep import save_cloud
+from autobox3d.synth import SynthClassSpec, SynthSpec, generate
 
 from _util import simple_calib
 
@@ -39,9 +40,9 @@ def _run(argv, capsys) -> str:
 
 @pytest.mark.parametrize("path, value, named", [
     (("fit_for_alignment",), "false", "fit_for_alignment must be true or false"),
-    (("provenance", "proposal"), 2.7, "provenance proposal must be an integer"),
-    (("box", "x"), "1.5", "box x must be a number"),
-    (("box", "x"), True, "box x must be a number"),
+    (("provenance", "proposal"), 2.7, "provenance.proposal must be an integer"),
+    (("box", "x"), "1.5", "box.x must be a number"),
+    (("box", "x"), True, "box.x must be a number"),
 ], ids=["fit-string", "proposal-fraction", "box-string", "box-bool"])
 def test_bank_fields(tmp_path, capsys, path, value, named):
     obj = json.loads(GOOD_LINE)
@@ -122,7 +123,7 @@ def test_config_fields(tmp_path, capsys, text, key):
     config = tmp_path / "config.yaml"
     config.write_text(text + f"paths: {{scenes: {tmp_path / 'none'}}}\n")
     err = _run(["annotate", "--config", str(config)], capsys)
-    assert f"{config}: config key {key!r} must be finite" in err
+    assert f"{config}: {key} must be finite" in err
 
 
 def test_config_reads_numeric_strings(tmp_path):
@@ -131,3 +132,47 @@ def test_config_reads_numeric_strings(tmp_path):
     config.write_text("seed: 1e3\nthresholds: {tau_res: 1e3}\n")
     cfg = load_config(config)
     assert (cfg.seed, cfg.thresholds.tau_res) == (1000, 1000.0)
+
+
+def _config_case(tmp_path):
+    config = tmp_path / "config.yaml"
+    config.write_text("anchors:\n  car: {min: [4, 1.7, 1.5], max: [5, 2, x]}\n")
+    return ["annotate", "--config", str(config)], f"{config}: anchors.car.max must be a number"
+
+
+def _synth_case(tmp_path):
+    spec = tmp_path / "spec.yaml"
+    spec.write_text("classes:\n  - {name: car}\n  - {name: bus, count: 1.5}\n")
+    argv = ["synth", "--spec", str(spec), "--out", str(tmp_path / "scenes")]
+    return argv, f"{spec}: classes[1].count must be an integer"
+
+
+def _bank_case(tmp_path):
+    obj = json.loads(GOOD_LINE)
+    obj["cost"]["total"] = None
+    bank = tmp_path / "bank.jsonl"
+    bank.write_text(GOOD_LINE + "\n" + json.dumps(obj) + "\n")
+    return ["report", "--bank", str(bank)], f"{bank}: line 2: cost.total must be a number"
+
+
+def _ground_truth_case(tmp_path):
+    scenes = tmp_path / "scenes"
+    car = SynthClassSpec(distance_min=8.0, distance_max=12.0)
+    generate(SynthSpec(classes=[car], ground_extent=15.0), scenes)
+    gt_path = scenes / "0000.gt.json"
+    gt = json.loads(gt_path.read_text())
+    gt["instances"][0]["box"]["l"] = True
+    gt_path.write_text(json.dumps(gt))
+    config = tmp_path / "config.yaml"
+    config.write_text(f"paths: {{scenes: {scenes}, output: {tmp_path / 'out'}}}\n")
+    argv = ["bench", "--config", str(config)]
+    return argv, f"{gt_path}: ground-truth instance 0: box.l must be a number"
+
+
+@pytest.mark.parametrize("case", [_config_case, _synth_case, _bank_case, _ground_truth_case],
+                         ids=["config", "synth-spec", "bank", "ground-truth"])
+def test_message_names_file_entry_and_dotted_key(tmp_path, capsys, case):
+    # One form at every reader that walks records: the file, then the entry
+    # (a bank line, a ground-truth instance), then the full dotted key.
+    argv, prefix = case(tmp_path)
+    assert _run(argv, capsys).startswith(f"error: {prefix}, got ")

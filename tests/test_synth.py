@@ -139,8 +139,8 @@ classes:
     @pytest.mark.parametrize("text, where", [
         ("n_frames: 1.5\n", "n_frames"),
         ("n_cameras: true\n", "n_cameras"),
-        ("classes:\n  - name: car\n    count: 1.5\n", r"classes\[0\]: count"),
-        ("classes:\n  - name: car\n    count: false\n", r"classes\[0\]: count"),
+        ("classes:\n  - name: car\n    count: 1.5\n", r"classes\[0\]\.count"),
+        ("classes:\n  - name: car\n    count: false\n", r"classes\[0\]\.count"),
     ], ids=["n_frames-fraction", "n_cameras-bool", "count-fraction", "count-bool"])
     def test_fractional_or_boolean_integer_rejected(self, tmp_path, text, where):
         path = tmp_path / "spec.yaml"
