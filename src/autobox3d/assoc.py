@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ValidationError, as_float, as_floats, as_int, as_str, reading
 from .geom import Box2D, CameraCalib
-from .sceneprep import Cluster, Scene
+from .sceneprep import Scene
 
 
 @dataclass(frozen=True)
@@ -92,17 +92,16 @@ class Proposal2D:
 
 @dataclass(eq=False)
 class CrossModalProposal:
-    """A matched (2D proposal, 3D cluster) pair ready for box fitting."""
+    """A matched (2D proposal, 3D cluster) pair ready for box fitting: the
+    cluster's cloud indices, its points, and its point ``nearest`` the
+    proposal's center ray, ``distance_to_ray`` from it."""
 
     proposal: Proposal2D
-    cluster: Cluster
+    cluster: np.ndarray
     scene: Scene
+    points: np.ndarray
+    nearest: np.ndarray
     distance_to_ray: float
-    ray: Ray
-
-    @property
-    def points(self) -> np.ndarray:
-        return self.scene.cloud[self.cluster.point_indices]
 
     @property
     def calib(self) -> CameraCalib:
@@ -154,23 +153,23 @@ def ray_depth(point: np.ndarray, ray: Ray) -> float:
 
 
 def ray_pair(
-    prop: Proposal2D, cluster: Cluster, scene: Scene, ray: Ray | None = None
+    prop: Proposal2D, cluster: np.ndarray, scene: Scene, ray: Ray | None = None
 ) -> tuple[CrossModalProposal, float]:
     """``prop`` paired with ``cluster`` through ``ray``, the proposal's center ray
-    by default, and the depth along it of the cluster point nearest the ray.
-    The pair's ``distance_to_ray`` is that point's distance to the ray."""
+    by default, and the depth along it of the cluster point nearest the ray."""
     if ray is None:
         ray = center_ray(prop.box, scene.camera(prop.camera_id))
-    pts = scene.cloud[cluster.point_indices]
+    pts = scene.cloud[cluster]
     dists = points_to_ray_distances(pts, ray)
     k = int(np.argmin(dists))
-    return CrossModalProposal(prop, cluster, scene, float(dists[k]), ray), ray_depth(pts[k], ray)
+    pair = CrossModalProposal(prop, cluster, scene, pts, pts[k], float(dists[k]))
+    return pair, ray_depth(pts[k], ray)
 
 
 def associate(
     scene: Scene,
     proposals: list[Proposal2D],
-    clusters: list[Cluster],
+    clusters: list[np.ndarray],
     config: AssocConfig,
 ) -> list[CrossModalProposal]:
     """Pair proposals with clusters by proximity to the frustum center ray.

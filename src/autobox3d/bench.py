@@ -18,9 +18,9 @@ from .config import PipelineConfig
 from .costfn import BoxCostBatch
 from .errors import ValidationError, as_index, as_str, read_record, reading
 from .geom import BoxParams, iou_bev
-from .optimizer import SwarmStart, greedy_search, pso_search
+from .optimizer import greedy_search, pso_search
 from .pipeline import check_classes, derive_pair_seed, discover_frames, fit_pair
-from .sceneprep import clusters_from_labels, load_point_labels, load_scene
+from .sceneprep import clusters_from_labels, load_calib, load_point_labels, load_scene
 
 
 @dataclass(eq=False)
@@ -45,9 +45,8 @@ def load_bench_instances(config: PipelineConfig) -> list[BenchInstance]:
         for sidecar in (gt_path, labels_path):
             if not sidecar.exists():
                 raise ValidationError(f"frame {frame_id}: benchmark needs {sidecar.name}")
-        scene = load_scene(config.scenes_dir, frame_id)
-        labels = load_point_labels(labels_path, len(scene.cloud))
-        clusters = clusters_from_labels(scene.cloud, labels)
+        scene = load_scene(config.scenes_dir, frame_id, *load_calib(config.scenes_dir, frame_id))
+        clusters = clusters_from_labels(load_point_labels(labels_path, len(scene.cloud)))
         proposals = load_proposals(config.scenes_dir / f"{frame_id}.proposals.json")
         with reading(gt_path):
             entries = json.loads(gt_path.read_text())["instances"]
@@ -99,24 +98,22 @@ def run_bench(
     check_classes([inst.pair.proposal for inst in instances], config)
     if not instances:
         return []
-    setups = [fit_pair(inst.pair, config) for inst in instances]
     rows: list[dict] = []
     for budget in budgets:
+        starts, batches = zip(*[
+            fit_pair(inst.pair, config, derive_pair_seed(config.seed, f"bench:{inst.key}", budget))
+            for inst in instances
+        ])
         for method in methods:
             t0 = time.perf_counter()
             if method == "greedy":
                 results = [
-                    greedy_search(batch.evaluate, inst.pair.points, anchor, budget)
-                    for inst, (anchor, batch) in zip(instances, setups)
+                    greedy_search(batch.evaluate, start.points, start.anchor, budget)
+                    for start, batch in zip(starts, batches)
                 ]
             else:
-                starts = [
-                    SwarmStart(inst.pair.points, inst.pair.ray, anchor,
-                               derive_pair_seed(config.seed, f"bench:{inst.key}", budget))
-                    for inst, (anchor, _) in zip(instances, setups)
-                ]
                 cfg = replace(config.swarm, n_iter=max(1, budget // config.swarm.n_swarm))
-                results = pso_search(BoxCostBatch.join([b for _, b in setups]).evaluate, starts, cfg)
+                results = pso_search(BoxCostBatch.join(batches).evaluate, list(starts), cfg)
             share = (time.perf_counter() - t0) / len(instances)
             rows += [
                 {"instance": inst.key, "method": method, "budget": budget,

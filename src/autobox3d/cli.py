@@ -25,6 +25,7 @@ from .pipeline import (
     check_classes,
     fit_proposal,
     format_bank_summary,
+    frame_calib,
     frame_proposals,
     format_report,
     run_annotate,
@@ -49,7 +50,8 @@ def _cmd_fit_box(args: argparse.Namespace) -> int:
             f"proposal index {args.proposal} out of range; frame has {len(proposals)}"
         )
     check_classes(proposals, config)
-    scene, pairs, _ = associate_frame(config, args.scene, proposals)
+    calib = frame_calib(config, args.scene, proposals)
+    scene, pairs, _ = associate_frame(config, args.scene, proposals, calib)
     fits = fit_proposal(scene, pairs, config, args.proposal)
     if not fits:
         print(
@@ -64,7 +66,7 @@ def _cmd_fit_box(args: argparse.Namespace) -> int:
         "class": best_pair.proposal.class_id,
         "candidates": [
             {
-                "cluster_points": int(len(pair.cluster)),
+                "cluster_points": len(pair.cluster),
                 "distance_to_ray": pair.distance_to_ray,
                 "total_cost": result.best_cost.total,
             }

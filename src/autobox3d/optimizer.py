@@ -16,7 +16,6 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .assoc import Ray, points_to_ray_distances
 from .costfn import AnchorRange, BatchEval, CostBreakdown
 from .geom import BoxParams
 
@@ -58,10 +57,11 @@ class SwarmConfig:
 
 
 class SwarmStart(NamedTuple):
-    """One swarm: cluster and ray (they place and bound it), anchor, seed."""
+    """One swarm: the cluster's points and its point nearest the proposal's
+    center ray (they place and bound it), anchor, seed."""
 
     points: np.ndarray
-    ray: Ray
+    nearest: np.ndarray
     anchor: AnchorRange
     seed: int
 
@@ -123,28 +123,26 @@ def clamp_thetas(thetas: np.ndarray, lb: np.ndarray, ub: np.ndarray) -> np.ndarr
 
 def init_particles(
     points: np.ndarray,
-    ray: Ray,
+    nearest: np.ndarray,
     anchor: AnchorRange,
     cfg: SwarmConfig,
     rng: np.random.Generator,
 ) -> np.ndarray:
     """Initial swarm positions, shape (n_swarm, 7).
 
-    Half the particles start at the cluster point closest to the frustum
-    center ray, the other half at the cluster centroid; both sites get
-    Gaussian position noise with per-axis spread ``c_noise`` times the mean
-    anchor size. Dimensions and yaw draw uniformly from their ranges.
+    Half the particles start at ``nearest``, the cluster point closest to the
+    frustum center ray, the other half at the cluster centroid; both sites
+    get Gaussian position noise with per-axis spread ``c_noise`` times the
+    mean anchor size. Dimensions and yaw draw uniformly from their ranges.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 3 or len(pts) == 0:
         raise ValueError("points must be a non-empty (N, 3) array")
     s = cfg.n_swarm
-    near_ray = pts[int(np.argmin(points_to_ray_distances(pts, ray)))]
-    centroid = pts.mean(axis=0)
     n_near = s // 2
     sites = np.empty((s, 3))
-    sites[:n_near] = near_ray
-    sites[n_near:] = centroid
+    sites[:n_near] = nearest
+    sites[n_near:] = pts.mean(axis=0)
     noise_scale = cfg.c_noise * 0.5 * (anchor.min + anchor.max)
     positions = sites + rng.standard_normal((s, 3)) * noise_scale
     dims = rng.uniform(anchor.min, anchor.max, size=(s, 3))
@@ -169,7 +167,7 @@ def pso_search(evaluate: EvalFn, starts: list[SwarmStart], cfg: SwarmConfig) -> 
     lb, ub = (np.stack(b)[:, None] for b in zip(*(search_bounds(s.points, s.anchor) for s in starts)))
     vmax = 0.5 * (ub - lb)
 
-    x = [init_particles(s.points, s.ray, s.anchor, cfg, rng) for s, rng in zip(starts, rngs)]
+    x = [init_particles(s.points, s.nearest, s.anchor, cfg, rng) for s, rng in zip(starts, rngs)]
     x = clamp_thetas(np.stack(x), lb, ub)
     v = np.zeros_like(x)
     pbest_x = x.copy()

@@ -20,10 +20,10 @@ import numpy as np
 from .assoc import CrossModalProposal, Proposal2D, associate, load_proposals
 from .bank import NovelObjectTarget, Provenance, read_bank, write_bank
 from .config import PipelineConfig, config_fingerprint
-from .costfn import AnchorRange, BoxCostBatch, adaptive_surface_clip
+from .costfn import BoxCostBatch, adaptive_surface_clip
 from .errors import UnknownClassError, ValidationError, make_output_dir
 from .filters import verdict
-from .geom import iou_bev
+from .geom import CameraCalib, EgoPose, iou_bev
 from .optimizer import SearchResult, SwarmStart, pso_search
 from .sceneprep import (
     Scene,
@@ -47,18 +47,21 @@ def derive_pair_seed(seed: int, frame_id: str, pair_index: int) -> int:
     return int(ss.generate_state(1, np.uint32)[0])
 
 
-def fit_pair(pair: CrossModalProposal, config: PipelineConfig) -> tuple[AnchorRange, BoxCostBatch]:
-    """Anchor range and cost kernel for fitting one pair under the run config.
+def fit_pair(
+    pair: CrossModalProposal, config: PipelineConfig, seed: int
+) -> tuple[SwarmStart, BoxCostBatch]:
+    """Swarm start, seeded with ``seed``, and cost kernel for fitting one
+    pair under the run config.
 
     The surface term's clip adapts to the pair's cluster range (see
     ``adaptive_surface_clip``).
     """
     anchor = config.anchors[pair.proposal.class_id]
-    c_surface = adaptive_surface_clip(pair.scene.ego, pair.cluster.centroid, anchor)
+    c_surface = adaptive_surface_clip(pair.scene.ego, pair.points.mean(axis=0), anchor)
     batch = BoxCostBatch(
         pair.points, pair.scene.ego, pair.proposal.box, pair.calib, config.weights, c_surface
     )
-    return anchor, batch
+    return SwarmStart(pair.points, pair.nearest, anchor, seed), batch
 
 
 Fit = tuple[SearchResult, CrossModalProposal]
@@ -77,12 +80,11 @@ def fit_proposal(
     chosen = [(k, pair) for k, pair in enumerate(pairs) if index in (None, pair.proposal.index)]
     if not chosen:
         return []
-    setups = [fit_pair(pair, config) for _, pair in chosen]
-    starts = [
-        SwarmStart(pair.points, pair.ray, anchor, derive_pair_seed(config.seed, scene.frame_id, k))
-        for (k, pair), (anchor, _) in zip(chosen, setups)
-    ]
-    results = pso_search(BoxCostBatch.join([b for _, b in setups]).evaluate, starts, config.swarm)
+    starts, batches = zip(*[
+        fit_pair(pair, config, derive_pair_seed(config.seed, scene.frame_id, k))
+        for k, pair in chosen
+    ])
+    results = pso_search(BoxCostBatch.join(batches).evaluate, list(starts), config.swarm)
     return [(result, pair) for result, (_, pair) in zip(results, chosen)]
 
 
@@ -159,12 +161,12 @@ def discover_frames(scenes_dir: str | Path) -> list[str]:
     return ids
 
 
-def load_clusters(scene: Scene, config: PipelineConfig):
-    """Clusters for a frame: from a label sidecar if present, else computed."""
+def load_clusters(scene: Scene, config: PipelineConfig) -> list[np.ndarray]:
+    """Clusters for a frame, as index arrays into its cloud: from a label
+    sidecar if present, else computed."""
     labels_path = config.scenes_dir / f"{scene.frame_id}.ptlabels.txt"
     if labels_path.exists():
-        labels = load_point_labels(labels_path, len(scene.cloud))
-        return clusters_from_labels(scene.cloud, labels)
+        return clusters_from_labels(load_point_labels(labels_path, len(scene.cloud)))
     mask_path = config.scenes_dir / f"{scene.frame_id}.ground.txt"
     if mask_path.exists():
         ground = load_ground_mask(mask_path, len(scene.cloud))
@@ -193,22 +195,35 @@ def frame_proposals(config: PipelineConfig, frame_id: str) -> list[Proposal2D] |
     return load_proposals(path) if path.exists() else None
 
 
+Calib = tuple[EgoPose, list[CameraCalib]]
+
+
+def frame_calib(config: PipelineConfig, frame_id: str, proposals: list[Proposal2D]) -> Calib:
+    """A frame's ego pose and cameras, read once, after checking that every
+    one of its ``proposals`` names one of those cameras."""
+    ego, cameras = load_calib(config.scenes_dir, frame_id)
+    known = Scene(frame_id, np.zeros((0, 3)), ego, cameras)
+    for prop in proposals:
+        known.camera(prop.camera_id)  # fails on a camera the calib lacks
+    return ego, cameras
+
+
 def associate_frame(
-    config: PipelineConfig, frame_id: str, proposals: list[Proposal2D]
+    config: PipelineConfig, frame_id: str, proposals: list[Proposal2D], calib: Calib
 ) -> tuple[Scene, list[CrossModalProposal], dict]:
-    """Load one frame, cluster it, and pair its ``proposals`` with clusters;
-    returns (scene, pairs, counters)."""
-    scene = load_scene(config.scenes_dir, frame_id)
+    """Load one frame with its ``calib``, cluster it, and pair its
+    ``proposals`` with clusters; returns (scene, pairs, counters)."""
+    scene = load_scene(config.scenes_dir, frame_id, *calib)
     clusters = load_clusters(scene, config)
     pairs = associate(scene, proposals, clusters, config.association)
     return scene, pairs, {"clusters": len(clusters), "pairs": len(pairs)}
 
 
 def process_frame(
-    config: PipelineConfig, frame_id: str, proposals: list[Proposal2D]
+    config: PipelineConfig, frame_id: str, proposals: list[Proposal2D], calib: Calib
 ) -> tuple[list[NovelObjectTarget], dict]:
     """Annotate one frame with its ``proposals``; returns (targets, counters)."""
-    scene, pairs, stats = associate_frame(config, frame_id, proposals)
+    scene, pairs, stats = associate_frame(config, frame_id, proposals, calib)
     return prepare_targets(scene, pairs, config), stats
 
 
@@ -226,11 +241,10 @@ def run_annotate(config: PipelineConfig) -> dict:
     loaded = [frame_proposals(config, fid) for fid in frame_ids]
     frames_missing_proposals = [fid for fid, props in zip(frame_ids, loaded) if props is None]
     proposals = [props or [] for props in loaded]
+    calibs = []
     for fid, props in zip(frame_ids, proposals):
         check_classes(props, config)
-        cameras = Scene(fid, np.zeros((0, 3)), *load_calib(config.scenes_dir, fid))
-        for prop in props:
-            cameras.camera(prop.camera_id)  # fails on a camera the calib lacks
+        calibs.append(frame_calib(config, fid, props))
     embed_dims = {len(p.embedding) for props in proposals for p in props if p.embedding is not None}
     if len(embed_dims) > 1:
         raise ValidationError(
@@ -240,9 +254,9 @@ def run_annotate(config: PipelineConfig) -> dict:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=min(config.workers, len(frame_ids))) as ex:
-            results = list(ex.map(partial(process_frame, config), frame_ids, proposals))
+            results = list(ex.map(partial(process_frame, config), frame_ids, proposals, calibs))
     else:
-        results = [process_frame(config, fid, props) for fid, props in zip(frame_ids, proposals)]
+        results = list(map(partial(process_frame, config), frame_ids, proposals, calibs))
 
     bank = [t for targets, _ in results for t in targets]
     write_bank(bank, config.output_dir / "bank.jsonl")

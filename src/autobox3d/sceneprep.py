@@ -3,8 +3,9 @@
 A scene is one LiDAR sweep plus its cameras. Preparation strips the ground
 with piecewise plane fits and groups the remaining points into clusters by
 density connectivity; those clusters are what the association and fitting
-stages consume. Sidecar loaders let precomputed ground masks or cluster
-labels short-circuit either step.
+stages consume; a cluster is the ascending int64 array of its points'
+indices into the scene cloud. Sidecar loaders let precomputed ground masks
+or cluster labels short-circuit either step.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import CloudFormatError, ValidationError, as_floats, as_int, as_str, reading
+from .errors import CloudFormatError, ValidationError, as_dict, as_floats, as_int, as_str, reading
 from .geom import CameraCalib, EgoPose
 
 
@@ -49,36 +50,6 @@ class ClusterConfig:
     def __post_init__(self) -> None:
         if self.eps <= 0 or self.min_pts < 1:
             raise ValidationError("clustering needs eps > 0 and min_pts >= 1")
-
-
-@dataclass(eq=False)
-class Cluster:
-    """A group of cloud points, stored as sorted indices into the scene cloud."""
-
-    point_indices: np.ndarray
-    centroid: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.point_indices = np.asarray(self.point_indices, dtype=np.int64)
-        self.centroid = np.asarray(self.centroid, dtype=float)
-        if self.point_indices.ndim != 1 or len(self.point_indices) == 0:
-            raise ValueError("cluster must hold at least one point index")
-        if self.centroid.shape != (3,):
-            raise ValueError("cluster centroid must have shape (3,)")
-
-    @classmethod
-    def from_indices(cls, cloud: np.ndarray, indices: np.ndarray) -> "Cluster":
-        idx = np.sort(np.asarray(indices, dtype=np.int64))
-        if len(idx) == 0:
-            raise ValueError("cluster must hold at least one point index")
-        if idx[0] < 0 or idx[-1] >= len(cloud):
-            raise ValueError("cluster indices out of cloud bounds")
-        if len(np.unique(idx)) != len(idx):
-            raise ValueError("cluster indices must be unique")
-        return cls(idx, cloud[idx].mean(axis=0))
-
-    def __len__(self) -> int:
-        return len(self.point_indices)
 
 
 @dataclass(eq=False)
@@ -185,9 +156,9 @@ def save_cloud(path: str | Path, points: np.ndarray) -> None:
     Path(path).write_bytes(out.tobytes())
 
 
-def load_scene(scenes_dir: str | Path, frame_id: str) -> Scene:
-    """Load ``<frame_id>.bin`` (or .csv) plus ``<frame_id>.calib.json``."""
-    scenes_dir = Path(scenes_dir)
+def load_scene(scenes_dir: Path, frame_id: str, ego: EgoPose, cameras: list[CameraCalib]) -> Scene:
+    """Load ``<frame_id>.bin`` (or .csv) as the cloud of a scene with the
+    ``ego`` pose and ``cameras`` that ``load_calib`` read for the frame."""
     cloud_path = scenes_dir / f"{frame_id}.bin"
     if not cloud_path.exists():
         csv_path = scenes_dir / f"{frame_id}.csv"
@@ -195,9 +166,7 @@ def load_scene(scenes_dir: str | Path, frame_id: str) -> Scene:
             cloud_path = csv_path
         else:
             raise ValidationError(f"frame {frame_id}: no cloud file under {scenes_dir}")
-    cloud = load_cloud(cloud_path)
-    ego, cameras = load_calib(scenes_dir, frame_id)
-    return Scene(frame_id=frame_id, cloud=cloud, ego=ego, cameras=cameras)
+    return Scene(frame_id=frame_id, cloud=load_cloud(cloud_path), ego=ego, cameras=cameras)
 
 
 def load_calib(scenes_dir: Path, frame_id: str) -> tuple[EgoPose, list[CameraCalib]]:
@@ -210,10 +179,15 @@ def load_calib(scenes_dir: Path, frame_id: str) -> tuple[EgoPose, list[CameraCal
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{calib_path}: not valid JSON: {exc}") from exc
     with reading(calib_path):
+        as_dict(calib_raw, "the document")
         ego = EgoPose(*as_floats(calib_raw["ego"], "ego", (3,)).tolist())
-        cameras = list(calib_raw["cameras"])
+        cameras = calib_raw["cameras"]
+        if not isinstance(cameras, list):
+            raise ValueError(f"cameras must be a list, got {cameras!r}")
     for k, cam in enumerate(cameras):
-        with reading(f"{calib_path}: camera {k}"):
+        where = f"{calib_path}: camera {k}"
+        as_dict(cam, where)
+        with reading(where):
             cameras[k] = CameraCalib(
                 extrinsic=as_floats(cam["extrinsic"], "extrinsic", (4, 4)),
                 intrinsic=as_floats(cam["intrinsic"], "intrinsic", (3, 3)),
@@ -355,7 +329,9 @@ def remove_ground(cloud: np.ndarray, config: GroundConfig) -> tuple[np.ndarray, 
     return np.where(ground)[0], np.where(~ground)[0]
 
 
-def cluster_objects(cloud: np.ndarray, indices: np.ndarray, config: ClusterConfig) -> list[Cluster]:
+def cluster_objects(
+    cloud: np.ndarray, indices: np.ndarray, config: ClusterConfig
+) -> list[np.ndarray]:
     """Density-connected clusters among ``cloud[indices]``.
 
     A point with at least ``config.min_pts`` neighbors within ``config.eps``
@@ -413,7 +389,7 @@ def cluster_objects(cloud: np.ndarray, indices: np.ndarray, config: ClusterConfi
 
     cloud_labels = np.full(len(cloud), -1, dtype=np.int64)
     cloud_labels[idx] = labels
-    return sorted(clusters_from_labels(cloud, cloud_labels), key=lambda c: int(c.point_indices[0]))
+    return sorted(clusters_from_labels(cloud_labels), key=lambda c: int(c[0]))
 
 
 def _per_point(path: str | Path, n_points: int, noun: str, parse) -> list:
@@ -458,10 +434,11 @@ def load_point_labels(path: str | Path, n_points: int) -> np.ndarray:
     return np.asarray(_per_point(path, n_points, "labels", _label), dtype=np.int64)
 
 
-def clusters_from_labels(cloud: np.ndarray, labels: np.ndarray) -> list[Cluster]:
-    """Build clusters from a per-point label array (-1 for none), ordered by label value."""
+def clusters_from_labels(labels: np.ndarray) -> list[np.ndarray]:
+    """Clusters from a per-point label array (-1 for none), in label order:
+    each the ascending int64 indices of the points that share a label."""
     labels = np.asarray(labels, dtype=np.int64)
     members = np.flatnonzero(labels >= 0)
     members = members[np.argsort(labels[members], kind="stable")]
     groups = np.split(members, np.flatnonzero(np.diff(labels[members])) + 1)
-    return [Cluster.from_indices(cloud, g) for g in groups if len(g)]
+    return [g for g in groups if len(g)]

@@ -12,7 +12,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from autobox3d.errors import ValidationError
-from autobox3d.sceneprep import Cluster, ClusterConfig, GroundConfig, _fit_plane, _plane_residuals
+from autobox3d.sceneprep import ClusterConfig, GroundConfig, _fit_plane, _plane_residuals
 
 
 def fit_ground_plane_loop(
@@ -104,8 +104,9 @@ def remove_ground_loop(cloud: np.ndarray, config: GroundConfig) -> tuple[np.ndar
 
 def cluster_objects_loop(
     cloud: np.ndarray, indices: np.ndarray, config: ClusterConfig
-) -> list[Cluster]:
-    """Density-connected clusters among ``cloud[indices]``.
+) -> list[np.ndarray]:
+    """Density-connected clusters among ``cloud[indices]``, each the sorted
+    array of its cloud indices.
 
     A point with at least ``min_pts`` neighbors within ``eps`` (itself
     included) is a core point; clusters are the connected components of
@@ -152,9 +153,6 @@ def cluster_objects_loop(
         d2 = np.sum((pts[core_nb] - pts[i]) ** 2, axis=1)
         labels[i] = labels[core_nb[int(np.argmin(d2))]]
 
-    out = []
-    for cid in range(n_clusters):
-        members = idx[labels == cid]
-        out.append(Cluster.from_indices(cloud, members))
-    out.sort(key=lambda c: int(c.point_indices[0]))
+    out = [np.sort(idx[labels == cid]) for cid in range(n_clusters)]
+    out.sort(key=lambda c: int(c[0]))
     return out

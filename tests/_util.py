@@ -17,7 +17,7 @@ from autobox3d.geom import (
     NEAR_DEPTH, Box2D, BoxParams, CameraCalib, EgoPose, box_corners, project_box_to_2d,
 )
 from autobox3d.optimizer import EvalFn, SearchResult, SwarmConfig, SwarmStart, pso_search
-from autobox3d.sceneprep import Cluster, Scene
+from autobox3d.sceneprep import Scene
 from autobox3d.synth import make_camera, sample_box_surface
 
 CAR_ANCHOR = AnchorRange((3.9, 1.6, 1.4), (5.3, 2.1, 1.9))
@@ -73,8 +73,7 @@ def build_pair(box: BoxParams, class_id: str = "car", seed: int = 0,
     mask = int(round(mask_ratio * crop_w * crop_h))
     prop = Proposal2D(hull, camera.camera_id, class_id, score, mask,
                       crop_w, crop_h, embedding, index=0)
-    cluster = Cluster.from_indices(pts, np.arange(len(pts)))
-    return ray_pair(prop, cluster, scene)[0]
+    return ray_pair(prop, np.arange(len(pts)), scene)[0]
 
 
 def lockstep_pairs() -> list[tuple[CrossModalProposal, AnchorRange]]:
@@ -134,8 +133,9 @@ def kernel_eval(pair: CrossModalProposal, weights: CostWeights = CostWeights(),
 
 def swarm_fit(evaluate: EvalFn, pair: CrossModalProposal, cfg: SwarmConfig, seed: int,
               anchor: AnchorRange = CAR_ANCHOR) -> SearchResult:
-    """One swarm searched alone (K = 1) over ``pair``'s cluster and ray."""
-    return pso_search(evaluate, [SwarmStart(pair.points, pair.ray, anchor, seed)], cfg)[0]
+    """One swarm searched alone (K = 1) over ``pair``'s cluster, from its
+    point nearest the proposal's center ray."""
+    return pso_search(evaluate, [SwarmStart(pair.points, pair.nearest, anchor, seed)], cfg)[0]
 
 
 def totals_eval(fn) -> EvalFn:

@@ -19,7 +19,7 @@ from autobox3d.assoc import (
 )
 from autobox3d.errors import ValidationError
 from autobox3d.geom import Box2D, CameraCalib, EgoPose
-from autobox3d.sceneprep import Cluster, Scene
+from autobox3d.sceneprep import Scene
 
 from _costfn_reference import project_points
 from _util import simple_calib
@@ -130,7 +130,7 @@ class TestRayDistances:
 class TestAssociate:
     def test_cluster_on_axis_pairs(self):
         scene = _scene_with([[0.0, 0.0, 10.0]])
-        cluster = Cluster.from_indices(scene.cloud, np.array([0]))
+        cluster = np.array([0])
         pairs = associate(scene, [_proposal()], [cluster], AssocConfig())
         assert len(pairs) == 1
         assert pairs[0].distance_to_ray == pytest.approx(0.0)
@@ -139,8 +139,8 @@ class TestAssociate:
 
     def test_match_distance_boundary(self):
         scene = _scene_with([[2.0, 0.0, 10.0], [2.0001, 0.0, 10.0]])
-        on = Cluster.from_indices(scene.cloud, np.array([0]))
-        off = Cluster.from_indices(scene.cloud, np.array([1]))
+        on = np.array([0])
+        off = np.array([1])
         pairs = associate(scene, [_proposal()], [on, off], AssocConfig())
         assert len(pairs) == 1
         assert pairs[0].cluster is on
@@ -153,22 +153,24 @@ class TestAssociate:
             [0.0, 0.0, 60.0],  # at d_max, inclusive
             [0.0, 0.0, 70.0],  # beyond d_max
         ])
-        clusters = [Cluster.from_indices(scene.cloud, np.array([k])) for k in range(4)]
+        clusters = [np.array([k]) for k in range(4)]
         pairs = associate(scene, [_proposal()], clusters, AssocConfig())
-        matched = {int(p.cluster.point_indices[0]) for p in pairs}
+        matched = {int(p.cluster[0]) for p in pairs}
         assert matched == {1, 2}
 
     def test_reference_is_point_nearest_ray(self):
         # The centroid lies 2.5 m off the ray, beyond tau_match; the nearest point lies on it.
         scene = _scene_with([[0.0, 0.0, 10.0], [5.0, 0.0, 10.0]])
-        cluster = Cluster.from_indices(scene.cloud, np.array([0, 1]))
+        cluster = np.array([0, 1])
         pairs = associate(scene, [_proposal()], [cluster], AssocConfig())
         assert len(pairs) == 1
         assert pairs[0].distance_to_ray == pytest.approx(0.0)
+        assert np.array_equal(pairs[0].nearest, [0.0, 0.0, 10.0])
+        assert np.array_equal(pairs[0].points, scene.cloud)
 
     def test_one_proposal_many_clusters(self):
         scene = _scene_with([[0.0, 0.0, 8.0], [0.5, 0.0, 20.0]])
-        clusters = [Cluster.from_indices(scene.cloud, np.array([k])) for k in range(2)]
+        clusters = [np.array([k]) for k in range(2)]
         pairs = associate(scene, [_proposal()], clusters, AssocConfig())
         assert len(pairs) == 2
         assert pairs[0].cluster is clusters[0]
@@ -176,7 +178,7 @@ class TestAssociate:
 
     def test_pairs_grouped_per_proposal(self):
         scene = _scene_with([[0.0, 0.0, 8.0], [0.5, 0.0, 20.0]])
-        clusters = [Cluster.from_indices(scene.cloud, np.array([k])) for k in range(2)]
+        clusters = [np.array([k]) for k in range(2)]
         props = [_proposal(score=0.9), _proposal(score=0.8)]
         pairs = associate(scene, props, clusters, AssocConfig())
         assert [p.proposal is props[0] for p in pairs] == [True, True, False, False]
@@ -187,10 +189,10 @@ class TestAssociate:
             rng.uniform(-3, 3, 40), rng.uniform(-3, 3, 40), rng.uniform(1, 50, 40),
         ])
         scene = _scene_with(cloud)
-        clusters = [Cluster.from_indices(cloud, np.array([k])) for k in range(40)]
+        clusters = [np.array([k]) for k in range(40)]
         fwd = associate(scene, [_proposal()], clusters, AssocConfig())
         rev = associate(scene, [_proposal()], clusters[::-1], AssocConfig())
-        key = lambda pair: int(pair.cluster.point_indices[0])
+        key = lambda pair: int(pair.cluster[0])
         assert sorted(map(key, fwd)) == sorted(map(key, rev))
 
 

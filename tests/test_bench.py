@@ -1,6 +1,7 @@
 """Benchmark harness: instance loading, row schema, method dispatch."""
 
 import csv
+import hashlib
 import json
 import shutil
 from dataclasses import replace
@@ -152,7 +153,22 @@ class TestLoadInstances:
         assert "yeti" in capsys.readouterr().err
 
 
+# sha256 of every row's (instance, method, cost, bev_iou), the floats as
+# float.hex, for both methods at PINNED_BUDGETS on the BENCH_SPEC corpus.
+PINNED_ROWS_SHA256 = "eb98955df0393fe341f8da27e61e287502b957d3bddd1c47859a204af0b7778a"
+PINNED_BUDGETS = (300, 700)
+
+
 class TestRunBench:
+    def test_pinned_rows(self, bench_config):
+        rows = run_bench(bench_config, budgets=PINNED_BUDGETS)
+        assert {r["method"] for r in rows} == {"greedy", "adaptive"}
+        h = hashlib.sha256()
+        for r in rows:
+            h.update(f"{r['instance']} {r['method']} {float(r['cost']).hex()} "
+                     f"{float(r['bev_iou']).hex()}\n".encode())
+        assert h.hexdigest() == PINNED_ROWS_SHA256
+
     def test_row_schema_and_counts(self, bench_config):
         rows = run_bench(bench_config, budgets=(300, 500))
         # 2 instances x 2 budgets x 2 methods, in (budget, method, instance) order.
@@ -216,10 +232,10 @@ class TestRunBench:
         runs = [(b, inst) for b in budgets for inst in instances]
         assert [(r["budget"], r["instance"]) for r in rows] == [(b, inst.key) for b, inst in runs]
         for row, (budget, inst) in zip(rows, runs):
-            anchor, batch = fit_pair(inst.pair, bench_config)
             cfg = replace(bench_config.swarm, n_iter=budget // bench_config.swarm.n_swarm)
             seed = derive_pair_seed(bench_config.seed, f"bench:{inst.key}", budget)
-            alone = swarm_fit(batch.evaluate, inst.pair, cfg, seed, anchor)
+            start, batch = fit_pair(inst.pair, bench_config, seed)
+            alone = swarm_fit(batch.evaluate, inst.pair, cfg, seed, start.anchor)
             assert row["cost"] == alone.best_cost.total
             assert row["bev_iou"] == iou_bev(alone.best_box, inst.gt_box)
         for budget in budgets:

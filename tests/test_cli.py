@@ -335,15 +335,26 @@ class TestReport:
         capsys.readouterr()
 
 
+def _fresh_stdout(code: str) -> str:
+    """What ``code`` prints in a fresh interpreter that imports this package."""
+    src = str(Path(autobox3d.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+                         capture_output=True, text=True, check=True)
+    return out.stdout
+
+
 def test_cli_import_loads_no_scipy():
     # scipy.sparse and scipy.spatial take about 0.45 s to import, and only
     # clustering raw sweeps needs them.
-    src = str(Path(autobox3d.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     code = "import sys, autobox3d.cli; print(sorted(m for m in sys.modules if m[:5] == 'scipy'))"
-    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
-                         capture_output=True, text=True, check=True)
-    assert out.stdout == "[]\n"
+    assert _fresh_stdout(code) == "[]\n"
+
+
+def test_optimizer_import_loads_no_assoc():
+    # The swarm takes its start point from the pair; it does not search a ray.
+    code = "import sys, autobox3d.optimizer; print('autobox3d.assoc' in sys.modules)"
+    assert _fresh_stdout(code) == "False\n"
 
 
 class TestParser:

@@ -647,7 +647,7 @@ def test_full_surface_box_scores_near_perfect():
     # image IoU reward at full strength.
     box = car_box(dist=10.0, azimuth=0.0, ry=0.4)
     pair = build_pair(box, seed=5)
-    clip = adaptive_surface_clip(pair.scene.ego, pair.cluster.centroid, CAR_ANCHOR)
+    clip = adaptive_surface_clip(pair.scene.ego, pair.points.mean(axis=0), CAR_ANCHOR)
     bd = score_box(box, pair.points, pair.scene.ego, pair.proposal.box,
                    pair.calib, c_surface=clip)
     assert bd.density == -1.0

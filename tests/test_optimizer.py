@@ -145,17 +145,19 @@ class TestInit:
     def test_split_between_ray_hit_and_centroid(self):
         pair = build_pair(car_box(), seed=8)
         cfg = replace(TINY, n_swarm=50, c_noise=0.0)
-        swarm = init_particles(pair.points, pair.ray, CAR_ANCHOR, cfg, rng_of())
-        from autobox3d.assoc import points_to_ray_distances
+        swarm = init_particles(pair.points, pair.nearest, CAR_ANCHOR, cfg, rng_of())
+        from autobox3d.assoc import center_ray, points_to_ray_distances
 
-        near = pair.points[int(np.argmin(points_to_ray_distances(pair.points, pair.ray)))]
+        ray = center_ray(pair.proposal.box, pair.calib)
+        near = pair.points[int(np.argmin(points_to_ray_distances(pair.points, ray)))]
         centroid = pair.points.mean(axis=0)
+        assert np.array_equal(pair.nearest, near)
         assert np.allclose(swarm[:25, :3], near)
         assert np.allclose(swarm[25:, :3], centroid)
 
     def test_dims_and_yaw_ranges(self):
         pair = build_pair(car_box(), seed=9)
-        swarm = init_particles(pair.points, pair.ray, CAR_ANCHOR,
+        swarm = init_particles(pair.points, pair.nearest, CAR_ANCHOR,
                                replace(TINY, n_swarm=200), rng_of())
         assert swarm.shape == (200, 7)
         assert (swarm[:, 3:6] >= CAR_ANCHOR.min).all()
@@ -165,23 +167,23 @@ class TestInit:
     def test_noise_scale(self):
         pair = build_pair(car_box(), seed=10)
         cfg = replace(TINY, n_swarm=4000, c_noise=0.1)
-        swarm = init_particles(pair.points, pair.ray, CAR_ANCHOR, cfg, rng_of())
+        swarm = init_particles(pair.points, pair.nearest, CAR_ANCHOR, cfg, rng_of())
         scale = 0.1 * 0.5 * (CAR_ANCHOR.min + CAR_ANCHOR.max)
         got = swarm[:2000, :3].std(axis=0)
         assert np.allclose(got, scale, rtol=0.1)
 
     def test_deterministic_per_seed(self):
         pair = build_pair(car_box(), seed=11)
-        a = init_particles(pair.points, pair.ray, CAR_ANCHOR, TINY, rng_of(3))
-        b = init_particles(pair.points, pair.ray, CAR_ANCHOR, TINY, rng_of(3))
-        c = init_particles(pair.points, pair.ray, CAR_ANCHOR, TINY, rng_of(4))
+        a = init_particles(pair.points, pair.nearest, CAR_ANCHOR, TINY, rng_of(3))
+        b = init_particles(pair.points, pair.nearest, CAR_ANCHOR, TINY, rng_of(3))
+        c = init_particles(pair.points, pair.nearest, CAR_ANCHOR, TINY, rng_of(4))
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
     def test_rejects_empty_points(self):
         pair = build_pair(car_box(), seed=12)
         with pytest.raises(ValueError):
-            init_particles(np.empty((0, 3)), pair.ray, CAR_ANCHOR, TINY, rng_of())
+            init_particles(np.empty((0, 3)), pair.nearest, CAR_ANCHOR, TINY, rng_of())
 
 
 class TestSwarmSearch:
@@ -241,7 +243,7 @@ class TestSwarmSearch:
         from autobox3d.costfn import adaptive_surface_clip
         from autobox3d.geom import iou_bev
 
-        clip = adaptive_surface_clip(pair.scene.ego, pair.cluster.centroid, CAR_ANCHOR)
+        clip = adaptive_surface_clip(pair.scene.ego, pair.points.mean(axis=0), CAR_ANCHOR)
         res = swarm_fit(kernel_eval(pair, c_surface=clip), pair,
                         SwarmConfig(), seed=6)
         assert iou_bev(res.best_box, box) >= 0.7
@@ -258,7 +260,8 @@ class TestLockstep:
                          CostWeights(), 6.0 + k)
             for k, (p, _) in enumerate(pairs)
         ]
-        starts = [SwarmStart(p.points, p.ray, anchor, 40 + k) for k, (p, anchor) in enumerate(pairs)]
+        starts = [SwarmStart(p.points, p.nearest, anchor, 40 + k)
+                  for k, (p, anchor) in enumerate(pairs)]
         joined = BoxCostBatch.join(kernels)
         calls, cut = [], [0] * len(pairs)
 

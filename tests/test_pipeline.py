@@ -24,6 +24,7 @@ from autobox3d.pipeline import (
     fit_proposal,
     format_bank_summary,
     format_report,
+    frame_calib,
     frame_proposals,
     load_clusters,
     nms,
@@ -33,7 +34,7 @@ from autobox3d.pipeline import (
     run_annotate,
     summarize_bank,
 )
-from autobox3d.sceneprep import load_point_labels, load_scene
+from autobox3d.sceneprep import load_calib, load_point_labels, load_scene
 from autobox3d.synth import SynthClassSpec, SynthSpec, generate, make_camera
 
 from _util import swarm_fit
@@ -43,8 +44,8 @@ TINY_SWARM = SwarmConfig(n_swarm=12, n_iter=60)
 
 def fit_alone(pair, config, seed):
     """One pair's swarm fit searched on its own, under the run config."""
-    anchor, batch = fit_pair(pair, config)
-    return swarm_fit(batch.evaluate, pair, config.swarm, seed, anchor)
+    start, batch = fit_pair(pair, config, seed)
+    return swarm_fit(batch.evaluate, pair, config.swarm, seed, start.anchor)
 
 
 CORPUS_SPEC = SynthSpec(
@@ -188,19 +189,19 @@ class TestDiscoverFrames:
 class TestLoadClusters:
     def test_prefers_label_sidecar(self, corpus, tmp_path):
         config = corpus_config(corpus, tmp_path)
-        scene = load_scene(corpus, "0000")
+        scene = load_scene(corpus, "0000", *load_calib(corpus, "0000"))
         clusters = load_clusters(scene, config)
         labels = load_point_labels(corpus / "0000.ptlabels.txt", len(scene.cloud))
         assert len(clusters) == labels.max() + 1
         for k, cluster in enumerate(clusters):
-            assert np.array_equal(cluster.point_indices, np.where(labels == k)[0])
+            assert np.array_equal(cluster, np.where(labels == k)[0])
 
     def test_ground_mask_sidecar(self, corpus, tmp_path):
         scenes = tmp_path / "scenes"
         scenes.mkdir()
         for src in corpus.glob("0000.*"):
             shutil.copy(src, scenes / src.name)
-        scene = load_scene(scenes, "0000")
+        scene = load_scene(scenes, "0000", *load_calib(scenes, "0000"))
         labels = load_point_labels(scenes / "0000.ptlabels.txt", len(scene.cloud))
         (scenes / "0000.ptlabels.txt").unlink()
         mask_lines = "\n".join("1" if v == -1 else "0" for v in labels)
@@ -215,7 +216,7 @@ class TestLoadClusters:
         for src in corpus.glob("0000.*"):
             if not src.name.endswith(".ptlabels.txt"):
                 shutil.copy(src, scenes / src.name)
-        scene = load_scene(scenes, "0000")
+        scene = load_scene(scenes, "0000", *load_calib(scenes, "0000"))
         config = corpus_config(scenes, tmp_path / "out")
         clusters = load_clusters(scene, config)
         assert len(clusters) == 2
@@ -226,7 +227,7 @@ class TestFitPair:
     def first_pair(corpus, config):
         from autobox3d.assoc import associate, load_proposals
 
-        scene = load_scene(corpus, "0000")
+        scene = load_scene(corpus, "0000", *load_calib(corpus, "0000"))
         proposals = load_proposals(corpus / "0000.proposals.json")
         return associate(scene, proposals, load_clusters(scene, config), config.association)[0]
 
@@ -237,14 +238,25 @@ class TestFitPair:
         pair = self.first_pair(corpus, config)
         pair.proposal.class_id = "yeti"
         with pytest.raises(KeyError, match="yeti"):
-            fit_pair(pair, config)
+            fit_pair(pair, config, 0)
+
+    def test_setup_swarm_start(self, corpus, tmp_path):
+        # The swarm starts from what association computed: the cluster's
+        # points and its point nearest the center ray.
+        config = corpus_config(corpus, tmp_path)
+        pair = self.first_pair(corpus, config)
+        start, _ = fit_pair(pair, config, 7)
+        assert start.points is pair.points and start.nearest is pair.nearest
+        assert start.anchor is config.anchors[pair.proposal.class_id]
+        assert start.seed == 7
+        assert np.array_equal(pair.points, pair.scene.cloud[pair.cluster])
 
     def test_setup_surface_clip(self, corpus, tmp_path):
         config = corpus_config(corpus, tmp_path, weights=CostWeights(lambda1=4.0))
         pair = self.first_pair(corpus, config)
-        anchor, batch = fit_pair(pair, config)
-        assert anchor is config.anchors[pair.proposal.class_id]
-        clip = adaptive_surface_clip(pair.scene.ego, pair.cluster.centroid, anchor)
+        start, batch = fit_pair(pair, config, 0)
+        centroid = pair.scene.cloud[pair.cluster].mean(axis=0)
+        clip = adaptive_surface_clip(pair.scene.ego, centroid, start.anchor)
         expected, fixed_clip = (
             BoxCostBatch(pair.points, pair.scene.ego, pair.proposal.box, pair.calib,
                          config.weights, c)
@@ -252,9 +264,9 @@ class TestFitPair:
         )
         # Centers from 1 m to 40 m out along the cluster's bearing, so the
         # surface term saturates at the clip.
-        bearing = pair.cluster.centroid[:2] / np.linalg.norm(pair.cluster.centroid[:2])
+        bearing = centroid[:2] / np.linalg.norm(centroid[:2])
         thetas = np.array([
-            [*(r * bearing), pair.cluster.centroid[2], 4.5, 1.8, 1.6, 0.4]
+            [*(r * bearing), centroid[2], 4.5, 1.8, 1.6, 0.4]
             for r in np.linspace(1.0, 40.0, 40)
         ])
         got, want = batch.evaluate(thetas), expected.evaluate(thetas)
@@ -297,7 +309,8 @@ class TestProcessFrame:
         config = corpus_config(corpus, tmp_path)
         proposals = frame_proposals(config, "0000")
         assert len(proposals) == 2
-        targets, stats = process_frame(config, "0000", proposals)
+        calib = frame_calib(config, "0000", proposals)
+        targets, stats = process_frame(config, "0000", proposals, calib)
         assert set(stats) == {"clusters", "pairs"}
         assert stats["clusters"] == 2
         assert stats["pairs"] >= 2
@@ -373,7 +386,7 @@ class TestProcessFrame:
         config = corpus_config(scenes, tmp_path / "out")
         from autobox3d.assoc import associate, load_proposals
 
-        scene = load_scene(scenes, "c0")
+        scene = load_scene(scenes, "c0", *load_calib(scenes, "c0"))
         proposals = load_proposals(scenes / "c0.proposals.json")
         clusters = load_clusters(scene, config)
         pairs = associate(scene, proposals, clusters, config.association)
@@ -394,7 +407,10 @@ class TestProcessFrame:
 class TestFitProposal:
     def test_seeds_follow_position_among_frame_pairs(self, corpus, tmp_path):
         config = corpus_config(corpus, tmp_path)
-        scene, pairs, stats = associate_frame(config, "0000", frame_proposals(config, "0000"))
+        proposals = frame_proposals(config, "0000")
+        scene, pairs, stats = associate_frame(
+            config, "0000", proposals, frame_calib(config, "0000", proposals)
+        )
         assert stats["pairs"] == len(pairs)
         index = pairs[-1].proposal.index
         mine = [(k, p) for k, p in enumerate(pairs) if p.proposal.index == index]
@@ -405,7 +421,7 @@ class TestFitProposal:
             expected = fit_alone(pair, config, derive_pair_seed(config.seed, "0000", k))
             assert result.best_cost == expected.best_cost
             assert np.array_equal(result.trace, expected.trace)
-        assert fit_proposal(scene, pairs, config, len(frame_proposals(config, "0000"))) == []
+        assert fit_proposal(scene, pairs, config, len(proposals)) == []
 
     def test_best_fit_lowest_total_earliest_on_tie(self):
         def fit(total, tag):
@@ -437,6 +453,26 @@ PINNED_SWARM = SwarmConfig(n_swarm=12, n_iter=20)
 
 
 class TestRunAnnotate:
+    def test_reads_each_calib_once(self, corpus, tmp_path, monkeypatch):
+        # The calib read for the camera check is the one the frame loads with.
+        from autobox3d import pipeline, sceneprep
+
+        calls = []
+
+        def counted(real):
+            def call(scenes_dir, frame_id, *args):
+                calls.append((real.__name__, frame_id))
+                return real(scenes_dir, frame_id, *args)
+            return call
+
+        read_calib = counted(sceneprep.load_calib)
+        monkeypatch.setattr(sceneprep, "load_calib", read_calib)
+        monkeypatch.setattr(pipeline, "load_calib", read_calib)
+        monkeypatch.setattr(pipeline, "load_scene", counted(pipeline.load_scene))
+        run_annotate(corpus_config(corpus, tmp_path / "out", swarm=SwarmConfig(1, 1)))
+        frames = discover_frames(corpus)
+        assert sorted(calls) == sorted((n, f) for n in ("load_calib", "load_scene") for f in frames)
+
     def test_pinned_bank_and_report_bytes(self, tmp_path):
         scenes = tmp_path / "scenes"
         generate(PINNED_SPEC, scenes)

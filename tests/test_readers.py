@@ -94,12 +94,24 @@ def _fit_box(tmp_path, capsys, calib: dict, proposals: list) -> str:
     (("cameras", 0, "camera_id"), None, "camera 0: camera_id must be a string"),
     (("cameras", 0, "intrinsic", 0, 2), float("nan"), "camera 0: intrinsic must be finite"),
     (("ego",), ["0", "0", "0"], "ego must be a number"),
-], ids=["width-fraction", "width-bool", "id-null", "cx-nan", "ego-strings"])
+    # Each of these used to leak a Python error such as "camera 0: string
+    # indices must be integers, not 'str'".
+    (("cameras",), "cam0", "cameras must be a list, got 'cam0'"),
+    (("cameras",), 2, "cameras must be a list, got 2"),
+    (("cameras",), {"cam0": {}}, "cameras must be a list, got {'cam0': {}}"),
+    (("cameras", 0), "cam0", "camera 0 must be a mapping, got 'cam0'"),
+], ids=["width-fraction", "width-bool", "id-null", "cx-nan", "ego-strings",
+        "cameras-string", "cameras-number", "cameras-mapping", "camera-string"])
 def test_calib_fields(tmp_path, capsys, path, value, named):
     calib = _calib_doc()
     _set(calib, path, value)
     err = _fit_box(tmp_path, capsys, calib, [_proposal()])
     assert f"f0.calib.json: {named}" in err
+
+
+def test_calib_not_a_mapping(tmp_path, capsys):
+    err = _fit_box(tmp_path, capsys, [_calib_doc()], [_proposal()])
+    assert "f0.calib.json: the document must be a mapping, got [{" in err
 
 
 @pytest.mark.parametrize("key, value, named", [

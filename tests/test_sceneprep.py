@@ -8,7 +8,6 @@ import pytest
 
 from autobox3d.errors import CloudFormatError, ValidationError
 from autobox3d.sceneprep import (
-    Cluster,
     ClusterConfig,
     GroundConfig,
     Scene,
@@ -16,6 +15,7 @@ from autobox3d.sceneprep import (
     clusters_from_labels,
     load_cloud,
     load_ground_mask,
+    load_calib,
     load_point_labels,
     load_scene,
     remove_ground,
@@ -112,22 +112,39 @@ class TestCloudIO:
             load_cloud(path)
 
 
-class TestCluster:
-    def test_from_indices_sorts_and_averages(self):
-        cloud = np.array([[0.0, 0.0, 0.0], [2.0, 0.0, 0.0], [4.0, 6.0, 0.0]])
-        c = Cluster.from_indices(cloud, np.array([2, 0]))
-        assert np.array_equal(c.point_indices, [0, 2])
-        assert np.allclose(c.centroid, [2.0, 3.0, 0.0])
-        assert len(c) == 2
+def assert_index_arrays(clusters):
+    """Each cluster is a non-empty, ascending, duplicate-free int64 index array,
+    and no index is in two clusters."""
+    for c in clusters:
+        assert isinstance(c, np.ndarray) and c.dtype == np.int64 and c.ndim == 1
+        assert len(c) > 0 and np.all(np.diff(c) > 0)
+    members = np.concatenate(clusters) if clusters else np.empty(0, np.int64)
+    assert len(np.unique(members)) == len(members)
 
-    def test_rejects_bad_indices(self):
-        cloud = np.zeros((3, 3))
-        with pytest.raises(ValueError):
-            Cluster.from_indices(cloud, np.array([], dtype=np.int64))
-        with pytest.raises(ValueError):
-            Cluster.from_indices(cloud, np.array([0, 3]))
-        with pytest.raises(ValueError):
-            Cluster.from_indices(cloud, np.array([1, 1]))
+
+class TestClusterInvariant:
+    def test_from_labels_in_label_order(self):
+        rng = np.random.default_rng(3)
+        labels = rng.integers(-1, 7, size=300)
+        labels[labels == 4] = -1  # a label value with no points
+        clusters = clusters_from_labels(labels)
+        assert_index_arrays(clusters)
+        assert [int(labels[c[0]]) for c in clusters] == [0, 1, 2, 3, 5, 6]
+        for c in clusters:
+            assert np.array_equal(c, np.flatnonzero(labels == labels[c[0]]))
+        assert clusters_from_labels(np.full(4, -1)) == []
+
+    def test_from_dbscan_in_first_index_order(self):
+        rng = np.random.default_rng(4)
+        blobs = [rng.normal(c, 0.15, size=(40, 3)) for c in ([0, 0, 0], [5, 0, 0], [0, 6, 0])]
+        cloud = np.vstack([*blobs, rng.uniform(20.0, 90.0, size=(10, 3))])[rng.permutation(130)]
+        chosen = rng.permutation(130)[:110]
+        clusters = cluster_objects(cloud, chosen, ClusterConfig())
+        assert len(clusters) == 3
+        assert_index_arrays(clusters)
+        assert np.isin(np.concatenate(clusters), chosen).all()
+        firsts = [int(c[0]) for c in clusters]
+        assert firsts == sorted(firsts)
 
 
 class TestGroundRemoval:
@@ -199,8 +216,8 @@ class TestClustering:
         cloud = np.vstack([a, b])
         clusters = cluster_objects(cloud, np.arange(len(cloud)), ClusterConfig())
         assert len(clusters) == 2
-        assert set(clusters[0].point_indices) == set(range(12))
-        assert set(clusters[1].point_indices) == set(range(12, 27))
+        assert set(clusters[0]) == set(range(12))
+        assert set(clusters[1]) == set(range(12, 27))
 
     def test_noise_dropped(self):
         rng = np.random.default_rng(6)
@@ -208,7 +225,7 @@ class TestClustering:
         cloud = np.vstack([blob, [[30.0, 30.0, 30.0]]])
         clusters = cluster_objects(cloud, np.arange(len(cloud)), ClusterConfig())
         assert len(clusters) == 1
-        assert 10 not in clusters[0].point_indices
+        assert 10 not in clusters[0]
 
     def test_border_points_join_cluster(self):
         # A chain with spacing 0.4 under eps 0.5: the interior points are
@@ -218,7 +235,7 @@ class TestClustering:
         ])
         clusters = cluster_objects(cloud, np.arange(5), ClusterConfig(eps=0.5, min_pts=3))
         assert len(clusters) == 1
-        assert set(clusters[0].point_indices) == set(range(5))
+        assert set(clusters[0]) == set(range(5))
 
     def test_chain_of_cores_merges(self):
         cloud = np.column_stack([
@@ -234,7 +251,7 @@ class TestClustering:
         chosen = np.arange(20)
         clusters = cluster_objects(cloud, chosen, ClusterConfig())
         assert len(clusters) == 1
-        assert np.isin(clusters[0].point_indices, chosen).all()
+        assert np.isin(clusters[0], chosen).all()
 
     def test_ordered_by_smallest_index(self):
         rng = np.random.default_rng(8)
@@ -242,7 +259,7 @@ class TestClustering:
         near = rng.normal([0, 0, 0], 0.1, size=(10, 3))
         cloud = np.vstack([far, near])
         clusters = cluster_objects(cloud, np.arange(20), ClusterConfig())
-        assert int(clusters[0].point_indices[0]) == 0
+        assert int(clusters[0][0]) == 0
 
     def test_permutation_stable(self):
         rng = np.random.default_rng(9)
@@ -255,7 +272,7 @@ class TestClustering:
         def as_sets(clusters, mapping=None):
             out = set()
             for c in clusters:
-                ids = c.point_indices if mapping is None else mapping[c.point_indices]
+                ids = c if mapping is None else mapping[c]
                 out.add(frozenset(int(v) for v in ids))
             return out
         assert as_sets(base) == as_sets(permuted, perm)
@@ -302,12 +319,11 @@ class TestSidecars:
             load_point_labels(path, 2)
 
     def test_clusters_from_labels(self):
-        cloud = np.array([[0.0, 0, 0], [1, 0, 0], [2, 0, 0], [3, 0, 0], [4, 0, 0]])
         labels = np.array([-1, 1, 0, 1, -1])
-        clusters = clusters_from_labels(cloud, labels)
+        clusters = clusters_from_labels(labels)
         assert len(clusters) == 2
-        assert list(clusters[0].point_indices) == [2]
-        assert list(clusters[1].point_indices) == [1, 3]
+        assert list(clusters[0]) == [2]
+        assert list(clusters[1]) == [1, 3]
 
 
 def _calib_doc(ego=(0.0, 0.0, 0.0)):
@@ -335,7 +351,7 @@ class TestSceneLoading:
 
     def test_loads_cloud_ego_cameras(self, tmp_path):
         cloud = self._write_frame(tmp_path, "f0")
-        scene = load_scene(tmp_path, "f0")
+        scene = load_scene(tmp_path, "f0", *load_calib(tmp_path, "f0"))
         assert scene.frame_id == "f0"
         assert np.array_equal(scene.cloud, cloud)
         assert (scene.ego.x, scene.ego.y, scene.ego.z) == (0.0, 0.0, 0.0)
@@ -345,29 +361,29 @@ class TestSceneLoading:
         cloud = np.array([[1.0, 2.0, 3.0]])
         (tmp_path / "f1.csv").write_text("x,y,z\n1.0,2.0,3.0\n")
         (tmp_path / "f1.calib.json").write_text(json.dumps(_calib_doc()))
-        scene = load_scene(tmp_path, "f1")
+        scene = load_scene(tmp_path, "f1", *load_calib(tmp_path, "f1"))
         assert np.array_equal(scene.cloud, cloud)
 
     def test_missing_calib_raises(self, tmp_path):
         save_cloud(tmp_path / "f2.bin", np.zeros((1, 3)))
         with pytest.raises(ValidationError, match="calib"):
-            load_scene(tmp_path, "f2")
+            load_calib(tmp_path, "f2")
 
     def test_missing_cloud_raises(self, tmp_path):
         self._write_frame(tmp_path, "f3")
         (tmp_path / "f3.bin").unlink()
         with pytest.raises(ValidationError, match="no cloud file"):
-            load_scene(tmp_path, "f3")
+            load_scene(tmp_path, "f3", *load_calib(tmp_path, "f3"))
 
     def test_broken_calib_json_raises(self, tmp_path):
         save_cloud(tmp_path / "f5.bin", np.zeros((1, 3)))
         (tmp_path / "f5.calib.json").write_text("{not json")
         with pytest.raises(ValidationError, match="JSON"):
-            load_scene(tmp_path, "f5")
+            load_calib(tmp_path, "f5")
 
     def test_unknown_camera_lists_known(self, tmp_path):
         self._write_frame(tmp_path, "f4")
-        scene = load_scene(tmp_path, "f4")
+        scene = load_scene(tmp_path, "f4", *load_calib(tmp_path, "f4"))
         with pytest.raises(ValidationError, match="cam0"):
             scene.camera("nope")
 

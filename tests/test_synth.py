@@ -15,7 +15,7 @@ from autobox3d.geom import (
     EgoPose,
     project_box_to_2d,
 )
-from autobox3d.sceneprep import clusters_from_labels, load_point_labels, load_scene
+from autobox3d.sceneprep import clusters_from_labels, load_calib, load_point_labels, load_scene
 from autobox3d.synth import (
     SynthClassSpec,
     SynthSpec,
@@ -333,7 +333,7 @@ class TestGenerate:
             assert np.linalg.norm(prop["embedding"]) == pytest.approx(1.0)
 
     def test_proposal_box_is_true_projection(self, out_dir):
-        scene = load_scene(out_dir, "0000")
+        scene = load_scene(out_dir, "0000", *load_calib(out_dir, "0000"))
         gt = json.loads((out_dir / "0000.gt.json").read_text())
         proposals = json.loads((out_dir / "0000.proposals.json").read_text())
         for inst, prop in zip(gt["instances"], proposals):
@@ -344,7 +344,7 @@ class TestGenerate:
             )
 
     def test_point_labels_partition_cloud(self, out_dir):
-        scene = load_scene(out_dir, "0000")
+        scene = load_scene(out_dir, "0000", *load_calib(out_dir, "0000"))
         labels = load_point_labels(out_dir / "0000.ptlabels.txt", len(scene.cloud))
         gt = json.loads((out_dir / "0000.gt.json").read_text())
         assert set(np.unique(labels)) == {-1, 0, 1}
@@ -355,9 +355,9 @@ class TestGenerate:
             assert points_in_box(member, box).all()
 
     def test_clusters_from_labels_recover_instances(self, out_dir):
-        scene = load_scene(out_dir, "0000")
+        scene = load_scene(out_dir, "0000", *load_calib(out_dir, "0000"))
         labels = load_point_labels(out_dir / "0000.ptlabels.txt", len(scene.cloud))
-        clusters = clusters_from_labels(scene.cloud, labels)
+        clusters = clusters_from_labels(labels)
         assert len(clusters) == 2
 
     def test_frames_differ(self, out_dir):
