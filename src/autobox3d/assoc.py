@@ -38,23 +38,6 @@ class AssocConfig:
 
 
 @dataclass(eq=False)
-class Ray:
-    """Half-line from ``origin`` along unit vector ``direction``."""
-
-    origin: np.ndarray
-    direction: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.origin = np.asarray(self.origin, dtype=float)
-        self.direction = np.asarray(self.direction, dtype=float)
-        if self.origin.shape != (3,) or self.direction.shape != (3,):
-            raise ValueError("ray origin and direction must have shape (3,)")
-        norm = float(np.linalg.norm(self.direction))
-        if abs(norm - 1.0) > 1e-9:
-            raise ValueError(f"ray direction must be unit length, got norm {norm}")
-
-
-@dataclass(eq=False)
 class Proposal2D:
     """One 2D detection: rectangle, class, score, and crop statistics.
 
@@ -108,62 +91,47 @@ class CrossModalProposal:
         return self.scene.camera(self.proposal.camera_id)
 
 
-def camera_center(calib: CameraCalib) -> np.ndarray:
-    """Camera optical center in the ego frame."""
+def center_ray(box: Box2D, calib: CameraCalib) -> tuple[np.ndarray, np.ndarray]:
+    """Camera center in the ego frame and the unit direction from it
+    through the center of an image rectangle."""
     rot = calib.extrinsic[:3, :3]
     t = calib.extrinsic[:3, 3]
-    return -rot.T @ t
-
-
-def unproject_pixel(u: float, v: float, calib: CameraCalib) -> Ray:
-    """Ray in the ego frame through pixel (u, v)."""
-    k = calib.intrinsic
-    det = np.linalg.det(k)
-    if abs(det) < 1e-12:
-        raise ValidationError(f"camera {calib.camera_id}: intrinsic matrix is singular")
-    dir_cam = np.linalg.solve(k, np.array([u, v, 1.0]))
-    rot = calib.extrinsic[:3, :3]
-    dir_ego = rot.T @ dir_cam
-    norm = float(np.linalg.norm(dir_ego))
-    return Ray(camera_center(calib), dir_ego / norm)
-
-
-def center_ray(box: Box2D, calib: CameraCalib) -> Ray:
-    """Ray in the ego frame through the center of an image rectangle."""
     cu, cv = box.center
-    return unproject_pixel(cu, cv, calib)
+    dir_ego = rot.T @ np.linalg.solve(calib.intrinsic, np.array([cu, cv, 1.0]))
+    return -rot.T @ t, dir_ego / float(np.linalg.norm(dir_ego))
 
 
-def points_to_ray_distances(points: np.ndarray, ray: Ray) -> np.ndarray:
-    """Distance from each point (N, 3) to the half-line of ``ray``.
+def ray_pairs(
+    props: list[Proposal2D], clusters: list[np.ndarray], scene: Scene
+) -> list[tuple[CrossModalProposal, float]]:
+    """Every proposal paired with every (non-empty) cluster through its center
+    ray, with the depth along the ray of the cluster point nearest it;
+    proposal-major.
 
-    Points behind the origin measure to the origin itself, not to the
-    backward extension of the line.
+    A point behind the camera measures to the camera center, not to the
+    backward extension of the ray. A cluster's nearest point is its first
+    one at its least distance.
     """
-    pts = np.asarray(points, dtype=float)
-    rel = pts - ray.origin
-    t = np.maximum(rel @ ray.direction, 0.0)
-    closest = ray.origin + t[:, None] * ray.direction
-    return np.linalg.norm(pts - closest, axis=1)
-
-
-def ray_depth(point: np.ndarray, ray: Ray) -> float:
-    """Signed distance of a point along the ray direction from its origin."""
-    return float((np.asarray(point, dtype=float) - ray.origin) @ ray.direction)
-
-
-def ray_pair(
-    prop: Proposal2D, cluster: np.ndarray, scene: Scene, ray: Ray | None = None
-) -> tuple[CrossModalProposal, float]:
-    """``prop`` paired with ``cluster`` through ``ray``, the proposal's center ray
-    by default, and the depth along it of the cluster point nearest the ray."""
-    if ray is None:
-        ray = center_ray(prop.box, scene.camera(prop.camera_id))
-    pts = scene.cloud[cluster]
-    dists = points_to_ray_distances(pts, ray)
-    k = int(np.argmin(dists))
-    pair = CrossModalProposal(prop, cluster, scene, pts, pts[k], float(dists[k]))
-    return pair, ray_depth(pts[k], ray)
+    if not clusters:
+        return []
+    sizes = np.array([len(c) for c in clusters])
+    starts = np.concatenate([[0], np.cumsum(sizes[:-1])])
+    owner = np.repeat(np.arange(len(clusters)), sizes)
+    pts = scene.cloud[np.concatenate(clusters)]
+    views = np.split(pts, starts[1:])
+    out: list[tuple[CrossModalProposal, float]] = []
+    for prop in props:
+        origin, direction = center_ray(prop.box, scene.camera(prop.camera_id))
+        depth = (pts - origin) @ direction
+        closest = origin + np.maximum(depth, 0.0)[:, None] * direction
+        dist = np.linalg.norm(pts - closest, axis=1)
+        hits = np.flatnonzero(dist == np.minimum.reduceat(dist, starts)[owner])
+        first = hits[np.searchsorted(owner[hits], np.arange(len(clusters)))]
+        out += [
+            (CrossModalProposal(prop, c, scene, v, pts[k], float(dist[k])), float(depth[k]))
+            for c, v, k in zip(clusters, views, first)
+        ]
+    return out
 
 
 def associate(
@@ -179,14 +147,10 @@ def associate(
     [``config.d_min``, ``config.d_max``]. Pairs come back grouped per
     proposal; the pair set does not depend on cluster order.
     """
-    pairs: list[CrossModalProposal] = []
-    for prop in proposals:
-        ray = center_ray(prop.box, scene.camera(prop.camera_id))
-        for cluster in clusters:
-            pair, depth = ray_pair(prop, cluster, scene, ray)
-            if pair.distance_to_ray <= config.tau_match and config.d_min <= depth <= config.d_max:
-                pairs.append(pair)
-    return pairs
+    return [
+        pair for pair, depth in ray_pairs(proposals, clusters, scene)
+        if pair.distance_to_ray <= config.tau_match and config.d_min <= depth <= config.d_max
+    ]
 
 
 def load_proposals(path: str | Path) -> list[Proposal2D]:

@@ -13,7 +13,7 @@ import time
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from .assoc import CrossModalProposal, load_proposals, ray_pair
+from .assoc import CrossModalProposal, load_proposals, ray_pairs
 from .config import PipelineConfig
 from .costfn import BoxCostBatch
 from .errors import ValidationError, as_index, as_str, read_record, reading
@@ -68,7 +68,7 @@ def load_bench_instances(config: PipelineConfig) -> list[BenchInstance]:
                     raise ValueError(f"class {class_id!r} but proposal {prop_index} "
                                      f"has class {proposals[prop_index].class_id!r}")
                 key = as_str(entry.get("id", f"{frame_id}:{k}"), "id")
-            pair, _ = ray_pair(proposals[prop_index], clusters[k], scene)
+            [(pair, _)] = ray_pairs([proposals[prop_index]], [clusters[k]], scene)
             instances.append(BenchInstance(key, pair, gt_box))
     return instances
 
@@ -95,7 +95,8 @@ def run_bench(
         budgets = config.bench.budgets
     if instances is None:
         instances = load_bench_instances(config)
-    check_classes([inst.pair.proposal for inst in instances], config)
+    for inst in instances:
+        check_classes([inst.pair.proposal], config, f"instance {inst.key}")
     if not instances:
         return []
     rows: list[dict] = []

@@ -23,6 +23,7 @@ from .pipeline import (
     associate_frame,
     best_fit,
     check_classes,
+    discover_frames,
     fit_proposal,
     format_bank_summary,
     frame_calib,
@@ -44,12 +45,14 @@ def _cmd_annotate(args: argparse.Namespace) -> int:
 
 def _cmd_fit_box(args: argparse.Namespace) -> int:
     config = load_config(args.config)
+    if args.scene not in discover_frames(config.scenes_dir):
+        raise ValidationError(f"frame {args.scene} not found under {config.scenes_dir}")
     proposals = frame_proposals(config, args.scene) or []
     if not 0 <= args.proposal < len(proposals):
         raise ValidationError(
             f"proposal index {args.proposal} out of range; frame has {len(proposals)}"
         )
-    check_classes(proposals, config)
+    check_classes(proposals, config, f"frame {args.scene}")
     calib = frame_calib(config, args.scene, proposals)
     scene, pairs, _ = associate_frame(config, args.scene, proposals, calib)
     fits = fit_proposal(scene, pairs, config, args.proposal)

@@ -167,6 +167,8 @@ class CameraCalib:
         diag = np.diag(self.intrinsic)
         if np.any(diag <= 0):
             raise ValueError(f"intrinsic diagonal must be positive, got {diag}")
+        if abs(np.linalg.det(self.intrinsic)) < 1e-12:
+            raise ValueError("intrinsic matrix is singular")
         if self.image_width <= 0 or self.image_height <= 0:
             raise ValueError("image size must be positive")
 

@@ -176,15 +176,16 @@ def load_clusters(scene: Scene, config: PipelineConfig) -> list[np.ndarray]:
     return cluster_objects(scene.cloud, object_idx, config.clustering)
 
 
-def check_classes(proposals: list[Proposal2D], config: PipelineConfig) -> None:
-    """Fail before any fit when a proposal's class is missing from a class table.
-    The one class check: past it, the fit and the filters index the tables."""
+def check_classes(proposals: list[Proposal2D], config: PipelineConfig, source: str) -> None:
+    """Fail before any fit when a proposal's class is missing from a class table,
+    naming the ``source`` the proposals came from. The one class check: past
+    it, the fit and the filters index the tables."""
     tables = (("anchor range", config.anchors), ("tau_occ threshold", config.thresholds.tau_occ))
     for prop in proposals:
         for what, table in tables:
             if prop.class_id not in table:
                 raise UnknownClassError(
-                    f"proposal {prop.index}: no {what} for class {prop.class_id!r}; "
+                    f"{source}: proposal {prop.index}: no {what} for class {prop.class_id!r}; "
                     f"have {sorted(table)}"
                 )
 
@@ -243,7 +244,7 @@ def run_annotate(config: PipelineConfig) -> dict:
     proposals = [props or [] for props in loaded]
     calibs = []
     for fid, props in zip(frame_ids, proposals):
-        check_classes(props, config)
+        check_classes(props, config, f"frame {fid}")
         calibs.append(frame_calib(config, fid, props))
     embed_dims = {len(p.embedding) for props in proposals for p in props if p.embedding is not None}
     if len(embed_dims) > 1:

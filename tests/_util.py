@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from autobox3d.assoc import CrossModalProposal, Proposal2D, ray_pair
+from autobox3d.assoc import CrossModalProposal, Proposal2D, ray_pairs
 from autobox3d.config import PipelineConfig, config_to_dict
 from autobox3d.costfn import AnchorRange, BatchEval, BoxCostBatch, CostBreakdown, CostWeights
 from autobox3d.geom import (
@@ -73,7 +73,7 @@ def build_pair(box: BoxParams, class_id: str = "car", seed: int = 0,
     mask = int(round(mask_ratio * crop_w * crop_h))
     prop = Proposal2D(hull, camera.camera_id, class_id, score, mask,
                       crop_w, crop_h, embedding, index=0)
-    return ray_pair(prop, np.arange(len(pts)), scene)[0]
+    return ray_pairs([prop], [np.arange(len(pts))], scene)[0][0]
 
 
 def lockstep_pairs() -> list[tuple[CrossModalProposal, AnchorRange]]:

@@ -146,7 +146,8 @@ class TestLoadInstances:
 
         monkeypatch.setattr(bench, "greedy_search", no_search)
         monkeypatch.setattr(bench, "pso_search", no_search)
-        with pytest.raises(UnknownClassError, match="proposal 0: no anchor range for class 'yeti'"):
+        with pytest.raises(UnknownClassError,
+                           match="instance 0001:0: proposal 0: no anchor range for class 'yeti'"):
             run_bench(config)
         save_config(config, tmp_path / "config.yaml")
         assert main(["bench", "--config", str(tmp_path / "config.yaml")]) == 2
@@ -219,7 +220,7 @@ class TestRunBench:
     def test_unknown_class_raises(self, bench_config):
         inst = load_bench_instances(bench_config)[0]
         inst.pair.proposal.class_id = "yeti"
-        with pytest.raises(UnknownClassError, match="yeti"):
+        with pytest.raises(UnknownClassError, match=f"^instance {inst.key}: proposal .*'yeti'"):
             run_bench(bench_config, methods=("greedy",), budgets=(128,), instances=[inst])
 
     def test_lockstep_rows_equal_searches_alone(self, bench_config):

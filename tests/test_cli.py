@@ -244,7 +244,9 @@ class TestFitBox:
             "--scene", "nope", "--proposal", "0",
         ])
         assert code == 2
-        capsys.readouterr()
+        err = capsys.readouterr().err
+        assert "frame nope not found under" in err
+        assert "out of range" not in err
 
     @staticmethod
     def _copied_frame(workdir, tmp_path):
@@ -272,7 +274,7 @@ class TestFitBox:
         monkeypatch.setattr(pipeline, "fit_pair", no_fit)
         code = main(["fit-box", "--config", config, "--scene", "0000", "--proposal", "0"])
         assert code == 2
-        assert "yeti" in capsys.readouterr().err
+        assert "frame 0000: proposal 1: no anchor range for class 'yeti'" in capsys.readouterr().err
 
     def test_frame_without_proposals_exits_2(self, workdir, tmp_path, capsys):
         config, proposals_path = self._copied_frame(workdir, tmp_path)

@@ -146,10 +146,12 @@ class TestInit:
         pair = build_pair(car_box(), seed=8)
         cfg = replace(TINY, n_swarm=50, c_noise=0.0)
         swarm = init_particles(pair.points, pair.nearest, CAR_ANCHOR, cfg, rng_of())
-        from autobox3d.assoc import center_ray, points_to_ray_distances
+        from autobox3d.assoc import center_ray
 
-        ray = center_ray(pair.proposal.box, pair.calib)
-        near = pair.points[int(np.argmin(points_to_ray_distances(pair.points, ray)))]
+        origin, direction = center_ray(pair.proposal.box, pair.calib)
+        along = np.maximum((pair.points - origin) @ direction, 0.0)
+        off_ray = np.linalg.norm(pair.points - (origin + along[:, None] * direction), axis=1)
+        near = pair.points[int(np.argmin(off_ray))]
         centroid = pair.points.mean(axis=0)
         assert np.array_equal(pair.nearest, near)
         assert np.allclose(swarm[:25, :3], near)

@@ -346,7 +346,8 @@ class TestProcessFrame:
 
         monkeypatch.setattr("autobox3d.pipeline.pso_search", no_search)
         what = "anchor range" if table == "anchors" else "tau_occ threshold"
-        with pytest.raises(UnknownClassError, match=f"no {what} for class 'trailer'"):
+        with pytest.raises(UnknownClassError, match=f"^frame 0000: proposal {len(proposals) - 1}: "
+                                                    f"no {what} for class 'trailer'"):
             run_annotate(config)
 
     def test_default_tables_cover_the_same_classes(self):
@@ -571,7 +572,26 @@ class TestRunAnnotate:
             raise AssertionError("a frame was fitted before the last frame's class check")
 
         monkeypatch.setattr("autobox3d.pipeline.pso_search", no_search)
-        with pytest.raises(UnknownClassError, match="yeti"):
+        with pytest.raises(UnknownClassError,
+                           match=f"^frame 0001: proposal {len(proposals) - 1}: .*'yeti'"):
+            run_annotate(corpus_config(scenes, tmp_path / "out"))
+
+    def test_singular_intrinsic_in_last_frame_fails_before_any_fit(self, corpus, tmp_path,
+                                                                  monkeypatch):
+        # Association used to find it, after the earlier frames were fitted.
+        scenes = tmp_path / "scenes"
+        shutil.copytree(corpus, scenes)
+        path = scenes / "0001.calib.json"
+        calib = json.loads(path.read_text())
+        calib["cameras"][0]["intrinsic"][2][2] = 1e-18
+        path.write_text(json.dumps(calib))
+
+        def no_search(*args, **kwargs):
+            raise AssertionError("a frame was fitted before the last frame's cameras were read")
+
+        monkeypatch.setattr("autobox3d.pipeline.pso_search", no_search)
+        with pytest.raises(ValidationError,
+                           match="0001.calib.json: camera 0: intrinsic matrix is singular"):
             run_annotate(corpus_config(scenes, tmp_path / "out"))
 
     def test_summarize_bank_matches_report(self, corpus, tmp_path):

@@ -11,6 +11,7 @@ import pytest
 from autobox3d.cli import main
 from autobox3d.errors import ValidationError
 from autobox3d.geom import (
+    Box2D,
     BoxParams,
     EgoPose,
     project_box_to_2d,
@@ -199,10 +200,12 @@ class TestMakeCamera:
         assert np.allclose(uvd[0], [50.0, 50.0, 10.0])
 
     def test_offset_center(self):
-        from autobox3d.assoc import camera_center
+        from autobox3d.assoc import center_ray
 
         cam = make_camera("c", 0.0, 100.0, 100, 100, center=(1.0, 2.0, 3.0))
-        assert np.allclose(camera_center(cam), [1.0, 2.0, 3.0])
+        origin, direction = center_ray(Box2D(40.0, 40.0, 60.0, 60.0), cam)
+        assert np.allclose(origin, [1.0, 2.0, 3.0])
+        assert np.allclose(direction, [1.0, 0.0, 0.0])
 
     def test_ring_layout(self):
         cams = camera_ring(SMALL_SPEC)
