@@ -13,14 +13,15 @@ import time
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from .assoc import CrossModalProposal, load_proposals, ray_pairs
+from .assoc import CrossModalProposal, ray_pairs
 from .config import PipelineConfig
 from .costfn import BoxCostBatch
 from .errors import ValidationError, as_index, as_str, read_record, reading
 from .geom import BoxParams, iou_bev
 from .optimizer import greedy_search, pso_search
 from .pipeline import check_classes, derive_pair_seed, discover_frames, fit_pair
-from .sceneprep import clusters_from_labels, load_calib, load_point_labels, load_scene
+from .pipeline import load_clusters, read_frame
+from .sceneprep import load_scene
 
 
 @dataclass(eq=False)
@@ -35,19 +36,18 @@ class BenchInstance:
 def load_bench_instances(config: PipelineConfig) -> list[BenchInstance]:
     """Every ground-truth instance under the scenes dir, in frame order.
 
-    Requires the sidecars the synthetic generator writes: ``<id>.gt.json``
-    with true boxes and ``<id>.ptlabels.txt`` tying points to instances.
+    Requires the synthetic generator's ``<id>.gt.json`` (true boxes),
+    ``<id>.ptlabels.txt`` (points to instances) and ``<id>.proposals.json``.
     """
     instances: list[BenchInstance] = []
     for frame_id in discover_frames(config.scenes_dir):
         gt_path = config.scenes_dir / f"{frame_id}.gt.json"
-        labels_path = config.scenes_dir / f"{frame_id}.ptlabels.txt"
-        for sidecar in (gt_path, labels_path):
-            if not sidecar.exists():
-                raise ValidationError(f"frame {frame_id}: benchmark needs {sidecar.name}")
-        scene = load_scene(config.scenes_dir, frame_id, *load_calib(config.scenes_dir, frame_id))
-        clusters = clusters_from_labels(load_point_labels(labels_path, len(scene.cloud)))
-        proposals = load_proposals(config.scenes_dir / f"{frame_id}.proposals.json")
+        for suffix in ("gt.json", "ptlabels.txt", "proposals.json"):
+            if not (config.scenes_dir / f"{frame_id}.{suffix}").exists():
+                raise ValidationError(f"frame {frame_id}: benchmark needs {frame_id}.{suffix}")
+        proposals, ego, cameras = read_frame(config, frame_id)
+        scene = load_scene(config.scenes_dir, frame_id, ego, cameras)
+        clusters = load_clusters(scene, config)
         with reading(gt_path):
             entries = json.loads(gt_path.read_text())["instances"]
             if not isinstance(entries, list):

@@ -22,13 +22,11 @@ from .errors import CloudFormatError, ValidationError, make_output_dir
 from .pipeline import (
     associate_frame,
     best_fit,
-    check_classes,
     discover_frames,
     fit_proposal,
     format_bank_summary,
-    frame_calib,
-    frame_proposals,
     format_report,
+    read_frame,
     run_annotate,
     summarize_bank,
 )
@@ -47,14 +45,13 @@ def _cmd_fit_box(args: argparse.Namespace) -> int:
     config = load_config(args.config)
     if args.scene not in discover_frames(config.scenes_dir):
         raise ValidationError(f"frame {args.scene} not found under {config.scenes_dir}")
-    proposals = frame_proposals(config, args.scene) or []
-    if not 0 <= args.proposal < len(proposals):
+    frame = read_frame(config, args.scene)
+    n_proposals = len(frame[0] or [])
+    if not 0 <= args.proposal < n_proposals:
         raise ValidationError(
-            f"proposal index {args.proposal} out of range; frame has {len(proposals)}"
+            f"proposal index {args.proposal} out of range; frame has {n_proposals}"
         )
-    check_classes(proposals, config, f"frame {args.scene}")
-    calib = frame_calib(config, args.scene, proposals)
-    scene, pairs, _ = associate_frame(config, args.scene, proposals, calib)
+    scene, pairs, _ = associate_frame(config, args.scene, frame)
     fits = fit_proposal(scene, pairs, config, args.proposal)
     if not fits:
         print(

@@ -190,41 +190,38 @@ def check_classes(proposals: list[Proposal2D], config: PipelineConfig, source: s
                 )
 
 
-def frame_proposals(config: PipelineConfig, frame_id: str) -> list[Proposal2D] | None:
-    """A frame's proposals; None when it has no proposal file."""
+def read_frame(
+    config: PipelineConfig, frame_id: str
+) -> tuple[list[Proposal2D] | None, EgoPose, list[CameraCalib]]:
+    """A frame's proposals (None without a proposal file), ego pose and cameras,
+    each file read once, after checking every proposal's class and camera."""
     path = config.scenes_dir / f"{frame_id}.proposals.json"
-    return load_proposals(path) if path.exists() else None
-
-
-Calib = tuple[EgoPose, list[CameraCalib]]
-
-
-def frame_calib(config: PipelineConfig, frame_id: str, proposals: list[Proposal2D]) -> Calib:
-    """A frame's ego pose and cameras, read once, after checking that every
-    one of its ``proposals`` names one of those cameras."""
+    proposals = load_proposals(path) if path.exists() else None
+    check_classes(proposals or [], config, f"frame {frame_id}")
     ego, cameras = load_calib(config.scenes_dir, frame_id)
     known = Scene(frame_id, np.zeros((0, 3)), ego, cameras)
-    for prop in proposals:
+    for prop in proposals or []:
         known.camera(prop.camera_id)  # fails on a camera the calib lacks
-    return ego, cameras
+    return proposals, ego, cameras
 
 
 def associate_frame(
-    config: PipelineConfig, frame_id: str, proposals: list[Proposal2D], calib: Calib
+    config: PipelineConfig, frame_id: str, frame: tuple
 ) -> tuple[Scene, list[CrossModalProposal], dict]:
-    """Load one frame with its ``calib``, cluster it, and pair its
-    ``proposals`` with clusters; returns (scene, pairs, counters)."""
-    scene = load_scene(config.scenes_dir, frame_id, *calib)
+    """Load, cluster and associate a ``frame`` from ``read_frame``; returns
+    (scene, pairs, counters)."""
+    proposals, ego, cameras = frame
+    scene = load_scene(config.scenes_dir, frame_id, ego, cameras)
     clusters = load_clusters(scene, config)
-    pairs = associate(scene, proposals, clusters, config.association)
+    pairs = associate(scene, proposals or [], clusters, config.association)
     return scene, pairs, {"clusters": len(clusters), "pairs": len(pairs)}
 
 
 def process_frame(
-    config: PipelineConfig, frame_id: str, proposals: list[Proposal2D], calib: Calib
+    config: PipelineConfig, frame_id: str, frame: tuple
 ) -> tuple[list[NovelObjectTarget], dict]:
-    """Annotate one frame with its ``proposals``; returns (targets, counters)."""
-    scene, pairs, stats = associate_frame(config, frame_id, proposals, calib)
+    """Annotate a ``frame`` from ``read_frame``; returns (targets, counters)."""
+    scene, pairs, stats = associate_frame(config, frame_id, frame)
     return prepare_targets(scene, pairs, config), stats
 
 
@@ -239,14 +236,10 @@ def run_annotate(config: PipelineConfig) -> dict:
     t0 = time.perf_counter()
     make_output_dir(config.output_dir)
     frame_ids = discover_frames(config.scenes_dir)
-    loaded = [frame_proposals(config, fid) for fid in frame_ids]
-    frames_missing_proposals = [fid for fid, props in zip(frame_ids, loaded) if props is None]
-    proposals = [props or [] for props in loaded]
-    calibs = []
-    for fid, props in zip(frame_ids, proposals):
-        check_classes(props, config, f"frame {fid}")
-        calibs.append(frame_calib(config, fid, props))
-    embed_dims = {len(p.embedding) for props in proposals for p in props if p.embedding is not None}
+    frames = [read_frame(config, fid) for fid in frame_ids]
+    frames_missing_proposals = [fid for fid, frame in zip(frame_ids, frames) if frame[0] is None]
+    proposals = [p for props, _, _ in frames for p in props or []]
+    embed_dims = {len(p.embedding) for p in proposals if p.embedding is not None}
     if len(embed_dims) > 1:
         raise ValidationError(
             f"embedding dimension must be constant per run, saw {sorted(embed_dims)}"
@@ -255,9 +248,9 @@ def run_annotate(config: PipelineConfig) -> dict:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=min(config.workers, len(frame_ids))) as ex:
-            results = list(ex.map(partial(process_frame, config), frame_ids, proposals, calibs))
+            results = list(ex.map(partial(process_frame, config), frame_ids, frames))
     else:
-        results = list(map(partial(process_frame, config), frame_ids, proposals, calibs))
+        results = list(map(partial(process_frame, config), frame_ids, frames))
 
     bank = [t for targets, _ in results for t in targets]
     write_bank(bank, config.output_dir / "bank.jsonl")
@@ -270,7 +263,7 @@ def run_annotate(config: PipelineConfig) -> dict:
         "fingerprint": config_fingerprint(config),
         "frames": len(frame_ids),
         "frames_missing_proposals": frames_missing_proposals,
-        "proposals": sum(map(len, proposals)),
+        "proposals": len(proposals),
         "clusters": sum(stats["clusters"] for _, stats in results),
         "pairs": sum(stats["pairs"] for _, stats in results),
         "targets": len(bank),

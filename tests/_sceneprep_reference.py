@@ -56,8 +56,10 @@ def fit_ground_plane_loop(
     return plane
 
 
-def remove_ground_loop(cloud: np.ndarray, config: GroundConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Split a cloud into (ground_indices, object_indices).
+def remove_ground_loop(
+    cloud: np.ndarray, config: GroundConfig
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Split a cloud into (ground_indices, object_indices, cell_planes).
 
     The xy plane is tiled into ``cell_size`` squares; each cell fits a plane
     to its lowest-z quantile with ``refit_rounds`` outlier-rejecting refits.
@@ -65,6 +67,9 @@ def remove_ground_loop(cloud: np.ndarray, config: GroundConfig) -> tuple[np.ndar
     plane (or a single global fit when no cell succeeds). A point is ground
     when it sits within ``height_threshold`` of its cell's plane. The two
     index arrays are ascending and partition the cloud exactly.
+    ``cell_planes`` holds each cell's own fit, cells in lexicographic (x, y)
+    order, with a row of NaN where the cell fits none: the planes before
+    any fallback.
     """
     cell_size, height_threshold = config.cell, config.height_threshold
     refit_rounds, seed_quantile = config.refit_rounds, config.seed_quantile
@@ -92,6 +97,7 @@ def remove_ground_loop(cloud: np.ndarray, config: GroundConfig) -> tuple[np.ndar
         plane = fit_ground_plane_loop(pts[members], height_threshold, refit_rounds, seed_quantile)
         if plane is not None:
             planes[k] = plane
+    cell_planes = planes.copy()
 
     fitted = np.all(np.isfinite(planes), axis=1)
     if not np.any(fitted):
@@ -108,12 +114,12 @@ def remove_ground_loop(cloud: np.ndarray, config: GroundConfig) -> tuple[np.ndar
             d2 = np.sum((centers[have] - centers[k]) ** 2, axis=1)
             planes[k] = planes[have[int(np.argmin(d2))]]
 
-    cell_planes = planes[inverse]
+    point_planes = planes[inverse]
     residual = np.abs(
-        pts[:, 2] - (cell_planes[:, 0] * pts[:, 0] + cell_planes[:, 1] * pts[:, 1] + cell_planes[:, 2])
+        pts[:, 2] - (point_planes[:, 0] * pts[:, 0] + point_planes[:, 1] * pts[:, 1] + point_planes[:, 2])
     )
     ground = residual <= height_threshold
-    return np.where(ground)[0], np.where(~ground)[0]
+    return np.where(ground)[0], np.where(~ground)[0], cell_planes
 
 
 def cluster_objects_loop(

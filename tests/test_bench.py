@@ -66,15 +66,21 @@ class TestLoadInstances:
             assert inst.pair.distance_to_ray < 2.0
             assert inst.pair.proposal.index == 0
 
-    def test_missing_gt_sidecar(self, bench_config, tmp_path):
+    @pytest.mark.parametrize("sidecar", ["gt.json", "ptlabels.txt", "proposals.json"])
+    def test_missing_gt_sidecar(self, bench_config, tmp_path, capsys, sidecar):
+        # A missing proposal file used to exit 2 with a raw FileNotFoundError.
         scenes = tmp_path / "scenes"
         scenes.mkdir()
         for src in bench_config.scenes_dir.glob("0000.*"):
-            if not src.name.endswith(".gt.json"):
+            if not src.name.endswith(sidecar):
                 shutil.copy(src, scenes / src.name)
         config = PipelineConfig(scenes_dir=scenes, output_dir=tmp_path / "out")
-        with pytest.raises(ValidationError, match="gt.json"):
+        message = f"frame 0000: benchmark needs 0000.{sidecar}"
+        with pytest.raises(ValidationError, match=f"^{message}$"):
             load_bench_instances(config)
+        save_config(config, tmp_path / "config.yaml")
+        assert main(["bench", "--config", str(tmp_path / "config.yaml")]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_cluster_count_mismatch(self, bench_config, tmp_path):
         config = _edited_gt_config(bench_config, tmp_path,
@@ -147,7 +153,7 @@ class TestLoadInstances:
         monkeypatch.setattr(bench, "greedy_search", no_search)
         monkeypatch.setattr(bench, "pso_search", no_search)
         with pytest.raises(UnknownClassError,
-                           match="instance 0001:0: proposal 0: no anchor range for class 'yeti'"):
+                           match="^frame 0001: proposal 0: no anchor range for class 'yeti'"):
             run_bench(config)
         save_config(config, tmp_path / "config.yaml")
         assert main(["bench", "--config", str(tmp_path / "config.yaml")]) == 2

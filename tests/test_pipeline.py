@@ -24,12 +24,11 @@ from autobox3d.pipeline import (
     fit_proposal,
     format_bank_summary,
     format_report,
-    frame_calib,
-    frame_proposals,
     load_clusters,
     nms,
     prepare_targets,
     process_frame,
+    read_frame,
     reject_reason,
     run_annotate,
     summarize_bank,
@@ -307,10 +306,9 @@ def _write_mini_frame(scenes, frame_id, embed_dim, n_points=8):
 class TestProcessFrame:
     def test_counts_and_targets(self, corpus, tmp_path):
         config = corpus_config(corpus, tmp_path)
-        proposals = frame_proposals(config, "0000")
-        assert len(proposals) == 2
-        calib = frame_calib(config, "0000", proposals)
-        targets, stats = process_frame(config, "0000", proposals, calib)
+        frame = read_frame(config, "0000")
+        assert len(frame[0]) == 2
+        targets, stats = process_frame(config, "0000", frame)
         assert set(stats) == {"clusters", "pairs"}
         assert stats["clusters"] == 2
         assert stats["pairs"] >= 2
@@ -408,10 +406,8 @@ class TestProcessFrame:
 class TestFitProposal:
     def test_seeds_follow_position_among_frame_pairs(self, corpus, tmp_path):
         config = corpus_config(corpus, tmp_path)
-        proposals = frame_proposals(config, "0000")
-        scene, pairs, stats = associate_frame(
-            config, "0000", proposals, frame_calib(config, "0000", proposals)
-        )
+        frame = read_frame(config, "0000")
+        scene, pairs, stats = associate_frame(config, "0000", frame)
         assert stats["pairs"] == len(pairs)
         index = pairs[-1].proposal.index
         mine = [(k, p) for k, p in enumerate(pairs) if p.proposal.index == index]
@@ -422,7 +418,7 @@ class TestFitProposal:
             expected = fit_alone(pair, config, derive_pair_seed(config.seed, "0000", k))
             assert result.best_cost == expected.best_cost
             assert np.array_equal(result.trace, expected.trace)
-        assert fit_proposal(scene, pairs, config, len(proposals)) == []
+        assert fit_proposal(scene, pairs, config, len(frame[0])) == []
 
     def test_best_fit_lowest_total_earliest_on_tie(self):
         def fit(total, tag):
@@ -534,12 +530,12 @@ class TestRunAnnotate:
         for src in corpus.iterdir():
             if src.name != "0001.proposals.json":
                 shutil.copy(src, scenes / src.name)
-        assert frame_proposals(corpus_config(scenes, tmp_path), "0001") is None
+        assert read_frame(corpus_config(scenes, tmp_path), "0001")[0] is None
         config = corpus_config(scenes, tmp_path / "out")
         report = run_annotate(config)
         assert report["frames"] == 2
         assert report["frames_missing_proposals"] == ["0001"]
-        assert report["proposals"] == len(frame_proposals(config, "0000"))
+        assert report["proposals"] == len(read_frame(config, "0000")[0])
         text = format_report(report)
         assert "0001" in text
 

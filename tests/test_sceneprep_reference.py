@@ -2,7 +2,8 @@
 
 ``remove_ground`` and ``cluster_objects`` must return the same arrays bit
 for bit as the per-cell and per-point loops in ``_sceneprep_reference``:
-ground and object indices, and each cluster's sorted point indices.
+ground and object indices, each cell's ground plane, and each cluster's
+sorted point indices.
 """
 
 import hashlib
@@ -10,6 +11,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from autobox3d import sceneprep
 from autobox3d.errors import ValidationError
 from autobox3d.sceneprep import (
     ClusterConfig, GroundConfig, _fit_ground_planes, _fit_planes, _seed_thresholds,
@@ -45,11 +47,27 @@ def frame_cloud(tmp_path_factory):
 
 
 def assert_same_ground(cloud, **kwargs):
+    """Same ground and object indices as the loop, and the same plane in
+    every cell, bit for bit, NaN where neither fits one. The planes depend on
+    the order of each cell's rows, which the indices alone do not pin."""
     config = GroundConfig(**kwargs)
-    ground, objects = remove_ground(cloud, config)
-    ref_ground, ref_objects = remove_ground_loop(cloud, config)
+    fits = []
+
+    def capture(*args):
+        planes = _fit_ground_planes(*args)
+        fits.append(planes.copy())  # remove_ground fills the fallbacks in place
+        return planes
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sceneprep, "_fit_ground_planes", capture)
+        ground, objects = remove_ground(cloud, config)
+    ref_ground, ref_objects, ref_planes = remove_ground_loop(cloud, config)
     assert np.array_equal(ground, ref_ground)
     assert np.array_equal(objects, ref_objects)
+    planes = fits[0]  # the cells' fits; a second call is the global fallback
+    assert planes.shape == ref_planes.shape
+    assert np.array_equal(np.isnan(planes), np.isnan(ref_planes))
+    assert np.nan_to_num(planes).tobytes() == np.nan_to_num(ref_planes).tobytes()
     return objects
 
 

@@ -2,7 +2,8 @@
 
 ``perfbench/workloads.py`` lists each span as (owner, attribute, name), and
 the tracer replaces ``vars(owner)[attribute]``. A rename in the program that
-misses the list breaks ``perfbench/run.py --trace 1``; these checks make it
+misses the list breaks ``perfbench/run.py --trace 1``, and so does a call
+that moves away from the owner it is patched on; these checks make either
 fail the test suite instead. The benchmark also writes each workload's
 config and splits it per frame with ``dataclasses.replace``, which the last
 check guards.
@@ -10,6 +11,7 @@ check guards.
 
 import importlib.util
 import json
+import shutil
 from dataclasses import replace
 from pathlib import Path
 
@@ -17,12 +19,25 @@ import numpy as np
 import pytest
 
 import autobox3d
-from autobox3d.config import config_to_dict, load_config
+from autobox3d import bench, config, pipeline
+from autobox3d.config import PipelineConfig, config_to_dict, load_config
 from autobox3d.costfn import BoxCostBatch, CostWeights
+from autobox3d.optimizer import SwarmConfig
+from autobox3d.synth import SynthClassSpec, SynthSpec, generate
 
-from _util import build_pair, car_box
+from _util import build_pair, car_box, save_config
 
-WORKLOADS_PY = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+WORKLOADS_PY = PERFBENCH / "workloads.py"
+
+# One frame whose three cars each get a pair, so that NMS compares boxes.
+CALL_SITE_SPEC = SynthSpec(
+    seed=11,
+    n_frames=1,
+    classes=[SynthClassSpec(name="car", count=3, distance_min=8.0, distance_max=22.0)],
+    ground_extent=18.0,
+    n_cameras=2,
+)
 
 
 def _workloads():
@@ -78,3 +93,44 @@ def test_workload_config_loads_and_splits_per_frame(tmp_path, name):
     split = config_to_dict(frame)
     assert split.pop("paths") == {"scenes": f"{paths['scenes']}/0000", "output": f"{tmp_path}/o/0000"}
     assert split == loaded
+
+
+@pytest.fixture(scope="module")
+def labelled_corpus(tmp_path_factory):
+    scenes = tmp_path_factory.mktemp("call_sites")
+    generate(CALL_SITE_SPEC, scenes)
+    return scenes
+
+
+@pytest.mark.parametrize("name", sorted(_workloads().WORKLOADS))
+def test_every_span_sees_its_calls(tmp_path, monkeypatch, labelled_corpus, name):
+    # perfbench/child.py's own check, as ``--trace 1`` runs it: set-up spans
+    # are patched while the workload is set up, the rest while it runs.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    child = importlib.import_module("child")
+    wl = child.WORKLOADS[name]
+    scenes = tmp_path / "scenes"
+    shutil.copytree(labelled_corpus, scenes)
+    if not wl["keep_labels"]:
+        for path in scenes.glob("*.ptlabels.txt"):
+            path.unlink()
+    save_config(PipelineConfig(scenes_dir=scenes, output_dir=tmp_path / "out",
+                               swarm=SwarmConfig(n_swarm=8, n_iter=2), workers=1),
+                tmp_path / "config.yaml")
+
+    setup, passes = child.Tracer(), child.Tracer()
+    child.install(setup, child.SETUP_SPANS)
+    try:
+        cfg = config.load_config(tmp_path / "config.yaml")
+        instances = bench.load_bench_instances(cfg) if wl["kind"] == "grid" else None
+    finally:
+        setup.restore()
+    child.install(passes, {span for _, _, span in child.SPANS} - child.SETUP_SPANS)
+    try:
+        if wl["kind"] == "grid":
+            bench.run_bench(cfg, methods=("greedy",), budgets=(512,), instances=instances)
+        else:
+            pipeline.run_annotate(cfg)
+    finally:
+        passes.restore()
+    assert child.fidelity_problems(name, setup, passes) == []
