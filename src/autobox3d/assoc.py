@@ -76,19 +76,16 @@ class Proposal2D:
 @dataclass(eq=False)
 class CrossModalProposal:
     """A matched (2D proposal, 3D cluster) pair ready for box fitting: the
-    cluster's cloud indices, its points, and its point ``nearest`` the
-    proposal's center ray, ``distance_to_ray`` from it."""
+    proposal's camera, the cluster's cloud indices, its points, and its point
+    ``nearest`` the proposal's center ray, ``distance_to_ray`` from it."""
 
     proposal: Proposal2D
+    calib: CameraCalib
     cluster: np.ndarray
     scene: Scene
     points: np.ndarray
     nearest: np.ndarray
     distance_to_ray: float
-
-    @property
-    def calib(self) -> CameraCalib:
-        return self.scene.camera(self.proposal.camera_id)
 
 
 def center_ray(box: Box2D, calib: CameraCalib) -> tuple[np.ndarray, np.ndarray]:
@@ -108,9 +105,10 @@ def ray_pairs(
     ray, with the depth along the ray of the cluster point nearest it;
     proposal-major.
 
-    A point behind the camera measures to the camera center, not to the
-    backward extension of the ray. A cluster's nearest point is its first
-    one at its least distance.
+    Each proposal's camera comes from ``scene.cameras``, looked up once and
+    kept on its pairs. A point behind the camera measures to the camera
+    center, not to the backward extension of the ray. A cluster's nearest
+    point is its first one at its least distance.
     """
     if not clusters:
         return []
@@ -121,14 +119,15 @@ def ray_pairs(
     views = np.split(pts, starts[1:])
     out: list[tuple[CrossModalProposal, float]] = []
     for prop in props:
-        origin, direction = center_ray(prop.box, scene.camera(prop.camera_id))
+        calib = scene.cameras[prop.camera_id]
+        origin, direction = center_ray(prop.box, calib)
         depth = (pts - origin) @ direction
         closest = origin + np.maximum(depth, 0.0)[:, None] * direction
         dist = np.linalg.norm(pts - closest, axis=1)
         hits = np.flatnonzero(dist == np.minimum.reduceat(dist, starts)[owner])
         first = hits[np.searchsorted(owner[hits], np.arange(len(clusters)))]
         out += [
-            (CrossModalProposal(prop, c, scene, v, pts[k], float(dist[k])), float(depth[k]))
+            (CrossModalProposal(prop, calib, c, scene, v, pts[k], float(dist[k])), float(depth[k]))
             for c, v, k in zip(clusters, views, first)
         ]
     return out

@@ -28,6 +28,7 @@ from .optimizer import SearchResult, SwarmStart, pso_search
 from .sceneprep import (
     Scene,
     cluster_objects,
+    cloud_path,
     clusters_from_labels,
     load_calib,
     load_ground_mask,
@@ -192,16 +193,20 @@ def check_classes(proposals: list[Proposal2D], config: PipelineConfig, source: s
 
 def read_frame(
     config: PipelineConfig, frame_id: str
-) -> tuple[list[Proposal2D] | None, EgoPose, list[CameraCalib]]:
-    """A frame's proposals (None without a proposal file), ego pose and cameras,
-    each file read once, after checking every proposal's class and camera."""
+) -> tuple[list[Proposal2D] | None, EgoPose, dict[str, CameraCalib]]:
+    """A frame's proposals (None without a proposal file), ego pose and cameras
+    by id, each file read once, after checking every proposal's class and
+    camera and that the frame has a cloud file."""
     path = config.scenes_dir / f"{frame_id}.proposals.json"
     proposals = load_proposals(path) if path.exists() else None
     check_classes(proposals or [], config, f"frame {frame_id}")
     ego, cameras = load_calib(config.scenes_dir, frame_id)
-    known = Scene(frame_id, np.zeros((0, 3)), ego, cameras)
     for prop in proposals or []:
-        known.camera(prop.camera_id)  # fails on a camera the calib lacks
+        if prop.camera_id not in cameras:
+            raise ValidationError(
+                f"frame {frame_id}: unknown camera {prop.camera_id!r}, have {sorted(cameras)}"
+            )
+    cloud_path(config.scenes_dir, frame_id)  # fails when the frame has no cloud file
     return proposals, ego, cameras
 
 
@@ -231,7 +236,8 @@ def run_annotate(config: PipelineConfig) -> dict:
     Writes ``bank.jsonl`` and ``report.json`` into the output dir and
     returns the report. The bank is byte-identical across runs with the
     same config and inputs. The output dir is made, and every frame's proposal
-    classes, cameras and embedding dimensions are checked, before any fit.
+    classes, cameras and embedding dimensions and its cloud file are checked,
+    before any fit.
     """
     t0 = time.perf_counter()
     make_output_dir(config.output_dir)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -58,32 +58,12 @@ class ClusterConfig:
 
 @dataclass(eq=False)
 class Scene:
-    """One sweep: the point cloud, the ego pose, and the camera set."""
+    """One sweep: the (N, 3) float64 cloud, the ego pose, and the cameras by id."""
 
     frame_id: str
     cloud: np.ndarray
     ego: EgoPose
-    cameras: list[CameraCalib]
-    _by_id: dict[str, CameraCalib] = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        self.cloud = np.asarray(self.cloud, dtype=float)
-        if self.cloud.ndim != 2 or self.cloud.shape[1] != 3:
-            raise ValueError(f"cloud must be (N, 3), got {self.cloud.shape}")
-        self._by_id = {}
-        for cam in self.cameras:
-            if cam.camera_id in self._by_id:
-                raise ValidationError(f"duplicate camera id {cam.camera_id!r}")
-            self._by_id[cam.camera_id] = cam
-
-    def camera(self, camera_id: str) -> CameraCalib:
-        try:
-            return self._by_id[camera_id]
-        except KeyError:
-            known = sorted(self._by_id)
-            raise ValidationError(
-                f"frame {self.frame_id}: unknown camera {camera_id!r}, have {known}"
-            ) from None
+    cameras: dict[str, CameraCalib]
 
 
 def load_cloud(path: str | Path) -> np.ndarray:
@@ -159,21 +139,26 @@ def save_cloud(path: str | Path, points: np.ndarray) -> None:
     Path(path).write_bytes(out.tobytes())
 
 
-def load_scene(scenes_dir: Path, frame_id: str, ego: EgoPose, cameras: list[CameraCalib]) -> Scene:
-    """Load ``<frame_id>.bin`` (or .csv) as the cloud of a scene with the
-    ``ego`` pose and ``cameras`` that ``load_calib`` read for the frame."""
-    cloud_path = scenes_dir / f"{frame_id}.bin"
-    if not cloud_path.exists():
-        csv_path = scenes_dir / f"{frame_id}.csv"
-        if csv_path.exists():
-            cloud_path = csv_path
-        else:
-            raise ValidationError(f"frame {frame_id}: no cloud file under {scenes_dir}")
-    return Scene(frame_id=frame_id, cloud=load_cloud(cloud_path), ego=ego, cameras=cameras)
+def cloud_path(scenes_dir: Path, frame_id: str) -> Path:
+    """``<frame_id>.bin``, else ``<frame_id>.csv``, under ``scenes_dir``."""
+    for suffix in (".bin", ".csv"):
+        path = scenes_dir / f"{frame_id}{suffix}"
+        if path.exists():
+            return path
+    raise ValidationError(f"frame {frame_id}: no cloud file under {scenes_dir}")
 
 
-def load_calib(scenes_dir: Path, frame_id: str) -> tuple[EgoPose, list[CameraCalib]]:
-    """The ego pose and cameras of ``<frame_id>.calib.json``."""
+def load_scene(
+    scenes_dir: Path, frame_id: str, ego: EgoPose, cameras: dict[str, CameraCalib]
+) -> Scene:
+    """The scene of ``frame_id``: its ``cloud_path`` cloud with the ``ego`` pose
+    and ``cameras`` that ``load_calib`` read for the frame."""
+    return Scene(frame_id, load_cloud(cloud_path(scenes_dir, frame_id)), ego, cameras)
+
+
+def load_calib(scenes_dir: Path, frame_id: str) -> tuple[EgoPose, dict[str, CameraCalib]]:
+    """The ego pose of ``<frame_id>.calib.json`` and its cameras by id; an
+    entry that repeats an earlier camera id fails, naming the entry."""
     calib_path = scenes_dir / f"{frame_id}.calib.json"
     try:
         calib_raw = json.loads(calib_path.read_text())
@@ -184,20 +169,24 @@ def load_calib(scenes_dir: Path, frame_id: str) -> tuple[EgoPose, list[CameraCal
     with reading(calib_path):
         as_dict(calib_raw, "the document")
         ego = EgoPose(*as_floats(calib_raw["ego"], "ego", (3,)).tolist())
-        cameras = calib_raw["cameras"]
-        if not isinstance(cameras, list):
-            raise ValueError(f"cameras must be a list, got {cameras!r}")
-    for k, cam in enumerate(cameras):
+        entries = calib_raw["cameras"]
+        if not isinstance(entries, list):
+            raise ValueError(f"cameras must be a list, got {entries!r}")
+    cameras: dict[str, CameraCalib] = {}
+    for k, cam in enumerate(entries):
         where = f"{calib_path}: camera {k}"
         as_dict(cam, where)
         with reading(where):
-            cameras[k] = CameraCalib(
+            calib = CameraCalib(
                 extrinsic=as_floats(cam["extrinsic"], "extrinsic", (4, 4)),
                 intrinsic=as_floats(cam["intrinsic"], "intrinsic", (3, 3)),
                 image_width=as_int(cam["image_width"], "image_width"),
                 image_height=as_int(cam["image_height"], "image_height"),
                 camera_id=as_str(cam["camera_id"], "camera_id"),
             )
+            if calib.camera_id in cameras:
+                raise ValueError(f"duplicate camera id {calib.camera_id!r}")
+        cameras[calib.camera_id] = calib
     return ego, cameras
 
 

@@ -65,7 +65,7 @@ def build_pair(box: BoxParams, class_id: str = "car", seed: int = 0,
     pts = sample_box_surface(rng, box, ego, spacing, ground_z=GROUND_Z)
     if extra_points is not None:
         pts = np.vstack([pts, np.asarray(extra_points, dtype=float)])
-    scene = Scene("f0", pts, ego, [camera])
+    scene = Scene("f0", pts, ego, {camera.camera_id: camera})
     hull = project_box_to_2d(box, camera)
     assert hull is not None, "test box must be visible to its camera"
     crop_w = max(1, int(round(hull.width)))

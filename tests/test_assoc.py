@@ -25,7 +25,8 @@ from _util import simple_calib
 
 def _scene_with(points, camera=None):
     cloud = np.asarray(points, dtype=float)
-    return Scene("f0", cloud, EgoPose(), [simple_calib() if camera is None else camera])
+    camera = simple_calib() if camera is None else camera
+    return Scene("f0", cloud, EgoPose(), {camera.camera_id: camera})
 
 
 def _proposal(box=(40.0, 40.0, 60.0, 60.0), **kw):
@@ -134,7 +135,7 @@ def _nearest_by_loop(scene, prop, cluster):
     """Index into ``cluster`` of its point nearest ``prop``'s center ray, its
     distance and its depth: ``np.argmin`` of half-line distances measured one
     point at a time, one cluster at a time."""
-    origin, direction = center_ray(prop.box, scene.camera(prop.camera_id))
+    origin, direction = center_ray(prop.box, scene.cameras[prop.camera_id])
     dists, depths = [], []
     for p in scene.cloud[cluster]:
         depth = float((p - origin) @ direction)

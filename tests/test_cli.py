@@ -166,27 +166,58 @@ class TestAnnotate:
         assert f"cannot create output directory {out}" in capsys.readouterr().err
 
 
-    def test_unknown_camera_exits_2_before_fitting(self, workdir, tmp_path, capsys, monkeypatch):
+    @pytest.mark.parametrize("command", [
+        ["annotate"], ["fit-box", "--scene", "0001", "--proposal", "0"], ["bench"],
+    ], ids=["annotate", "fit-box", "bench"])
+    def test_unknown_camera_exits_2_before_fitting(
+        self, workdir, tmp_path, capsys, monkeypatch, command
+    ):
         # A proposal naming a camera its frame's calib lacks used to stop the
         # run only at that frame, after every earlier frame was fitted.
-        scenes = tmp_path / "scenes"
-        scenes.mkdir()
-        for path in (workdir / "scenes").glob("0000.*"):
-            for frame in ("0000", "0001"):
-                shutil.copy(path, scenes / path.name.replace("0000", frame))
+        cfg, scenes = _two_frames(workdir, tmp_path, monkeypatch)
         props_path = scenes / "0001.proposals.json"
         props = json.loads(props_path.read_text())
         props[0]["camera_id"] = "camX"
         props_path.write_text(json.dumps(props))
-        cfg = tmp_path / "c.yaml"
-        cfg.write_text(f"paths:\n  scenes: {scenes}\n  output: {tmp_path / 'out'}\n")
-
-        def no_search(*args, **kwargs):
-            raise AssertionError("annotate searched before it checked every camera")
-
-        monkeypatch.setattr(pipeline, "pso_search", no_search)
-        assert main(["annotate", "--config", str(cfg)]) == 2
+        assert main([command[0], "--config", str(cfg), *command[1:]]) == 2
         assert "frame 0001: unknown camera 'camX'" in capsys.readouterr().err
+
+    def test_duplicate_camera_id_exits_2_before_fitting(
+        self, workdir, tmp_path, capsys, monkeypatch
+    ):
+        cfg, scenes = _two_frames(workdir, tmp_path, monkeypatch)
+        calib_path = scenes / "0001.calib.json"
+        calib = json.loads(calib_path.read_text())
+        calib["cameras"] = [calib["cameras"][0]] * 2
+        calib_path.write_text(json.dumps(calib))
+        assert main(["annotate", "--config", str(cfg)]) == 2
+        assert f"{calib_path}: camera 1: duplicate camera id 'cam0'" in capsys.readouterr().err
+
+    def test_missing_cloud_exits_2_before_fitting(self, workdir, tmp_path, capsys, monkeypatch):
+        # The cloud file used to be looked for only when its frame's turn came.
+        cfg, scenes = _two_frames(workdir, tmp_path, monkeypatch)
+        (scenes / "0001.bin").unlink()
+        assert main(["annotate", "--config", str(cfg)]) == 2
+        assert f"frame 0001: no cloud file under {scenes}" in capsys.readouterr().err
+
+
+def _two_frames(workdir, tmp_path, monkeypatch):
+    """Config over copies 0000 and 0001 of the fixture frame, and the copies'
+    dir; any search fails the test."""
+    scenes = tmp_path / "scenes"
+    scenes.mkdir()
+    for path in (workdir / "scenes").glob("0000.*"):
+        for frame in ("0000", "0001"):
+            shutil.copy(path, scenes / path.name.replace("0000", frame))
+    cfg = tmp_path / "c.yaml"
+    cfg.write_text(f"paths:\n  scenes: {scenes}\n  output: {tmp_path / 'out'}\n")
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("searched before every frame was checked")
+
+    for owner, name in ((pipeline, "pso_search"), (bench, "pso_search"), (bench, "greedy_search")):
+        monkeypatch.setattr(owner, name, no_search)
+    return cfg, scenes
 
 
 class TestFitBox:

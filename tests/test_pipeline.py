@@ -303,6 +303,16 @@ def _write_mini_frame(scenes, frame_id, embed_dim, n_points=8):
     (scenes / f"{frame_id}.proposals.json").write_text(json.dumps([proposal]))
 
 
+class TestReadFrame:
+    def test_unknown_camera_lists_known(self, tmp_path):
+        _write_mini_frame(tmp_path, "f4", embed_dim=0)
+        props_path = tmp_path / "f4.proposals.json"
+        props_path.write_text(props_path.read_text().replace('"cam0"', '"nope"'))
+        with pytest.raises(ValidationError) as err:
+            read_frame(PipelineConfig(scenes_dir=tmp_path), "f4")
+        assert str(err.value) == "frame f4: unknown camera 'nope', have ['cam0']"
+
+
 class TestProcessFrame:
     def test_counts_and_targets(self, corpus, tmp_path):
         config = corpus_config(corpus, tmp_path)

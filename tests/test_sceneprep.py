@@ -10,7 +10,6 @@ from autobox3d.errors import CloudFormatError, ValidationError
 from autobox3d.sceneprep import (
     ClusterConfig,
     GroundConfig,
-    Scene,
     cluster_objects,
     clusters_from_labels,
     load_cloud,
@@ -355,7 +354,7 @@ class TestSceneLoading:
         assert scene.frame_id == "f0"
         assert np.array_equal(scene.cloud, cloud)
         assert (scene.ego.x, scene.ego.y, scene.ego.z) == (0.0, 0.0, 0.0)
-        assert scene.camera("cam0").image_width == 100
+        assert scene.cameras["cam0"].image_width == 100
 
     def test_csv_cloud_also_accepted(self, tmp_path):
         cloud = np.array([[1.0, 2.0, 3.0]])
@@ -381,14 +380,10 @@ class TestSceneLoading:
         with pytest.raises(ValidationError, match="JSON"):
             load_calib(tmp_path, "f5")
 
-    def test_unknown_camera_lists_known(self, tmp_path):
-        self._write_frame(tmp_path, "f4")
-        scene = load_scene(tmp_path, "f4", *load_calib(tmp_path, "f4"))
-        with pytest.raises(ValidationError, match="cam0"):
-            scene.camera("nope")
-
-    def test_duplicate_camera_ids_rejected(self):
-        from autobox3d.geom import EgoPose
-
-        with pytest.raises(ValidationError, match="duplicate"):
-            Scene("f", np.zeros((1, 3)), EgoPose(), [simple_calib(), simple_calib()])
+    def test_duplicate_camera_ids_rejected(self, tmp_path):
+        doc = _calib_doc()
+        doc["cameras"] *= 2
+        (tmp_path / "f6.calib.json").write_text(json.dumps(doc))
+        with pytest.raises(ValidationError) as err:
+            load_calib(tmp_path, "f6")
+        assert str(err.value) == f"{tmp_path / 'f6.calib.json'}: camera 1: duplicate camera id 'cam0'"

@@ -341,7 +341,7 @@ class TestGenerate:
         proposals = json.loads((out_dir / "0000.proposals.json").read_text())
         for inst, prop in zip(gt["instances"], proposals):
             box = BoxParams(**inst["box"])
-            hull = project_box_to_2d(box, scene.camera(inst["camera_id"]))
+            hull = project_box_to_2d(box, scene.cameras[inst["camera_id"]])
             assert np.allclose(
                 prop["box"], [hull.u_min, hull.v_min, hull.u_max, hull.v_max]
             )
