@@ -15,8 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ValidationError, as_float, as_floats, as_int, as_str, reading
-from .geom import Box2D, CameraCalib
+from .errors import ValidationError, as_floats, as_int, as_str, reading
+from .geom import Box2D, CameraCalib, EgoPose
 from .sceneprep import Scene
 
 
@@ -39,7 +39,7 @@ class AssocConfig:
 
 @dataclass(eq=False)
 class Proposal2D:
-    """One 2D detection: rectangle, class, score, and crop statistics.
+    """One 2D detection: rectangle, camera, class, and crop statistics.
 
     ``mask_pixel_count`` counts foreground pixels of the instance mask inside
     the ``crop_w`` x ``crop_h`` detection crop. ``embedding`` is an optional
@@ -50,7 +50,6 @@ class Proposal2D:
     box: Box2D
     camera_id: str
     class_id: str
-    score: float
     mask_pixel_count: int
     crop_w: int
     crop_h: int
@@ -58,8 +57,6 @@ class Proposal2D:
     index: int = -1
 
     def __post_init__(self) -> None:
-        if not (0.0 <= self.score <= 1.0):
-            raise ValueError(f"score must be in [0, 1], got {self.score}")
         if self.crop_w < 1 or self.crop_h < 1:
             raise ValueError(f"crop size must be at least 1x1, got {self.crop_w}x{self.crop_h}")
         if self.mask_pixel_count < 0 or self.mask_pixel_count > self.crop_w * self.crop_h:
@@ -76,13 +73,14 @@ class Proposal2D:
 @dataclass(eq=False)
 class CrossModalProposal:
     """A matched (2D proposal, 3D cluster) pair ready for box fitting: the
-    proposal's camera, the cluster's cloud indices, its points, and its point
-    ``nearest`` the proposal's center ray, ``distance_to_ray`` from it."""
+    proposal's camera, the cluster's cloud indices, the frame's ``ego`` pose,
+    the cluster's points, and its point ``nearest`` the proposal's center
+    ray, ``distance_to_ray`` from it."""
 
     proposal: Proposal2D
     calib: CameraCalib
     cluster: np.ndarray
-    scene: Scene
+    ego: EgoPose
     points: np.ndarray
     nearest: np.ndarray
     distance_to_ray: float
@@ -127,7 +125,7 @@ def ray_pairs(
         hits = np.flatnonzero(dist == np.minimum.reduceat(dist, starts)[owner])
         first = hits[np.searchsorted(owner[hits], np.arange(len(clusters)))]
         out += [
-            (CrossModalProposal(prop, calib, c, scene, v, pts[k], float(dist[k])), float(depth[k]))
+            (CrossModalProposal(prop, calib, c, scene.ego, v, pts[k], float(dist[k])), float(depth[k]))
             for c, v, k in zip(clusters, views, first)
         ]
     return out
@@ -156,10 +154,11 @@ def load_proposals(path: str | Path) -> list[Proposal2D]:
     """Read a JSON array of 2D proposals.
 
     Each entry carries ``camera_id``, ``box`` as [u_min, v_min, u_max, v_max],
-    ``class``, ``score``, ``mask_pixel_count``, ``crop_w``, ``crop_h``, and an
-    optional ``embedding`` list. Malformed entries fail loudly with their
-    array index and key, under the field rule of ``errors``. Embeddings must
-    share one dimension across the file.
+    ``class``, ``mask_pixel_count``, ``crop_w``, ``crop_h``, and an optional
+    ``embedding`` list; other keys, such as a detector ``score``, are
+    ignored. Malformed entries fail loudly with their array index and key,
+    under the field rule of ``errors``. Embeddings must share one dimension
+    across the file.
     """
     path = Path(path)
     try:
@@ -179,7 +178,6 @@ def load_proposals(path: str | Path) -> list[Proposal2D]:
                 box=Box2D(*as_floats(entry["box"], "box", (4,)).tolist()),
                 camera_id=as_str(entry["camera_id"], "camera_id"),
                 class_id=as_str(entry["class"], "class"),
-                score=as_float(entry["score"], "score"),
                 mask_pixel_count=as_int(entry["mask_pixel_count"], "mask_pixel_count"),
                 crop_w=as_int(entry["crop_w"], "crop_w"),
                 crop_h=as_int(entry["crop_h"], "crop_h"),

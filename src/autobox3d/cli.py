@@ -1,7 +1,7 @@
 """Command line entry points.
 
 Subcommands: ``annotate`` runs the full pipeline over a scenes dir,
-``fit-box`` fits a single proposal for inspection, ``bench`` compares
+``fit-box`` prints the frame decision for one proposal, ``bench`` compares
 search methods on ground-truth scenes, ``synth`` generates those scenes,
 and ``report`` summarizes an existing bank. Exit codes: 0 on success,
 1 on a runtime failure, 2 on invalid input or config.
@@ -21,9 +21,8 @@ from .config import load_config
 from .errors import CloudFormatError, ValidationError, make_output_dir
 from .pipeline import (
     associate_frame,
-    best_fit,
+    decide_frame,
     discover_frames,
-    fit_proposal,
     format_bank_summary,
     format_report,
     read_frame,
@@ -52,29 +51,24 @@ def _cmd_fit_box(args: argparse.Namespace) -> int:
             f"proposal index {args.proposal} out of range; frame has {n_proposals}"
         )
     scene, pairs, _ = associate_frame(config, args.scene, frame)
-    fits = fit_proposal(scene, pairs, config, args.proposal)
-    if not fits:
-        print(
-            f"no cluster matched proposal {args.proposal} of frame {args.scene}",
-            file=sys.stderr,
-        )
+    records = decide_frame(scene, pairs, config)
+    record = next((r for r in records if r.target.provenance.proposal == args.proposal), None)
+    if record is None:
+        print(f"no cluster matched proposal {args.proposal} of frame {args.scene}", file=sys.stderr)
         return 1
-    best, best_pair = best_fit(fits)
     out = {
         "frame": args.scene,
         "proposal": args.proposal,
-        "class": best_pair.proposal.class_id,
+        "class": record.target.class_id,
         "candidates": [
-            {
-                "cluster_points": len(pair.cluster),
-                "distance_to_ray": pair.distance_to_ray,
-                "total_cost": result.best_cost.total,
-            }
-            for result, pair in fits
+            {"cluster_points": len(pair.cluster), "distance_to_ray": pair.distance_to_ray,
+             "total_cost": result.best_cost.total}
+            for result, pair in record.fits
         ],
-        "box": asdict(best.best_box),
-        "cost": asdict(best.best_cost),
-        "evaluations": best.evaluations,
+        "box": asdict(record.target.box),
+        "cost": asdict(record.target.cost),
+        "evaluations": record.fits[0][0].evaluations,
+        "suppressed_by": record.suppressed_by,
     }
     print(json.dumps(out, indent=2))
     return 0
@@ -123,7 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True, help="YAML pipeline config")
     p.set_defaults(func=_cmd_annotate)
 
-    p = sub.add_parser("fit-box", help="fit one proposal of one frame and print the box")
+    p = sub.add_parser("fit-box", help="fit one frame and print one proposal's box")
     p.add_argument("--config", required=True, help="YAML pipeline config")
     p.add_argument("--scene", required=True, help="frame id, e.g. 0003")
     p.add_argument("--proposal", required=True, type=int, help="proposal index in the frame")

@@ -1,10 +1,11 @@
 """End-to-end annotation: scenes in, deduplicated target bank out.
 
-Per frame: load the cloud and cameras, strip ground, cluster, associate
-clusters with 2D proposals, fit a box to every matched pair, keep the best
-fit per proposal, filter for alignment quality, and deduplicate with
-rotated NMS. Frames are independent, so they can fan out over worker
-processes; results are merged in frame order to keep output deterministic.
+Per frame: load the cloud and cameras, strip ground, cluster, and associate
+clusters with 2D proposals; then ``decide_frame`` fits a box to every
+matched pair, keeps each proposal's best fit, filters it for alignment
+quality, and deduplicates with rotated NMS. Frames are independent, so they
+can fan out over worker processes; results are merged in frame order to
+keep output deterministic.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import time
+from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
 
@@ -58,85 +60,90 @@ def fit_pair(
     ``adaptive_surface_clip``).
     """
     anchor = config.anchors[pair.proposal.class_id]
-    c_surface = adaptive_surface_clip(pair.scene.ego, pair.points.mean(axis=0), anchor)
-    batch = BoxCostBatch(
-        pair.points, pair.scene.ego, pair.proposal.box, pair.calib, config.weights, c_surface
-    )
+    c_surface = adaptive_surface_clip(pair.ego, pair.points.mean(axis=0), anchor)
+    batch = BoxCostBatch(pair.points, pair.ego, pair.proposal.box, pair.calib,
+                         config.weights, c_surface)
     return SwarmStart(pair.points, pair.nearest, anchor, seed), batch
 
 
 Fit = tuple[SearchResult, CrossModalProposal]
 
 
-def fit_proposal(
-    scene: Scene, pairs: list[CrossModalProposal], config: PipelineConfig, index: int | None = None
-) -> list[Fit]:
-    """Swarm fits of every pair matched to proposal ``index`` (of every pair
-    when None), in pair order, as one lockstep search.
+@dataclass(frozen=True)
+class ProposalRecord:
+    """The frame decision for one proposal: its ``fits`` ranked by (total cost, pair
+    order), the ``target`` built from the first, and ``suppressed_by``, the proposal
+    index of the target whose NMS removed this one, or None when it is banked."""
 
-    A pair's seed derives from its position among all of the frame's pairs,
-    and a lockstep fit equals a separate one, so fitting one proposal gives
-    what annotating the whole frame gives it.
-    """
-    chosen = [(k, pair) for k, pair in enumerate(pairs) if index in (None, pair.proposal.index)]
-    if not chosen:
-        return []
-    starts, batches = zip(*[
-        fit_pair(pair, config, derive_pair_seed(config.seed, scene.frame_id, k))
-        for k, pair in chosen
-    ])
-    results = pso_search(BoxCostBatch.join(batches).evaluate, list(starts), config.swarm)
-    return [(result, pair) for result, (_, pair) in zip(results, chosen)]
+    fits: list[Fit]
+    target: NovelObjectTarget
+    suppressed_by: int | None
 
 
-def best_fit(fits: list[Fit]) -> Fit:
-    """The fit with the lowest total cost; the earliest wins a tie."""
-    return min(fits, key=lambda fit: fit[0].best_cost.total)
-
-
-def nms(targets: list[NovelObjectTarget], iou_threshold: float) -> list[NovelObjectTarget]:
+def nms(targets: list[NovelObjectTarget], iou_threshold: float) -> list[int | None]:
     """Greedy rotated NMS on ground-plane IoU, best (lowest) cost first.
 
-    A target is suppressed when it overlaps an already kept target with IoU
-    strictly above the threshold. Survivors keep their input order. Running
-    the result through again changes nothing.
+    A target is suppressed by the first kept target it overlaps with IoU
+    strictly above the threshold. Returns, for each target, the index of the
+    kept target that suppressed it, or None when it is kept; run through
+    again, the survivors are all kept.
     """
     order = sorted(range(len(targets)), key=lambda i: (targets[i].cost.total, i))
     kept: list[int] = []
+    suppressed_by: list[int | None] = [None] * len(targets)
     for i in order:
-        if all(iou_bev(targets[i].box, targets[j].box) <= iou_threshold for j in kept):
+        suppressed_by[i] = next(
+            (j for j in kept if iou_bev(targets[i].box, targets[j].box) > iou_threshold), None
+        )
+        if suppressed_by[i] is None:
             kept.append(i)
-    return [targets[i] for i in sorted(kept)]
+    return suppressed_by
+
+
+def decide_frame(
+    scene: Scene, pairs: list[CrossModalProposal], config: PipelineConfig
+) -> list[ProposalRecord]:
+    """The frame decision: one record per matched proposal, in proposal order.
+
+    All of the frame's pairs are fitted in one lockstep search, each seeded
+    by its position among them. Filters never drop a target, they only
+    withhold the alignment flag; NMS is what removes duplicates.
+    """
+    by_proposal: dict[int, list[Fit]] = {}
+    if pairs:
+        starts, batches = zip(*[
+            fit_pair(pair, config, derive_pair_seed(config.seed, scene.frame_id, k))
+            for k, pair in enumerate(pairs)
+        ])
+        results = pso_search(BoxCostBatch.join(batches).evaluate, list(starts), config.swarm)
+        for result, pair in zip(results, pairs):
+            by_proposal.setdefault(pair.proposal.index, []).append((result, pair))
+    ranked = [sorted(fits, key=lambda fit: fit[0].best_cost.total)
+              for _, fits in sorted(by_proposal.items())]
+    targets = []
+    for fits in ranked:
+        result, pair = fits[0]
+        vd = verdict(pair.proposal, result.best_box, pair.calib, config.thresholds)
+        targets.append(NovelObjectTarget(
+            box=result.best_box,
+            class_id=pair.proposal.class_id,
+            cost=result.best_cost,
+            fit_for_alignment=vd.fit_for_alignment and pair.proposal.embedding is not None,
+            provenance=Provenance(scene.frame_id, pair.proposal.camera_id, pair.proposal.index),
+            embedding=pair.proposal.embedding,
+            verdict=vd,
+        ))
+    return [
+        ProposalRecord(fits, target, None if by is None else targets[by].provenance.proposal)
+        for fits, target, by in zip(ranked, targets, nms(targets, config.nms_iou))
+    ]
 
 
 def prepare_targets(
     scene: Scene, pairs: list[CrossModalProposal], config: PipelineConfig
 ) -> list[NovelObjectTarget]:
-    """Fit, resolve per-proposal conflicts, filter, and deduplicate one frame.
-
-    All of the frame's pairs are fitted in one lockstep search. When
-    several clusters matched the same proposal, only the fit with the
-    lowest total cost survives. Filters never drop a target, they only
-    withhold the alignment flag; NMS is what removes duplicates.
-    """
-    fits = fit_proposal(scene, pairs, config)
-    targets: list[NovelObjectTarget] = []
-    for idx in sorted({pair.proposal.index for pair in pairs}):
-        result, pair = best_fit([fit for fit in fits if fit[1].proposal.index == idx])
-        vd = verdict(pair.proposal, result.best_box, pair.calib, config.thresholds)
-        has_embedding = pair.proposal.embedding is not None
-        targets.append(
-            NovelObjectTarget(
-                box=result.best_box,
-                class_id=pair.proposal.class_id,
-                cost=result.best_cost,
-                fit_for_alignment=vd.fit_for_alignment and has_embedding,
-                provenance=Provenance(scene.frame_id, pair.proposal.camera_id, idx),
-                embedding=pair.proposal.embedding,
-                verdict=vd,
-            )
-        )
-    return nms(targets, config.nms_iou)
+    """The targets of one frame that ``decide_frame`` banks, in proposal order."""
+    return [r.target for r in decide_frame(scene, pairs, config) if r.suppressed_by is None]
 
 
 def reject_reason(t: NovelObjectTarget) -> str | None:

@@ -18,12 +18,24 @@ from autobox3d.geom import (
 )
 from autobox3d.optimizer import EvalFn, SearchResult, SwarmConfig, SwarmStart, pso_search
 from autobox3d.sceneprep import Scene
-from autobox3d.synth import make_camera, sample_box_surface
+from autobox3d.synth import SynthClassSpec, SynthSpec, make_camera, sample_box_surface
 
 CAR_ANCHOR = AnchorRange((3.9, 1.6, 1.4), (5.3, 2.1, 1.9))
 PEDESTRIAN_ANCHOR = AnchorRange((0.3, 0.3, 1.4), (1.0, 1.0, 2.0))
 
 GROUND_Z = -1.8
+
+# Frame 0000 of the annotate-fit benchmark corpus at seed 101. Fitted under
+# NMS_FRAME_SWARM, its seven pairs give five targets, and NMS removes
+# proposal 3's, which overlaps proposal 0's.
+NMS_FRAME_SPEC = SynthSpec(
+    seed=101,
+    n_frames=1,
+    classes=[SynthClassSpec(name="car", count=5, distance_min=5.0, distance_max=40.0)],
+    ground_extent=45.0,
+    n_cameras=3,
+)
+NMS_FRAME_SWARM = SwarmConfig(n_iter=300)
 
 
 def simple_calib(camera_id: str = "cam0", focal: float = 100.0,
@@ -49,7 +61,7 @@ def car_box(dist: float = 12.0, azimuth: float = 0.2, ry: float = 0.6,
 
 def build_pair(box: BoxParams, class_id: str = "car", seed: int = 0,
                spacing: float = 0.25, mask_ratio: float = 0.9,
-               score: float = 0.9, embedding=None,
+               embedding=None,
                camera: CameraCalib | None = None,
                extra_points: np.ndarray | None = None) -> CrossModalProposal:
     """A ready-to-fit (proposal, cluster) pair for one surface-sampled box.
@@ -71,7 +83,7 @@ def build_pair(box: BoxParams, class_id: str = "car", seed: int = 0,
     crop_w = max(1, int(round(hull.width)))
     crop_h = max(1, int(round(hull.height)))
     mask = int(round(mask_ratio * crop_w * crop_h))
-    prop = Proposal2D(hull, camera.camera_id, class_id, score, mask,
+    prop = Proposal2D(hull, camera.camera_id, class_id, mask,
                       crop_w, crop_h, embedding, index=0)
     return ray_pairs([prop], [np.arange(len(pts))], scene)[0][0]
 
@@ -127,7 +139,7 @@ def score_box(box: BoxParams, points=((0.0, 0.0, 0.0),), ego: EgoPose = EgoPose(
 def kernel_eval(pair: CrossModalProposal, weights: CostWeights = CostWeights(),
                 c_surface: float = 10.0) -> EvalFn:
     """The production evaluator for one pair, ``BoxCostBatch(...).evaluate``."""
-    return BoxCostBatch(pair.points, pair.scene.ego, pair.proposal.box,
+    return BoxCostBatch(pair.points, pair.ego, pair.proposal.box,
                         pair.calib, weights, c_surface).evaluate
 
 

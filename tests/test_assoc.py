@@ -31,8 +31,7 @@ def _scene_with(points, camera=None):
 
 def _proposal(box=(40.0, 40.0, 60.0, 60.0), **kw):
     defaults = dict(
-        camera_id="cam0", class_id="car", score=0.9,
-        mask_pixel_count=100, crop_w=20, crop_h=20,
+        camera_id="cam0", class_id="car", mask_pixel_count=100, crop_w=20, crop_h=20,
     )
     defaults.update(kw)
     return Proposal2D(box=Box2D(*box), **defaults)
@@ -274,7 +273,7 @@ class TestAssociate:
     def test_pairs_grouped_per_proposal(self):
         scene = _scene_with([[0.0, 0.0, 8.0], [0.5, 0.0, 20.0]])
         clusters = [np.array([k]) for k in range(2)]
-        props = [_proposal(score=0.9), _proposal(score=0.8)]
+        props = [_proposal(), _proposal()]
         pairs = associate(scene, props, clusters, AssocConfig())
         assert [p.proposal is props[0] for p in pairs] == [True, True, False, False]
 
@@ -292,12 +291,6 @@ class TestAssociate:
 
 
 class TestProposal2D:
-    def test_score_range(self):
-        with pytest.raises(ValueError):
-            _proposal(score=1.5)
-        with pytest.raises(ValueError):
-            _proposal(score=-0.1)
-
     def test_crop_and_mask_consistency(self):
         # The one check of these fields; the alignment filters trust them.
         with pytest.raises(ValueError):
@@ -357,7 +350,7 @@ class TestLoadProposals:
 
     def test_missing_key_names_entry(self, tmp_path):
         entry = self._entry()
-        del entry["score"]
+        del entry["crop_w"]
         path = tmp_path / "p.json"
         path.write_text(json.dumps([entry]))
         with pytest.raises(ValidationError, match="proposal 0"):
@@ -378,17 +371,21 @@ class TestLoadProposals:
         with pytest.raises(ValidationError, match="proposal 1.*dimension 3"):
             load_proposals(path)
 
-    def test_out_of_range_score_names_entry(self, tmp_path):
+    def test_score_is_not_read(self, tmp_path):
+        # A detector score is carried by the file format but read by nothing.
+        entry = self._entry()
+        del entry["score"]
         path = tmp_path / "p.json"
-        path.write_text(json.dumps([self._entry(), self._entry(score=1.5)]))
-        with pytest.raises(ValidationError, match="proposal 1"):
-            load_proposals(path)
+        path.write_text(json.dumps([entry, self._entry(score=7.0)]))
+        props = load_proposals(path)
+        assert [p.index for p in props] == [0, 1]
+        assert not hasattr(props[1], "score")
 
     @pytest.mark.parametrize("key, value, kind", [
         ("mask_pixel_count", 100.9, "an integer"),
         ("crop_w", 40.7, "an integer"),
         ("crop_h", True, "an integer"),
-        ("score", True, "a number"),
+        ("embedding", [0.5, True], "a number"),
         ("box", [10.0, 10.0, True, 30.0], "a number"),
     ])
     def test_fractional_or_boolean_value_names_key(self, tmp_path, key, value, kind):

@@ -13,6 +13,10 @@ import pytest
 import autobox3d
 from autobox3d import bench, pipeline
 from autobox3d.cli import main
+from autobox3d.config import PipelineConfig
+from autobox3d.synth import generate
+
+from _util import NMS_FRAME_SPEC, NMS_FRAME_SWARM, save_config
 
 
 SPEC_YAML = """
@@ -255,6 +259,27 @@ class TestFitBox:
         out = json.loads(capsys.readouterr().out)
         assert out["box"] == target["box"]
         assert out["cost"] == target["cost"]
+
+    def test_prints_suppressed_by(self, tmp_path, capsys):
+        # NMS removes proposal 3's target in favour of proposal 0's, so
+        # annotate banks nothing for proposal 3; fit-box says why.
+        generate(NMS_FRAME_SPEC, tmp_path / "scenes")
+        config = tmp_path / "config.yaml"
+        save_config(PipelineConfig(scenes_dir=tmp_path / "scenes", output_dir=tmp_path / "out",
+                                   swarm=NMS_FRAME_SWARM), config)
+        outs = []
+        for proposal in (3, 0):
+            code = main(["fit-box", "--config", str(config), "--scene", "0000",
+                         "--proposal", str(proposal)])
+            assert code == 0
+            outs.append(json.loads(capsys.readouterr().out))
+        suppressed, kept = outs
+        assert suppressed["suppressed_by"] == 0
+        assert kept["suppressed_by"] is None
+        for out in outs:
+            totals = [c["total_cost"] for c in out["candidates"]]
+            assert len(totals) == 2 and totals == sorted(totals)
+            assert out["cost"]["total"] == totals[0]
 
     def test_out_of_range_proposal_exits_2(self, workdir, capsys, monkeypatch):
         # The index is checked before the frame is loaded, ground-stripped and clustered.

@@ -297,7 +297,7 @@ class TestBatchAgainstScalar:
         rng = np.random.default_rng(14)
         pair = build_pair(car_box(), seed=2)
         weights = CostWeights()
-        batch = BoxCostBatch(pair.points, pair.scene.ego, pair.proposal.box,
+        batch = BoxCostBatch(pair.points, pair.ego, pair.proposal.box,
                              pair.calib, weights, 9.0)
         thetas = np.column_stack([
             rng.uniform(5.0, 18.0, size=300),
@@ -311,7 +311,7 @@ class TestBatchAgainstScalar:
         res = batch.evaluate(thetas)
         for i in range(0, 300, 7):
             bd = reference_cost(BoxParams.from_array(thetas[i]), pair.points,
-                                pair.scene.ego, pair.proposal.box, pair.calib, weights, 9.0)
+                                pair.ego, pair.proposal.box, pair.calib, weights, 9.0)
             got = res.breakdown_at(i)
             assert got.density == pytest.approx(bd.density, abs=1e-9)
             assert got.lshape == pytest.approx(bd.lshape, abs=1e-9)
@@ -323,14 +323,14 @@ class TestBatchAgainstScalar:
     def test_empty_and_behind_candidates(self):
         pair = build_pair(car_box(), seed=3)
         weights = CostWeights()
-        batch = BoxCostBatch(pair.points, pair.scene.ego, pair.proposal.box,
+        batch = BoxCostBatch(pair.points, pair.ego, pair.proposal.box,
                              pair.calib, weights, 10.0)
         empty = np.array([100.0, 100.0, 0.0, 4.0, 2.0, 1.5, 0.0])
         behind = np.array([-15.0, 0.0, 0.0, 4.0, 2.0, 1.5, 0.0])
         res = batch.evaluate(np.stack([empty, behind]))
         for i, theta in enumerate((empty, behind)):
             bd = reference_cost(BoxParams.from_array(theta), pair.points,
-                                pair.scene.ego, pair.proposal.box, pair.calib, weights, 10.0)
+                                pair.ego, pair.proposal.box, pair.calib, weights, 10.0)
             assert res.breakdown_at(i).total == pytest.approx(bd.total, abs=1e-9)
         assert res.density[0] == 0.0
         assert res.lshape[0] == 0.0
@@ -358,12 +358,12 @@ class TestBatchAgainstScalar:
             box.z + local[:, 2],
         ])
         weights = CostWeights()
-        batch = BoxCostBatch(pts, pair.scene.ego, pair.proposal.box, pair.calib, weights, 12.0)
+        batch = BoxCostBatch(pts, pair.ego, pair.proposal.box, pair.calib, weights, 12.0)
         thetas = np.stack([box.as_array(), box.as_array() + [0.05, -0.03, 0.0, 0.0, 0.0, 0.0, 0.01]])
         res = batch.evaluate(thetas)
         assert points_in_box(pts, box).all() and res.density[0] == -1.0
         for i, theta in enumerate(thetas):
-            bd = reference_cost(BoxParams.from_array(theta), pts, pair.scene.ego,
+            bd = reference_cost(BoxParams.from_array(theta), pts, pair.ego,
                                 pair.proposal.box, pair.calib, weights, 12.0)
             got = res.breakdown_at(i)
             assert got.density == bd.density
@@ -387,7 +387,7 @@ class TestBatchAgainstScalar:
         rng = np.random.default_rng(15)
         box = car_box()
         pair = build_pair(box, seed=7)
-        batch = BoxCostBatch(pair.points, pair.scene.ego, pair.proposal.box,
+        batch = BoxCostBatch(pair.points, pair.ego, pair.proposal.box,
                              pair.calib, CostWeights(), 9.0)
         tile = max(1, costfn._TILE_ELEMS // batch.n_points)
         assert tile > 10
@@ -413,7 +413,7 @@ class TestBatchAgainstScalar:
         rng = np.random.default_rng(17)
         extra = pair.points[rng.integers(0, len(pair.points), costfn._TILE_ELEMS)]
         pts = np.vstack([pair.points, extra + rng.normal(0.0, 0.05, extra.shape)])
-        batch = BoxCostBatch(pts, pair.scene.ego, pair.proposal.box,
+        batch = BoxCostBatch(pts, pair.ego, pair.proposal.box,
                              pair.calib, CostWeights(), 9.0)
         assert batch.n_points > costfn._TILE_ELEMS
         thetas = box.as_array() + rng.normal(0.0, 0.3, size=(4, 7))
@@ -429,7 +429,7 @@ class TestBatchAgainstScalar:
         rng = np.random.default_rng(21)
         box = car_box()
         pair = build_pair(box, seed=10)
-        batch = BoxCostBatch(pair.points, pair.scene.ego, pair.proposal.box,
+        batch = BoxCostBatch(pair.points, pair.ego, pair.proposal.box,
                              pair.calib, CostWeights(), 9.0)
         n = 2 * batch._tile - 1
         assert costfn._tiles(n, batch._tile) == [(0, n)]
@@ -446,7 +446,7 @@ class TestBatchAgainstScalar:
         rng = np.random.default_rng(19)
         box = car_box()
         pair = build_pair(box, seed=9)
-        batch = BoxCostBatch(pair.points, pair.scene.ego, pair.proposal.box,
+        batch = BoxCostBatch(pair.points, pair.ego, pair.proposal.box,
                              pair.calib, CostWeights(), 9.0)
         chunk = costfn._CHUNK_ROWS
         n = 2 * chunk + 37
@@ -463,7 +463,7 @@ class TestBatchAgainstScalar:
 
     def test_rejects_bad_shapes(self):
         pair = build_pair(car_box(), seed=4)
-        batch = BoxCostBatch(pair.points, pair.scene.ego, pair.proposal.box,
+        batch = BoxCostBatch(pair.points, pair.ego, pair.proposal.box,
                              pair.calib, CostWeights(), 10.0)
         with pytest.raises(ValueError):
             batch.evaluate(np.zeros((5, 6)))
@@ -477,7 +477,7 @@ class TestJoin:
     def _kernels(self, rows=ROWS):
         pairs = lockstep_pairs()
         kernels = [
-            BoxCostBatch(p.points, p.scene.ego, p.proposal.box, p.calib,
+            BoxCostBatch(p.points, p.ego, p.proposal.box, p.calib,
                          CostWeights(lambda1=4.0 + k), 6.0 + k)
             for k, (p, _) in enumerate(pairs)
         ]
@@ -560,7 +560,7 @@ class TestSkip:
     def test_boxes_touching_extreme_points(self, monkeypatch):
         rng = np.random.default_rng(41)
         pair = build_pair(car_box(dist=11.0, azimuth=-0.3, ry=2.1), seed=12)
-        batch = BoxCostBatch(pair.points, pair.scene.ego, pair.proposal.box,
+        batch = BoxCostBatch(pair.points, pair.ego, pair.proposal.box,
                              pair.calib, CostWeights(), 9.0)
         for gap in (-0.5 * BOUNDARY_TOL, 0.5 * BOUNDARY_TOL, 0.9 * BOUNDARY_TOL):
             thetas = self._touching(pair.points, rng, gap)
@@ -577,7 +577,7 @@ class TestSkip:
     def test_random_boxes_around_cluster(self, monkeypatch):
         rng = np.random.default_rng(42)
         pair = build_pair(car_box(dist=14.0, azimuth=0.4, ry=-0.8), seed=13)
-        batch = BoxCostBatch(pair.points, pair.scene.ego, pair.proposal.box,
+        batch = BoxCostBatch(pair.points, pair.ego, pair.proposal.box,
                              pair.calib, CostWeights(), 9.0)
         n = 3000
         thetas = np.column_stack([
@@ -595,7 +595,7 @@ class TestSkip:
         # the last, short chunk mixes both.
         rng = np.random.default_rng(43)
         pair = build_pair(car_box(), seed=14)
-        batch = BoxCostBatch(pair.points, pair.scene.ego, pair.proposal.box,
+        batch = BoxCostBatch(pair.points, pair.ego, pair.proposal.box,
                              pair.calib, CostWeights(), 9.0)
         chunk = costfn._CHUNK_ROWS
         center = pair.points.mean(axis=0)
@@ -617,7 +617,7 @@ class TestSkip:
         rng = np.random.default_rng(44)
         kernels, blocks = [], []
         for k, (p, anchor) in enumerate(pairs):
-            kernels.append(BoxCostBatch(p.points, p.scene.ego, p.proposal.box, p.calib,
+            kernels.append(BoxCostBatch(p.points, p.ego, p.proposal.box, p.calib,
                                         CostWeights(), 6.0 + k))
             lb, ub = search_bounds(p.points, anchor)
             blocks.append(rng.uniform(lb, ub, size=(300, 7)))
@@ -632,7 +632,7 @@ class TestSkip:
         # A NaN center coordinate leaves the other axes to decide; a NaN yaw
         # makes every bound NaN, so even a box far from the cluster is kept.
         pair = build_pair(car_box(), seed=15)
-        batch = BoxCostBatch(pair.points, pair.scene.ego, pair.proposal.box,
+        batch = BoxCostBatch(pair.points, pair.ego, pair.proposal.box,
                              pair.calib, CostWeights(), 10.0)
         thetas = np.stack([car_box().as_array(), car_box(dist=30.0).as_array()])
         thetas[0, 0] = thetas[1, 6] = np.nan
@@ -647,8 +647,8 @@ def test_full_surface_box_scores_near_perfect():
     # image IoU reward at full strength.
     box = car_box(dist=10.0, azimuth=0.0, ry=0.4)
     pair = build_pair(box, seed=5)
-    clip = adaptive_surface_clip(pair.scene.ego, pair.points.mean(axis=0), CAR_ANCHOR)
-    bd = score_box(box, pair.points, pair.scene.ego, pair.proposal.box,
+    clip = adaptive_surface_clip(pair.ego, pair.points.mean(axis=0), CAR_ANCHOR)
+    bd = score_box(box, pair.points, pair.ego, pair.proposal.box,
                    pair.calib, c_surface=clip)
     assert bd.density == -1.0
     assert bd.lshape < 0.9

@@ -245,7 +245,7 @@ class TestSwarmSearch:
         from autobox3d.costfn import adaptive_surface_clip
         from autobox3d.geom import iou_bev
 
-        clip = adaptive_surface_clip(pair.scene.ego, pair.points.mean(axis=0), CAR_ANCHOR)
+        clip = adaptive_surface_clip(pair.ego, pair.points.mean(axis=0), CAR_ANCHOR)
         res = swarm_fit(kernel_eval(pair, c_surface=clip), pair,
                         SwarmConfig(), seed=6)
         assert iou_bev(res.best_box, box) >= 0.7
@@ -258,7 +258,7 @@ class TestLockstep:
         pairs = lockstep_pairs()
         cfg = SwarmConfig(n_swarm=50, n_iter=15)
         kernels = [
-            BoxCostBatch(p.points, p.scene.ego, p.proposal.box, p.calib,
+            BoxCostBatch(p.points, p.ego, p.proposal.box, p.calib,
                          CostWeights(), 6.0 + k)
             for k, (p, _) in enumerate(pairs)
         ]

@@ -12,16 +12,15 @@ from autobox3d.config import PipelineConfig
 from autobox3d.costfn import BoxCostBatch, CostBreakdown, CostWeights, adaptive_surface_clip
 from autobox3d.errors import UnknownClassError, ValidationError
 from autobox3d.filters import AlignmentVerdict
-from autobox3d.geom import BoxParams, iou_bev
+from autobox3d.geom import BoxParams, EgoPose, iou_bev
 from autobox3d.optimizer import SearchResult, SwarmConfig
 from autobox3d.pipeline import (
     REJECT_REASONS,
     associate_frame,
-    best_fit,
+    decide_frame,
     derive_pair_seed,
     discover_frames,
     fit_pair,
-    fit_proposal,
     format_bank_summary,
     format_report,
     load_clusters,
@@ -33,10 +32,10 @@ from autobox3d.pipeline import (
     run_annotate,
     summarize_bank,
 )
-from autobox3d.sceneprep import load_calib, load_point_labels, load_scene
+from autobox3d.sceneprep import Scene, load_calib, load_point_labels, load_scene
 from autobox3d.synth import SynthClassSpec, SynthSpec, generate, make_camera
 
-from _util import swarm_fit
+from _util import NMS_FRAME_SPEC, NMS_FRAME_SWARM, build_pair, car_box, swarm_fit
 
 
 TINY_SWARM = SwarmConfig(n_swarm=12, n_iter=60)
@@ -101,21 +100,20 @@ class TestNms:
 
     def test_disjoint_all_kept_in_input_order(self):
         ts = [target_at(0.0, -1.0), target_at(5.0, -9.0), target_at(10.0, -4.0)]
-        assert nms(ts, 0.5) == ts
+        assert nms(ts, 0.5) == [None, None, None]
 
     def test_worse_overlapping_box_suppressed(self):
         good = target_at(0.0, -10.0)
         bad = target_at(0.1, -2.0)
-        assert nms([bad, good], 0.5) == [good]
+        assert nms([bad, good], 0.5) == [1, None]
 
     def test_exact_threshold_survives(self):
         a = target_at(0.0, -10.0)
         b = target_at(0.4, -2.0)
         overlap = iou_bev(a.box, b.box)
         assert 0.0 < overlap < 1.0
-        kept = nms([a, b], overlap)
-        assert kept == [a, b]
-        assert nms([a, b], overlap - 1e-9) == [a]
+        assert nms([a, b], overlap) == [None, None]
+        assert nms([a, b], overlap - 1e-9) == [None, 0]
 
     def test_suppression_is_not_transitive(self):
         # A removes B, but C only overlaps B, so C survives.
@@ -123,12 +121,15 @@ class TestNms:
         b = target_at(0.5, -1.0)
         c = target_at(1.0, -5.0)
         assert iou_bev(a.box, c.box) == 0.0
-        assert nms([a, b, c], 0.3) == [a, c]
+        assert nms([a, b, c], 0.3) == [None, 0, None]
+        # B overlaps C as much as A; the lower-cost A is its suppressor.
+        assert iou_bev(b.box, c.box) > 0.3
+        assert nms([c, b, a], 0.3) == [None, 2, None]
 
     def test_cost_tie_keeps_earlier_index(self):
         first = target_at(0.0, -5.0)
         second = target_at(0.05, -5.0)
-        assert nms([first, second], 0.5) == [first]
+        assert nms([first, second], 0.5) == [None, 0]
 
     def test_idempotent(self):
         rng = np.random.default_rng(21)
@@ -137,8 +138,12 @@ class TestNms:
                       y=float(rng.uniform(0, 2)))
             for _ in range(25)
         ]
-        once = nms(ts, 0.4)
-        assert nms(once, 0.4) == once
+        suppressed_by = nms(ts, 0.4)
+        assert any(by is not None for by in suppressed_by)
+        # Every suppressor is itself kept.
+        assert all(by is None or suppressed_by[by] is None for by in suppressed_by)
+        once = [t for t, by in zip(ts, suppressed_by) if by is None]
+        assert nms(once, 0.4) == [None] * len(once)
 
 
 class TestRejectReason:
@@ -228,13 +233,14 @@ class TestFitPair:
 
         scene = load_scene(corpus, "0000", *load_calib(corpus, "0000"))
         proposals = load_proposals(corpus / "0000.proposals.json")
-        return associate(scene, proposals, load_clusters(scene, config), config.association)[0]
+        pairs = associate(scene, proposals, load_clusters(scene, config), config.association)
+        return scene, pairs[0]
 
     def test_unknown_class_raises(self, corpus, tmp_path):
         # The entry points' check_classes stops an unknown class before any
         # fit; past it, a class without an anchor range is a KeyError.
         config = corpus_config(corpus, tmp_path)
-        pair = self.first_pair(corpus, config)
+        _, pair = self.first_pair(corpus, config)
         pair.proposal.class_id = "yeti"
         with pytest.raises(KeyError, match="yeti"):
             fit_pair(pair, config, 0)
@@ -243,21 +249,22 @@ class TestFitPair:
         # The swarm starts from what association computed: the cluster's
         # points and its point nearest the center ray.
         config = corpus_config(corpus, tmp_path)
-        pair = self.first_pair(corpus, config)
+        scene, pair = self.first_pair(corpus, config)
         start, _ = fit_pair(pair, config, 7)
         assert start.points is pair.points and start.nearest is pair.nearest
         assert start.anchor is config.anchors[pair.proposal.class_id]
         assert start.seed == 7
-        assert np.array_equal(pair.points, pair.scene.cloud[pair.cluster])
+        assert np.array_equal(pair.points, scene.cloud[pair.cluster])
+        assert pair.ego is scene.ego
 
     def test_setup_surface_clip(self, corpus, tmp_path):
         config = corpus_config(corpus, tmp_path, weights=CostWeights(lambda1=4.0))
-        pair = self.first_pair(corpus, config)
+        scene, pair = self.first_pair(corpus, config)
         start, batch = fit_pair(pair, config, 0)
-        centroid = pair.scene.cloud[pair.cluster].mean(axis=0)
-        clip = adaptive_surface_clip(pair.scene.ego, centroid, start.anchor)
+        centroid = scene.cloud[pair.cluster].mean(axis=0)
+        clip = adaptive_surface_clip(scene.ego, centroid, start.anchor)
         expected, fixed_clip = (
-            BoxCostBatch(pair.points, pair.scene.ego, pair.proposal.box, pair.calib,
+            BoxCostBatch(pair.points, scene.ego, pair.proposal.box, pair.calib,
                          config.weights, c)
             for c in (clip, 10.0)
         )
@@ -413,30 +420,81 @@ class TestProcessFrame:
         assert targets[0].cost == expected.best_cost
 
 
-class TestFitProposal:
+class TestDecideFrame:
     def test_seeds_follow_position_among_frame_pairs(self, corpus, tmp_path):
         config = corpus_config(corpus, tmp_path)
         frame = read_frame(config, "0000")
         scene, pairs, stats = associate_frame(config, "0000", frame)
         assert stats["pairs"] == len(pairs)
-        index = pairs[-1].proposal.index
-        mine = [(k, p) for k, p in enumerate(pairs) if p.proposal.index == index]
-        assert mine[0][0] > 0, "the later proposal's pairs must not start the frame"
-        fits = fit_proposal(scene, pairs, config, index)
-        assert [pair for _, pair in fits] == [pair for _, pair in mine]
-        for (result, _), (k, pair) in zip(fits, mine):
+        assert pairs[0].proposal.index != pairs[-1].proposal.index, (
+            "a later proposal's pairs must not start the frame"
+        )
+        records = decide_frame(scene, pairs, config)
+        assert [r.target.provenance.proposal for r in records] == [0, 1]
+        fits = [fit for r in records for fit in r.fits]
+        assert sorted(id(pair) for _, pair in fits) == sorted(map(id, pairs))
+        for result, pair in fits:
+            k = pairs.index(pair)  # pairs compare by identity
             expected = fit_alone(pair, config, derive_pair_seed(config.seed, "0000", k))
             assert result.best_cost == expected.best_cost
             assert np.array_equal(result.trace, expected.trace)
-        assert fit_proposal(scene, pairs, config, len(frame[0])) == []
+        for r in records:
+            totals = [result.best_cost.total for result, _ in r.fits]
+            assert totals == sorted(totals)
+            assert r.target.cost == r.fits[0][0].best_cost
 
-    def test_best_fit_lowest_total_earliest_on_tie(self):
-        def fit(total, tag):
-            cost = CostBreakdown(0.0, 0.0, 0.0, 0.0, total)
-            return SearchResult(BoxParams(0.0, 0.0, 0.0, 1.0, 1.0, 1.0, 0.0), cost, 1), tag
+    @staticmethod
+    def decide_with(monkeypatch, pairs, boxes, totals):
+        """``decide_frame`` over ``pairs``, its search made to return these
+        boxes and total costs."""
+        from autobox3d import pipeline
 
-        assert best_fit([fit(-1.0, "a"), fit(-2.0, "b"), fit(-2.0, "c")])[1] == "b"
-        assert best_fit([fit(-3.0, "a"), fit(-3.0, "b")])[1] == "a"
+        def search(evaluate, starts, cfg):
+            return [SearchResult(box, CostBreakdown(0.0, 0.0, 0.0, 0.0, total), 1)
+                    for box, total in zip(boxes, totals)]
+
+        monkeypatch.setattr(pipeline, "pso_search", search)
+        scene = Scene("f0", np.zeros((0, 3)), EgoPose(), {})
+        return decide_frame(scene, pairs, PipelineConfig(swarm=TINY_SWARM))
+
+    @pytest.mark.parametrize("totals, ranks", [
+        ((-1.0, -2.0, -2.0), [1, 2, 0]),
+        ((-3.0, -3.0, -3.0), [0, 1, 2]),
+    ])
+    def test_ranking_keeps_pair_order_on_tie(self, monkeypatch, totals, ranks):
+        # Three pairs of proposal 0 and one of proposal 1.
+        boxes = [car_box(dist=d) for d in (10.0, 12.0, 14.0, 30.0)]
+        pairs = [build_pair(box, seed=k) for k, box in enumerate(boxes)]
+        pairs[3].proposal.index = 1
+        records = self.decide_with(monkeypatch, pairs, boxes, (*totals, -1.0))
+        assert [[pairs.index(pair) for _, pair in r.fits] for r in records] == [ranks, [3]]
+        assert records[0].target.box == boxes[ranks[0]]
+        assert [r.suppressed_by for r in records] == [None, None]
+
+    def test_suppressed_by_is_a_proposal_index(self, monkeypatch):
+        # Proposals 0 and 2 matched no cluster, so a record's position is
+        # not its proposal index. Both fits land on the same box.
+        box = car_box()
+        pairs = [build_pair(box, seed=k) for k in range(2)]
+        pairs[0].proposal.index, pairs[1].proposal.index = 1, 3
+        records = self.decide_with(monkeypatch, pairs, [box, box], (-2.0, -1.0))
+        assert [(r.target.provenance.proposal, r.suppressed_by) for r in records] == [
+            (1, None), (3, 1)
+        ]
+
+    def test_suppressed_by_exactly_when_not_banked(self, tmp_path):
+        scenes = tmp_path / "scenes"
+        generate(NMS_FRAME_SPEC, scenes)
+        config = corpus_config(scenes, tmp_path / "out", swarm=NMS_FRAME_SWARM)
+        run_annotate(config)
+        banked = {t.provenance for t in read_bank(tmp_path / "out" / "bank.jsonl")}
+        scene, pairs, _ = associate_frame(config, "0000", read_frame(config, "0000"))
+        records = decide_frame(scene, pairs, config)
+        assert len(records) == 5
+        for r in records:
+            assert (r.suppressed_by is None) == (r.target.provenance in banked)
+        assert [r.suppressed_by for r in records] == [None, None, None, 0, None]
+        assert iou_bev(records[3].target.box, records[0].target.box) > config.nms_iou
 
 
 # Three frames of two classes, with embeddings; the last frame's proposal

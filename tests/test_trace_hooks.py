@@ -66,9 +66,9 @@ def test_every_span_names_an_attribute_of_its_owner():
 def test_evaluate_observer_reads_n_points():
     # The traced run counts (candidate, point) pairs as rows times n_points.
     pair = build_pair(car_box(), seed=2)
-    one = BoxCostBatch(pair.points, pair.scene.ego, pair.proposal.box, pair.calib,
+    one = BoxCostBatch(pair.points, pair.ego, pair.proposal.box, pair.calib,
                        CostWeights(), 10.0)
-    other = BoxCostBatch(pair.points[:10], pair.scene.ego, pair.proposal.box, pair.calib,
+    other = BoxCostBatch(pair.points[:10], pair.ego, pair.proposal.box, pair.calib,
                          CostWeights(), 10.0)
     assert one.n_points == len(pair.points)
     joined = BoxCostBatch.join([one, other])
