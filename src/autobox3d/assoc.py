@@ -157,8 +157,8 @@ def load_proposals(path: str | Path) -> list[Proposal2D]:
     ``class``, ``mask_pixel_count``, ``crop_w``, ``crop_h``, and an optional
     ``embedding`` list; other keys, such as a detector ``score``, are
     ignored. Malformed entries fail loudly with their array index and key,
-    under the field rule of ``errors``. Embeddings must share one dimension
-    across the file.
+    under the field rule of ``errors``. The embedding dimension is a rule of
+    the bank, checked across the run by ``pipeline.run_annotate``.
     """
     path = Path(path)
     try:
@@ -168,13 +168,12 @@ def load_proposals(path: str | Path) -> list[Proposal2D]:
     if not isinstance(raw, list):
         raise ValidationError(f"{path}: expected a JSON array of proposals")
     out: list[Proposal2D] = []
-    embed_dim: int | None = None
     for i, entry in enumerate(raw):
         with reading(f"{path}: proposal {i}"):
             if not isinstance(entry, dict):
                 raise ValueError("entry is not an object")
             embedding = entry.get("embedding")
-            prop = Proposal2D(
+            out.append(Proposal2D(
                 box=Box2D(*as_floats(entry["box"], "box", (4,)).tolist()),
                 camera_id=as_str(entry["camera_id"], "camera_id"),
                 class_id=as_str(entry["class"], "class"),
@@ -183,12 +182,5 @@ def load_proposals(path: str | Path) -> list[Proposal2D]:
                 crop_h=as_int(entry["crop_h"], "crop_h"),
                 embedding=None if embedding is None else as_floats(embedding, "embedding", (None,)),
                 index=i,
-            )
-            if prop.embedding is not None:
-                embed_dim = embed_dim or len(prop.embedding)
-                if len(prop.embedding) != embed_dim:
-                    raise ValueError(
-                        f"embedding dimension {len(prop.embedding)} differs from earlier {embed_dim}"
-                    )
-        out.append(prop)
+            ))
     return out

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .costfn import CostBreakdown
-from .errors import as_bool, as_floats, as_str, read_record, reading
+from .errors import ValidationError, as_bool, as_floats, as_str, read_record, reading
 from .filters import AlignmentVerdict
 from .geom import BoxParams
 
@@ -93,7 +93,9 @@ def _parse_target(obj: dict) -> NovelObjectTarget:
 def read_bank(path: str | Path) -> list[NovelObjectTarget]:
     """Read a JSONL bank back as its targets in file order; malformed lines,
     and lines whose frame is not their provenance frame, fail with their line
-    number."""
+    number. A directory fails as a ValidationError that names it."""
+    if Path(path).is_dir():
+        raise ValidationError(f"bank file is a directory: {path}")
     targets: list[NovelObjectTarget] = []
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):

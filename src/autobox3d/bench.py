@@ -16,11 +16,10 @@ from pathlib import Path
 from .assoc import CrossModalProposal, ray_pairs
 from .config import PipelineConfig
 from .costfn import BoxCostBatch
-from .errors import ValidationError, as_index, as_str, read_record, reading
+from .errors import ValidationError, as_dict, as_index, as_str, read_record, reading
 from .geom import BoxParams, iou_bev
 from .optimizer import greedy_search, pso_search
-from .pipeline import check_classes, derive_pair_seed, discover_frames, fit_pair
-from .pipeline import load_clusters, read_frame
+from .pipeline import derive_pair_seed, discover_frames, fit_pair, load_clusters, read_frame
 from .sceneprep import load_scene
 
 
@@ -49,7 +48,7 @@ def load_bench_instances(config: PipelineConfig) -> list[BenchInstance]:
         scene = load_scene(config.scenes_dir, frame_id, ego, cameras)
         clusters = load_clusters(scene, config)
         with reading(gt_path):
-            entries = json.loads(gt_path.read_text())["instances"]
+            entries = as_dict(json.loads(gt_path.read_text()), "the document")["instances"]
             if not isinstance(entries, list):
                 raise ValueError(f"instances must be a list, got {entries!r}")
         if len(entries) != len(clusters):
@@ -95,8 +94,6 @@ def run_bench(
         budgets = config.bench.budgets
     if instances is None:
         instances = load_bench_instances(config)
-    for inst in instances:
-        check_classes([inst.pair.proposal], config, f"instance {inst.key}")
     if not instances:
         return []
     rows: list[dict] = []

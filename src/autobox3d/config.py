@@ -104,8 +104,8 @@ class PipelineConfig:
             raise ValidationError(f"workers must be at least 1, got {self.workers}")
         if not (0.0 <= self.nms_iou < 1.0):
             raise ValidationError(f"nms_iou must be in [0, 1), got {self.nms_iou}")
-        # A class in only one table would stop the run at its first proposal,
-        # after every earlier frame was fitted.
+        # ``read_frame`` checks a proposal's class against ``anchors`` alone; a
+        # class missing from ``tau_occ`` would fail in the filters, after a fit.
         tables = {"anchors": set(self.anchors),
                   "thresholds.tau_occ": set(self.thresholds.tau_occ)}
         named = set().union(*tables.values())
@@ -132,12 +132,14 @@ _Loader.add_implicit_resolver(
 
 
 def read_yaml(path: str | Path, what: str):
-    """The parsed YAML document at ``path``; a missing file or invalid YAML
-    fails as a ValidationError that names the file as a ``what`` file."""
+    """The parsed YAML document at ``path``; a missing file, a directory or
+    invalid YAML fails as a ValidationError that names the ``what`` file."""
     try:
         return yaml.load(Path(path).read_text(), Loader=_Loader)
     except FileNotFoundError:
         raise ValidationError(f"{what} file not found: {path}") from None
+    except IsADirectoryError:
+        raise ValidationError(f"{what} file is a directory: {path}") from None
     except yaml.YAMLError as exc:
         raise ValidationError(f"{path}: not valid YAML: {exc}") from exc
 

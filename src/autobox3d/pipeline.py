@@ -184,31 +184,22 @@ def load_clusters(scene: Scene, config: PipelineConfig) -> list[np.ndarray]:
     return cluster_objects(scene.cloud, object_idx, config.clustering)
 
 
-def check_classes(proposals: list[Proposal2D], config: PipelineConfig, source: str) -> None:
-    """Fail before any fit when a proposal's class is missing from a class table,
-    naming the ``source`` the proposals came from. The one class check: past
-    it, the fit and the filters index the tables."""
-    tables = (("anchor range", config.anchors), ("tau_occ threshold", config.thresholds.tau_occ))
-    for prop in proposals:
-        for what, table in tables:
-            if prop.class_id not in table:
-                raise UnknownClassError(
-                    f"{source}: proposal {prop.index}: no {what} for class {prop.class_id!r}; "
-                    f"have {sorted(table)}"
-                )
-
-
 def read_frame(
     config: PipelineConfig, frame_id: str
 ) -> tuple[list[Proposal2D] | None, EgoPose, dict[str, CameraCalib]]:
     """A frame's proposals (None without a proposal file), ego pose and cameras
-    by id, each file read once, after checking every proposal's class and
-    camera and that the frame has a cloud file."""
+    by id, each file read once, after checking every proposal's class and camera
+    and that the frame has a cloud file. The one proposal check: past it, the fit
+    indexes ``config.anchors`` (and the filters ``tau_occ``, kept in step)."""
     path = config.scenes_dir / f"{frame_id}.proposals.json"
     proposals = load_proposals(path) if path.exists() else None
-    check_classes(proposals or [], config, f"frame {frame_id}")
     ego, cameras = load_calib(config.scenes_dir, frame_id)
     for prop in proposals or []:
+        if prop.class_id not in config.anchors:
+            raise UnknownClassError(
+                f"frame {frame_id}: proposal {prop.index}: no anchor range for class "
+                f"{prop.class_id!r}; have {sorted(config.anchors)}"
+            )
         if prop.camera_id not in cameras:
             raise ValidationError(
                 f"frame {frame_id}: unknown camera {prop.camera_id!r}, have {sorted(cameras)}"
@@ -220,19 +211,22 @@ def read_frame(
 def associate_frame(
     config: PipelineConfig, frame_id: str, frame: tuple
 ) -> tuple[Scene, list[CrossModalProposal], dict]:
-    """Load, cluster and associate a ``frame`` from ``read_frame``; returns
-    (scene, pairs, counters)."""
+    """Load, cluster and associate a ``frame`` from ``read_frame`` that has a
+    proposal list; returns (scene, pairs, counters)."""
     proposals, ego, cameras = frame
     scene = load_scene(config.scenes_dir, frame_id, ego, cameras)
     clusters = load_clusters(scene, config)
-    pairs = associate(scene, proposals or [], clusters, config.association)
+    pairs = associate(scene, proposals, clusters, config.association)
     return scene, pairs, {"clusters": len(clusters), "pairs": len(pairs)}
 
 
 def process_frame(
     config: PipelineConfig, frame_id: str, frame: tuple
 ) -> tuple[list[NovelObjectTarget], dict]:
-    """Annotate a ``frame`` from ``read_frame``; returns (targets, counters)."""
+    """Annotate a ``frame`` from ``read_frame``; returns (targets, counters). A
+    frame without proposals can bank nothing, so its cloud is never read."""
+    if not frame[0]:
+        return [], {"clusters": 0, "pairs": 0}
     scene, pairs, stats = associate_frame(config, frame_id, frame)
     return prepare_targets(scene, pairs, config), stats
 
@@ -242,9 +236,10 @@ def run_annotate(config: PipelineConfig) -> dict:
 
     Writes ``bank.jsonl`` and ``report.json`` into the output dir and
     returns the report. The bank is byte-identical across runs with the
-    same config and inputs. The output dir is made, and every frame's proposal
-    classes, cameras and embedding dimensions and its cloud file are checked,
-    before any fit.
+    same config and inputs. Before any fit, the output dir is made, every
+    frame is read by ``read_frame``, and the embedding dimension is checked
+    across the run: the bank holds one, that of the first embedding. The
+    report's ``clusters`` and ``pairs`` count only the frames with proposals.
     """
     t0 = time.perf_counter()
     make_output_dir(config.output_dir)
@@ -252,11 +247,14 @@ def run_annotate(config: PipelineConfig) -> dict:
     frames = [read_frame(config, fid) for fid in frame_ids]
     frames_missing_proposals = [fid for fid, frame in zip(frame_ids, frames) if frame[0] is None]
     proposals = [p for props, _, _ in frames for p in props or []]
-    embed_dims = {len(p.embedding) for p in proposals if p.embedding is not None}
-    if len(embed_dims) > 1:
-        raise ValidationError(
-            f"embedding dimension must be constant per run, saw {sorted(embed_dims)}"
-        )
+    dims = [(f"frame {fid}: proposal {p.index}", len(p.embedding))
+            for fid, (props, _, _) in zip(frame_ids, frames)
+            for p in props or [] if p.embedding is not None]
+    for where, dim in dims:
+        if dim != dims[0][1]:
+            raise ValidationError(
+                f"{where}: embedding dimension {dim} differs from {dims[0][1]} ({dims[0][0]})"
+            )
     if config.workers > 1 and len(frame_ids) > 1:
         from concurrent.futures import ProcessPoolExecutor
 

@@ -69,8 +69,6 @@ class SynthSpec:
     # cannot round a point out of its own box.
     surface_inset: float = 0.002
     embedding_dim: int = 16
-    score_min: float = 0.5
-    score_max: float = 1.0
 
     def __post_init__(self) -> None:
         if self.n_frames < 1:
@@ -87,8 +85,6 @@ class SynthSpec:
             raise ValidationError("surface_inset must be non-negative")
         if self.embedding_dim < 0:
             raise ValidationError("embedding_dim must be non-negative")
-        if not (0.0 <= self.score_min <= self.score_max <= 1.0):
-            raise ValidationError("score range must be ordered within [0, 1]")
 
 
 def load_synth_spec(path: str | Path) -> SynthSpec:
@@ -334,7 +330,8 @@ def generate(spec: SynthSpec, out_dir: str | Path) -> dict:
                 "camera_id": cam.camera_id,
                 "box": [hull.u_min, hull.v_min, hull.u_max, hull.v_max],
                 "class": cls.name,
-                "score": float(rng.uniform(spec.score_min, spec.score_max)),
+                # Read by nothing; still drawn, so the RNG stream and the corpus bytes hold.
+                "score": float(rng.uniform(0.5, 1.0)),
                 "mask_pixel_count": mask_px,
                 "crop_w": crop_w,
                 "crop_h": crop_h,

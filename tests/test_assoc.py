@@ -362,15 +362,6 @@ class TestLoadProposals:
         with pytest.raises(ValidationError, match="4 numbers"):
             load_proposals(path)
 
-    def test_embedding_dimension_must_agree(self, tmp_path):
-        path = tmp_path / "p.json"
-        path.write_text(json.dumps([
-            self._entry(embedding=[1.0, 2.0]),
-            self._entry(embedding=[1.0, 2.0, 3.0]),
-        ]))
-        with pytest.raises(ValidationError, match="proposal 1.*dimension 3"):
-            load_proposals(path)
-
     def test_score_is_not_read(self, tmp_path):
         # A detector score is carried by the file format but read by nothing.
         entry = self._entry()

@@ -99,6 +99,18 @@ class TestLoadInstances:
         assert main(["bench", "--config", str(tmp_path / "config.yaml")]) == 2
         assert "0000.gt.json: instances must be a list" in capsys.readouterr().err
 
+    def test_document_not_a_mapping_exits_2(self, bench_config, tmp_path, capsys):
+        # A list used to leak "list indices must be integers or slices, not str".
+        config = _edited_gt_config(bench_config, tmp_path, lambda gt: None)
+        path = config.scenes_dir / "0000.gt.json"
+        path.write_text(json.dumps([json.loads(path.read_text())]))
+        message = r"0000\.gt\.json: the document must be a mapping, got \[\{"
+        with pytest.raises(ValidationError, match=message):
+            load_bench_instances(config)
+        save_config(config, tmp_path / "config.yaml")
+        assert main(["bench", "--config", str(tmp_path / "config.yaml")]) == 2
+        assert "0000.gt.json: the document must be a mapping" in capsys.readouterr().err
+
     @pytest.mark.parametrize("index", [-1, 1, 0.0, True, "0"])
     def test_bad_proposal_index(self, bench_config, tmp_path, index):
         # -1 used to pair the instance with the last proposal.
@@ -222,12 +234,6 @@ class TestRunBench:
         for row, orig in zip(back, rows):
             assert row["instance"] == orig["instance"]
             assert float(row["cost"]) == pytest.approx(orig["cost"])
-
-    def test_unknown_class_raises(self, bench_config):
-        inst = load_bench_instances(bench_config)[0]
-        inst.pair.proposal.class_id = "yeti"
-        with pytest.raises(UnknownClassError, match=f"^instance {inst.key}: proposal .*'yeti'"):
-            run_bench(bench_config, methods=("greedy",), budgets=(128,), instances=[inst])
 
     def test_lockstep_rows_equal_searches_alone(self, bench_config):
         # All instances' swarms of one budget share one search; each row must

@@ -129,8 +129,8 @@ class TestAnnotate:
         scenes = tmp_path / "scenes"
         scenes.mkdir()
         (scenes / "0000.bin").write_bytes(b"")
-        calib = (workdir / "scenes" / "0000.calib.json").read_text()
-        (scenes / "0000.calib.json").write_text(calib)
+        for suffix in ("calib.json", "proposals.json"):  # without proposals, no cloud is read
+            shutil.copy(workdir / "scenes" / f"0000.{suffix}", scenes / f"0000.{suffix}")
         cfg = tmp_path / "c.yaml"
         cfg.write_text(f"paths:\n  scenes: {scenes}\n  output: {tmp_path / 'out'}\n")
         assert main(["annotate", "--config", str(cfg)]) == 2
@@ -391,6 +391,19 @@ class TestReport:
         code = main(["report", "--bank", str(tmp_path / "none.jsonl")])
         assert code == 2
         capsys.readouterr()
+
+
+@pytest.mark.parametrize("command, flag, what", [
+    ("annotate", "--config", "config"),
+    ("synth", "--spec", "spec"),
+    ("report", "--bank", "bank"),
+], ids=["annotate", "synth", "report"])
+def test_directory_as_input_file_exits_2(tmp_path, capsys, command, flag, what):
+    # It used to exit 1 with an IsADirectoryError traceback.
+    out = ["--out", str(tmp_path / "out")] if command == "synth" else []
+    assert main([command, flag, str(tmp_path), *out]) == 2
+    assert capsys.readouterr().err == f"error: {what} file is a directory: {tmp_path}\n"
+    assert not (tmp_path / "out").exists()
 
 
 def _fresh_stdout(code: str) -> str:

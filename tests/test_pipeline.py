@@ -237,8 +237,8 @@ class TestFitPair:
         return scene, pairs[0]
 
     def test_unknown_class_raises(self, corpus, tmp_path):
-        # The entry points' check_classes stops an unknown class before any
-        # fit; past it, a class without an anchor range is a KeyError.
+        # read_frame stops an unknown class before any fit; past it, a class
+        # without an anchor range is a KeyError.
         config = corpus_config(corpus, tmp_path)
         _, pair = self.first_pair(corpus, config)
         pair.proposal.class_id = "yeti"
@@ -340,8 +340,7 @@ class TestProcessFrame:
             assert np.isfinite(t.cost.total)
             assert t.verdict is not None
 
-    @pytest.mark.parametrize("table", ["anchors", "tau_occ"])
-    def test_unknown_class_fails_before_any_fit(self, corpus, tmp_path, monkeypatch, table):
+    def test_unknown_class_fails_before_any_fit(self, corpus, tmp_path, monkeypatch):
         scenes = tmp_path / "scenes"
         scenes.mkdir()
         for src in corpus.glob("0000.*"):
@@ -351,18 +350,14 @@ class TestProcessFrame:
         proposals[-1]["class"] = "trailer"
         path.write_text(json.dumps(proposals))
         config = corpus_config(scenes, tmp_path / "out")
-        if table == "anchors":
-            del config.anchors["trailer"]
-        else:
-            del config.thresholds.tau_occ["trailer"]
+        del config.anchors["trailer"]
 
         def no_search(*args, **kwargs):
             raise AssertionError("a pair was fitted before the class check")
 
         monkeypatch.setattr("autobox3d.pipeline.pso_search", no_search)
-        what = "anchor range" if table == "anchors" else "tau_occ threshold"
         with pytest.raises(UnknownClassError, match=f"^frame 0000: proposal {len(proposals) - 1}: "
-                                                    f"no {what} for class 'trailer'"):
+                                                    "no anchor range for class 'trailer'"):
             run_annotate(config)
 
     def test_default_tables_cover_the_same_classes(self):
@@ -511,9 +506,11 @@ PINNED_SPEC = SynthSpec(
 )
 # sha256 of bank.jsonl, and of report.json without its "elapsed_s" and
 # "fingerprint" (which holds the corpus paths), for PINNED_SPEC under
-# PINNED_SWARM. Any change to these bytes is a change to the bank.
+# PINNED_SWARM. Any change to these bytes is a change to the bank. The
+# report's "clusters" is 6: frame 0002 has no proposal file, so it is not
+# clustered.
 PINNED_BANK_SHA256 = "87723893a79714084824af913831b5598ed6f7d68f90bcb1195781e4ff864b53"
-PINNED_REPORT_SHA256 = "c132c9f83de2a25f47d089585e26c2f685910e5eefebdafb908ce24e7cf78178"
+PINNED_REPORT_SHA256 = "a230630a610d968a764e9aa9ae8e069d1ed4984aefeb5c422ffc3574f30a85e5"
 PINNED_SWARM = SwarmConfig(n_swarm=12, n_iter=20)
 
 
@@ -607,11 +604,53 @@ class TestRunAnnotate:
         text = format_report(report)
         assert "0001" in text
 
-    def test_mixed_embedding_dims_rejected(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("proposals", [None, "[]"], ids=["missing", "empty"])
+    def test_frame_without_proposals_is_never_loaded(self, corpus, tmp_path, monkeypatch,
+                                                     proposals):
+        # It can bank nothing; its cloud used to be read, ground-stripped and
+        # clustered only for report.json's cluster count.
+        from autobox3d import pipeline
+
+        scenes = tmp_path / "scenes"
+        shutil.copytree(corpus, scenes)
+        path = scenes / "0001.proposals.json"
+        if proposals is None:
+            path.unlink()
+        else:
+            path.write_text(proposals)
+        real_load_scene, real_load_clusters = pipeline.load_scene, pipeline.load_clusters
+        loaded, clusters = [], {}
+
+        def load_scene(scenes_dir, frame_id, *args):
+            loaded.append(frame_id)
+            return real_load_scene(scenes_dir, frame_id, *args)
+
+        def load_clusters(scene, config):
+            clusters[scene.frame_id] = real_load_clusters(scene, config)
+            return clusters[scene.frame_id]
+
+        monkeypatch.setattr(pipeline, "load_scene", load_scene)
+        monkeypatch.setattr(pipeline, "load_clusters", load_clusters)
+        report = run_annotate(corpus_config(scenes, tmp_path / "out", swarm=SwarmConfig(1, 1)))
+        assert loaded == ["0000"] and list(clusters) == ["0000"]
+        assert report["frames"] == 2
+        assert report["frames_missing_proposals"] == (["0001"] if proposals is None else [])
+        assert report["clusters"] == len(clusters["0000"]) == 2
+
+    @pytest.mark.parametrize("layout, where", [
+        ("two frames", "frame b: proposal 0"),
+        ("one frame", "frame a: proposal 1"),
+    ], ids=["two frames", "one frame"])
+    def test_mixed_embedding_dims_rejected(self, tmp_path, monkeypatch, layout, where):
         scenes = tmp_path / "scenes"
         scenes.mkdir()
         _write_mini_frame(scenes, "a", embed_dim=4)
         _write_mini_frame(scenes, "b", embed_dim=8)
+        if layout == "one frame":
+            path = scenes / "a.proposals.json"
+            wider = json.loads((scenes / "b.proposals.json").read_text())
+            path.write_text(json.dumps(json.loads(path.read_text()) + wider))
+            (scenes / "b.proposals.json").unlink()
         config = corpus_config(
             scenes, tmp_path / "out", swarm=SwarmConfig(n_swarm=8, n_iter=20)
         )
@@ -620,8 +659,11 @@ class TestRunAnnotate:
             raise AssertionError("a pair was fitted before the embedding check")
 
         monkeypatch.setattr("autobox3d.pipeline.pso_search", no_search)
-        with pytest.raises(ValidationError, match="embedding dimension"):
+        with pytest.raises(ValidationError) as err:
             run_annotate(config)
+        assert str(err.value) == (
+            f"{where}: embedding dimension 8 differs from 4 (frame a: proposal 0)"
+        )
 
     def test_unknown_class_in_last_frame_fails_before_any_fit(self, corpus, tmp_path,
                                                               monkeypatch):

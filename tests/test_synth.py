@@ -78,8 +78,6 @@ class TestSpecValidation:
             SynthSpec(n_cameras=0)
         with pytest.raises(ValidationError):
             SynthSpec(point_spacing=0.0)
-        with pytest.raises(ValidationError):
-            SynthSpec(score_min=0.9, score_max=0.5)
 
 
 class TestLoadSpec:
