@@ -155,11 +155,25 @@ def _tiles(stop: int, tile: int) -> list[tuple[int, int]]:
     return [(s, min(s + rows, stop)) for s in range(0, stop, rows)]
 
 
+def _box_frames(th, cos, sin, origin) -> np.ndarray:
+    """[R | t] of rows ``th`` into their box frames, (3, S, 4); t is the center minus ``origin``."""
+    tx, ty, tz = th[:, :3].T - origin
+    rt = np.zeros((3, len(th), 4))
+    rt[0, :, 0] = rt[1, :, 1] = cos
+    rt[0, :, 1] = sin
+    rt[1, :, 0] = -sin
+    rt[2, :, 2] = 1.0
+    rt[0, :, 3] = -(cos * tx + sin * ty)
+    rt[1, :, 3] = sin * tx - cos * ty
+    rt[2, :, 3] = -tz
+    return rt
+
+
 # Rows of a BoxCostBatch parameter column: proposal, ego x y, weights and
 # surface clip, the center and half-extents of the cluster's axis-aligned
-# bounding box, camera.
-_RECT, _EGO, _WEIGHTS, _BOUNDS, _CAMERA = (
-    slice(0, 4), slice(4, 6), slice(6, 11), slice(11, 17), slice(17, None)
+# bounding box, the cluster centroid, camera.
+_RECT, _EGO, _WEIGHTS, _BOUNDS, _ORIGIN, _CAMERA = (
+    slice(0, 4), slice(4, 6), slice(6, 11), slice(11, 17), slice(17, 20), slice(20, None)
 )
 
 
@@ -189,14 +203,13 @@ class BoxCostBatch:
     pass gives a row that encloses no point (``-counts / N`` is +0.0 at
     zero counts), so the skip changes no bit of the result.
 
-    A candidate's result depends on neither the batch, its block, its
-    chunk nor its tiling. For the point terms that rests on the box-frame
-    product (module docstring): an element of it depends only on its row
-    and column as long as BLAS sums each element's four terms the same way
-    whatever the matrix shape and thread split. OpenBLAS does; the
-    rows-alone tests in ``test_costfn.py`` check it, with one of them above
-    OpenBLAS's threading threshold. The top-edge term uses the
-    enclosed-point identity from the module docstring instead of clamping.
+    A candidate's result depends on the rows around it only through its
+    tile's row count, which is set by how many rows its block keeps in its
+    chunk. ``_hom`` is F-contiguous, and on it OpenBLAS 0.3.31 rounds the
+    last N mod 8 columns of the box-frame product differently as the row
+    count changes (README Performance), so the tiles are part of the
+    result. The top-edge term uses the enclosed-point identity from the
+    module docstring instead of clamping.
     """
 
     def __init__(
@@ -216,15 +229,15 @@ class BoxCostBatch:
         if not 0.0 < c_surface < math.inf:
             raise ValueError(f"c_surface must be positive and finite, got {c_surface}")
         self.n_points = len(pts)
-        self._origin = pts.mean(axis=0)
-        self._hom = np.vstack([(pts - self._origin).T, np.ones(len(pts))])
+        origin = pts.mean(axis=0)
+        self._hom = np.vstack([(pts - origin).T, np.ones(len(pts))])
         self._tile = max(1, _TILE_ELEMS // self.n_points)
         self.parts: tuple[BoxCostBatch, ...] = (self,)
         lo, hi = pts.min(axis=0), pts.max(axis=0)
         self._cols = np.concatenate([
             [proposal.u_min, proposal.v_min, proposal.u_max, proposal.v_max, ego.x, ego.y,
              weights.lambda1, weights.lambda2, weights.lambda3, weights.gamma, c_surface],
-            0.5 * (lo + hi), 0.5 * (hi - lo),
+            0.5 * (lo + hi), 0.5 * (hi - lo), origin,
             camera_columns([calib])[:, 0],
         ])[:, None]
 
@@ -255,10 +268,8 @@ class BoxCostBatch:
         out = np.empty((5, len(th)))
         for c0 in range(0, len(th), _CHUNK_ROWS):
             c1 = min(c0 + _CHUNK_ROWS, len(th))
-            blocks = [
-                (self.parts[i], max(c0, i * rows) - c0, min(c1, (i + 1) * rows) - c0)
-                for i in range(c0 // rows, (c1 - 1) // rows + 1)
-            ]
+            blocks = [(self.parts[i], max(c0, i * rows) - c0)
+                      for i in range(c0 // rows, (c1 - 1) // rows + 1)]
             cols = self._cols.take(np.arange(c0, c1) // rows, axis=1)
             out[:, c0:c1] = self._score(th[c0:c1], cols, blocks)
         return BatchEval(*out)
@@ -266,7 +277,7 @@ class BoxCostBatch:
     def _score(self, th: np.ndarray, cols: np.ndarray, blocks) -> tuple[np.ndarray, ...]:
         """(totals, density, lshape, surface, iou2d) of rows ``th`` under
         per-row parameter columns ``cols``; the point terms run on the kept
-        rows of each (kernel, start, stop) of ``blocks``."""
+        rows of each (kernel, first row) of ``blocks``."""
         ego_x, ego_y = cols[_EGO]
         lambda1, lambda2, lambda3, gamma, c_surface = cols[_WEIGHTS]
         cx, cy = th[:, 0], th[:, 1]
@@ -281,14 +292,20 @@ class BoxCostBatch:
         sx = np.where(e_lx > 0.0, 0.5, -0.5) * th[:, 3]
         sy = np.where(e_ly > 0.0, 0.5, -0.5) * th[:, 4]
         # Rows that cannot enclose a point keep density and lshape 0.0 (class
-        # docstring); each block's other rows are packed, then tiled.
+        # docstring). The kept rows' transforms and point pass values are set
+        # up once; each block's kept rows are one run of them, tiled.
+        kept = np.flatnonzero(self._may_enclose(th, cos, sin, cols[_BOUNDS]))
+        rt = _box_frames(th[kept], cos[kept], sin[kept], cols[_ORIGIN][:, kept])
+        per_row = np.vstack([0.5 * th[kept, 3:6].T + BOUNDARY_TOL, sx[kept], sy[kept],
+                             0.5 * th[kept, 5]])
+        terms = np.empty((2, len(kept)))
+        ends = np.searchsorted(kept, [s for _, s in blocks] + [len(th)])
+        for (part, _), a0, b0 in zip(blocks, ends[:-1], ends[1:]):
+            for a, b in _tiles(b0 - a0, part._tile):
+                t = slice(a0 + a, a0 + b)
+                terms[:, t] = part._point_terms(rt[:, t], per_row[:, t])
         density, lshape = np.zeros((2, len(th)))
-        near = self._may_enclose(th, cos, sin, cols[_BOUNDS])
-        for part, s, e in blocks:
-            rows = s + np.flatnonzero(near[s:e])
-            for a, b in _tiles(len(rows), part._tile):
-                r = rows[a:b]
-                density[r], lshape[r] = part._point_terms(th[r], cos[r], sin[r], sx[r], sy[r])
+        density[kept], lshape[kept] = terms
 
         surface = -np.minimum(np.hypot(cx - ego_x, cy - ego_y), c_surface)
 
@@ -312,40 +329,34 @@ class BoxCostBatch:
         far |= np.abs(cos * dy - sin * dx) > hw + ax * as_ + ay * ac
         return ~far
 
-    def _point_terms(self, th, cos, sin, sx, sy) -> tuple[np.ndarray, np.ndarray]:
-        """(density, lshape) of rows ``th`` against this kernel's one cluster."""
-        bl, bw, bh = th[:, 3], th[:, 4], th[:, 5]
-        tx, ty, tz = (th[:, :3] - self._origin).T
+    def _point_terms(self, rt, per_row) -> tuple[np.ndarray, np.ndarray]:
+        """(density, lshape) against this kernel's one cluster of the rows with
+        transforms ``rt``, (3, S, 4), and ``per_row`` values, (6, S): half
+        extents plus ``BOUNDARY_TOL``, edge offsets sx and sy, half height."""
+        lim_x, lim_y, lim_z, sx, sy, hh = per_row[:, :, None]
 
-        # Cluster points in each candidate's box frame, (S, N): the rows'
-        # [R | t] rigid transforms, stacked as (3, S, 4), times the
-        # homogeneous points give lx, ly and lz as three contiguous planes.
-        rt = np.zeros((3, len(th), 4))
-        rt[0, :, 0] = rt[1, :, 1] = cos
-        rt[0, :, 1] = sin
-        rt[1, :, 0] = -sin
-        rt[2, :, 2] = 1.0
-        rt[0, :, 3] = -(cos * tx + sin * ty)
-        rt[1, :, 3] = sin * tx - cos * ty
-        rt[2, :, 3] = -tz
-        lx, ly, lz = (rt.reshape(-1, 4) @ self._hom).reshape(3, len(th), self.n_points)
+        # Cluster points in each candidate's box frame, (S, N): the stacked
+        # transforms times the homogeneous points give lx, ly and lz as three
+        # contiguous planes.
+        lx, ly, lz = (rt.reshape(-1, 4) @ self._hom).reshape(3, rt.shape[1], self.n_points)
         buf = np.abs(lx)
-        inside = buf <= 0.5 * bl[:, None] + BOUNDARY_TOL
-        inside &= np.abs(ly, out=buf) <= 0.5 * bw[:, None] + BOUNDARY_TOL
-        inside &= np.abs(lz, out=buf) <= 0.5 * bh[:, None] + BOUNDARY_TOL
+        inside = buf <= lim_x
+        inside &= np.abs(ly, out=buf) <= lim_y
+        inside &= np.abs(lz, out=buf) <= lim_z
         counts = inside.sum(axis=1)
 
         # Distance to the nearer top edge; enclosed points need no clamping
         # (see the module docstring). The (S, N) passes dominate the cost, so
         # buffers are reused once a value is dead.
-        lx -= sx[:, None]
-        ly -= sy[:, None]
-        lz -= 0.5 * bh[:, None]
+        lx -= sx
+        ly -= sy
+        lz -= hh
         d_near = np.minimum(np.square(lx, out=lx), np.square(ly, out=ly), out=lx)
         d_near += np.square(lz, out=lz)
         np.sqrt(d_near, out=d_near)
-        # Masked, then summed over the full row, so numpy's pairwise
-        # summation groups the terms the same way whatever the mask.
-        d_near_sum = np.where(inside, d_near, 0.0).sum(axis=1)
-        lshape = np.where(counts > 0, d_near_sum / np.maximum(counts, 1), 0.0)
+        # Zeroed outside the box (a finite d_near times False is +0.0), then
+        # summed over the full row, so numpy's pairwise summation groups the
+        # terms the same way whatever the mask.
+        d_near *= inside
+        lshape = np.where(counts > 0, d_near.sum(axis=1) / np.maximum(counts, 1), 0.0)
         return -counts / self.n_points, lshape

@@ -204,6 +204,19 @@ class TestAnnotate:
         assert main(["annotate", "--config", str(cfg)]) == 2
         assert f"frame 0001: no cloud file under {scenes}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("suffix", ["proposals.json", "calib.json"])
+    def test_input_path_that_is_a_directory_exits_2(
+        self, workdir, tmp_path, capsys, monkeypatch, suffix
+    ):
+        # It used to exit 1 with an IsADirectoryError traceback.
+        cfg, scenes = _two_frames(workdir, tmp_path, monkeypatch)
+        path = scenes / f"0001.{suffix}"
+        path.unlink()
+        path.mkdir()
+        assert main(["annotate", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(path) in err
+
 
 def _two_frames(workdir, tmp_path, monkeypatch):
     """Config over copies 0000 and 0001 of the fixture frame, and the copies'

@@ -5,6 +5,7 @@ implementation in the package; the agreement tests compare it with the
 clamped single-box reference in ``_costfn_reference``.
 """
 
+import hashlib
 import math
 
 import numpy as np
@@ -640,6 +641,65 @@ class TestSkip:
 
     def test_empty_range_has_no_tiles(self):
         assert costfn._tiles(0, 10) == []
+
+
+# sha256 of evaluate's five arrays (totals, density, lshape, surface, iou2d),
+# as float64 bytes, in TestTiles.test_raw_sized_cluster_bytes.
+PINNED_RAW_SIZED_SHA256 = "4e17616197214a47d9dae4566358fb30f4755843dbd0e199cdaa231844c69ec0"
+
+
+class TestTiles:
+    """The point pass's products keep their row counts: on clusters of a few
+    hundred points, a row's product bits depend on its tile's row count
+    (README Performance), and annotate's bytes on those bits."""
+
+    def test_raw_sized_cluster_bytes(self):
+        # 651 points, the size of annotate-raw's clusters (about 450 to 750),
+        # so tiles of 50 rows. Most of the 2,148 rows are kept; they fill
+        # about 40 tiles and span a chunk boundary. 651 is not a multiple of
+        # 8, so some rows' bits differ in tiles of one or two rows.
+        box = car_box()
+        pair = build_pair(box, seed=3, spacing=0.118)
+        batch = BoxCostBatch(pair.points, pair.ego, pair.proposal.box,
+                             pair.calib, CostWeights(), 9.0)
+        assert batch.n_points == 651 and batch._tile == 50
+        rng = np.random.default_rng(51)
+        n = costfn._CHUNK_ROWS + 100
+        thetas = box.as_array() + rng.normal(0.0, 0.4, size=(n, 7))
+        assert kept_rows(batch, thetas).sum() > 40 * batch._tile
+        res = batch.evaluate(thetas)
+        h = hashlib.sha256()
+        for name in ("totals", "density", "lshape", "surface", "iou2d"):
+            h.update(getattr(res, name).tobytes())
+        assert h.hexdigest() == PINNED_RAW_SIZED_SHA256
+
+    def test_tiles_per_block(self, monkeypatch):
+        # Each block's kept rows go through _tiles(kept, part._tile), in
+        # block order; the dense block's fill several tiles.
+        pairs = lockstep_pairs()
+        rng = np.random.default_rng(44)
+        kernels, blocks = [], []
+        for k, (p, anchor) in enumerate(pairs):
+            kernels.append(BoxCostBatch(p.points, p.ego, p.proposal.box, p.calib,
+                                        CostWeights(), 6.0 + k))
+            lb, ub = search_bounds(p.points, anchor)
+            blocks.append(rng.uniform(lb, ub, size=(300, 7)))
+        kept = [int(kept_rows(kern, block).sum()) for kern, block in zip(kernels, blocks)]
+        assert len(set(kept)) == 3
+        assert len(costfn._tiles(kept[1], kernels[1]._tile)) >= 2
+        rows = []
+        real = BoxCostBatch._point_terms
+
+        def counted(self, *args):
+            density, lshape = real(self, *args)
+            rows.append(len(density))
+            return density, lshape
+
+        monkeypatch.setattr(BoxCostBatch, "_point_terms", counted)
+        BoxCostBatch.join(kernels).evaluate(np.vstack(blocks))
+        assert rows == [
+            b - a for kern, n in zip(kernels, kept) for a, b in costfn._tiles(n, kern._tile)
+        ]
 
 
 def test_full_surface_box_scores_near_perfect():
