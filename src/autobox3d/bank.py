@@ -32,9 +32,9 @@ class Provenance:
 class NovelObjectTarget:
     """One auto-annotated object.
 
-    ``fit_for_alignment`` says whether the crop passed the alignment
-    filters and carries an embedding. ``verdict`` keeps the per-filter
-    outcome for reporting and never gets serialized.
+    ``fit_for_alignment`` is the verdict's: whether the target passed all
+    four alignment checks. ``verdict`` keeps the per-check outcome and the
+    held-out reason for reporting and never gets serialized.
     """
 
     box: BoxParams

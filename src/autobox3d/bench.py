@@ -19,8 +19,8 @@ from .costfn import BoxCostBatch
 from .errors import ValidationError, as_dict, as_index, as_str, read_record, reading
 from .geom import BoxParams, iou_bev
 from .optimizer import greedy_search, pso_search
-from .pipeline import derive_pair_seed, discover_frames, fit_pair, load_clusters, read_frame
-from .sceneprep import load_scene
+from .pipeline import derive_pair_seed, discover_frames, fit_pair, read_frame
+from .sceneprep import clusters_from_labels, load_point_labels, load_scene
 
 
 @dataclass(eq=False)
@@ -37,6 +37,8 @@ def load_bench_instances(config: PipelineConfig) -> list[BenchInstance]:
 
     Requires the synthetic generator's ``<id>.gt.json`` (true boxes),
     ``<id>.ptlabels.txt`` (points to instances) and ``<id>.proposals.json``.
+    Instance k is fitted to the points labeled k, so the labels must be
+    exactly 0..n-1 for a frame's n instances.
     """
     instances: list[BenchInstance] = []
     for frame_id in discover_frames(config.scenes_dir):
@@ -46,16 +48,17 @@ def load_bench_instances(config: PipelineConfig) -> list[BenchInstance]:
                 raise ValidationError(f"frame {frame_id}: benchmark needs {frame_id}.{suffix}")
         proposals, ego, cameras = read_frame(config, frame_id)
         scene = load_scene(config.scenes_dir, frame_id, ego, cameras)
-        clusters = load_clusters(scene, config)
+        labels = load_point_labels(config.scenes_dir / f"{frame_id}.ptlabels.txt",
+                                   len(scene.cloud))
+        clusters = clusters_from_labels(labels)
         with reading(gt_path):
             entries = as_dict(json.loads(gt_path.read_text()), "the document")["instances"]
             if not isinstance(entries, list):
                 raise ValueError(f"instances must be a list, got {entries!r}")
-        if len(entries) != len(clusters):
-            raise ValidationError(
-                f"frame {frame_id}: {len(entries)} ground-truth instances but "
-                f"{len(clusters)} labeled clusters"
-            )
+        found = [int(labels[c[0]]) for c in clusters]  # in label order
+        if found != list(range(len(entries))):
+            raise ValidationError(f"frame {frame_id}: {len(entries)} ground-truth instances "
+                                  f"need point labels 0..{len(entries) - 1}, got {found}")
         for k, entry in enumerate(entries):
             with reading(f"{gt_path}: ground-truth instance {k}"):
                 if not isinstance(entry, dict):

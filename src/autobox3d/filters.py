@@ -1,10 +1,11 @@
 """Selective alignment filters.
 
 A fitted box is always banked; these filters only decide whether its crop
-is trustworthy enough to align feature embeddings against. Three checks
+is trustworthy enough to align feature embeddings against. Four checks
 must all pass: the instance mask has to dominate its crop (little
-occlusion), the crop has to be big enough to carry detail, and the fitted
-box re-projected into the image has to land on the 2D detection.
+occlusion), the crop has to be big enough to carry detail, the fitted box
+re-projected into the image has to land on the 2D detection, and the
+proposal has to carry an embedding to align.
 """
 
 from __future__ import annotations
@@ -29,6 +30,9 @@ DEFAULT_TAU_OCC: dict[str, float] = {
     "construction_vehicle": 0.5,
     "trailer": 0.5,
 }
+
+# Each check's reason for holding a target out; a target's reason is its first failure.
+REJECT_REASONS = ("occlusion", "resolution", "multi_view", "no_embedding")
 
 
 @dataclass(eq=False, frozen=True)
@@ -56,15 +60,22 @@ class FilterThresholds:
 
 @dataclass(frozen=True)
 class AlignmentVerdict:
-    """Result of the three filters for one fitted target."""
+    """Result of the four checks for one fitted target, in ``REJECT_REASONS`` order."""
 
     not_occluded: bool
     high_res: bool
     mv_aligned: bool
+    has_embedding: bool
+
+    @property
+    def reason(self) -> str | None:
+        """The first check that fails, named as in ``REJECT_REASONS``, or None."""
+        checks = (self.not_occluded, self.high_res, self.mv_aligned, self.has_embedding)
+        return next((r for r, ok in zip(REJECT_REASONS, checks) if not ok), None)
 
     @property
     def fit_for_alignment(self) -> bool:
-        return self.not_occluded and self.high_res and self.mv_aligned
+        return self.reason is None
 
 
 def occlusion_filter(proposal: Proposal2D, thresholds: FilterThresholds) -> bool:
@@ -100,9 +111,10 @@ def verdict(
     calib: CameraCalib,
     thresholds: FilterThresholds,
 ) -> AlignmentVerdict:
-    """Run all three filters for one fitted target."""
+    """The hold-out rule: run all four checks for one fitted target."""
     return AlignmentVerdict(
         not_occluded=occlusion_filter(proposal, thresholds),
         high_res=resolution_filter(proposal, thresholds),
         mv_aligned=multiview_filter(box, proposal.box, calib, thresholds),
+        has_embedding=proposal.embedding is not None,
     )

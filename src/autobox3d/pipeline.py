@@ -24,7 +24,7 @@ from .bank import NovelObjectTarget, Provenance, read_bank, write_bank
 from .config import PipelineConfig, config_fingerprint
 from .costfn import BoxCostBatch, adaptive_surface_clip
 from .errors import UnknownClassError, ValidationError, make_output_dir
-from .filters import verdict
+from .filters import REJECT_REASONS, verdict
 from .geom import CameraCalib, EgoPose, iou_bev
 from .optimizer import SearchResult, SwarmStart, pso_search
 from .sceneprep import (
@@ -38,9 +38,6 @@ from .sceneprep import (
     load_scene,
     remove_ground,
 )
-
-# Order in which a held-out target gets attributed to a single reason.
-REJECT_REASONS = ("occlusion", "resolution", "multi_view", "no_embedding")
 
 
 def derive_pair_seed(seed: int, frame_id: str, pair_index: int) -> int:
@@ -128,7 +125,7 @@ def decide_frame(
             box=result.best_box,
             class_id=pair.proposal.class_id,
             cost=result.best_cost,
-            fit_for_alignment=vd.fit_for_alignment and pair.proposal.embedding is not None,
+            fit_for_alignment=vd.fit_for_alignment,
             provenance=Provenance(scene.frame_id, pair.proposal.camera_id, pair.proposal.index),
             embedding=pair.proposal.embedding,
             verdict=vd,
@@ -144,20 +141,6 @@ def prepare_targets(
 ) -> list[NovelObjectTarget]:
     """The targets of one frame that ``decide_frame`` banks, in proposal order."""
     return [r.target for r in decide_frame(scene, pairs, config) if r.suppressed_by is None]
-
-
-def reject_reason(t: NovelObjectTarget) -> str | None:
-    """Why a banked target was held out of alignment, or None if it was fit."""
-    if t.fit_for_alignment:
-        return None
-    if t.verdict is not None:
-        if not t.verdict.not_occluded:
-            return "occlusion"
-        if not t.verdict.high_res:
-            return "resolution"
-        if not t.verdict.mv_aligned:
-            return "multi_view"
-    return "no_embedding"
 
 
 def discover_frames(scenes_dir: str | Path) -> list[str]:
@@ -267,8 +250,7 @@ def run_annotate(config: PipelineConfig) -> dict:
     write_bank(bank, config.output_dir / "bank.jsonl")
     reasons = {"fit": 0, **{r: 0 for r in REJECT_REASONS}}
     for t in bank:
-        reason = reject_reason(t)
-        reasons["fit" if reason is None else reason] += 1
+        reasons[t.verdict.reason or "fit"] += 1
 
     report = {
         "fingerprint": config_fingerprint(config),

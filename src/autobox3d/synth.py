@@ -19,7 +19,7 @@ import numpy as np
 
 from .config import default_anchors, read_yaml
 from .costfn import AnchorRange
-from .errors import ValidationError, read_record, reading
+from .errors import ValidationError, make_output_dir, read_record, reading
 from .geom import Box2D, BoxParams, CameraCalib, EgoPose, project_box_to_2d, rotation_z
 from .sceneprep import save_cloud
 
@@ -75,16 +75,13 @@ class SynthSpec:
             raise ValidationError("n_frames must be at least 1")
         if self.n_cameras < 1:
             raise ValidationError("n_cameras must be at least 1")
-        if self.ground_extent <= 0 or self.ground_spacing <= 0:
-            raise ValidationError("ground extent and spacing must be positive")
-        if self.point_spacing <= 0:
-            raise ValidationError("point_spacing must be positive")
-        if self.ground_clearance < 0:
-            raise ValidationError("ground_clearance must be non-negative")
-        if self.surface_inset < 0:
-            raise ValidationError("surface_inset must be non-negative")
-        if self.embedding_dim < 0:
-            raise ValidationError("embedding_dim must be non-negative")
+        for key in ("ground_extent", "ground_spacing", "point_spacing", "focal",
+                    "image_width", "image_height"):
+            if getattr(self, key) <= 0:
+                raise ValidationError(f"{key} must be positive, got {getattr(self, key)}")
+        for key in ("seed", "ground_jitter", "ground_clearance", "surface_inset", "embedding_dim"):
+            if getattr(self, key) < 0:
+                raise ValidationError(f"{key} must be non-negative, got {getattr(self, key)}")
 
 
 def load_synth_spec(path: str | Path) -> SynthSpec:
@@ -269,12 +266,11 @@ def generate(spec: SynthSpec, out_dir: str | Path) -> dict:
     Proposal k belongs to ground-truth instance k. A directory holding frames
     this spec does not write fails first: readers would mix the corpora.
     """
-    out = Path(out_dir)
+    out = make_output_dir(Path(out_dir))
     stale = sorted({p.name[: -len(".calib.json")] for p in out.glob("*.calib.json")}
                    - {f"{fi:04d}" for fi in range(spec.n_frames)})
     if stale:
         raise ValidationError(f"{out} holds frames {stale} of another corpus")
-    out.mkdir(parents=True, exist_ok=True)
     anchors = default_anchors()
     cameras = camera_ring(spec)
     ego = EgoPose(0.0, 0.0, 0.0)

@@ -279,7 +279,7 @@ def test_criterion_5_alignment_filter_fixture(request):
     mismatches = []
     kept = 0
     for label, p, expect in fixture:
-        fit = verdict(p, box, calib, thresholds).fit_for_alignment and p.embedding is not None
+        fit = verdict(p, box, calib, thresholds).fit_for_alignment
         kept += int(fit)
         if fit != expect:
             mismatches.append(f"{label}: got {fit}, expected {expect}")

@@ -20,7 +20,7 @@ def make_target(frame="0000", proposal=0, embedding=None, fit=True, class_id="ca
         fit_for_alignment=fit,
         provenance=Provenance(frame, "cam0", proposal),
         embedding=embedding,
-        verdict=AlignmentVerdict(True, True, fit),
+        verdict=AlignmentVerdict(True, True, fit, True),
     )
 
 

@@ -3,6 +3,7 @@
 import csv
 import hashlib
 import json
+import re
 import shutil
 from dataclasses import replace
 
@@ -87,6 +88,26 @@ class TestLoadInstances:
                                    lambda gt: gt.update(instances=[]))
         with pytest.raises(ValidationError, match="0 ground-truth instances"):
             load_bench_instances(config)
+
+    def test_instance_k_is_the_points_labeled_k(self, tmp_path, capsys):
+        # Relabeling instance 1 as 7 keeps three label groups; matching instance
+        # k to the k-th group used to pair instances 1 and 2 with the wrong
+        # points, and bench exited 0.
+        scenes = tmp_path / "scenes"
+        cars = SynthClassSpec(name="car", count=3, distance_min=8.0, distance_max=20.0)
+        generate(replace(BENCH_SPEC, n_frames=1, classes=[cars]), scenes)
+        config = PipelineConfig(scenes_dir=scenes, output_dir=tmp_path / "out")
+        for inst in load_bench_instances(config):
+            assert points_in_box(inst.pair.points, inst.gt_box).all()
+        labels_path = scenes / "0000.ptlabels.txt"
+        labels = [int(v) for v in labels_path.read_text().split()]
+        labels_path.write_text("".join(f"{7 if v == 1 else v}\n" for v in labels))
+        message = "frame 0000: 3 ground-truth instances need point labels 0..2, got [0, 2, 7]"
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            load_bench_instances(config)
+        save_config(config, tmp_path / "config.yaml")
+        assert main(["bench", "--config", str(tmp_path / "config.yaml")]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     @pytest.mark.parametrize("instances", [5, None])
     def test_instances_not_a_list_exits_2(self, bench_config, tmp_path, capsys, instances):

@@ -85,6 +85,29 @@ class TestSynth:
         assert code == 2
         assert where in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text, out_is_file, message", [
+        ("seed: -1\n", False, "seed must be non-negative, got -1"),
+        ("focal: 0\n", False, "focal must be positive, got 0"),
+        ("image_width: 0\n", False, "image_width must be positive, got 0"),
+        ("ground_jitter: -0.1\n", False, "ground_jitter must be non-negative, got -0.1"),
+        ("n_frames: 1\n", True, "cannot create output directory"),
+    ], ids=["seed", "focal", "image_width", "ground_jitter", "out_is_a_file"])
+    def test_bad_input_exits_2_before_any_frame(self, tmp_path, capsys, text, out_is_file,
+                                                message):
+        # Each used to end in a traceback, exit code 1, from numpy, the camera
+        # check or mkdir.
+        spec = tmp_path / "spec.yaml"
+        spec.write_text(text)
+        out = tmp_path / "o"
+        if out_is_file:
+            out.write_text("")
+        assert main(["synth", "--spec", str(spec), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+        assert not list(tmp_path.rglob("0000.*"))
+        if out_is_file:
+            assert str(out) in err
+
 
 class TestAnnotate:
     def test_full_run(self, workdir, capsys):

@@ -5,6 +5,7 @@ import pytest
 
 from autobox3d.filters import (
     DEFAULT_TAU_OCC,
+    REJECT_REASONS,
     AlignmentVerdict,
     FilterThresholds,
     multiview_filter,
@@ -117,15 +118,16 @@ class TestVerdict:
     def _prop(self, **kw):
         defaults = dict(
             box=(25.0, 25.0, 75.0, 75.0), mask_pixel_count=5000,
-            crop_w=100, crop_h=80,
+            crop_w=100, crop_h=80, embedding=[1.0, 0.0],
         )
         defaults.update(kw)
         return _proposal(**defaults)
 
     def test_all_pass(self):
         v = verdict(self._prop(), self.BOX, self.CALIB, TH)
-        assert v == AlignmentVerdict(True, True, True)
+        assert v == AlignmentVerdict(True, True, True, True)
         assert v.fit_for_alignment
+        assert v.reason is None
 
     def test_each_filter_can_veto(self):
         occluded = verdict(self._prop(mask_pixel_count=100), self.BOX, self.CALIB, TH)
@@ -144,6 +146,29 @@ class TestVerdict:
         )
         assert shifted.not_occluded and shifted.high_res and not shifted.mv_aligned
         assert not shifted.fit_for_alignment
+
+        bare = verdict(self._prop(embedding=None), self.BOX, self.CALIB, TH)
+        assert bare.not_occluded and bare.high_res and bare.mv_aligned
+        assert not bare.has_embedding and not bare.fit_for_alignment
+        assert bare.reason == "no_embedding"
+
+    # The four checks in REJECT_REASONS order, P for pass and F for fail: the
+    # first failure names the reason, and a target is fit only when none fails.
+    REASONS = {
+        "PPPP": None, "PPPF": "no_embedding", "PPFP": "multi_view", "PPFF": "multi_view",
+        "PFPP": "resolution", "PFPF": "resolution", "PFFP": "resolution", "PFFF": "resolution",
+        "FPPP": "occlusion", "FPPF": "occlusion", "FPFP": "occlusion", "FPFF": "occlusion",
+        "FFPP": "occlusion", "FFPF": "occlusion", "FFFP": "occlusion", "FFFF": "occlusion",
+    }
+
+    @pytest.mark.parametrize("checks", list(REASONS))
+    def test_reason_is_first_failing_check(self, checks):
+        v = AlignmentVerdict(*(c == "P" for c in checks))
+        assert v.reason == self.REASONS[checks]
+        assert v.fit_for_alignment == (self.REASONS[checks] is None)
+
+    def test_reason_vocabulary(self):
+        assert REJECT_REASONS == ("occlusion", "resolution", "multi_view", "no_embedding")
 
     def test_unknown_class_propagates(self):
         with pytest.raises(KeyError):

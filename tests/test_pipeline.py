@@ -3,6 +3,7 @@
 import hashlib
 import json
 import shutil
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,11 +12,9 @@ from autobox3d.bank import NovelObjectTarget, Provenance, read_bank
 from autobox3d.config import PipelineConfig
 from autobox3d.costfn import BoxCostBatch, CostBreakdown, CostWeights, adaptive_surface_clip
 from autobox3d.errors import UnknownClassError, ValidationError
-from autobox3d.filters import AlignmentVerdict
 from autobox3d.geom import BoxParams, EgoPose, iou_bev
 from autobox3d.optimizer import SearchResult, SwarmConfig
 from autobox3d.pipeline import (
-    REJECT_REASONS,
     associate_frame,
     decide_frame,
     derive_pair_seed,
@@ -28,7 +27,6 @@ from autobox3d.pipeline import (
     prepare_targets,
     process_frame,
     read_frame,
-    reject_reason,
     run_annotate,
     summarize_bank,
 )
@@ -144,39 +142,6 @@ class TestNms:
         assert all(by is None or suppressed_by[by] is None for by in suppressed_by)
         once = [t for t, by in zip(ts, suppressed_by) if by is None]
         assert nms(once, 0.4) == [None] * len(once)
-
-
-class TestRejectReason:
-    @staticmethod
-    def _target(vd, fit):
-        t = target_at(0.0, -5.0)
-        t.verdict = vd
-        t.fit_for_alignment = fit
-        return t
-
-    def test_fit_target_has_no_reason(self):
-        t = self._target(AlignmentVerdict(True, True, True), True)
-        assert reject_reason(t) is None
-
-    def test_precedence_order(self):
-        assert reject_reason(
-            self._target(AlignmentVerdict(False, False, False), False)
-        ) == "occlusion"
-        assert reject_reason(
-            self._target(AlignmentVerdict(True, False, False), False)
-        ) == "resolution"
-        assert reject_reason(
-            self._target(AlignmentVerdict(True, True, False), False)
-        ) == "multi_view"
-
-    def test_missing_embedding_is_last_resort(self):
-        assert reject_reason(
-            self._target(AlignmentVerdict(True, True, True), False)
-        ) == "no_embedding"
-        assert reject_reason(self._target(None, False)) == "no_embedding"
-
-    def test_reason_vocabulary(self):
-        assert REJECT_REASONS == ("occlusion", "resolution", "multi_view", "no_embedding")
 
 
 class TestDiscoverFrames:
@@ -572,6 +537,19 @@ class TestRunAnnotate:
         text = format_report(report)
         assert "targets banked" in text
         assert "held out, occlusion" in text
+
+    def test_no_target_without_an_embedding_is_fit(self, tmp_path):
+        # Proposals without embeddings: the verdict holds every target out.
+        generate(replace(CORPUS_SPEC, embedding_dim=0), tmp_path / "scenes")
+        report = run_annotate(corpus_config(tmp_path / "scenes", tmp_path / "out"))
+        bank_text = (tmp_path / "out" / "bank.jsonl").read_text()
+        lines = [json.loads(line) for line in bank_text.splitlines()]
+        assert len(lines) == report["targets"] > 0
+        assert all(not obj["fit_for_alignment"] and "embedding" not in obj for obj in lines)
+        on_disk = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert on_disk["reasons"]["fit"] == 0
+        assert on_disk["reasons"]["no_embedding"] > 0
+        assert sum(on_disk["reasons"].values()) == report["targets"]
 
     def test_reruns_are_byte_identical(self, corpus, tmp_path):
         config_a = corpus_config(corpus, tmp_path / "a")
