@@ -45,10 +45,6 @@ class NovelObjectTarget:
     embedding: np.ndarray | None = None
     verdict: AlignmentVerdict | None = None
 
-    def __post_init__(self) -> None:
-        if self.embedding is not None:
-            self.embedding = np.asarray(self.embedding, dtype=float)
-
 
 def _target_to_obj(t: NovelObjectTarget) -> dict:
     embedding = {} if t.embedding is None else {"embedding": t.embedding.tolist()}

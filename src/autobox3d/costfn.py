@@ -128,8 +128,7 @@ def adaptive_surface_clip(ego: EgoPose, cluster_centroid: np.ndarray, anchor: An
     matters, because an unclipped term would happily push an empty box far
     beyond the cluster while the image IoU stays put along the view ray.
     """
-    c = np.asarray(cluster_centroid, dtype=float)
-    d = math.hypot(c[0] - ego.x, c[1] - ego.y)
+    d = math.hypot(cluster_centroid[0] - ego.x, cluster_centroid[1] - ego.y)
     margin = max(0.5, 0.1 * math.hypot(float(anchor.max[0]), float(anchor.max[1])))
     return d + margin
 
@@ -182,13 +181,15 @@ class BoxCostBatch:
 
     Bound to one cluster / ego / 2D-proposal / camera / weights / surface
     clip set; a ``join`` of K kernels splits its rows into K equal blocks,
-    block k scored against set k. Rows go through in chunks of at most
-    ``_CHUNK_ROWS``. In each chunk, the terms that read no point run once,
-    from per-row parameter columns. The (S, N) point terms run only on the
-    rows that the skip test below keeps: each block's kept rows are packed
-    and taken in row tiles of about ``_TILE_ELEMS`` (candidate, point)
-    elements, so their buffers stay in cache and no tile holds a skipped
-    row.
+    block k scored against set k. It checks none of these: ``fit_pair``
+    builds it from a non-empty cluster and a finite positive clip, and the
+    searches pass float (S, 7) rows, K equal blocks when joined. Rows go
+    through in chunks of at most ``_CHUNK_ROWS``. In each chunk, the terms
+    that read no point run once, from per-row parameter columns. The (S, N)
+    point terms run only on the rows that the skip test below keeps: each
+    block's kept rows are packed and taken in row tiles of about
+    ``_TILE_ELEMS`` (candidate, point) elements, so their buffers stay in
+    cache and no tile holds a skipped row.
 
     The skip test widens each box by ``_SKIP_MARGIN``, ``BOUNDARY_TOL``
     plus 1e-6 m, and looks for a separating axis between it and the
@@ -214,26 +215,19 @@ class BoxCostBatch:
 
     def __init__(
         self,
-        obj_points: np.ndarray,
+        points: np.ndarray,
         ego: EgoPose,
         proposal: Box2D,
         calib: CameraCalib,
         weights: CostWeights,
         c_surface: float,
     ) -> None:
-        pts = np.asarray(obj_points, dtype=float)
-        if pts.ndim != 2 or pts.shape[1] != 3:
-            raise ValueError(f"obj_points must be (N, 3), got {pts.shape}")
-        if len(pts) == 0:
-            raise ValueError("obj_points is empty; cannot score an empty cluster")
-        if not 0.0 < c_surface < math.inf:
-            raise ValueError(f"c_surface must be positive and finite, got {c_surface}")
-        self.n_points = len(pts)
-        origin = pts.mean(axis=0)
-        self._hom = np.vstack([(pts - origin).T, np.ones(len(pts))])
+        self.n_points = len(points)
+        origin = points.mean(axis=0)
+        self._hom = np.vstack([(points - origin).T, np.ones(len(points))])
         self._tile = max(1, _TILE_ELEMS // self.n_points)
         self.parts: tuple[BoxCostBatch, ...] = (self,)
-        lo, hi = pts.min(axis=0), pts.max(axis=0)
+        lo, hi = points.min(axis=0), points.max(axis=0)
         self._cols = np.concatenate([
             [proposal.u_min, proposal.v_min, proposal.u_max, proposal.v_max, ego.x, ego.y,
              weights.lambda1, weights.lambda2, weights.lambda3, weights.gamma, c_surface],
@@ -248,8 +242,6 @@ class BoxCostBatch:
         ``n_points`` is the mean over the clusters, so rows times
         ``n_points`` still counts (candidate, point) pairs.
         """
-        if not kernels:
-            raise ValueError("cannot join zero kernels")
         joined = cls.__new__(cls)
         joined.parts = tuple(part for k in kernels for part in k.parts)
         joined.n_points = sum(part.n_points for part in joined.parts) / len(joined.parts)
@@ -258,20 +250,14 @@ class BoxCostBatch:
 
     def evaluate(self, thetas: np.ndarray) -> BatchEval:
         """Score candidates of shape (S, 7) laid out as (x, y, z, l, w, h, ry)."""
-        th = np.asarray(thetas, dtype=float)
-        if th.ndim != 2 or th.shape[1] != 7:
-            raise ValueError(f"thetas must be (S, 7), got {th.shape}")
-        k = len(self.parts)
-        if len(th) % k:
-            raise ValueError(f"{len(th)} rows do not split into {k} equal blocks")
-        rows = len(th) // k
-        out = np.empty((5, len(th)))
-        for c0 in range(0, len(th), _CHUNK_ROWS):
-            c1 = min(c0 + _CHUNK_ROWS, len(th))
+        rows = len(thetas) // len(self.parts)
+        out = np.empty((5, len(thetas)))
+        for c0 in range(0, len(thetas), _CHUNK_ROWS):
+            c1 = min(c0 + _CHUNK_ROWS, len(thetas))
             blocks = [(self.parts[i], max(c0, i * rows) - c0)
                       for i in range(c0 // rows, (c1 - 1) // rows + 1)]
             cols = self._cols.take(np.arange(c0, c1) // rows, axis=1)
-            out[:, c0:c1] = self._score(th[c0:c1], cols, blocks)
+            out[:, c0:c1] = self._score(thetas[c0:c1], cols, blocks)
         return BatchEval(*out)
 
     def _score(self, th: np.ndarray, cols: np.ndarray, blocks) -> tuple[np.ndarray, ...]:

@@ -89,9 +89,6 @@ class BoxParams:
 
     @classmethod
     def from_array(cls, arr: np.ndarray) -> "BoxParams":
-        arr = np.asarray(arr, dtype=float)
-        if arr.shape != (7,):
-            raise ValueError(f"expected shape (7,), got {arr.shape}")
         return cls(*(float(v) for v in arr))
 
     @property
@@ -229,16 +226,15 @@ def image_hulls(thetas: np.ndarray, calib: CameraCalib | np.ndarray) -> tuple[np
     Each row's arithmetic is elementwise and its own, so a row's hull does
     not depend on the batch around it.
     """
-    th = np.asarray(thetas, dtype=float)
     cam = camera_columns([calib]) if isinstance(calib, CameraCalib) else calib
     # Homogeneous pixel rows (U, V, W) of K [R | t], each (3, 1) or (3, S); W = k22 * depth.
     a0, a1, a2, a3 = cam[:12].reshape(4, 3, -1)
     w_near, size = cam[12], cam[13:]
-    cos, sin = np.cos(th[:, 6]), np.sin(th[:, 6])
-    center = a0 * th[:, 0] + a1 * th[:, 1] + a2 * th[:, 2] + a3
-    axis_l = (a0 * cos + a1 * sin) * th[:, 3]
-    axis_w = (a1 * cos - a0 * sin) * th[:, 4]
-    axis_h = a2 * th[:, 5]
+    cos, sin = np.cos(thetas[:, 6]), np.sin(thetas[:, 6])
+    center = a0 * thetas[:, 0] + a1 * thetas[:, 1] + a2 * thetas[:, 2] + a3
+    axis_l = (a0 * cos + a1 * sin) * thetas[:, 3]
+    axis_w = (a1 * cos - a0 * sin) * thetas[:, 4]
+    axis_h = a2 * thetas[:, 5]
     # Corners as (8, 3, S): center plus three signed axis vectors. Corners
     # lead, so the extremes below reduce over whole (3, S) blocks.
     sign_l, sign_w, sign_h = _CORNER_SIGNS.T[:, :, None, None]

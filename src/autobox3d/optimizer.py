@@ -81,13 +81,11 @@ class SearchResult:
 
 
 def inertia_at(iteration: int, cfg: SwarmConfig) -> float:
-    """Inertia weight at a given iteration of the half-cosine ramp.
+    """Inertia weight at an iteration in [0, ``n_iter``) of the half-cosine ramp.
 
     Returns exactly ``w_init`` at iteration 0 and ``w_end`` at the last
     iteration, decreasing monotonically in between.
     """
-    if not 0 <= iteration < cfg.n_iter:
-        raise ValueError(f"iteration {iteration} outside [0, {cfg.n_iter})")
     if iteration == 0:
         return cfg.w_init
     if iteration == cfg.n_iter - 1:
@@ -103,12 +101,9 @@ def search_bounds(points: np.ndarray, anchor: AnchorRange) -> tuple[np.ndarray, 
     anchor's largest diagonal, so a box can always cover the cluster from
     either side; dimensions range over the anchor; yaw over [0, pi].
     """
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != 3 or len(pts) == 0:
-        raise ValueError("points must be a non-empty (N, 3) array")
     dilate = 0.5 * float(np.linalg.norm(anchor.max))
-    lb = np.concatenate([pts.min(axis=0) - dilate, anchor.min, [0.0]])
-    ub = np.concatenate([pts.max(axis=0) + dilate, anchor.max, [math.pi]])
+    lb = np.concatenate([points.min(axis=0) - dilate, anchor.min, [0.0]])
+    ub = np.concatenate([points.max(axis=0) + dilate, anchor.max, [math.pi]])
     return lb, ub
 
 
@@ -135,14 +130,11 @@ def init_particles(
     get Gaussian position noise with per-axis spread ``c_noise`` times the
     mean anchor size. Dimensions and yaw draw uniformly from their ranges.
     """
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != 3 or len(pts) == 0:
-        raise ValueError("points must be a non-empty (N, 3) array")
     s = cfg.n_swarm
     n_near = s // 2
     sites = np.empty((s, 3))
     sites[:n_near] = nearest
-    sites[n_near:] = pts.mean(axis=0)
+    sites[n_near:] = points.mean(axis=0)
     noise_scale = cfg.c_noise * 0.5 * (anchor.min + anchor.max)
     positions = sites + rng.standard_normal((s, 3)) * noise_scale
     dims = rng.uniform(anchor.min, anchor.max, size=(s, 3))
@@ -158,10 +150,9 @@ def pso_search(evaluate: EvalFn, starts: list[SwarmStart], cfg: SwarmConfig) -> 
     ``n_swarm * n_iter`` evaluations, the first iteration being the scored
     initial population. Each swarm keeps its own generator, bounds, bests
     and trace, and its arithmetic is elementwise, so its result is bit for
-    bit what it gets searched alone (K = 1). K = 0 returns [] unscored.
+    bit what it gets searched alone (K = 1). K is at least 1: callers search
+    only when they have pairs.
     """
-    if not starts:
-        return []
     k, n = len(starts), cfg.n_swarm
     rngs = [np.random.default_rng(s.seed) for s in starts]
     lb, ub = (np.stack(b)[:, None] for b in zip(*(search_bounds(s.points, s.anchor) for s in starts)))

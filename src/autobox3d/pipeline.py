@@ -32,6 +32,7 @@ from .sceneprep import (
     cluster_objects,
     cloud_path,
     clusters_from_labels,
+    discover_frames,
     load_calib,
     load_ground_mask,
     load_point_labels,
@@ -141,15 +142,6 @@ def prepare_targets(
 ) -> list[NovelObjectTarget]:
     """The targets of one frame that ``decide_frame`` banks, in proposal order."""
     return [r.target for r in decide_frame(scene, pairs, config) if r.suppressed_by is None]
-
-
-def discover_frames(scenes_dir: str | Path) -> list[str]:
-    """Frame ids under a scenes dir: every ``<id>.calib.json``, sorted."""
-    scenes_dir = Path(scenes_dir)
-    if not scenes_dir.is_dir():
-        raise ValidationError(f"scenes directory not found: {scenes_dir}")
-    ids = sorted(p.name[: -len(".calib.json")] for p in scenes_dir.glob("*.calib.json"))
-    return ids
 
 
 def load_clusters(scene: Scene, config: PipelineConfig) -> list[np.ndarray]:
@@ -296,10 +288,7 @@ def format_report(report: dict) -> str:
         f"(from {report['pairs']} pairs, {report['proposals']} proposals, "
         f"{report['frames']} frames)",
         f"fit for alignment: {pct('fit')}",
-        f"held out, occlusion: {pct('occlusion')}",
-        f"held out, resolution: {pct('resolution')}",
-        f"held out, multi-view: {pct('multi_view')}",
-        f"held out, no embedding: {pct('no_embedding')}",
+        *(f"held out, {r}: {pct(r)}" for r in REJECT_REASONS),
     ]
     if report.get("frames_missing_proposals"):
         lines.append(

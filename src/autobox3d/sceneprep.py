@@ -130,13 +130,18 @@ def _load_cloud_csv(path: Path) -> np.ndarray:
 
 
 def save_cloud(path: str | Path, points: np.ndarray) -> None:
-    """Write a cloud as 16-byte float32 records with a zero intensity column."""
-    pts = np.asarray(points, dtype=np.float64)
-    if pts.ndim != 2 or pts.shape[1] != 3:
-        raise ValueError(f"points must be (N, 3), got {pts.shape}")
-    out = np.zeros((len(pts), 4), dtype="<f4")
-    out[:, :3] = pts.astype("<f4")
+    """Write an (N, 3) cloud as 16-byte float32 records with a zero intensity column."""
+    out = np.zeros((len(points), 4), dtype="<f4")
+    out[:, :3] = points
     Path(path).write_bytes(out.tobytes())
+
+
+def discover_frames(scenes_dir: str | Path) -> list[str]:
+    """Frame ids under a scenes dir: every ``<id>.calib.json``, sorted."""
+    scenes_dir = Path(scenes_dir)
+    if not scenes_dir.is_dir():
+        raise ValidationError(f"scenes directory not found: {scenes_dir}")
+    return sorted(p.name[: -len(".calib.json")] for p in scenes_dir.glob("*.calib.json"))
 
 
 def cloud_path(scenes_dir: Path, frame_id: str) -> Path:
@@ -302,16 +307,11 @@ def remove_ground(cloud: np.ndarray, config: GroundConfig) -> tuple[np.ndarray, 
     and refits in the same rounds, with one LAPACK call per seed count and
     round (``_fit_planes``).
     """
-    pts = np.asarray(cloud, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != 3:
-        raise ValueError(f"cloud must be (N, 3), got {pts.shape}")
-    if len(pts) == 0:
+    if len(cloud) == 0:
         raise ValidationError("cannot remove ground from an empty cloud")
-    if not np.all(np.isfinite(pts)):
-        raise ValidationError("cannot remove ground from a cloud with non-finite coordinates")
 
-    cx = np.floor(pts[:, 0] / config.cell).astype(np.int64)
-    cy = np.floor(pts[:, 1] / config.cell).astype(np.int64)
+    cx = np.floor(cloud[:, 0] / config.cell).astype(np.int64)
+    cy = np.floor(cloud[:, 1] / config.cell).astype(np.int64)
     origin = np.array([cx.min(), cy.min()])
     dims = np.array([cx.max(), cy.max()]) - origin + 1
     try:
@@ -327,29 +327,29 @@ def remove_ground(cloud: np.ndarray, config: GroundConfig) -> tuple[np.ndarray, 
     order = np.argsort(keys.astype(np.min_scalar_type(keys.max())), kind="stable")
     sorted_keys = keys[order]
     starts = np.flatnonzero(np.diff(sorted_keys, prepend=-1))
-    counts = np.diff(starts, append=len(pts))
-    inverse = np.empty(len(pts), np.intp)
+    counts = np.diff(starts, append=len(cloud))
+    inverse = np.empty(len(cloud), np.intp)
     inverse[order] = np.repeat(np.arange(len(counts)), counts)
     # z order, then a stable sort by cell.
-    by_z = np.argsort(pts[:, 2])
+    by_z = np.argsort(cloud[:, 2])
     cell_ids = inverse[by_z].astype(np.min_scalar_type(len(counts) - 1))
     by_cell_z = by_z[np.argsort(cell_ids, kind="stable")]
-    seed_z = _seed_thresholds(pts[by_cell_z, 2], starts, counts, config.seed_quantile)
+    seed_z = _seed_thresholds(cloud[by_cell_z, 2], starts, counts, config.seed_quantile)
 
-    is_seed = pts[order, 2] <= np.repeat(seed_z, counts)
+    is_seed = cloud[order, 2] <= np.repeat(seed_z, counts)
     seed_counts = np.add.reduceat(is_seed, starts, dtype=np.intp)
-    planes = _fit_ground_planes(np.take(pts, order.compress(is_seed), axis=0), seed_counts, config)
+    planes = _fit_ground_planes(np.take(cloud, order.compress(is_seed), axis=0), seed_counts, config)
 
     fitted = np.all(np.isfinite(planes), axis=1)
     if not np.any(fitted):
         global_z = _seed_thresholds(
-            np.sort(pts[:, 2]), np.zeros(1, np.int64), np.array([len(pts)]), config.seed_quantile
+            np.sort(cloud[:, 2]), np.zeros(1, np.int64), np.array([len(cloud)]), config.seed_quantile
         )[0]
-        seeds = pts[pts[:, 2] <= global_z]
+        seeds = cloud[cloud[:, 2] <= global_z]
         plane = _fit_ground_planes(seeds, np.array([len(seeds)]), config)[0]
         if np.isnan(plane[0]):
             # Tiny cloud: fall back to a horizontal plane through the lowest point.
-            plane = np.array([0.0, 0.0, float(pts[:, 2].min())])
+            plane = np.array([0.0, 0.0, float(cloud[:, 2].min())])
         planes[:] = plane
     elif not np.all(fitted):
         uniq = np.column_stack(np.unravel_index(sorted_keys[starts], dims)) + origin
@@ -360,7 +360,7 @@ def remove_ground(cloud: np.ndarray, config: GroundConfig) -> tuple[np.ndarray, 
             d2 = np.sum((centers[have] - centers[k]) ** 2, axis=1)
             planes[k] = planes[have[int(np.argmin(d2))]]
 
-    ground = _plane_residuals(pts, np.take(planes, inverse, axis=0).T) <= config.height_threshold
+    ground = _plane_residuals(cloud, np.take(planes, inverse, axis=0).T) <= config.height_threshold
     return np.where(ground)[0], np.where(~ground)[0]
 
 
@@ -388,10 +388,9 @@ def cluster_objects(
     from scipy.sparse.csgraph import connected_components
     from scipy.spatial import cKDTree
 
-    idx = np.asarray(indices, dtype=np.int64)
-    if len(idx) == 0:
+    if len(indices) == 0:
         return []
-    pts = np.asarray(cloud, dtype=float)[idx]
+    pts = cloud[indices]
 
     pairs = cKDTree(pts).query_pairs(config.eps, output_type="ndarray")
     core = np.bincount(pairs.ravel(), minlength=len(pts)) + 1 >= config.min_pts
@@ -423,7 +422,7 @@ def cluster_objects(
     labels[border[nearest]] = labels[neighbor[nearest]]
 
     cloud_labels = np.full(len(cloud), -1, dtype=np.int64)
-    cloud_labels[idx] = labels
+    cloud_labels[indices] = labels
     return sorted(clusters_from_labels(cloud_labels), key=lambda c: int(c[0]))
 
 
@@ -472,7 +471,6 @@ def load_point_labels(path: str | Path, n_points: int) -> np.ndarray:
 def clusters_from_labels(labels: np.ndarray) -> list[np.ndarray]:
     """Clusters from a per-point label array (-1 for none), in label order:
     each the ascending int64 indices of the points that share a label."""
-    labels = np.asarray(labels, dtype=np.int64)
     members = np.flatnonzero(labels >= 0)
     members = members[np.argsort(labels[members], kind="stable")]
     groups = np.split(members, np.flatnonzero(np.diff(labels[members])) + 1)

@@ -21,7 +21,7 @@ from .config import default_anchors, read_yaml
 from .costfn import AnchorRange
 from .errors import ValidationError, make_output_dir, read_record, reading
 from .geom import Box2D, BoxParams, CameraCalib, EgoPose, project_box_to_2d, rotation_z
-from .sceneprep import save_cloud
+from .sceneprep import discover_frames, save_cloud
 
 
 @dataclass(eq=False)
@@ -266,13 +266,13 @@ def generate(spec: SynthSpec, out_dir: str | Path) -> dict:
     Proposal k belongs to ground-truth instance k. A directory holding frames
     this spec does not write fails first: readers would mix the corpora.
     """
+    with reading("focal"):  # the one camera check a positive focal can still fail
+        cameras = camera_ring(spec)
     out = make_output_dir(Path(out_dir))
-    stale = sorted({p.name[: -len(".calib.json")] for p in out.glob("*.calib.json")}
-                   - {f"{fi:04d}" for fi in range(spec.n_frames)})
+    stale = sorted(set(discover_frames(out)) - {f"{fi:04d}" for fi in range(spec.n_frames)})
     if stale:
         raise ValidationError(f"{out} holds frames {stale} of another corpus")
     anchors = default_anchors()
-    cameras = camera_ring(spec)
     ego = EgoPose(0.0, 0.0, 0.0)
     calib = {
         "ego": [ego.x, ego.y, ego.z],

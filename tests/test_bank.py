@@ -19,7 +19,7 @@ def make_target(frame="0000", proposal=0, embedding=None, fit=True, class_id="ca
         cost=CostBreakdown(-0.9, 0.1, -3.0, -2.4, -9.8),
         fit_for_alignment=fit,
         provenance=Provenance(frame, "cam0", proposal),
-        embedding=embedding,
+        embedding=None if embedding is None else np.array(embedding),
         verdict=AlignmentVerdict(True, True, fit, True),
     )
 

@@ -90,8 +90,10 @@ class TestSynth:
         ("focal: 0\n", False, "focal must be positive, got 0"),
         ("image_width: 0\n", False, "image_width must be positive, got 0"),
         ("ground_jitter: -0.1\n", False, "ground_jitter must be non-negative, got -0.1"),
+        ("focal: 1.0e-9\n", False, "focal: intrinsic matrix is singular"),
         ("n_frames: 1\n", True, "cannot create output directory"),
-    ], ids=["seed", "focal", "image_width", "ground_jitter", "out_is_a_file"])
+    ], ids=["seed", "focal", "image_width", "ground_jitter", "near_singular_focal",
+            "out_is_a_file"])
     def test_bad_input_exits_2_before_any_frame(self, tmp_path, capsys, text, out_is_file,
                                                 message):
         # Each used to end in a traceback, exit code 1, from numpy, the camera
@@ -105,6 +107,7 @@ class TestSynth:
         err = capsys.readouterr().err
         assert message in err and "Traceback" not in err
         assert not list(tmp_path.rglob("0000.*"))
+        assert out_is_file or not out.exists()
         if out_is_file:
             assert str(out) in err
 

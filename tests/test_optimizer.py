@@ -77,13 +77,6 @@ class TestInertia:
         assert all(a >= b for a, b in zip(vals, vals[1:]))
         assert all(0.1 <= v <= 10.0 for v in vals)
 
-    def test_rejects_out_of_range(self):
-        cfg = SwarmConfig(n_iter=10)
-        with pytest.raises(ValueError):
-            inertia_at(-1, cfg)
-        with pytest.raises(ValueError):
-            inertia_at(10, cfg)
-
 
 class TestBounds:
     def test_positions_dilated_by_half_anchor_diagonal(self):
@@ -182,11 +175,6 @@ class TestInit:
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
-    def test_rejects_empty_points(self):
-        pair = build_pair(car_box(), seed=12)
-        with pytest.raises(ValueError):
-            init_particles(np.empty((0, 3)), pair.nearest, CAR_ANCHOR, TINY, rng_of())
-
 
 class TestSwarmSearch:
     def test_budget_and_trace_shape(self):
@@ -284,12 +272,6 @@ class TestLockstep:
             assert np.array_equal(res.trace, alone.trace)
             assert res.evaluations == alone.evaluations == cfg.n_swarm * cfg.n_iter
         assert together[0].best_cost != together[1].best_cost
-
-    def test_no_starts_no_evaluation(self):
-        def never(thetas):
-            raise AssertionError("evaluate called for an empty search")
-
-        assert pso_search(never, [], TINY) == []
 
 
 class TestGridCounts:

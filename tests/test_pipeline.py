@@ -12,6 +12,7 @@ from autobox3d.bank import NovelObjectTarget, Provenance, read_bank
 from autobox3d.config import PipelineConfig
 from autobox3d.costfn import BoxCostBatch, CostBreakdown, CostWeights, adaptive_surface_clip
 from autobox3d.errors import UnknownClassError, ValidationError
+from autobox3d.filters import REJECT_REASONS
 from autobox3d.geom import BoxParams, EgoPose, iou_bev
 from autobox3d.optimizer import SearchResult, SwarmConfig
 from autobox3d.pipeline import (
@@ -536,7 +537,7 @@ class TestRunAnnotate:
 
         text = format_report(report)
         assert "targets banked" in text
-        assert "held out, occlusion" in text
+        assert all(f"held out, {r}: " in text for r in REJECT_REASONS)
 
     def test_no_target_without_an_embedding_is_fit(self, tmp_path):
         # Proposals without embeddings: the verdict holds every target out.

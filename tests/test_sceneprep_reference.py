@@ -237,12 +237,6 @@ class TestGroundFallbacks:
         assert_same_ground(np.array([[0.0, 0.0, -1.8], [0.1, 0.0, -1.1]]))
         assert_same_ground(np.array([[5.0, 5.0, 1.0]]))
 
-    def test_non_finite_cloud_raises(self):
-        cloud = np.zeros((10, 3))
-        cloud[4, 2] = np.nan
-        with pytest.raises(ValidationError, match="non-finite"):
-            remove_ground(cloud, GroundConfig())
-
     def test_grid_too_large_for_int64_keys_raises(self):
         cloud = np.array([[0.0, 0.0, 0.0], [5e9, 5e9, 0.0]])
         with pytest.raises(ValidationError, match="too large"):
