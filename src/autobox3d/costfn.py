@@ -266,24 +266,22 @@ class BoxCostBatch:
         rows of each (kernel, first row) of ``blocks``."""
         ego_x, ego_y = cols[_EGO]
         lambda1, lambda2, lambda3, gamma, c_surface = cols[_WEIGHTS]
-        cx, cy = th[:, 0], th[:, 1]
         cos, sin = np.cos(th[:, 6]), np.sin(th[:, 6])
-
-        # Ego position in each box frame picks the near top edges by sign:
-        # the edge at x = sx running along y, and the edge at y = sy running
-        # along x, both on the top face.
-        edx, edy = ego_x - cx, ego_y - cy
-        e_lx = cos * edx + sin * edy
-        e_ly = cos * edy - sin * edx
-        sx = np.where(e_lx > 0.0, 0.5, -0.5) * th[:, 3]
-        sy = np.where(e_ly > 0.0, 0.5, -0.5) * th[:, 4]
+        edx, edy = ego_x - th[:, 0], ego_y - th[:, 1]
         # Rows that cannot enclose a point keep density and lshape 0.0 (class
         # docstring). The kept rows' transforms and point pass values are set
         # up once; each block's kept rows are one run of them, tiled.
         kept = np.flatnonzero(self._may_enclose(th, cos, sin, cols[_BOUNDS]))
-        rt = _box_frames(th[kept], cos[kept], sin[kept], cols[_ORIGIN][:, kept])
-        per_row = np.vstack([0.5 * th[kept, 3:6].T + BOUNDARY_TOL, sx[kept], sy[kept],
-                             0.5 * th[kept, 5]])
+        th_k, cos_k, sin_k, ex, ey = th[kept], cos[kept], sin[kept], edx[kept], edy[kept]
+        rt = _box_frames(th_k, cos_k, sin_k, cols[_ORIGIN][:, kept])
+        # Ego position in each box frame picks the near top edges by sign:
+        # the edge at x = sx running along y, and the edge at y = sy running
+        # along x, both on the top face.
+        half_l, half_w, half_h = half = 0.5 * th_k[:, 3:6].T
+        e_lx = cos_k * ex + sin_k * ey
+        e_ly = cos_k * ey - sin_k * ex
+        per_row = np.vstack([half + BOUNDARY_TOL, np.where(e_lx > 0.0, half_l, -half_l),
+                             np.where(e_ly > 0.0, half_w, -half_w), half_h])
         terms = np.empty((2, len(kept)))
         ends = np.searchsorted(kept, [s for _, s in blocks] + [len(th)])
         for (part, _), a0, b0 in zip(blocks, ends[:-1], ends[1:]):
@@ -293,7 +291,7 @@ class BoxCostBatch:
         density, lshape = np.zeros((2, len(th)))
         density[kept], lshape[kept] = terms
 
-        surface = -np.minimum(np.hypot(cx - ego_x, cy - ego_y), c_surface)
+        surface = -np.minimum(np.hypot(edx, edy), c_surface)
 
         iou_term = -gamma * rect_ious(image_hulls(th, cols[_CAMERA])[0], cols[_RECT])
 

@@ -231,16 +231,26 @@ def image_hulls(thetas: np.ndarray, calib: CameraCalib | np.ndarray) -> tuple[np
     a0, a1, a2, a3 = cam[:12].reshape(4, 3, -1)
     w_near, size = cam[12], cam[13:]
     cos, sin = np.cos(thetas[:, 6]), np.sin(thetas[:, 6])
+    half_l, half_w, half_h = 0.5 * thetas[:, 3:6].T
     center = a0 * thetas[:, 0] + a1 * thetas[:, 1] + a2 * thetas[:, 2] + a3
-    axis_l = (a0 * cos + a1 * sin) * thetas[:, 3]
-    axis_w = (a1 * cos - a0 * sin) * thetas[:, 4]
-    axis_h = a2 * thetas[:, 5]
-    # Corners as (8, 3, S): center plus three signed axis vectors. Corners
-    # lead, so the extremes below reduce over whole (3, S) blocks.
-    sign_l, sign_w, sign_h = _CORNER_SIGNS.T[:, :, None, None]
-    corners = sign_l * axis_l
-    corners += sign_w * axis_w
-    corners += sign_h * axis_h
+    # Half-axis vectors. Away from subnormals, halving a factor rounds as
+    # halving the product does.
+    hl = (a0 * cos + a1 * sin) * half_l
+    hw = (a1 * cos - a0 * sin) * half_w
+    hh = a2 * half_h
+    # Corners as (8, 3, S) in _CORNER_SIGNS order: with P = hl + hw and
+    # M = hl - hw, corners 0, 3, 4, 7 are P - hh, M - hh, P + hh, M + hh and
+    # corners 6, 5, 2, 1 their negations; IEEE rounding is symmetric in sign,
+    # so those are exact up to the sign of an exact zero. Corners lead, so
+    # the extremes below reduce over whole (3, S) blocks.
+    p, m = hl + hw, hl - hw
+    corners = np.empty((8, *hl.shape))
+    np.subtract(p, hh, out=corners[0])
+    np.subtract(m, hh, out=corners[3])
+    np.add(p, hh, out=corners[4])
+    np.add(m, hh, out=corners[7])
+    np.negative(corners[3::-3], out=corners[5:7])
+    np.negative(corners[7:3:-3], out=corners[1:3])
     corners += center
     w = corners[:, 2]
     front = w >= w_near

@@ -108,12 +108,14 @@ def search_bounds(points: np.ndarray, anchor: AnchorRange) -> tuple[np.ndarray, 
 
 
 def clamp_thetas(thetas: np.ndarray, lb: np.ndarray, ub: np.ndarray) -> np.ndarray:
-    """Project candidates (..., 7) onto the feasible region; yaw wraps
-    instead of clips. ``lb`` and ``ub`` broadcast against the candidates."""
-    out = np.array(thetas, dtype=float)
-    out[..., :6] = np.clip(out[..., :6], lb[..., :6], ub[..., :6])
-    out[..., 6] = np.mod(out[..., 6], math.pi)
-    return out
+    """Project float candidates (..., 7) onto the feasible region in place,
+    and return them; yaw wraps instead of clips. ``lb`` and ``ub`` broadcast
+    against the candidates."""
+    box = thetas[..., :6]
+    np.maximum(box, lb[..., :6], out=box)
+    np.minimum(box, ub[..., :6], out=box)
+    np.mod(thetas[..., 6], math.pi, out=thetas[..., 6])
+    return thetas
 
 
 def init_particles(
@@ -150,13 +152,18 @@ def pso_search(evaluate: EvalFn, starts: list[SwarmStart], cfg: SwarmConfig) -> 
     ``n_swarm * n_iter`` evaluations, the first iteration being the scored
     initial population. Each swarm keeps its own generator, bounds, bests
     and trace, and its arithmetic is elementwise, so its result is bit for
-    bit what it gets searched alone (K = 1). K is at least 1: callers search
-    only when they have pairs.
+    bit what it gets searched alone (K = 1) as long as ``evaluate`` scores
+    its block as it scores it alone. ``BoxCostBatch`` does so unless the
+    block straddles one of its 2,048-row chunk boundaries, which changes
+    the block's tile row counts and so may change its bits (ROADMAP item
+    13): at the default ``n_swarm`` of 50, the promise holds for up to 40
+    swarms. K is at least 1: callers search only when they have pairs.
     """
     k, n = len(starts), cfg.n_swarm
     rngs = [np.random.default_rng(s.seed) for s in starts]
     lb, ub = (np.stack(b)[:, None] for b in zip(*(search_bounds(s.points, s.anchor) for s in starts)))
     vmax = 0.5 * (ub - lb)
+    pulls = np.array([cfg.c1, cfg.c2])[:, None, None]
 
     x = [init_particles(s.points, s.nearest, s.anchor, cfg, rng) for s, rng in zip(starts, rngs)]
     x = clamp_thetas(np.stack(x), lb, ub)
@@ -166,38 +173,48 @@ def pso_search(evaluate: EvalFn, starts: list[SwarmStart], cfg: SwarmConfig) -> 
     swarms = np.arange(k)
     gbest_x = x[:, 0].copy()
     gbest_f = np.full(k, np.inf)
-    gbest_parts: list[CostBreakdown | None] = [None] * k
+    # Each swarm's best terms in CostBreakdown field order.
+    gbest_terms = np.full((k, 5), np.nan)
     trace = np.empty((cfg.n_iter, k))
     # r1 then r2 of every swarm, each pair drawn from the swarm's own generator.
     r = np.empty((k, 2, n, 7))
 
     # Iteration 0 scores the initial population; the bests start at +inf, and
-    # the kernel's totals are finite, so it seeds every best.
+    # the kernel's totals are finite, so it seeds every best. The update runs
+    # in place in the operation order of
+    # v = w * v + c1 * r1 * (pbest_x - x) + c2 * r2 * (gbest_x - x).
     for it in range(cfg.n_iter):
         if it:
-            w = inertia_at(it, cfg)
             for rng, out in zip(rngs, r):
                 rng.random(out=out)
-            v = w * v + cfg.c1 * r[:, 0] * (pbest_x - x) + cfg.c2 * r[:, 1] * (gbest_x[:, None] - x)
-            np.clip(v, -vmax, vmax, out=v)
-            x = clamp_thetas(x + v, lb, ub)
+            r *= pulls
+            r[:, 0] *= pbest_x - x
+            r[:, 1] *= gbest_x[:, None] - x
+            v *= inertia_at(it, cfg)
+            v += r[:, 0]
+            v += r[:, 1]
+            np.maximum(v, -vmax, out=v)
+            np.minimum(v, vmax, out=v)
+            x += v
+            clamp_thetas(x, lb, ub)
         res = evaluate(x.reshape(k * n, 7))
         f = res.totals.reshape(k, n)
         improved = f < pbest_f
-        pbest_f = np.where(improved, f, pbest_f)
-        pbest_x[improved] = x[improved]
+        np.copyto(pbest_f, f, where=improved)
+        np.copyto(pbest_x, x, where=improved[..., None])
         g = np.argmin(f, axis=1)
         best = f[swarms, g]
-        for i in np.flatnonzero(best < gbest_f):
-            gbest_f[i] = best[i]
-            gbest_x[i] = x[i, g[i]]
-            gbest_parts[i] = res.breakdown_at(i * n + g[i])
+        better = best < gbest_f
+        np.copyto(gbest_f, best, where=better)
+        np.copyto(gbest_x, x[swarms, g], where=better[:, None])
+        terms = np.array([res.density, res.lshape, res.surface, res.iou2d, res.totals])
+        gbest_terms[better] = terms[:, (swarms * n + g)[better]].T
         trace[it] = gbest_f
 
     return [
         SearchResult(
             best_box=BoxParams.from_array(gbest_x[i]),
-            best_cost=gbest_parts[i],
+            best_cost=CostBreakdown(*gbest_terms[i].tolist()),
             evaluations=n * cfg.n_iter,
             trace=trace[:, i].copy(),
         )

@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -464,7 +465,22 @@ def load_ground_mask(path: str | Path, n_points: int) -> np.ndarray:
 
 
 def load_point_labels(path: str | Path, n_points: int) -> np.ndarray:
-    """Read per-point integer labels: -1 for ground/noise, else a cluster id."""
+    """Read per-point integer labels: -1 for ground/noise, else a cluster id.
+
+    ``np.loadtxt`` reads a well-formed file; anything else goes through the
+    line reader, which names the bad line or reads what ``int`` accepts.
+    """
+    try:
+        with warnings.catch_warnings():
+            # A file of blank lines; the line reader reports its count.
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            labels = np.loadtxt(path, dtype=np.int64, comments=None, ndmin=2)
+    except ValueError:
+        pass
+    else:
+        # ndmin=2 keeps a one-line "1 2" as one row of two labels, not two.
+        if labels.shape == (n_points, 1) and (labels >= -1).all():
+            return labels[:, 0]
     return np.asarray(_per_point(path, n_points, "labels", _label), dtype=np.int64)
 
 

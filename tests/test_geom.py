@@ -23,6 +23,7 @@ from autobox3d.geom import (
 from autobox3d.synth import make_camera
 
 from _costfn_reference import iou_2d, points_in_box, project_points, reference_hull
+from _hull_reference import sign_product_hulls
 from _util import is_cut, random_box, score_box, simple_calib
 
 SQ2 = math.sqrt(2.0)
@@ -284,6 +285,33 @@ class TestImageHulls:
             mine = np.array(cams) == k
             rects, ok = image_hulls(thetas[mine], calib)
             assert np.array_equal(rects, together[0][mine]) and np.array_equal(ok, together[1][mine])
+
+    def test_bytes_match_sign_product_reference(self):
+        # Corners summed from half axes give the sign-product hulls bit for
+        # bit, on rows wholly in front, cut by the near plane or wholly behind.
+        rng = np.random.default_rng(70)
+        n = 3000
+        cams = rng.integers(0, len(self.CAMERAS), n)
+        cam_centers = rng.uniform([-3.0, -3.0, -5.0], [3.0, 3.0, 8.0], size=(n, 3))
+        thetas = np.column_stack([np.empty((n, 3)), rng.uniform(0.3, 4.5, size=(n, 3)),
+                                  rng.uniform(0.0, math.pi, n)])
+        depths = np.empty((n, 8))
+        for k, calib in enumerate(self.CAMERAS):
+            mine = cams == k
+            ext = calib.extrinsic
+            thetas[mine, :3] = (cam_centers[mine] - ext[:3, 3]) @ ext[:3, :3]
+            depths[mine] = [box_corners(BoxParams.from_array(th)) @ ext[2, :3] + ext[2, 3]
+                            for th in thetas[mine]]
+        front = depths >= NEAR_DEPTH
+        assert min(front.all(axis=1).sum(), (front.any(axis=1) & ~front.all(axis=1)).sum(),
+                   (~front.any(axis=1)).sum()) > 300
+        per_row = camera_columns(list(self.CAMERAS))[:, cams]
+        one = self.CAMERAS[1]
+        for rows, cam, cols in [(thetas, per_row, per_row),
+                                (thetas[cams == 1], one, camera_columns([one]))]:
+            got, expect = image_hulls(rows, cam), sign_product_hulls(rows, cols)
+            assert got[0].tobytes() == expect[0].tobytes()
+            assert np.array_equal(got[1], expect[1])
 
 
 class TestBox2D:

@@ -97,6 +97,7 @@ class TestBounds:
             [0.2, 0.8, 0.1, 1.2, 1.8, 1.1, -0.25 * math.pi],
         ])
         out = clamp_thetas(raw, lb, ub)
+        assert out is raw
         assert np.allclose(out[0], [0.0, 0.5, 1.0, 1.0, 2.0, 1.5, 0.5 * math.pi])
         assert np.allclose(out[1], [0.2, 0.8, 0.1, 1.2, 1.8, 1.1, 0.75 * math.pi])
 
@@ -129,7 +130,7 @@ class TestBounds:
         for _ in range(50):
             raw = rng.uniform(-10, 10, size=(20, 7))
             once = clamp_thetas(raw, lb, ub)
-            twice = clamp_thetas(once, lb, ub)
+            twice = clamp_thetas(once.copy(), lb, ub)
             assert np.allclose(once, twice, atol=1e-12)
             assert (once[:, 6] >= 0.0).all() and (once[:, 6] < math.pi + 1e-12).all()
 
@@ -209,6 +210,23 @@ class TestSwarmSearch:
         assert np.array_equal(a.best_box.as_array(), b.best_box.as_array())
         assert a.best_cost == b.best_cost
         assert np.array_equal(a.trace, b.trace)
+
+    def test_best_cost_is_best_box_scored_alone(self):
+        # Each lockstep swarm's best terms are gathered from the joined
+        # evaluation's rows; they must be its own kernel's breakdown of its
+        # best box scored alone. Car clusters of about 160 points score a row
+        # alone as in a batch (test_costfn.py TestBatchAgainstScalar).
+        pairs = [build_pair(car_box(dist=9.0 + k, azimuth=0.3 * k - 0.3), seed=7 + k)
+                 for k in range(3)]
+        kernels = [BoxCostBatch(p.points, p.ego, p.proposal.box, p.calib, CostWeights(), 9.0)
+                   for p in pairs]
+        starts = [SwarmStart(p.points, p.nearest, CAR_ANCHOR, 50 + k) for k, p in enumerate(pairs)]
+        results = pso_search(BoxCostBatch.join(kernels).evaluate, starts, TINY)
+        for kernel, res in zip(kernels, results):
+            alone = kernel.evaluate(res.best_box.as_array()[None]).breakdown_at(0)
+            assert res.best_cost == alone
+            assert res.trace[-1] == alone.total
+        assert len({res.best_cost for res in results}) == 3
 
     def test_seed_changes_search(self):
         pair = build_pair(car_box(), seed=18)

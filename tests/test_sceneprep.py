@@ -1,7 +1,7 @@
 """Cloud IO, ground removal, clustering, and scene loading."""
 
 import json
-import math
+import warnings
 
 import numpy as np
 import pytest
@@ -316,6 +316,29 @@ class TestSidecars:
         path.write_text("0\nx\n")
         with pytest.raises(ValidationError, match="line 2"):
             load_point_labels(path, 2)
+
+    # Files that np.loadtxt reads, or rejects, otherwise than the line reader:
+    # each must raise the line reader's message, and no warning.
+    @pytest.mark.parametrize("text, n_points, match", [
+        pytest.param("1 2\n", 2, "line 1: not an integer", id="one-line-two-tokens"),
+        pytest.param("1 2\n3 4\n", 2, "line 1: not an integer", id="every-line-two-tokens"),
+        pytest.param("0\n#1\n", 2, "line 2: not an integer", id="hash-line"),
+        pytest.param("\n  \n\n", 2, "0 labels for a cloud of 2 points", id="blank-lines-only"),
+    ])
+    def test_point_labels_reject_like_line_reader(self, tmp_path, text, n_points, match):
+        path = tmp_path / "f.ptlabels.txt"
+        path.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match=match):
+                load_point_labels(path, n_points)
+
+    def test_point_labels_read_int_tokens(self, tmp_path):
+        path = tmp_path / "f.ptlabels.txt"
+        path.write_text("+1\n1_0\n")
+        labels = load_point_labels(path, 2)
+        assert labels.dtype == np.int64
+        assert labels.tolist() == [1, 10]
 
     def test_clusters_from_labels(self):
         labels = np.array([-1, 1, 0, 1, -1])
