@@ -227,6 +227,9 @@ class BoxCostBatch:
         self._hom = np.vstack([(points - origin).T, np.ones(len(points))])
         self._tile = max(1, _TILE_ELEMS // self.n_points)
         self.parts: tuple[BoxCostBatch, ...] = (self,)
+        # (row count, chunks) of the last call on a joined kernel; a plain
+        # kernel keeps none (``join``).
+        self._layout: tuple[int, list] | None = None
         lo, hi = points.min(axis=0), points.max(axis=0)
         self._cols = np.concatenate([
             [proposal.u_min, proposal.v_min, proposal.u_max, proposal.v_max, ego.x, ego.y,
@@ -240,33 +243,50 @@ class BoxCostBatch:
         """One kernel whose block k scores bit for bit as ``kernels[k]``.
 
         ``n_points`` is the mean over the clusters, so rows times
-        ``n_points`` still counts (candidate, point) pairs.
+        ``n_points`` still counts (candidate, point) pairs. The joined
+        kernel keeps its row layout (``_chunks``) while the row count stays
+        the same, as over a lockstep search. A plain kernel keeps none, so
+        a kernel handed a whole grid holds no columns between calls.
         """
         joined = cls.__new__(cls)
         joined.parts = tuple(part for k in kernels for part in k.parts)
         joined.n_points = sum(part.n_points for part in joined.parts) / len(joined.parts)
         joined._cols = np.concatenate([part._cols for part in joined.parts], axis=1)
+        joined._layout = (0, [])  # zero rows make no chunks
         return joined
 
     def evaluate(self, thetas: np.ndarray) -> BatchEval:
         """Score candidates of shape (S, 7) laid out as (x, y, z, l, w, h, ry)."""
-        rows = len(thetas) // len(self.parts)
+        chunks = self._chunks(len(thetas))
+        if self._layout is not None:
+            if self._layout[0] != len(thetas):
+                self._layout = (len(thetas), list(chunks))
+            chunks = self._layout[1]
         out = np.empty((5, len(thetas)))
-        for c0 in range(0, len(thetas), _CHUNK_ROWS):
-            c1 = min(c0 + _CHUNK_ROWS, len(thetas))
-            blocks = [(self.parts[i], max(c0, i * rows) - c0)
-                      for i in range(c0 // rows, (c1 - 1) // rows + 1)]
-            cols = self._cols.take(np.arange(c0, c1) // rows, axis=1)
-            out[:, c0:c1] = self._score(thetas[c0:c1], cols, blocks)
+        for c0, c1, cols, parts, starts in chunks:
+            out[:, c0:c1] = self._score(thetas[c0:c1], cols, parts, starts)
         return BatchEval(*out)
 
-    def _score(self, th: np.ndarray, cols: np.ndarray, blocks) -> tuple[np.ndarray, ...]:
+    def _chunks(self, n: int):
+        """Row layout of n rows, one (c0, c1, cols, parts, starts) per chunk
+        [c0, c1): its per-row parameter columns, the kernel of each block in
+        it, and each block's first row in the chunk, then the chunk's size."""
+        rows = n // len(self.parts)
+        for c0 in range(0, n, _CHUNK_ROWS):
+            c1 = min(c0 + _CHUNK_ROWS, n)
+            blocks = range(c0 // rows, (c1 - 1) // rows + 1)
+            starts = np.array([max(c0, i * rows) - c0 for i in blocks] + [c1 - c0])
+            cols = self._cols.take(np.arange(c0, c1) // rows, axis=1)
+            yield c0, c1, cols, [self.parts[i] for i in blocks], starts
+
+    def _score(self, th: np.ndarray, cols: np.ndarray, parts, starts) -> tuple[np.ndarray, ...]:
         """(totals, density, lshape, surface, iou2d) of rows ``th`` under
         per-row parameter columns ``cols``; the point terms run on the kept
-        rows of each (kernel, first row) of ``blocks``."""
+        rows of each block, block i scored by ``parts[i]`` from row
+        ``starts[i]`` up to ``starts[i + 1]``."""
         ego_x, ego_y = cols[_EGO]
         lambda1, lambda2, lambda3, gamma, c_surface = cols[_WEIGHTS]
-        cos, sin = np.cos(th[:, 6]), np.sin(th[:, 6])
+        trig = cos, sin = np.cos(th[:, 6]), np.sin(th[:, 6])
         edx, edy = ego_x - th[:, 0], ego_y - th[:, 1]
         # Rows that cannot enclose a point keep density and lshape 0.0 (class
         # docstring). The kept rows' transforms and point pass values are set
@@ -283,8 +303,10 @@ class BoxCostBatch:
         per_row = np.vstack([half + BOUNDARY_TOL, np.where(e_lx > 0.0, half_l, -half_l),
                              np.where(e_ly > 0.0, half_w, -half_w), half_h])
         terms = np.empty((2, len(kept)))
-        ends = np.searchsorted(kept, [s for _, s in blocks] + [len(th)])
-        for (part, _), a0, b0 in zip(blocks, ends[:-1], ends[1:]):
+        ends = np.searchsorted(kept, starts).tolist()
+        for part, a0, b0 in zip(parts, ends[:-1], ends[1:]):
+            if a0 == b0:
+                continue
             for a, b in _tiles(b0 - a0, part._tile):
                 t = slice(a0 + a, a0 + b)
                 terms[:, t] = part._point_terms(rt[:, t], per_row[:, t])
@@ -293,7 +315,7 @@ class BoxCostBatch:
 
         surface = -np.minimum(np.hypot(edx, edy), c_surface)
 
-        iou_term = -gamma * rect_ious(image_hulls(th, cols[_CAMERA])[0], cols[_RECT])
+        iou_term = -gamma * rect_ious(image_hulls(th, cols[_CAMERA], trig)[0], cols[_RECT])
 
         totals = lambda1 * density + lambda2 * lshape + lambda3 * surface + iou_term
         return totals, density, lshape, surface, iou_term

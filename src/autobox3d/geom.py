@@ -210,10 +210,13 @@ def camera_columns(calibs: list[CameraCalib]) -> np.ndarray:
     ], dtype=float).T
 
 
-def image_hulls(thetas: np.ndarray, calib: CameraCalib | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def image_hulls(
+    thetas: np.ndarray, calib: CameraCalib | np.ndarray, trig: tuple[np.ndarray, np.ndarray] | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """Image hulls of many boxes at once, (S, 7) thetas -> ((S, 4) rects, (S,) ok).
 
     ``calib`` is one camera, or each row's as (15, S) ``camera_columns``.
+    ``trig`` is the rows' (cos, sin) of yaw, if the caller has them already.
     A hull is the bounding rectangle (u_min, v_min, u_max, v_max) of the
     part of the box at camera depth ``NEAR_DEPTH`` or more, clipped to the
     image. That part's vertices are the corners in front of the near plane
@@ -230,7 +233,7 @@ def image_hulls(thetas: np.ndarray, calib: CameraCalib | np.ndarray) -> tuple[np
     # Homogeneous pixel rows (U, V, W) of K [R | t], each (3, 1) or (3, S); W = k22 * depth.
     a0, a1, a2, a3 = cam[:12].reshape(4, 3, -1)
     w_near, size = cam[12], cam[13:]
-    cos, sin = np.cos(thetas[:, 6]), np.sin(thetas[:, 6])
+    cos, sin = (np.cos(thetas[:, 6]), np.sin(thetas[:, 6])) if trig is None else trig
     half_l, half_w, half_h = 0.5 * thetas[:, 3:6].T
     center = a0 * thetas[:, 0] + a1 * thetas[:, 1] + a2 * thetas[:, 2] + a3
     # Half-axis vectors. Away from subnormals, halving a factor rounds as

@@ -107,13 +107,22 @@ def search_bounds(points: np.ndarray, anchor: AnchorRange) -> tuple[np.ndarray, 
     return lb, ub
 
 
-def clamp_thetas(thetas: np.ndarray, lb: np.ndarray, ub: np.ndarray) -> np.ndarray:
+def clamp_limits(lb: np.ndarray, ub: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``clamp_thetas``' limits for n rows under each of K bounds ``lb`` and
+    ``ub``, (K, 7): (K, n, 7) copies of them with yaw at -inf and +inf."""
+    lo, hi = (np.repeat(b[:, None], n, axis=1) for b in (lb, ub))
+    lo[..., 6], hi[..., 6] = -np.inf, np.inf
+    return lo, hi
+
+
+def clamp_thetas(thetas: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """Project float candidates (..., 7) onto the feasible region in place,
-    and return them; yaw wraps instead of clips. ``lb`` and ``ub`` broadcast
-    against the candidates."""
-    box = thetas[..., :6]
-    np.maximum(box, lb[..., :6], out=box)
-    np.minimum(box, ub[..., :6], out=box)
+    and return them. ``lo`` and ``hi`` are limits of the candidates' shape
+    with yaw at -inf and +inf (``clamp_limits``), so all seven columns clip
+    in one whole-array pass each and leave yaw alone; yaw then wraps onto
+    [0, pi)."""
+    np.maximum(thetas, lo, out=thetas)
+    np.minimum(thetas, hi, out=thetas)
     np.mod(thetas[..., 6], math.pi, out=thetas[..., 6])
     return thetas
 
@@ -158,15 +167,25 @@ def pso_search(evaluate: EvalFn, starts: list[SwarmStart], cfg: SwarmConfig) -> 
     the block's tile row counts and so may change its bits (ROADMAP item
     13): at the default ``n_swarm`` of 50, the promise holds for up to 40
     swarms. K is at least 1: callers search only when they have pairs.
+
+    What comes out the same in every iteration is set up once per search:
+    the (K, ``n_swarm``, 7) velocity and position limits, so that each clip
+    is one whole-array pass (``clamp_limits``), and, on a joined kernel, the
+    kernel's row layout, which it keeps while the row count stays the same.
+    Each iteration still draws its random factors, updates velocities,
+    positions and bests, and scores every row.
     """
     k, n = len(starts), cfg.n_swarm
     rngs = [np.random.default_rng(s.seed) for s in starts]
-    lb, ub = (np.stack(b)[:, None] for b in zip(*(search_bounds(s.points, s.anchor) for s in starts)))
-    vmax = 0.5 * (ub - lb)
+    lb, ub = (np.stack(b) for b in zip(*(search_bounds(s.points, s.anchor) for s in starts)))
+    # Velocity and position limits at the swarms' full shape, built once.
+    v_hi = np.repeat(0.5 * (ub - lb)[:, None], n, axis=1)
+    v_lo = -v_hi
+    x_lo, x_hi = clamp_limits(lb, ub, n)
     pulls = np.array([cfg.c1, cfg.c2])[:, None, None]
 
     x = [init_particles(s.points, s.nearest, s.anchor, cfg, rng) for s, rng in zip(starts, rngs)]
-    x = clamp_thetas(np.stack(x), lb, ub)
+    x = clamp_thetas(np.stack(x), x_lo, x_hi)
     v = np.zeros_like(x)
     pbest_x = x.copy()
     pbest_f = np.full((k, n), np.inf)
@@ -193,10 +212,10 @@ def pso_search(evaluate: EvalFn, starts: list[SwarmStart], cfg: SwarmConfig) -> 
             v *= inertia_at(it, cfg)
             v += r[:, 0]
             v += r[:, 1]
-            np.maximum(v, -vmax, out=v)
-            np.minimum(v, vmax, out=v)
+            np.maximum(v, v_lo, out=v)
+            np.minimum(v, v_hi, out=v)
             x += v
-            clamp_thetas(x, lb, ub)
+            clamp_thetas(x, x_lo, x_hi)
         res = evaluate(x.reshape(k * n, 7))
         f = res.totals.reshape(k, n)
         improved = f < pbest_f

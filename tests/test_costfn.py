@@ -495,6 +495,47 @@ class TestJoin:
         assert rows < chunk < 2 * rows and 3 * rows > 2 * chunk > 2 * rows
         self._assert_blocks_score_as_their_kernels(rows)
 
+    @staticmethod
+    def _assert_scores_as_fresh_join(joined, kernels, thetas):
+        got = joined.evaluate(thetas)
+        fresh = BoxCostBatch.join(kernels).evaluate(thetas)
+        for name in ("totals", "density", "lshape", "surface", "iou2d"):
+            assert getattr(got, name).tobytes() == getattr(fresh, name).tobytes(), name
+        assert joined._layout[0] == len(thetas)
+
+    def test_kept_layout_follows_row_count(self):
+        # The joined kernel keeps its layout while the row count stays and
+        # builds a new one when it changes, back and forth.
+        _, kernels, _ = self._kernels()
+        joined = BoxCostBatch.join(kernels)
+        for rows in (self.ROWS, 20, self.ROWS):
+            thetas = np.vstack(self._kernels(rows)[2])
+            self._assert_scores_as_fresh_join(joined, kernels, thetas)
+            layout = joined._layout
+            self._assert_scores_as_fresh_join(joined, kernels, thetas[::-1].copy())
+            assert joined._layout is layout
+
+    def test_kept_layout_across_chunks(self):
+        # 41 blocks of 50 rows span two chunks, and block 40 straddles their
+        # boundary; 30 rows per block fit in one chunk.
+        _, kernels, blocks = self._kernels()
+        many = [kernels[k % 3] for k in range(41)]
+        assert 40 * self.ROWS < costfn._CHUNK_ROWS < 41 * self.ROWS
+        joined = BoxCostBatch.join(many)
+        rng = np.random.default_rng(35)
+        for rows in (self.ROWS, 30, self.ROWS):
+            thetas = np.vstack([blocks[k % 3][rng.permutation(self.ROWS)[:rows]] for k in range(41)])
+            self._assert_scores_as_fresh_join(joined, many, thetas)
+            assert len(joined._layout[1]) == -(-len(thetas) // costfn._CHUNK_ROWS)
+
+    def test_plain_kernel_keeps_no_layout(self):
+        # A kernel scored alone, as the grid search scores its grid, holds no
+        # per-row columns between calls.
+        _, kernels, blocks = self._kernels()
+        for kernel, block in zip(kernels, blocks):
+            kernel.evaluate(np.vstack([block] * 50))
+            assert kernel._layout is None
+
 
 class TestSkip:
     """Rows that no axis separates from the cluster's bounding box skip the

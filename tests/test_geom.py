@@ -286,6 +286,28 @@ class TestImageHulls:
             rects, ok = image_hulls(thetas[mine], calib)
             assert np.array_equal(rects, together[0][mine]) and np.array_equal(ok, together[1][mine])
 
+    def test_caller_trig_matches_own(self):
+        # Rows handed their (cos, sin) of yaw give the bytes of rows that
+        # compute it, in one camera's columns and in per-row columns, on rows
+        # wholly in front and cut by the near plane.
+        rows, cams = [], []
+        for k, calib in enumerate(self.CAMERAS):
+            boxes = self._boxes(np.random.default_rng(80 + k), calib, 200)
+            rows += [b.as_array() for b in boxes]
+            cams += [k] * len(boxes)
+        thetas = np.array(rows)
+        cut = np.array([is_cut(th, self.CAMERAS[k]) for th, k in zip(thetas, cams)])
+        assert 30 < cut.sum() < len(cut) - 30
+        trig = np.cos(thetas[:, 6]), np.sin(thetas[:, 6])
+        one = np.array(cams) == 1
+        for rows, cam, rows_trig in [
+            (thetas, camera_columns(list(self.CAMERAS))[:, cams], trig),
+            (thetas[one], self.CAMERAS[1], (trig[0][one], trig[1][one])),
+        ]:
+            got, own = image_hulls(rows, cam, rows_trig), image_hulls(rows, cam)
+            assert got[0].tobytes() == own[0].tobytes()
+            assert np.array_equal(got[1], own[1])
+
     def test_bytes_match_sign_product_reference(self):
         # Corners summed from half axes give the sign-product hulls bit for
         # bit, on rows wholly in front, cut by the near plane or wholly behind.

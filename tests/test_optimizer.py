@@ -11,6 +11,7 @@ from autobox3d.optimizer import (
     SwarmConfig,
     SwarmStart,
     _grid_axes,
+    clamp_limits,
     clamp_thetas,
     greedy_search,
     grid_axis_counts,
@@ -89,6 +90,21 @@ class TestBounds:
         assert np.array_equal(ub[3:6], CAR_ANCHOR.max)
         assert (lb[6], ub[6]) == (0.0, math.pi)
 
+    @staticmethod
+    def _clamp(raw, lb, ub):
+        """``clamp_thetas`` of rows (n, 7) under one pair of (7,) bounds."""
+        lo, hi = clamp_limits(lb[None], ub[None], len(raw))
+        return clamp_thetas(raw, lo[0], hi[0])
+
+    def test_clamp_limits(self):
+        lb = np.array([[0.0, 0.0, 0.0, 1.0, 1.0, 1.0, 0.0], [-1.0] * 6 + [0.0]])
+        ub = np.array([[1.0, 1.0, 1.0, 2.0, 2.0, 2.0, math.pi], [3.0] * 6 + [math.pi]])
+        lo, hi = clamp_limits(lb, ub, 4)
+        assert lo.shape == hi.shape == (2, 4, 7)
+        assert np.array_equal(lo[..., :6], np.repeat(lb[:, None, :6], 4, axis=1))
+        assert np.array_equal(hi[..., :6], np.repeat(ub[:, None, :6], 4, axis=1))
+        assert (lo[..., 6] == -np.inf).all() and (hi[..., 6] == np.inf).all()
+
     def test_clamp_thetas(self):
         lb = np.array([0.0, 0.0, 0.0, 1.0, 1.0, 1.0, 0.0])
         ub = np.array([1.0, 1.0, 1.0, 2.0, 2.0, 2.0, math.pi])
@@ -96,7 +112,7 @@ class TestBounds:
             [-5.0, 0.5, 9.0, 0.0, 3.0, 1.5, 1.5 * math.pi],
             [0.2, 0.8, 0.1, 1.2, 1.8, 1.1, -0.25 * math.pi],
         ])
-        out = clamp_thetas(raw, lb, ub)
+        out = self._clamp(raw, lb, ub)
         assert out is raw
         assert np.allclose(out[0], [0.0, 0.5, 1.0, 1.0, 2.0, 1.5, 0.5 * math.pi])
         assert np.allclose(out[1], [0.2, 0.8, 0.1, 1.2, 1.8, 1.1, 0.75 * math.pi])
@@ -119,7 +135,7 @@ class TestBounds:
         pytest.param([1, 2, 3, 4.5, 1.8, 1.6, 1.0], [1, 2, 3, 4.5, 1.8, 1.6, 1.0], id="feasible"),
     ])
     def test_clamp_thetas_car_rows(self, raw, expect):
-        out = clamp_thetas(np.array([raw], dtype=float), self.CAR_LB, self.CAR_UB)[0]
+        out = self._clamp(np.array([raw], dtype=float), self.CAR_LB, self.CAR_UB)[0]
         assert out[:6].tolist() == expect[:6]
         assert out[6] == pytest.approx(expect[6])
 
@@ -129,8 +145,11 @@ class TestBounds:
         ub = np.array([5.0, 5.0, 5.0, 3.0, 3.0, 3.0, math.pi])
         for _ in range(50):
             raw = rng.uniform(-10, 10, size=(20, 7))
-            once = clamp_thetas(raw, lb, ub)
-            twice = clamp_thetas(once.copy(), lb, ub)
+            # Bit for bit a clip of the six box columns and a wrap of yaw.
+            expect = np.column_stack([np.clip(raw[:, :6], lb[:6], ub[:6]), np.mod(raw[:, 6], math.pi)])
+            once = self._clamp(raw, lb, ub)
+            assert once.tobytes() == expect.tobytes()
+            twice = self._clamp(once.copy(), lb, ub)
             assert np.allclose(once, twice, atol=1e-12)
             assert (once[:, 6] >= 0.0).all() and (once[:, 6] < math.pi + 1e-12).all()
 
@@ -227,6 +246,34 @@ class TestSwarmSearch:
             assert res.best_cost == alone
             assert res.trace[-1] == alone.total
         assert len({res.best_cost for res in results}) == 3
+
+    def test_every_particle_inside_bounds(self):
+        # Each lockstep swarm's particles stay inside its own search bounds
+        # in every iteration, yaw in [0, pi), and the early, fast iterations
+        # push some onto a bound.
+        pairs = lockstep_pairs()
+        kernels = [BoxCostBatch(p.points, p.ego, p.proposal.box, p.calib, CostWeights(), 9.0)
+                   for p, _ in pairs]
+        starts = [SwarmStart(p.points, p.nearest, anchor, 60 + k)
+                  for k, (p, anchor) in enumerate(pairs)]
+        joined = BoxCostBatch.join(kernels).evaluate
+        seen = []
+
+        def spy(thetas):
+            seen.append(thetas.copy())
+            return joined(thetas)
+
+        pso_search(spy, starts, TINY)
+        assert len(seen) == TINY.n_iter
+        on_bound = 0
+        for k, start in enumerate(starts):
+            lb, ub = search_bounds(start.points, start.anchor)
+            for thetas in seen:
+                block = thetas[k * TINY.n_swarm:(k + 1) * TINY.n_swarm]
+                assert ((lb[:6] <= block[:, :6]) & (block[:, :6] <= ub[:6])).all()
+                assert ((block[:, 6] >= 0.0) & (block[:, 6] < math.pi)).all()
+                on_bound += ((block[:, :6] == lb[:6]) | (block[:, :6] == ub[:6])).sum()
+        assert on_bound > 0
 
     def test_seed_changes_search(self):
         pair = build_pair(car_box(), seed=18)
